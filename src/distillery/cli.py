@@ -11,17 +11,11 @@ DISTILLERY_DATA_DIR environment variable.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
-from .experiments import (
-    DEFAULT_LAMBDA_GRID,
-    DEFAULT_T_GRID,
-    emit_report,
-    run_cifar_semisup,
-    run_mnist,
-    run_multitask,
-    run_synthetic,
-)
+from .experiments import DEFAULT_LAMBDA_GRID, DEFAULT_T_GRID, RUNNERS, emit_report
+from .synthetic import SyntheticSpec
 
 
 def _grid(text: str) -> tuple[float, ...]:
@@ -50,8 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthetic", help="synthetic setups 1-4, three arms")
     p.add_argument("--experiment", type=int, choices=(1, 2, 3, 4), required=True)
     p.add_argument("--reps", type=int, default=100, help="repetitions (default 100)")
-    p.add_argument("--T", type=float, default=1.0, help="soft-label temperature (default 1)")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0,
+    p.add_argument("--T", dest="temperature", type=float, default=1.0,
+                   help="soft-label temperature (default 1)")
+    p.add_argument("--lambda", dest="imitation", type=float, default=1.0,
                    help="imitation weight in [0,1] (default 1)")
     p.add_argument("--n-train", type=int, default=200)
     p.add_argument("--n-test", type=int, default=10_000)
@@ -60,8 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mnist", help="28x28 teacher distilled into a 7x7 student")
     p.add_argument("--n-train", type=int, default=300, help="training samples (default 300)")
     p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--T", type=_grid, default=DEFAULT_T_GRID, help="temperature grid, e.g. 1,2,5")
-    p.add_argument("--lambda", dest="lam", type=_grid, default=DEFAULT_LAMBDA_GRID,
+    p.add_argument("--T", dest="T_grid", type=_grid, default=DEFAULT_T_GRID,
+                   help="temperature grid, e.g. 1,2,5")
+    p.add_argument("--lambda", dest="lambda_grid", type=_grid, default=DEFAULT_LAMBDA_GRID,
                    help="imitation grid, e.g. 0,0.5,1")
     p.add_argument("--data-dir", help="directory holding the IDX files")
     common(p)
@@ -72,8 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-unlabeled", type=int, default=None,
                    help="subsample the soft-labeled pool for desk-scale runs")
     p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--T", type=_grid, default=DEFAULT_T_GRID)
-    p.add_argument("--lambda", dest="lam", type=_grid, default=DEFAULT_LAMBDA_GRID)
+    p.add_argument("--T", dest="T_grid", type=_grid, default=DEFAULT_T_GRID)
+    p.add_argument("--lambda", dest="lambda_grid", type=_grid, default=DEFAULT_LAMBDA_GRID)
     p.add_argument("--data-dir", help="directory holding the CIFAR-10 binary batches")
     common(p)
 
@@ -82,33 +78,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-train", type=int, default=300)
     p.add_argument("--test-cap", type=int, default=5000)
     p.add_argument("--delimiter", default=",", help="cell delimiter (default comma)")
-    p.add_argument("--T", type=_grid, default=(1.0,))
-    p.add_argument("--lambda", dest="lam", type=_grid, default=DEFAULT_LAMBDA_GRID)
+    p.add_argument("--T", dest="T_grid", type=_grid, default=(1.0,))
+    p.add_argument("--lambda", dest="lambda_grid", type=_grid, default=DEFAULT_LAMBDA_GRID)
     common(p)
 
     return parser
 
 
 def _dispatch(args):
+    """Call the subcommand's runner with the options named like its parameters."""
+    arguments = dict(vars(args))
     if args.command == "synthetic":
-        from .synthetic import SyntheticSpec
-
-        spec = SyntheticSpec(args.experiment, n_train=args.n_train, n_test=args.n_test)
-        return run_synthetic(args.experiment, reps=args.reps, spec=spec,
-                             temperature=args.T, imitation=args.lam, seed=args.seed)
-    if args.command == "mnist":
-        return run_mnist(n_train=args.n_train, T_grid=args.T, lambda_grid=args.lam,
-                         data_dir=args.data_dir, reps=args.reps, seed=args.seed)
-    if args.command == "cifar":
-        return run_cifar_semisup(n_labeled=args.n_labeled, data_dir=args.data_dir,
-                                 sigma=args.sigma, T_grid=args.T, lambda_grid=args.lam,
-                                 max_unlabeled=args.max_unlabeled, seed=args.seed,
-                                 reps=args.reps)
-    if args.command == "multitask":
-        return run_multitask(args.path, n_train=args.n_train, T_grid=args.T,
-                             lambda_grid=args.lam, seed=args.seed, test_cap=args.test_cap,
-                             delimiter=args.delimiter)
-    raise ValueError(f"unknown command {args.command!r}")
+        arguments["spec"] = SyntheticSpec(args.experiment, n_train=args.n_train, n_test=args.n_test)
+    runner = RUNNERS[args.command]
+    params = inspect.signature(runner).parameters
+    return runner(**{k: v for k, v in arguments.items() if k in params})
 
 
 def _summarize(report) -> str:

@@ -17,6 +17,7 @@ examples, and per-task views of multi-output regression data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -152,12 +153,12 @@ class DistillConfig:
     match_teacher_temperature: bool = False
 
     def __post_init__(self):
-        if not self.temperature > 0:
-            raise ValueError("temperature must be positive")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError("temperature must be positive and finite")
         if not 0.0 <= self.imitation <= 1.0:
             raise ValueError("imitation must lie in [0, 1]")
-        if self.unlabeled_weight < 0:
-            raise ValueError("unlabeled_weight must be >= 0")
+        if not 0 <= self.unlabeled_weight < math.inf:
+            raise ValueError("unlabeled_weight must be finite and >= 0")
 
 
 def train_teacher(data: Dataset, cfg: DistillConfig) -> Model:

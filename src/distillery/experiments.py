@@ -4,7 +4,9 @@ Every run evaluates up to three arms per repetition: the teacher on the
 privileged view (arm "privileged"), a plain student on the regular view
 (arm "regular"), and distilled students per (temperature, imitation)
 grid cell (arm "distilled", plus "distilled-labeled" for the
-labeled-only variant of the semi-supervised run).
+labeled-only variant of the semi-supervised run).  All four runs share
+one repetition loop (`_repeat`); each contributes only its data
+preparation and a generator of per-repetition problems.
 
 Randomness is a tree of forked streams keyed by purpose ("rep", r,
 "teacher", ...).  Grid cells reuse one per-repetition student stream, so
@@ -14,15 +16,18 @@ repetition train on identical data draws, isolating the effect of the
 soft labels.
 
 Reports serialize to JSON (full nested structure, lossless round-trip)
-and CSV (one aggregate row per experiment/arm/T/lambda).
+and CSV (one aggregate row per experiment/arm/T/lambda).  A report's
+config snapshot holds the run's own arguments, encoded by parameter name
+(`_CODEC`), so `run_from_config` can call the runner again.
 """
 
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +56,7 @@ __all__ = [
     "run_cifar_semisup",
     "run_multitask",
     "run_from_config",
+    "RUNNERS",
     "emit_report",
     "load_report_json",
     "load_report_csv",
@@ -88,6 +94,15 @@ class ArmResult:
     imitation: float | None = None
     values: list[float] = field(default_factory=list)
     status: str = "complete"
+
+    def __eq__(self, other):
+        # An arm without values has mean = std = NaN by definition; those
+        # compare equal, so its report reloads (or re-runs) equal.  A NaN
+        # next to values is a corrupt aggregate and never equals anything.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(a == b or (not self.values and a != a and b != b) for a, b in pairs)
 
 
 @dataclass
@@ -133,40 +148,6 @@ def _aggregate(arm, metric, values, expected_reps, T=None, lam=None) -> ArmResul
     return ArmResult(arm, metric, mean, std, len(values), T, lam, values, status)
 
 
-def _train_config_dict(cfg: TrainConfig) -> dict:
-    return {
-        "learning_rate": cfg.learning_rate,
-        "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
-        "l2": cfg.l2,
-        "init_scale": cfg.init_scale,
-    }
-
-
-def _train_config_from_dict(d: dict) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=d["learning_rate"],
-        epochs=d["epochs"],
-        batch_size=d["batch_size"],
-        l2=d["l2"],
-        init_scale=d.get("init_scale", "fan_in_normal"),
-    )
-
-
-def _arch_name(arch: Arch) -> str:
-    if arch.kind == "linear":
-        return "linear"
-    return "mlp:" + ",".join(str(h) for h in arch.hidden)
-
-
-def _arch_from_name(name: str) -> Arch:
-    if name == "linear":
-        return Arch("linear")
-    if name.startswith("mlp:"):
-        return Arch.mlp(*(int(h) for h in name[4:].split(",")))
-    raise ValueError(f"unknown architecture name {name!r}")
-
-
 def _features(ds: Dataset, view: str) -> np.ndarray:
     return np.asarray([getattr(t, view) for t in ds.examples])
 
@@ -186,6 +167,126 @@ def mse(model, ds: Dataset, view: str) -> float:
     out = forward(model, _features(ds, view))
     target = np.asarray([t.y for t in ds.examples])
     return float(np.mean((out - target) ** 2))
+
+
+# --- the repetition loop shared by every run ---------------------------------
+
+
+def _base(stream: RngStream, teacher_train, student_train, arch, **extra) -> DistillConfig:
+    """A problem's base config: teacher and student streams forked from `stream`."""
+    return DistillConfig(
+        teacher_arch=arch,
+        student_arch=arch,
+        teacher_train=replace(teacher_train, rng=stream.fork("teacher")),
+        student_train=replace(student_train, rng=stream.fork("student")),
+        **extra,
+    )
+
+
+def _repeat(problems, T_grid, lambda_grid, metric="accuracy", arms=None, per_task=False):
+    """Generalized distillation over a stream of problems: (results, errors).
+
+    A problem is (label, train set, test set, base DistillConfig).  For
+    each one the teacher and the regular student (imitation 0, no soft
+    labels) are trained and scored, then soft labels are computed once
+    per T and one student per lambda is trained for every distilled arm.
+    `arms` maps a distilled arm to a predicate on example ids that keeps
+    part of the soft labels (None keeps them all).  A diverging teacher
+    or regular student drops the problem; a diverging distilled student
+    drops only its cell; an aggregate is complete with one value per
+    problem.  `per_task` adds one row per value, named after its problem.
+    """
+    score = accuracy if metric == "accuracy" else mse
+    arms = arms or {"distilled": None}
+    grid = [(a, float(T), float(lam)) for a in arms for T in T_grid for lam in lambda_grid]
+    values = {key: [] for key in [("privileged", None, None), ("regular", None, None), *grid]}
+    errors, n_problems = [], 0
+    for label, train_ds, test_ds, base in problems:
+        n_problems += 1
+        try:
+            teacher = train_teacher(train_ds, base)
+            regular = distill_student(train_ds, [], replace(base, imitation=0.0))
+        except TrainingDivergence as e:
+            errors.append(f"{label}: {e}")
+            continue
+        values["privileged", None, None].append((label, score(teacher, test_ds, "x_star")))
+        values["regular", None, None].append((label, score(regular, test_ds, "x")))
+        for T in T_grid:
+            soft = soft_labels(teacher, train_ds, T)
+            kept = {a: [s for s in soft if keep is None or keep(s[0])] for a, keep in arms.items()}
+            for lam in lambda_grid:
+                cfg = replace(base, temperature=float(T), imitation=float(lam))
+                try:
+                    students = {a: distill_student(train_ds, kept[a], cfg) for a in arms}
+                except TrainingDivergence as e:
+                    errors.append(f"{label} cell T={T} lambda={lam}: {e}")
+                    continue
+                for a, student in students.items():
+                    values[a, float(T), float(lam)].append((label, score(student, test_ds, "x")))
+    results = []
+    for (arm, T, lam), scored in values.items():
+        results.append(_aggregate(arm, metric, [v for _, v in scored], n_problems, T, lam))
+        if per_task:  # "task 3" -> arm "regular/task3"
+            results += [
+                _aggregate(f"{arm}/{label.replace(' ', '')}", metric, [v], 1, T, lam)
+                for label, v in scored
+            ]
+    return results, errors
+
+
+# --- config snapshots --------------------------------------------------------
+
+
+def _same(value, config=None):
+    return value
+
+
+def _fields_of(obj, names) -> dict:
+    return {n: getattr(obj, n) for n in names}
+
+
+def _arch_text(arch: Arch) -> str:
+    return f"{arch.kind}:{','.join(map(str, arch.hidden))}" if arch.hidden else arch.kind
+
+
+def _arch_from_text(text: str, config=None) -> Arch:
+    kind, _, hidden = text.partition(":")
+    return Arch(kind, tuple(int(h) for h in hidden.split(",")) if hidden else ())
+
+
+_TRAIN_CODEC = (
+    lambda c: _fields_of(c, ("learning_rate", "epochs", "batch_size", "l2", "init_scale")),
+    lambda d, config: TrainConfig(**d),
+)
+_GRID_CODEC = (lambda grid: [float(v) for v in grid], _same)
+
+# parameter name -> (snapshot key, encode(value), decode(value, config));
+# any other parameter is stored under its own name as it is
+_CODEC = {
+    "spec": (
+        "spec",
+        lambda s: _fields_of(s, ("d", "n_train", "n_test", "relevant_size")),
+        lambda s, config: SyntheticSpec(config["experiment"], **s),
+    ),
+    "teacher_train": ("teacher_train", *_TRAIN_CODEC),
+    "student_train": ("student_train", *_TRAIN_CODEC),
+    "train_config": ("train", *_TRAIN_CODEC),
+    "arch": ("arch", _arch_text, _arch_from_text),
+    "T_grid": ("T_grid", *_GRID_CODEC),
+    "lambda_grid": ("lambda_grid", *_GRID_CODEC),
+    "data_dir": ("data_dir", str, _same),
+    "path": ("path", str, _same),
+}
+
+
+def _snapshot(kind: str, arguments: dict, **notes) -> dict:
+    """Config of a run: its arguments (a superset, e.g. `locals()`), then
+    fixed notes and the library version."""
+    config = {"kind": kind}
+    for name in inspect.signature(RUNNERS[kind]).parameters:
+        key, encode, _ = _CODEC.get(name, (name, _same, _same))
+        config[key] = encode(arguments[name])
+    return {**config, **notes, "version": __version__}
 
 
 # --- synthetic experiments ---------------------------------------------------
@@ -209,55 +310,21 @@ def run_synthetic(
     if spec is None:
         spec = SyntheticSpec(experiment)
     master = RngStream(seed)
-    arms = {"privileged": [], "regular": [], "distilled": []}
-    errors = []
-    for r in range(reps):
-        rep = master.fork("rep", r)
-        hp = draw_hyperplane(spec, rep.fork("problem"))
-        train_ds = generate(spec, hp, n=spec.n_train, rng=rep.fork("train"))
-        test_ds = generate(spec, hp, n=spec.n_test, rng=rep.fork("test"))
-        cfg = DistillConfig(
-            temperature=temperature,
-            imitation=imitation,
-            teacher_train=replace(teacher_train, rng=rep.fork("teacher")),
-            student_train=replace(student_train, rng=rep.fork("student")),
-        )
-        try:
-            teacher = train_teacher(train_ds, cfg)
-            regular = distill_student(train_ds, [], replace(cfg, imitation=0.0))
-            soft = soft_labels(teacher, train_ds, cfg.temperature)
-            distilled = distill_student(train_ds, soft, cfg)
-        except TrainingDivergence as e:
-            errors.append(f"rep {r}: {e}")
-            continue
-        arms["privileged"].append(accuracy(teacher, test_ds, "x_star"))
-        arms["regular"].append(accuracy(regular, test_ds, "x"))
-        arms["distilled"].append(accuracy(distilled, test_ds, "x"))
-    config = {
-        "kind": "synthetic",
-        "experiment": experiment,
-        "seed": seed,
-        "reps": reps,
-        "temperature": temperature,
-        "imitation": imitation,
-        "spec": {
-            "d": spec.d,
-            "n_train": spec.n_train,
-            "n_test": spec.n_test,
-            "relevant_size": spec.relevant_size,
-        },
-        "teacher_arch": "linear",
-        "student_arch": "linear",
-        "teacher_train": _train_config_dict(teacher_train),
-        "student_train": _train_config_dict(student_train),
-        "alpha_policy": "fresh hyperplane per repetition",
-        "version": __version__,
-    }
-    results = [
-        _aggregate("privileged", "accuracy", arms["privileged"], reps),
-        _aggregate("regular", "accuracy", arms["regular"], reps),
-        _aggregate("distilled", "accuracy", arms["distilled"], reps, temperature, imitation),
-    ]
+
+    def problems():
+        for r in range(reps):
+            rep = master.fork("rep", r)
+            hp = draw_hyperplane(spec, rep.fork("problem"))
+            train_ds = generate(spec, hp, n=spec.n_train, rng=rep.fork("train"))
+            test_ds = generate(spec, hp, n=spec.n_test, rng=rep.fork("test"))
+            base = _base(rep, teacher_train, student_train, Arch("linear"))
+            yield f"rep {r}", train_ds, test_ds, base
+
+    config = _snapshot(
+        "synthetic", locals(), teacher_arch="linear", student_arch="linear",
+        alpha_policy="fresh hyperplane per repetition",
+    )
+    results, errors = _repeat(problems(), (temperature,), (imitation,))
     return ExperimentReport(f"synthetic-{experiment}", seed, __version__, config, results, errors)
 
 
@@ -293,11 +360,6 @@ MNIST_FILES = (
 )
 
 
-def _one_hot_rows(labels: np.ndarray, c: int) -> list[np.ndarray]:
-    eye = np.eye(c)
-    return [eye[k] for k in labels]
-
-
 def run_mnist(
     n_train: int = 300,
     T_grid=DEFAULT_T_GRID,
@@ -313,80 +375,33 @@ def run_mnist(
     Both are MLPs with two hidden ReLU layers; the distilled arm is
     evaluated per (T, lambda) grid cell on the full test set.
     """
-    root = data_dir_from_env(data_dir)
-    paths = _locate(root, MNIST_FILES, "mnist")
+    data_dir = data_dir_from_env(data_dir)
+    paths = _locate(data_dir, MNIST_FILES, "mnist")
     train_set = load_idx(paths[0], paths[1])
     test_set = load_idx(paths[2], paths[3])
 
+    header = DatasetHeader(49, 784, 10)
     full_te = test_set.to_features()
     small_te = downscale(test_set.images).reshape(test_set.n, -1)
-    ds_te = Dataset.from_arrays(
-        DatasetHeader(49, 784, 10),
-        x=small_te,
-        x_star=full_te,
-        y=np.eye(10)[test_set.labels],
-    )
-
+    ds_te = Dataset.from_arrays(header, x=small_te, x_star=full_te, y=np.eye(10)[test_set.labels])
     master = RngStream(seed)
-    arms = {"privileged": [], "regular": []}
-    cells = {(T, lam): [] for T in T_grid for lam in lambda_grid}
-    errors = []
-    for r in range(reps):
-        rep = master.fork("rep", r)
-        idx = rep.fork("sample").generator().choice(train_set.n, size=n_train, replace=False)
-        picked = train_set.images[idx]
-        full_tr = picked.reshape(n_train, -1).astype(np.float64) / 255.0
-        small_tr = downscale(picked).reshape(n_train, -1)
-        ds_tr = Dataset.from_arrays(
-            DatasetHeader(49, 784, 10),
-            x=small_tr,
-            x_star=full_tr,
-            y=np.eye(10)[train_set.labels[idx]],
-        )
-        base = DistillConfig(
-            teacher_arch=arch,
-            student_arch=arch,
-            teacher_train=replace(train_config, rng=rep.fork("teacher")),
-            student_train=replace(train_config, rng=rep.fork("student")),
-        )
-        try:
-            teacher = train_teacher(ds_tr, base)
-            regular = distill_student(ds_tr, [], replace(base, imitation=0.0))
-        except TrainingDivergence as e:
-            errors.append(f"rep {r}: {e}")
-            continue
-        arms["privileged"].append(accuracy(teacher, ds_te, "x_star"))
-        arms["regular"].append(accuracy(regular, ds_te, "x"))
-        for T in T_grid:
-            soft = soft_labels(teacher, ds_tr, T)
-            for lam in lambda_grid:
-                cfg = replace(base, temperature=float(T), imitation=float(lam))
-                try:
-                    student = distill_student(ds_tr, soft, cfg)
-                except TrainingDivergence as e:
-                    errors.append(f"rep {r} cell T={T} lambda={lam}: {e}")
-                    continue
-                cells[(T, lam)].append(accuracy(student, ds_te, "x"))
-    config = {
-        "kind": "mnist",
-        "n_train": n_train,
-        "seed": seed,
-        "reps": reps,
-        "T_grid": [float(T) for T in T_grid],
-        "lambda_grid": [float(l) for l in lambda_grid],
-        "data_dir": str(root),
-        "arch": _arch_name(arch),
-        "train": _train_config_dict(train_config),
-        "teacher_features": "28x28 pixels scaled to [0,1]",
-        "student_features": "7x7 block means",
-        "version": __version__,
-    }
-    results = [
-        _aggregate("privileged", "accuracy", arms["privileged"], reps),
-        _aggregate("regular", "accuracy", arms["regular"], reps),
-    ]
-    for (T, lam), vals in cells.items():
-        results.append(_aggregate("distilled", "accuracy", vals, reps, float(T), float(lam)))
+
+    def problems():
+        for r in range(reps):
+            rep = master.fork("rep", r)
+            idx = rep.fork("sample").generator().choice(train_set.n, size=n_train, replace=False)
+            picked = train_set.images[idx]
+            full_tr = picked.reshape(n_train, -1).astype(np.float64) / 255.0
+            small_tr = downscale(picked).reshape(n_train, -1)
+            y = np.eye(10)[train_set.labels[idx]]
+            ds_tr = Dataset.from_arrays(header, x=small_tr, x_star=full_tr, y=y)
+            yield f"rep {r}", ds_tr, ds_te, _base(rep, train_config, train_config, arch)
+
+    config = _snapshot(
+        "mnist", locals(), teacher_features="28x28 pixels scaled to [0,1]",
+        student_features="7x7 block means",
+    )
+    results, errors = _repeat(problems(), T_grid, lambda_grid)
     return ExperimentReport(f"mnist-{n_train}", seed, __version__, config, results, errors)
 
 
@@ -416,8 +431,8 @@ def run_cifar_semisup(
     pool ("distilled" arm), or the labeled images alone
     ("distilled-labeled" arm), against a supervised-only baseline.
     """
-    root = data_dir_from_env(data_dir)
-    paths = _locate(root, CIFAR_TRAIN_FILES + (CIFAR_TEST_FILE,), "cifar-10-batches-bin")
+    data_dir = data_dir_from_env(data_dir)
+    paths = _locate(data_dir, CIFAR_TRAIN_FILES + (CIFAR_TEST_FILE,), "cifar-10-batches-bin")
     train_set = load_cifar(paths[:-1])
     test_set = load_cifar([paths[-1]])
 
@@ -425,82 +440,36 @@ def run_cifar_semisup(
     test_clean = test_set.to_features()
     test_noisy = pollute(test_clean, sigma, master.fork("pollute-test"))
     d = test_clean.shape[1]
-    ds_te = Dataset.from_arrays(
-        DatasetHeader(d, d, 10), x=test_noisy, x_star=test_clean, y=np.eye(10)[test_set.labels]
-    )
+    header = DatasetHeader(d, d, 10)
+    y_te = np.eye(10)[test_set.labels]
+    ds_te = Dataset.from_arrays(header, x=test_noisy, x_star=test_clean, y=y_te)
 
-    arms = {"privileged": [], "regular": []}
-    cells = {(T, lam): [] for T in T_grid for lam in lambda_grid}
-    labeled_cells = {(T, lam): [] for T in T_grid for lam in lambda_grid}
-    errors = []
-    for r in range(reps):
-        rep = master.fork("rep", r)
-        g = rep.fork("labeled").generator()
-        labeled_idx = g.choice(train_set.n, size=n_labeled, replace=False)
-        rest = np.setdiff1d(np.arange(train_set.n), labeled_idx)
-        if max_unlabeled is not None and len(rest) > max_unlabeled:
-            rest = np.sort(rep.fork("pool").generator().choice(rest, size=max_unlabeled, replace=False))
-        pool_idx = np.concatenate([labeled_idx, rest])
-        clean = train_set.images[pool_idx].reshape(len(pool_idx), -1).astype(np.float64) / 255.0
-        noisy = pollute(clean, sigma, rep.fork("pollute-train"))
-        labels = train_set.labels[pool_idx]
-        examples = [
-            Triplet(noisy[i], clean[i], one_hot(int(labels[i]), 10) if i < n_labeled else None)
-            for i in range(len(pool_idx))
-        ]
-        ds_tr = Dataset(DatasetHeader(d, d, 10), examples)
-        base = DistillConfig(
-            teacher_arch=arch,
-            student_arch=arch,
-            unlabeled_weight=unlabeled_weight,
-            teacher_train=replace(train_config, rng=rep.fork("teacher")),
-            student_train=replace(train_config, rng=rep.fork("student")),
-        )
-        try:
-            teacher = train_teacher(ds_tr, base)
-            regular = distill_student(ds_tr, [], replace(base, imitation=0.0))
-        except TrainingDivergence as e:
-            errors.append(f"rep {r}: {e}")
-            continue
-        arms["privileged"].append(accuracy(teacher, ds_te, "x_star"))
-        arms["regular"].append(accuracy(regular, ds_te, "x"))
-        for T in T_grid:
-            soft = soft_labels(teacher, ds_tr, T)
-            soft_labeled_only = [(i, s) for i, s in soft if i < n_labeled]
-            for lam in lambda_grid:
-                cfg = replace(base, temperature=float(T), imitation=float(lam))
-                try:
-                    semi = distill_student(ds_tr, soft, cfg)
-                    lab = distill_student(ds_tr, soft_labeled_only, cfg)
-                except TrainingDivergence as e:
-                    errors.append(f"rep {r} cell T={T} lambda={lam}: {e}")
-                    continue
-                cells[(T, lam)].append(accuracy(semi, ds_te, "x"))
-                labeled_cells[(T, lam)].append(accuracy(lab, ds_te, "x"))
-    config = {
-        "kind": "cifar",
-        "n_labeled": n_labeled,
-        "sigma": sigma,
-        "max_unlabeled": max_unlabeled,
-        "unlabeled_weight": unlabeled_weight,
-        "seed": seed,
-        "reps": reps,
-        "T_grid": [float(T) for T in T_grid],
-        "lambda_grid": [float(l) for l in lambda_grid],
-        "data_dir": str(root),
-        "arch": _arch_name(arch),
-        "train": _train_config_dict(train_config),
-        "noise": "additive N(0, sigma^2) on [0,1] pixels, train and test, no clipping",
-        "version": __version__,
-    }
-    results = [
-        _aggregate("privileged", "accuracy", arms["privileged"], reps),
-        _aggregate("regular", "accuracy", arms["regular"], reps),
-    ]
-    for (T, lam), vals in cells.items():
-        results.append(_aggregate("distilled", "accuracy", vals, reps, float(T), float(lam)))
-    for (T, lam), vals in labeled_cells.items():
-        results.append(_aggregate("distilled-labeled", "accuracy", vals, reps, float(T), float(lam)))
+    def problems():
+        for r in range(reps):
+            rep = master.fork("rep", r)
+            g = rep.fork("labeled").generator()
+            labeled_idx = g.choice(train_set.n, size=n_labeled, replace=False)
+            rest = np.setdiff1d(np.arange(train_set.n), labeled_idx)
+            if max_unlabeled is not None and len(rest) > max_unlabeled:
+                g = rep.fork("pool").generator()
+                rest = np.sort(g.choice(rest, size=max_unlabeled, replace=False))
+            pool_idx = np.concatenate([labeled_idx, rest])
+            clean = train_set.images[pool_idx].reshape(len(pool_idx), -1).astype(np.float64) / 255.0
+            noisy = pollute(clean, sigma, rep.fork("pollute-train"))
+            labels = train_set.labels[pool_idx]
+            examples = [
+                Triplet(noisy[i], clean[i], one_hot(int(labels[i]), 10) if i < n_labeled else None)
+                for i in range(len(pool_idx))
+            ]
+            base = _base(rep, train_config, train_config, arch, unlabeled_weight=unlabeled_weight)
+            yield f"rep {r}", Dataset(header, examples), ds_te, base
+
+    config = _snapshot(
+        "cifar", locals(),
+        noise="additive N(0, sigma^2) on [0,1] pixels, train and test, no clipping",
+    )
+    arms = {"distilled": None, "distilled-labeled": lambda i: i < n_labeled}
+    results, errors = _repeat(problems(), T_grid, lambda_grid, arms=arms)
     return ExperimentReport("cifar-semisup", seed, __version__, config, results, errors)
 
 
@@ -522,8 +491,8 @@ def run_multitask(
 
     Inputs and each output are standardized from the training split;
     MSE is reported on the standardized scale, per task and averaged
-    across tasks.  Temperature does not act on regression soft targets,
-    so the default grid has a single T.
+    across tasks (rows `privileged/task3`, ...).  Temperature does not act
+    on regression soft targets, so the default grid has a single T.
     """
     table = load_multitask_csv(path, delimiter)
     n_tasks = table.n_outputs
@@ -549,66 +518,28 @@ def run_multitask(
     base_tr = base_dataset(train_idx)
     base_te = base_dataset(test_idx)
 
-    per_task = {"privileged": [], "regular": []}
-    cell_tasks = {(T, lam): [] for T in T_grid for lam in lambda_grid}
-    errors = []
-    for j in range(n_tasks):
-        view_tr = multitask_views(base_tr, j)
-        view_te = multitask_views(base_te, j)
-        rep = master.fork("task", j)
-        base = DistillConfig(
-            teacher_arch=arch,
-            student_arch=arch,
-            teacher_train=replace(train_config, rng=rep.fork("teacher")),
-            student_train=replace(train_config, rng=rep.fork("student")),
-        )
-        try:
-            teacher = train_teacher(view_tr, base)
-            regular = distill_student(view_tr, [], replace(base, imitation=0.0))
-        except TrainingDivergence as e:
-            errors.append(f"task {j}: {e}")
-            continue
-        per_task["privileged"].append(mse(teacher, view_te, "x_star"))
-        per_task["regular"].append(mse(regular, view_te, "x"))
-        for T in T_grid:
-            soft = soft_labels(teacher, view_tr, T)
-            for lam in lambda_grid:
-                cfg = replace(base, temperature=float(T), imitation=float(lam))
-                try:
-                    student = distill_student(view_tr, soft, cfg)
-                except TrainingDivergence as e:
-                    errors.append(f"task {j} cell T={T} lambda={lam}: {e}")
-                    continue
-                cell_tasks[(T, lam)].append(mse(student, view_te, "x"))
-    config = {
-        "kind": "multitask",
-        "path": str(path),
-        "n_train": n_train,
-        "test_cap": test_cap,
-        "seed": seed,
-        "delimiter": delimiter,
-        "T_grid": [float(T) for T in T_grid],
-        "lambda_grid": [float(l) for l in lambda_grid],
-        "arch": _arch_name(arch),
-        "train": _train_config_dict(train_config),
-        "standardization": "inputs and each task output, train-split statistics",
-        "temperature_note": "temperature is a no-op for regression soft targets",
-        "version": __version__,
-    }
-    # aggregates are across tasks; per-task rows carry the task id in the arm
-    results = []
-    for name in ("privileged", "regular"):
-        results.append(_aggregate(name, "mse", per_task[name], n_tasks))
-        for j, v in enumerate(per_task[name]):
-            results.append(_aggregate(f"{name}/task{j}", "mse", [v], 1))
-    for (T, lam), vals in cell_tasks.items():
-        results.append(_aggregate("distilled", "mse", vals, n_tasks, float(T), float(lam)))
-        for j, v in enumerate(vals):
-            results.append(_aggregate(f"distilled/task{j}", "mse", [v], 1, float(T), float(lam)))
+    def problems():
+        for j in range(n_tasks):
+            base = _base(master.fork("task", j), train_config, train_config, arch)
+            yield f"task {j}", multitask_views(base_tr, j), multitask_views(base_te, j), base
+
+    config = _snapshot(
+        "multitask", locals(),
+        standardization="inputs and each task output, train-split statistics",
+        temperature_note="temperature is a no-op for regression soft targets",
+    )
+    results, errors = _repeat(problems(), T_grid, lambda_grid, "mse", per_task=True)
     return ExperimentReport("multitask", seed, __version__, config, results, errors)
 
 
 # --- config replay -----------------------------------------------------------
+
+RUNNERS = {
+    "synthetic": run_synthetic,
+    "mnist": run_mnist,
+    "cifar": run_cifar_semisup,
+    "multitask": run_multitask,
+}
 
 
 def run_from_config(config: dict) -> ExperimentReport:
@@ -616,65 +547,17 @@ def run_from_config(config: dict) -> ExperimentReport:
 
     With the same master seed this reproduces every aggregate bit for
     bit (dataset paths must still be present for the real-data runs).
+    A parameter missing from the snapshot takes the runner's default.
     """
-    kind = config["kind"]
-    if kind == "synthetic":
-        s = config["spec"]
-        spec = SyntheticSpec(
-            config["experiment"],
-            d=s["d"],
-            n_train=s["n_train"],
-            n_test=s["n_test"],
-            relevant_size=s["relevant_size"],
-        )
-        return run_synthetic(
-            config["experiment"],
-            reps=config["reps"],
-            spec=spec,
-            temperature=config["temperature"],
-            imitation=config["imitation"],
-            seed=config["seed"],
-            teacher_train=_train_config_from_dict(config["teacher_train"]),
-            student_train=_train_config_from_dict(config["student_train"]),
-        )
-    if kind == "mnist":
-        return run_mnist(
-            n_train=config["n_train"],
-            T_grid=config["T_grid"],
-            lambda_grid=config["lambda_grid"],
-            data_dir=config["data_dir"],
-            reps=config["reps"],
-            seed=config["seed"],
-            train_config=_train_config_from_dict(config["train"]),
-            arch=_arch_from_name(config["arch"]),
-        )
-    if kind == "cifar":
-        return run_cifar_semisup(
-            n_labeled=config["n_labeled"],
-            data_dir=config["data_dir"],
-            sigma=config["sigma"],
-            T_grid=config["T_grid"],
-            lambda_grid=config["lambda_grid"],
-            max_unlabeled=config["max_unlabeled"],
-            unlabeled_weight=config.get("unlabeled_weight", 1.0),
-            seed=config["seed"],
-            reps=config["reps"],
-            train_config=_train_config_from_dict(config["train"]),
-            arch=_arch_from_name(config["arch"]),
-        )
-    if kind == "multitask":
-        return run_multitask(
-            config["path"],
-            n_train=config["n_train"],
-            T_grid=config["T_grid"],
-            lambda_grid=config["lambda_grid"],
-            seed=config["seed"],
-            test_cap=config["test_cap"],
-            delimiter=config["delimiter"],
-            train_config=_train_config_from_dict(config["train"]),
-            arch=_arch_from_name(config["arch"]),
-        )
-    raise ValueError(f"unknown experiment kind {kind!r}")
+    runner = RUNNERS.get(config["kind"])
+    if runner is None:
+        raise ValueError(f"unknown experiment kind {config['kind']!r}")
+    arguments = {}
+    for name in inspect.signature(runner).parameters:
+        key, _, decode = _CODEC.get(name, (name, _same, _same))
+        if key in config:
+            arguments[name] = decode(config[key], config)
+    return runner(**arguments)
 
 
 # --- report serialization ----------------------------------------------------

@@ -16,6 +16,7 @@ biases are not regularized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,14 +144,14 @@ class TrainConfig:
     rng: RngStream = RngStream(0)
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.l2 < 0:
-            raise ValueError("l2 must be >= 0")
+        if not 0 <= self.l2 < math.inf:
+            raise ValueError("l2 must be finite and >= 0")
         if self.init_scale != "fan_in_normal":
             raise ValueError(f"unknown init scheme {self.init_scale!r}")
 
@@ -456,26 +457,37 @@ def model_to_text(m: Model) -> str:
 
 def model_from_text(text: str) -> Model:
     lines = text.strip().split("\n")
-    if not lines or lines[0] != _MAGIC:
+    if lines[0] != _MAGIC:
         raise ValueError(f"not a model record (expected {_MAGIC!r})")
-    kind = lines[1].split(" ", 1)[1]
-    task = lines[2].split(" ", 1)[1]
-    sizes = [int(s) for s in lines[3].split()[1:]]
+
+    def line(k: int) -> str:
+        if k >= len(lines):
+            raise ValueError(f"truncated model record: line {k + 1} is missing")
+        return lines[k]
+
+    def value(k: int, key: str) -> str:
+        name, _, rest = line(k).partition(" ")
+        if name != key:
+            raise ValueError(f"expected {key!r} at line {k + 1}")
+        return rest
+
+    kind, task = value(1, "kind"), value(2, "task")
+    sizes = [int(s) for s in value(3, "sizes").split()]
     pos = 4
     weights, biases = [], []
     for i, (fi, fo) in enumerate(zip(sizes, sizes[1:])):
-        if lines[pos] != f"W{i}":
+        if line(pos) != f"W{i}":
             raise ValueError(f"expected W{i} at line {pos + 1}")
         pos += 1
-        rows = [[float.fromhex(v) for v in lines[pos + r].split()] for r in range(fi)]
+        rows = [[float.fromhex(v) for v in line(pos + r).split()] for r in range(fi)]
         pos += fi
         w = np.array(rows)
         if w.shape != (fi, fo):
             raise ValueError(f"layer {i} weight shape {w.shape} != ({fi}, {fo})")
-        if lines[pos] != f"b{i}":
+        if line(pos) != f"b{i}":
             raise ValueError(f"expected b{i} at line {pos + 1}")
         pos += 1
-        b = np.array([float.fromhex(v) for v in lines[pos].split()])
+        b = np.array([float.fromhex(v) for v in line(pos).split()])
         pos += 1
         weights.append(w)
         biases.append(b)

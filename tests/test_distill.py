@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -268,6 +270,27 @@ class TestMultitaskViews:
         data = multitask_data()
         with pytest.raises(ValueError):
             multitask_views(data, 7)
+
+
+class TestDistillConfigValidation:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(temperature=0.0),
+            dict(temperature=-1.0),
+            dict(temperature=math.inf),
+            dict(temperature=math.nan),
+            dict(imitation=-0.1),
+            dict(imitation=1.5),
+            dict(imitation=math.nan),
+            dict(unlabeled_weight=-1.0),
+            dict(unlabeled_weight=math.nan),
+            dict(unlabeled_weight=math.inf),
+        ],
+    )
+    def test_rejected_at_construction(self, bad):
+        with pytest.raises(ValueError):
+            DistillConfig(**bad)
 
 
 class TestDatasetValidation:

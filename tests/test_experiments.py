@@ -1,10 +1,16 @@
+import argparse
+import inspect
+import math
 import struct
 
 import numpy as np
 import pytest
 
+from distillery import __version__, experiments
+from distillery.cli import build_parser
 from distillery.cli import main as cli_main
 from distillery.experiments import (
+    RUNNERS,
     ArmResult,
     ExperimentReport,
     emit_report,
@@ -16,7 +22,7 @@ from distillery.experiments import (
     run_multitask,
     run_synthetic,
 )
-from distillery.models import Arch, TrainConfig
+from distillery.models import Arch, TrainConfig, TrainingDivergence
 from distillery.synthetic import SyntheticSpec
 
 TINY_TRAIN = TrainConfig(learning_rate=0.05, epochs=3, batch_size=10, l2=1e-4)
@@ -73,6 +79,23 @@ def multitask_path(tmp_path):
     return path
 
 
+def diverge_on(monkeypatch, name, when):
+    """Make experiments.<name> raise TrainingDivergence on the calls where
+    `when(call_index, *args)` holds; every other call runs as usual."""
+    real, calls = getattr(experiments, name), []
+
+    def patched(*args):
+        calls.append(args)
+        if when(len(calls) - 1, *args):
+            raise TrainingDivergence(3, math.nan)
+        return real(*args)
+
+    monkeypatch.setattr(experiments, name, patched)
+
+
+DIVERGED = "non-finite training loss nan at epoch 3"
+
+
 def mnist_kwargs(mnist_dir, **over):
     kw = dict(
         n_train=30,
@@ -117,6 +140,23 @@ class TestReportSerialization:
         emit_report(report, "csv", path)
         assert load_report_csv(path)[0]["status"] == "incomplete"
 
+    def test_arm_without_values_round_trips(self, tmp_path):
+        report = ExperimentReport(
+            "demo", 0, "0.1.0", {"kind": "demo"},
+            [
+                ArmResult("regular", "accuracy", 0.5, 0.0, 1, values=[0.5]),
+                ArmResult("distilled", "accuracy", math.nan, math.nan, 0, 1.0, 1.0, [], "incomplete"),
+            ],
+            errors=["rep 0 cell T=1.0 lambda=1.0: diverged"],
+        )
+        path = tmp_path / "empty-arm.json"
+        emit_report(report, "json", path)
+        assert load_report_json(path) == report
+
+    def test_nan_next_to_values_never_equal(self):
+        arm = ArmResult("regular", "accuracy", math.nan, 0.0, 1, values=[0.5])
+        assert arm != ArmResult("regular", "accuracy", math.nan, 0.0, 1, values=[0.5])
+
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             emit_report(tiny_synthetic(), "xml", tmp_path / "r.xml")
@@ -135,6 +175,47 @@ class TestSyntheticRun:
         assert report.arm("regular").reps == 2
         cell = report.arm("distilled", temperature=1.0, imitation=1.0)
         assert cell.metric == "accuracy" and len(cell.values) == 2
+
+    def test_config_snapshot_format(self):
+        train = {"learning_rate": 0.1, "epochs": 5, "batch_size": 20, "l2": 1e-4,
+                 "init_scale": "fan_in_normal"}
+        assert tiny_synthetic().config == {
+            "kind": "synthetic",
+            "experiment": 1,
+            "seed": 7,
+            "reps": 2,
+            "temperature": 1.0,
+            "imitation": 1.0,
+            "spec": {"d": 50, "n_train": 40, "n_test": 100, "relevant_size": 3},
+            "teacher_arch": "linear",
+            "student_arch": "linear",
+            "teacher_train": train,
+            "student_train": train,
+            "alpha_policy": "fresh hyperplane per repetition",
+            "version": __version__,
+        }
+
+    def test_diverged_distilled_student_drops_only_its_cell(self, monkeypatch):
+        clean = tiny_synthetic()
+        # distill_student calls per rep: regular, then distilled; fail rep 1's distilled
+        diverge_on(monkeypatch, "distill_student", lambda k, *args: k == 3)
+        report = tiny_synthetic()
+        assert report.errors == [f"rep 1 cell T=1.0 lambda=1.0: {DIVERGED}"]
+        assert report.status == "incomplete"
+        for arm in ("privileged", "regular"):
+            assert report.arm(arm) == clean.arm(arm)
+        cell = report.arm("distilled", 1.0, 1.0)
+        assert cell.values == clean.arm("distilled", 1.0, 1.0).values[:1]
+        assert cell.status == "incomplete"
+
+    def test_diverged_teacher_drops_the_repetition(self, monkeypatch):
+        clean = tiny_synthetic()
+        diverge_on(monkeypatch, "train_teacher", lambda k, *args: k == 0)
+        report = tiny_synthetic()
+        assert report.errors == [f"rep 0: {DIVERGED}"]
+        assert report.status == "incomplete"
+        for r, c in zip(report.results, clean.results):
+            assert r.values == c.values[1:] and r.status == "incomplete"
 
 
 class TestMnistMachinery:
@@ -196,6 +277,29 @@ class TestCifarMachinery:
         b = run_cifar_semisup(**self.cifar_kwargs(cifar_dir))
         assert a == b
 
+    def test_replay_from_config(self, cifar_dir):
+        report = run_cifar_semisup(**self.cifar_kwargs(cifar_dir, unlabeled_weight=0.5, reps=2))
+        assert run_from_config(report.config) == report
+
+    def test_diverged_cell_drops_both_distilled_arms(self, cifar_dir, tmp_path, monkeypatch):
+        clean = run_cifar_semisup(**self.cifar_kwargs(cifar_dir))
+
+        def labeled_only_student(k, data, soft, cfg):
+            return (cfg.temperature, cfg.imitation) == (5.0, 1.0) and len(soft) == 12
+
+        diverge_on(monkeypatch, "distill_student", labeled_only_student)
+        report = run_cifar_semisup(**self.cifar_kwargs(cifar_dir))
+        assert report.errors == [f"rep 0 cell T=5.0 lambda=1.0: {DIVERGED}"]
+        assert report.status == "incomplete"
+        for r, c in zip(report.results, clean.results):
+            if (r.temperature, r.imitation) == (5.0, 1.0):
+                assert r.values == [] and r.status == "incomplete" and math.isnan(r.mean)
+            else:
+                assert r == c
+        path = tmp_path / "diverged.json"
+        emit_report(report, "json", path)
+        assert load_report_json(path) == report
+
 
 class TestMultitaskMachinery:
     def mt_kwargs(self, path, **over):
@@ -219,9 +323,25 @@ class TestMultitaskMachinery:
         assert len(per_task) == 7
         np.testing.assert_allclose(agg.mean, np.mean([r.mean for r in per_task]), rtol=1e-12)
 
+    def test_diverged_task_keeps_other_task_ids(self, multitask_path, monkeypatch):
+        clean = run_multitask(multitask_path, **self.mt_kwargs(multitask_path))
+        diverge_on(monkeypatch, "train_teacher", lambda k, *args: k == 2)
+        report = run_multitask(multitask_path, **self.mt_kwargs(multitask_path))
+        assert report.errors == [f"task 2: {DIVERGED}"]
+        assert report.status == "incomplete" and report.arm("regular").reps == 6
+        names = {r.arm for r in report.results}
+        assert "regular/task2" not in names and "distilled/task2" not in names
+        kept = [("privileged/task3", ()), ("regular/task6", ()), ("distilled/task3", (1.0, 1.0))]
+        for arm, cell in kept:
+            assert report.arm(arm, *cell) == clean.arm(arm, *cell)
+
     def test_lambda_zero_cell_equals_regular(self, multitask_path):
         report = run_multitask(multitask_path, **self.mt_kwargs(multitask_path))
         assert report.arm("distilled", 1.0, 0.0).values == report.arm("regular").values
+
+    def test_replay_from_config(self, multitask_path):
+        report = run_multitask(multitask_path, **self.mt_kwargs(multitask_path))
+        assert run_from_config(report.config) == report
 
     def test_needs_enough_rows(self, multitask_path):
         with pytest.raises(ValueError):
@@ -254,6 +374,16 @@ class TestCli:
         ])
         assert code == 0
         assert load_report_json(out).experiment_id == "mnist-40"
+
+    def test_options_are_named_after_runner_parameters(self):
+        # _dispatch passes an option only if its dest is a runner parameter;
+        # a misspelt dest would silently fall back to the runner's default
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for command, p in sub.choices.items():
+            dests = {a.dest for a in p._actions} - {"help", "out", "format"}
+            if command == "synthetic":
+                dests -= {"n_train", "n_test"}  # they build the SyntheticSpec
+            assert dests <= set(inspect.signature(RUNNERS[command]).parameters), command
 
     def test_bad_grid_rejected(self, capsys):
         with pytest.raises(SystemExit):

@@ -377,3 +377,35 @@ class TestSerialization:
     def test_bad_magic(self):
         with pytest.raises(ValueError):
             model_from_text("something else\n")
+
+    def test_truncated_record_names_missing_line(self):
+        lines = model_to_text(init_model(Arch.mlp(3), 2, 2, rng=RngStream(5))).splitlines()
+        for k in range(1, len(lines)):
+            with pytest.raises(ValueError, match=f"line {k + 1} is missing"):
+                model_from_text("\n".join(lines[:k]) + "\n")
+
+    def test_misnamed_field_rejected(self):
+        text = model_to_text(init_model("linear", 2, 2)).replace("task ", "tusk ")
+        with pytest.raises(ValueError, match="'task' at line 3"):
+            model_from_text(text)
+
+
+class TestTrainConfigValidation:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(learning_rate=0.0),
+            dict(learning_rate=-0.1),
+            dict(learning_rate=math.inf),
+            dict(learning_rate=math.nan),
+            dict(epochs=0),
+            dict(batch_size=0),
+            dict(l2=-1e-4),
+            dict(l2=math.nan),
+            dict(l2=math.inf),
+            dict(init_scale="uniform"),
+        ],
+    )
+    def test_rejected_at_construction(self, bad):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
