@@ -85,6 +85,7 @@ class Dataset:
 
     def __post_init__(self):
         h = self.header
+        labeled = []
         for i, t in enumerate(self.examples):
             if t.x is not None and np.shape(t.x) != (h.d,):
                 raise ValueError(f"example {i}: x has shape {np.shape(t.x)}, header says ({h.d},)")
@@ -95,8 +96,18 @@ class Dataset:
             if t.y is not None:
                 if np.shape(t.y) != (h.c,):
                     raise ValueError(f"example {i}: y has shape {np.shape(t.y)}, header says ({h.c},)")
-                if h.task == CLASSIFICATION:
-                    check_simplex(t.y)
+                labeled.append(i)
+        if h.task == CLASSIFICATION and labeled:
+            # check_simplex's test on all labels at once (NaN and +-inf fail it
+            # too); check_simplex itself runs only on the first failing row
+            Y = np.asarray([self.examples[i].y for i in labeled], dtype=np.float64)
+            ok = np.all(Y >= 0, axis=1) & (np.abs(Y.sum(axis=1) - 1.0) <= 1e-9)
+            if not ok.all():
+                i = labeled[int(np.argmin(ok))]
+                try:
+                    check_simplex(self.examples[i].y)
+                except ValueError as e:
+                    raise ValueError(f"example {i}: {e}") from None
 
     def __len__(self) -> int:
         return len(self.examples)

@@ -152,21 +152,17 @@ def _features(ds: Dataset, view: str) -> np.ndarray:
     return np.asarray([getattr(t, view) for t in ds.examples])
 
 
-def _class_labels(ds: Dataset) -> np.ndarray:
-    return np.asarray([int(np.argmax(t.y)) for t in ds.examples])
-
-
 def accuracy(model, ds: Dataset, view: str) -> float:
-    """Fraction of examples whose argmax prediction matches the label."""
+    """Fraction of examples whose argmax prediction matches the label's
+    argmax (ties go to the lowest index on both sides)."""
     out = forward(model, _features(ds, view))
-    return float(np.mean(np.argmax(out, axis=1) == _class_labels(ds)))
+    return float(np.mean(np.argmax(out, axis=1) == np.argmax(_features(ds, "y"), axis=1)))
 
 
 def mse(model, ds: Dataset, view: str) -> float:
     """Mean squared error over examples and output components."""
     out = forward(model, _features(ds, view))
-    target = np.asarray([t.y for t in ds.examples])
-    return float(np.mean((out - target) ** 2))
+    return float(np.mean((out - _features(ds, "y")) ** 2))
 
 
 # --- the repetition loop shared by every run ---------------------------------
@@ -199,6 +195,8 @@ def _repeat(problems, T_grid, lambda_grid, metric="accuracy", arms=None, per_tas
     score = accuracy if metric == "accuracy" else mse
     arms = arms or {"distilled": None}
     grid = [(a, float(T), float(lam)) for a in arms for T in T_grid for lam in lambda_grid]
+    for _, T, lam in grid:  # a bad grid value fails here, before any training
+        DistillConfig(temperature=T, imitation=lam)
     values = {key: [] for key in [("privileged", None, None), ("regular", None, None), *grid]}
     errors, n_problems = [], 0
     for label, train_ds, test_ds, base in problems:

@@ -17,6 +17,7 @@ biases are not regularized.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,6 +147,11 @@ class TrainConfig:
     def __post_init__(self):
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite")
+        for name in ("epochs", "batch_size"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -246,19 +252,16 @@ class WeightedTarget:
             raise ValueError("target weights must be >= 0")
 
 
-@dataclass
-class _Targets:
-    # dense per-batch view: absent targets are zero rows with zero weight
-    hard: np.ndarray
-    soft: np.ndarray
-    hard_w: np.ndarray
-    soft_w: np.ndarray
+def _pack(batch, c: int, task: str) -> tuple[np.ndarray, tuple]:
+    """Features and row-aligned target columns of a list of (x, WeightedTarget).
 
-    def take(self, idx) -> "_Targets":
-        return _Targets(self.hard[idx], self.soft[idx], self.hard_w[idx], self.soft_w[idx])
-
-
-def _pack(batch, c: int, task: str) -> tuple[np.ndarray, _Targets]:
+    Every target is validated here, once per call; an absent target is a
+    zero row with zero weight.  Classification targets are then combined
+    into the two row quantities the loss and its gradient need,
+    Y = hw * hard + sw * soft and w_tot = hw * sum(hard) + sw * sum(soft),
+    so a training step only gathers rows.  Regression keeps
+    (hard, soft, hw, sw).
+    """
     if not batch:
         raise ValueError("empty batch")
     xs = np.asarray([np.asarray(x, dtype=np.float64) for x, _ in batch])
@@ -274,65 +277,71 @@ def _pack(batch, c: int, task: str) -> tuple[np.ndarray, _Targets]:
         if t.soft is not None:
             soft[i] = check_simplex(t.soft) if task == CLASSIFICATION else np.asarray(t.soft)
             sw[i] = t.soft_weight
-    return xs, _Targets(hard, soft, hw, sw)
+    if task == CLASSIFICATION:
+        w_tot = hw * np.sum(hard, axis=1) + sw * np.sum(soft, axis=1)
+        return xs, (hw[:, None] * hard + sw[:, None] * soft, w_tot)
+    return xs, (hard, soft, hw, sw)
 
 
-def _data_loss_grad(out: np.ndarray, tgt: _Targets, T: float, task: str, want_grad: bool):
-    """Mean weighted loss over the batch and (optionally) dLoss/dOut."""
+def _data_loss_grad(out: np.ndarray, tgt: tuple, T: float, task: str, want_grad: bool):
+    """Mean weighted loss over the rows of `out` and (optionally) dLoss/dOut.
+
+    `tgt` holds the target columns of `_pack`, restricted to the same rows.
+    """
     n = out.shape[0]
     if task == CLASSIFICATION:
+        Y, w_tot = tgt
         zt = out / T
-        m = np.max(zt, axis=1, keepdims=True)
-        lse = m + np.log(np.sum(np.exp(zt - m), axis=1, keepdims=True))
+        m = zt.max(axis=1, keepdims=True)
+        lse = m + np.log(np.exp(zt - m).sum(axis=1, keepdims=True))
         logp = zt - lse
-        ce_h = -np.einsum("ij,ij->i", tgt.hard, logp)
-        ce_s = -np.einsum("ij,ij->i", tgt.soft, logp)
-        value = float(np.mean(tgt.hard_w * ce_h + tgt.soft_w * ce_s))
+        value = -float(np.vdot(Y, logp)) / n
         if not want_grad:
             return value, None
-        p = np.exp(logp)
         # d/dz of -sum_k y_k logp_k is (sigma * sum(y) - y) / T
-        w_tot = tgt.hard_w * np.sum(tgt.hard, axis=1) + tgt.soft_w * np.sum(tgt.soft, axis=1)
-        g = (p * w_tot[:, None] - (tgt.hard_w[:, None] * tgt.hard + tgt.soft_w[:, None] * tgt.soft)) / T
+        g = (np.exp(logp) * w_tot[:, None] - Y) / T
         return value, g / n
     # regression: 0.5 * ||out - y||^2 per target
-    dh = out - tgt.hard
-    ds = out - tgt.soft
-    value = float(
-        np.mean(0.5 * (tgt.hard_w * np.sum(dh * dh, axis=1) + tgt.soft_w * np.sum(ds * ds, axis=1)))
-    )
+    hard, soft, hw, sw = tgt
+    dh = out - hard
+    ds = out - soft
+    value = float(np.mean(0.5 * (hw * np.sum(dh * dh, axis=1) + sw * np.sum(ds * ds, axis=1))))
     if not want_grad:
         return value, None
-    g = tgt.hard_w[:, None] * dh + tgt.soft_w[:, None] * ds
+    g = hw[:, None] * dh + sw[:, None] * ds
     return value, g / n
 
 
 def _l2_penalty(m: Model, l2: float) -> float:
     if l2 == 0.0:
         return 0.0
-    return 0.5 * l2 * sum(float(np.sum(w * w)) for w in m.weights)
+    return 0.5 * l2 * sum(float(np.vdot(w, w)) for w in m.weights)
 
 
-def _loss_and_grads(m: Model, X, tgt: _Targets, T: float, l2: float, want_grad: bool):
-    acts, out = _forward_cached(m, X)
-    value, g_out = _data_loss_grad(out, tgt, T, m.task, want_grad)
-    value += _l2_penalty(m, l2)
-    if not want_grad:
-        return value, None, None
-    d_w, d_b = [], []
-    g = g_out
+def _backward(m: Model, acts, g: np.ndarray, l2: float):
+    """(layer, dW, db) from the output layer down, given dLoss/dOut `g`.
+
+    The gradient passed to the layer below is formed before a layer is
+    yielded, so the caller may update that layer in place at once.
+    """
     for i in range(len(m.weights) - 1, -1, -1):
-        a_in = acts[i]
-        gw = a_in.T @ g
+        w = m.weights[i]
+        gw = acts[i].T @ g
         if l2 != 0.0:
-            gw += l2 * m.weights[i]
-        d_w.append(gw)
-        d_b.append(np.sum(g, axis=0))
+            gw += l2 * w
+        gb = g.sum(axis=0)
         if i > 0:
-            g = (g @ m.weights[i].T) * (acts[i] > 0.0)
-    d_w.reverse()
-    d_b.reverse()
-    return value, d_w, d_b
+            g = (g @ w.T) * (acts[i] > 0.0)
+        yield i, gw, gb
+
+
+def _checked_pack(m: Model, batch, T_student: float):
+    if not T_student > 0:
+        raise ValueError("T_student must be positive")
+    X, tgt = _pack(batch, m.output_dim, m.task)
+    if X.shape[1] != m.input_dim:
+        raise ValueError(f"expected features of dimension {m.input_dim}, got {X.shape[1]}")
+    return X, tgt
 
 
 def loss(m: Model, batch, T_student: float = 1.0, l2: float = 0.0) -> float:
@@ -341,24 +350,19 @@ def loss(m: Model, batch, T_student: float = 1.0, l2: float = 0.0) -> float:
     batch is a list of (x, WeightedTarget).  T_student rescales the
     model's logits before the softmax (classification only).
     """
-    if not T_student > 0:
-        raise ValueError("T_student must be positive")
-    X, tgt = _pack(batch, m.output_dim, m.task)
-    if X.shape[1] != m.input_dim:
-        raise ValueError(f"expected features of dimension {m.input_dim}, got {X.shape[1]}")
-    value, _, _ = _loss_and_grads(m, X, tgt, T_student, l2, want_grad=False)
-    return value
+    X, tgt = _checked_pack(m, batch, T_student)
+    _, out = _forward_cached(m, X)
+    value, _ = _data_loss_grad(out, tgt, T_student, m.task, want_grad=False)
+    return value + _l2_penalty(m, l2)
 
 
 def gradient(m: Model, batch, T_student: float = 1.0, l2: float = 0.0) -> Gradient:
     """Exact gradient of loss() with respect to every parameter."""
-    if not T_student > 0:
-        raise ValueError("T_student must be positive")
-    X, tgt = _pack(batch, m.output_dim, m.task)
-    if X.shape[1] != m.input_dim:
-        raise ValueError(f"expected features of dimension {m.input_dim}, got {X.shape[1]}")
-    _, d_w, d_b = _loss_and_grads(m, X, tgt, T_student, l2, want_grad=True)
-    return Gradient(d_w, d_b)
+    X, tgt = _checked_pack(m, batch, T_student)
+    acts, out = _forward_cached(m, X)
+    _, g = _data_loss_grad(out, tgt, T_student, m.task, want_grad=True)
+    layers = list(_backward(m, acts, g, l2))[::-1]
+    return Gradient([gw for _, gw, _ in layers], [gb for _, _, gb in layers])
 
 
 def train(
@@ -371,50 +375,57 @@ def train(
     """Mini-batch SGD from m0; returns the final model.
 
     Batches are drawn by a seeded shuffle each epoch.  When `ids` are
-    given, examples are first put in ascending-id order, so the result
-    does not depend on the order the caller listed them in.  The returned
-    model records the mean batch loss per epoch in `loss_history`.
+    given they must be distinct, and examples are first put in
+    ascending-id order, so the result does not depend on the order the
+    caller listed them in.  The returned model records the mean batch
+    loss per epoch in `loss_history`.
 
-    Raises TrainingDivergence (with the epoch index) if the loss ever
-    becomes non-finite.
+    Raises ValueError naming the example (its id, else its position) if
+    its features are not finite, and TrainingDivergence (with the epoch
+    index) if the loss ever becomes non-finite.
     """
     if not data:
         raise ValueError("empty training data")
-    if not T_student > 0:
-        raise ValueError("T_student must be positive")
     n = len(data)
     if cfg.batch_size > n:
         raise ValueError(f"batch_size {cfg.batch_size} exceeds data size {n}")
+    names = np.arange(n)
     if ids is not None:
         if len(ids) != n:
             raise ValueError("ids must match data length")
         order = np.argsort(np.asarray(ids), kind="stable")
+        names = np.asarray(ids)[order]
+        repeated = names[1:] == names[:-1]
+        if repeated.any():
+            raise ValueError(f"duplicate id {names[1:][repeated][0]} in ids")
         data = [data[i] for i in order]
 
-    X, tgt = _pack(data, m0.output_dim, m0.task)
-    if X.shape[1] != m0.input_dim:
-        raise ValueError(f"expected features of dimension {m0.input_dim}, got {X.shape[1]}")
+    X, tgt = _checked_pack(m0, data, T_student)
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"example {names[np.argmin(finite)]}: features are not finite")
 
     m = m0.copy()
     shuffle = cfg.rng.generator()
-    lr = cfg.learning_rate
+    lr, l2 = cfg.learning_rate, cfg.l2
     history = []
-    for epoch in range(cfg.epochs):
-        perm = shuffle.permutation(n)
-        epoch_losses = []
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            # overflow here is not an error: it is how divergence is detected
-            with np.errstate(over="ignore", invalid="ignore"):
-                value, d_w, d_b = _loss_and_grads(m, X[idx], tgt.take(idx), T_student, cfg.l2, True)
-            if not np.isfinite(value):
-                raise TrainingDivergence(epoch, value)
-            for w, gw in zip(m.weights, d_w):
-                w -= lr * gw
-            for b, gb in zip(m.biases, d_b):
-                b -= lr * gb
-            epoch_losses.append(value)
-        history.append(float(np.mean(epoch_losses)))
+    # overflow here is not an error: it is how divergence is detected
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            perm = shuffle.permutation(n)
+            epoch_losses = []
+            for start in range(0, n, cfg.batch_size):
+                idx = perm[start : start + cfg.batch_size]
+                acts, out = _forward_cached(m, X[idx])
+                value, g = _data_loss_grad(out, [col[idx] for col in tgt], T_student, m.task, True)
+                value += _l2_penalty(m, l2)
+                if not math.isfinite(value):
+                    raise TrainingDivergence(epoch, value)
+                for i, gw, gb in _backward(m, acts, g, l2):
+                    m.weights[i] -= lr * gw
+                    m.biases[i] -= lr * gb
+                epoch_losses.append(value)
+            history.append(float(np.mean(epoch_losses)))
     m.loss_history = history
     return m
 

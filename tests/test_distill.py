@@ -136,14 +136,16 @@ class TestSoftLabels:
 
 class TestDistillStudent:
     def test_lambda_zero_reduces_to_plain_student(self):
-        data = toy_dataset(n=30)
-        cfg = small_cfg(imitation=0.0)
-        teacher = train_teacher(data, cfg)
-        soft = soft_labels(teacher, data, cfg.temperature)
-        with_soft = distill_student(data, soft, cfg)
-        plain = distill_student(data, [], cfg)
-        for a, b in zip(params(with_soft), params(plain)):
-            assert np.array_equal(a, b)
+        # also with soft-only (unlabeled) rows, any unlabeled_weight and any T
+        for unlabeled_from, unlabeled_weight, T in [(None, 1.0, 1.0), (20, 2.5, 3.0)]:
+            data = toy_dataset(n=30, unlabeled_from=unlabeled_from)
+            cfg = small_cfg(imitation=0.0, temperature=T, unlabeled_weight=unlabeled_weight)
+            teacher = train_teacher(data, cfg)
+            soft = soft_labels(teacher, data, cfg.temperature)
+            with_soft = distill_student(data, soft, cfg)
+            plain = distill_student(data, [], small_cfg(imitation=0.0))
+            for a, b in zip(params(with_soft), params(plain)):
+                assert np.array_equal(a, b)
 
     def test_pure_imitation_ignores_hard_labels(self):
         data = toy_dataset(n=30)
@@ -301,6 +303,21 @@ class TestDatasetValidation:
     def test_label_must_be_simplex(self):
         with pytest.raises(ValueError):
             Dataset(DatasetHeader(2, 1, 2), [Triplet(x=np.zeros(2), y=np.array([0.7, 0.7]))])
+        # the first bad row is named, with check_simplex's reason
+        for bad, message in [
+            ([0.7, 0.7], "sums to 1.4"),
+            ([1.5, -0.5], "finite and >= 0"),
+            ([np.nan, 1.0], "finite and >= 0"),
+            ([np.inf, 0.0], "finite and >= 0"),
+            ([0.5, 0.5 + 2e-9], "not 1"),
+        ]:
+            ys = [one_hot(0, 2), None, one_hot(1, 2), np.array(bad), np.array(bad)]
+            with pytest.raises(ValueError, match=f"^example 3: .*{message}"):
+                Dataset(DatasetHeader(2, 1, 2), [Triplet(x=np.zeros(2), y=y) for y in ys])
+
+    def test_label_within_tolerance_accepted(self):
+        Dataset(DatasetHeader(2, 1, 2), [Triplet(y=np.array([0.5, 0.5 + 5e-10]))])
+        Dataset(DatasetHeader(2, 1, 2, "regression"), [Triplet(y=np.array([0.7, 0.7]))])
 
     def test_empty_triplet_rejected(self):
         with pytest.raises(ValueError):

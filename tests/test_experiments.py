@@ -230,6 +230,16 @@ class TestMnistMachinery:
             cell = report.arm("distilled", temperature=T, imitation=0.0)
             assert cell.values == regular.values
 
+    @pytest.mark.parametrize("grid", [dict(T_grid=(1.0, 0.0)), dict(lambda_grid=(0.5, 2.0))])
+    def test_bad_grid_value_rejected_before_training(self, mnist_dir, monkeypatch, grid):
+        with pytest.raises(ValueError):
+            run_mnist(**mnist_kwargs(mnist_dir, reps=0, **grid))
+        trained = []
+        monkeypatch.setattr(experiments, "train_teacher", lambda *args: trained.append(args))
+        with pytest.raises(ValueError):
+            run_mnist(**mnist_kwargs(mnist_dir, reps=1, **grid))
+        assert trained == []
+
     def test_single_cell_equals_full_grid(self, mnist_dir):
         full = run_mnist(**mnist_kwargs(mnist_dir))
         single = run_mnist(**mnist_kwargs(mnist_dir, T_grid=(2.0,), lambda_grid=(1.0,)))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -328,6 +329,21 @@ class TestTrain:
             train(m0, data, cfg)
         assert isinstance(exc.value.epoch, int)
 
+    def test_duplicate_ids_rejected(self):
+        batch = separable_batch()
+        ids = list(range(len(batch)))
+        ids[7] = 3
+        with pytest.raises(ValueError, match="duplicate id 3"):
+            train(init_model("linear", 2, 2), batch, TrainConfig(epochs=1, batch_size=4), ids=ids)
+
+    def test_non_finite_features_name_the_example(self):
+        # a NaN feature is bad input, not a divergence at epoch 0
+        batch = separable_batch()
+        batch[4] = (np.array([np.nan, 0.0]), batch[4][1])
+        ids = [10 * i for i in range(len(batch))][::-1]
+        with pytest.raises(ValueError, match=f"example {ids[4]}: features are not finite"):
+            train(init_model("linear", 2, 2), batch, TrainConfig(epochs=1, batch_size=4), ids=ids)
+
     def test_batch_size_cannot_exceed_data(self):
         batch = separable_batch()
         cfg = TrainConfig(batch_size=21)
@@ -340,6 +356,116 @@ class TestTrain:
         m = train(init_model("linear", 2, 2, rng=RngStream(12)), batch, cfg)
         assert len(m.loss_history) == 30
         assert m.loss_history[-1] < m.loss_history[0]
+
+
+def reference_train(m0, data, cfg, T_student=1.0):
+    """SGD as `train` ran it before targets were combined once per call.
+
+    Targets are packed into four dense columns; each step gathers all four
+    and forms the loss and gradient from them, then applies every update
+    after the whole backward pass.  `train` must match it bit for bit.
+    """
+    c, task = m0.output_dim, m0.task
+    n = len(data)
+    X = np.asarray([np.asarray(x, dtype=np.float64) for x, _ in data])
+    hard, soft, hw, sw = np.zeros((n, c)), np.zeros((n, c)), np.zeros(n), np.zeros(n)
+    for i, (_, t) in enumerate(data):
+        if t.hard is not None:
+            hard[i], hw[i] = t.hard, t.hard_weight
+        if t.soft is not None:
+            soft[i], sw[i] = t.soft, t.soft_weight
+
+    def loss_and_grads(m, Xb, hard, soft, hw, sw):
+        acts = [Xb]
+        for i, (w, b) in enumerate(zip(m.weights, m.biases)):
+            z = acts[-1] @ w + b
+            acts.append(np.maximum(z, 0.0) if i < len(m.weights) - 1 else z)
+        out, k = acts[-1], Xb.shape[0]
+        if task == "classification":
+            zt = out / T_student
+            mx = np.max(zt, axis=1, keepdims=True)
+            logp = zt - (mx + np.log(np.sum(np.exp(zt - mx), axis=1, keepdims=True)))
+            ce_h = -np.einsum("ij,ij->i", hard, logp)
+            ce_s = -np.einsum("ij,ij->i", soft, logp)
+            value = float(np.mean(hw * ce_h + sw * ce_s))
+            w_tot = hw * np.sum(hard, axis=1) + sw * np.sum(soft, axis=1)
+            y = hw[:, None] * hard + sw[:, None] * soft
+            g = (np.exp(logp) * w_tot[:, None] - y) / T_student / k
+        else:
+            dh, ds = out - hard, out - soft
+            value = float(np.mean(0.5 * (hw * np.sum(dh * dh, axis=1) + sw * np.sum(ds * ds, axis=1))))
+            g = (hw[:, None] * dh + sw[:, None] * ds) / k
+        if cfg.l2 != 0.0:
+            value += 0.5 * cfg.l2 * sum(float(np.sum(w * w)) for w in m.weights)
+        d_w, d_b = [], []
+        for i in range(len(m.weights) - 1, -1, -1):
+            gw = acts[i].T @ g
+            if cfg.l2 != 0.0:
+                gw += cfg.l2 * m.weights[i]
+            d_w.insert(0, gw)
+            d_b.insert(0, np.sum(g, axis=0))
+            if i > 0:
+                g = (g @ m.weights[i].T) * (acts[i] > 0.0)
+        return value, d_w, d_b
+
+    m = m0.copy()
+    shuffle = cfg.rng.generator()
+    history = []
+    for _ in range(cfg.epochs):
+        perm = shuffle.permutation(n)
+        losses = []
+        for start in range(0, n, cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            value, d_w, d_b = loss_and_grads(m, X[idx], hard[idx], soft[idx], hw[idx], sw[idx])
+            for w, gw in zip(m.weights, d_w):
+                w -= cfg.learning_rate * gw
+            for b, gb in zip(m.biases, d_b):
+                b -= cfg.learning_rate * gb
+            losses.append(value)
+        history.append(float(np.mean(losses)))
+    m.loss_history = history
+    return m
+
+
+def mixed_data(rng, d, c, n, targets, task):
+    """n rows whose targets are all hard, all soft, hard+soft (lambda 0.3),
+    or hard+soft with every third row soft-only at weight 0.3 * 2.5."""
+    data = []
+    for i in range(n):
+        x = rng.normal(size=d)
+        if task == "classification":
+            h, s = one_hot(rng.integers(c), c), rng.dirichlet(np.ones(c))
+        else:
+            h, s = rng.normal(size=c), rng.normal(size=c)
+        if targets == "hard":
+            t = WeightedTarget(hard=h, hard_weight=1.0)
+        elif targets == "soft":
+            t = WeightedTarget(soft=s, soft_weight=1.0)
+        elif targets == "unlabeled" and i % 3 == 0:
+            t = WeightedTarget(soft=s, soft_weight=0.3 * 2.5)
+        else:
+            t = WeightedTarget(h, s, 0.7, 0.3)
+        data.append((x, t))
+    return data
+
+
+class TestTrainMatchesReference:
+    @pytest.mark.parametrize(
+        "arch,task,targets",
+        list(itertools.product(["linear", "mlp"], ["classification", "regression"],
+                               ["hard", "soft", "mixed", "unlabeled"])),
+    )
+    def test_bit_identical_weights(self, arch, task, targets):
+        rng = np.random.default_rng([ord(ch) for ch in arch + task + targets])
+        arch = Arch("linear") if arch == "linear" else Arch.mlp(5, 4)
+        data = mixed_data(rng, 6, 3, 23, targets, task)  # 23 rows: the last batch is short
+        for T, l2 in itertools.product([1.0, 3.0], [0.0, 1e-2]):
+            m0 = init_model(arch, 6, 3, task=task, rng=RngStream(int(T), int(l2 * 100)))
+            cfg = TrainConfig(learning_rate=0.1, epochs=6, batch_size=5, l2=l2, rng=RngStream(7))
+            got, ref = train(m0, data, cfg, T_student=T), reference_train(m0, data, cfg, T_student=T)
+            for a, b in zip(got.weights + got.biases, ref.weights + ref.biases):
+                assert np.array_equal(a, b), (T, l2)
+            np.testing.assert_allclose(got.loss_history, ref.loss_history, rtol=1e-12, atol=0)
 
 
 class TestWeightedTarget:
@@ -404,6 +530,10 @@ class TestTrainConfigValidation:
             dict(l2=math.nan),
             dict(l2=math.inf),
             dict(init_scale="uniform"),
+            dict(epochs=2.5),
+            dict(epochs="3"),
+            dict(batch_size=2.5),
+            dict(batch_size="3"),
         ],
     )
     def test_rejected_at_construction(self, bad):
