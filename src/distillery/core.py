@@ -24,6 +24,7 @@ __all__ = [
     "sample_standard_normal",
     "one_hot",
     "check_simplex",
+    "simplex_rows",
 ]
 
 
@@ -136,6 +137,14 @@ def check_simplex(p, tol: float = 1e-9) -> np.ndarray:
     if abs(s - 1.0) > tol:
         raise ValueError(f"probability vector sums to {s!r}, not 1")
     return p
+
+
+def simplex_rows(P, tol: float = 1e-9) -> np.ndarray:
+    """check_simplex's test on every row of an (n, c) array at once: a mask
+    of the rows with entries >= 0 summing to 1 within tol (NaN and +-inf
+    fail it)."""
+    P = np.asarray(P, dtype=np.float64)
+    return np.all(P >= 0, axis=1) & (np.abs(P.sum(axis=1) - 1.0) <= tol)
 
 
 def cross_entropy(y, z, T: float = 1.0) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import check_simplex, softmax
+from .core import check_simplex, simplex_rows, softmax
 from .models import (
     CLASSIFICATION,
     REGRESSION,
@@ -77,11 +77,17 @@ class DatasetHeader:
 
 @dataclass
 class Dataset:
-    """Header plus examples; `meta` records how the data was generated."""
+    """Header plus examples; `meta` records how the data was generated.
+
+    `column(view)` stacks one field of every example once and keeps the
+    result, so it reflects the examples as built: do not reassign them
+    (or their fields) after construction.
+    """
 
     header: DatasetHeader
     examples: list[Triplet]
     meta: dict = field(default_factory=dict)
+    _columns: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         h = self.header
@@ -98,10 +104,9 @@ class Dataset:
                     raise ValueError(f"example {i}: y has shape {np.shape(t.y)}, header says ({h.c},)")
                 labeled.append(i)
         if h.task == CLASSIFICATION and labeled:
-            # check_simplex's test on all labels at once (NaN and +-inf fail it
-            # too); check_simplex itself runs only on the first failing row
-            Y = np.asarray([self.examples[i].y for i in labeled], dtype=np.float64)
-            ok = np.all(Y >= 0, axis=1) & (np.abs(Y.sum(axis=1) - 1.0) <= 1e-9)
+            # check_simplex's test on all labels at once; check_simplex itself
+            # runs only on the first failing row
+            ok = simplex_rows([self.examples[i].y for i in labeled])
             if not ok.all():
                 i = labeled[int(np.argmin(ok))]
                 try:
@@ -112,19 +117,41 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.examples)
 
+    def column(self, view: str) -> np.ndarray:
+        """Field `view` ("x", "x_star" or "y") of every example, stacked as
+        rows; stacked on the first call and kept.  The result is a
+        read-only view, so writing into it cannot change the dataset."""
+        col = self._columns.get(view)
+        if col is None:
+            if view not in ("x", "x_star", "y"):
+                raise ValueError(f"unknown view {view!r}")
+            rows = [getattr(t, view) for t in self.examples]
+            for i, row in enumerate(rows):
+                if row is None:
+                    raise ValueError(f"example {i} has no {view}")
+            col = self._columns[view] = np.asarray(rows)
+        col = col.view()
+        col.flags.writeable = False
+        return col
+
     @classmethod
     def from_arrays(cls, header: DatasetHeader, x=None, x_star=None, y=None, meta=None) -> "Dataset":
-        """Build from columnar arrays; a None column is missing everywhere."""
-        n = len(x) if x is not None else (len(x_star) if x_star is not None else len(y))
-        examples = [
-            Triplet(
-                None if x is None else x[i],
-                None if x_star is None else x_star[i],
-                None if y is None else y[i],
-            )
-            for i in range(n)
-        ]
-        return cls(header, examples, meta or {})
+        """Build from columnar arrays; a None column is missing everywhere.
+
+        The examples' fields are rows of the given arrays, and `column`
+        returns read-only views of the arrays themselves (no copy).
+        """
+        given = (("x", x), ("x_star", x_star), ("y", y))
+        columns = {view: np.asarray(a) for view, a in given if a is not None}
+        lengths = {len(a) for a in columns.values()}
+        if len(lengths) != 1:
+            raise ValueError("from_arrays needs at least one column, all of one length")
+        (n,) = lengths
+        rows = zip(*(columns[view] if view in columns else [None] * n for view, _ in given))
+        examples = [Triplet(*fields) for fields in rows]
+        ds = cls(header, examples, meta or {})
+        ds._columns.update(columns)
+        return ds
 
 
 def clean_subset(items, fields):
@@ -196,7 +223,10 @@ def soft_labels(teacher: Model, data: Dataset, T: float) -> list[tuple[int, np.n
     ids = [i for i, t in enumerate(data.examples) if t.x_star is not None]
     if not ids:
         return []
-    X = np.asarray([data.examples[i].x_star for i in ids])
+    if len(ids) == len(data):
+        X = data.column("x_star")
+    else:
+        X = np.asarray([data.examples[i].x_star for i in ids])
     out = forward(teacher, X)
     if teacher.task == CLASSIFICATION:
         out = softmax(out, T)

@@ -148,21 +148,17 @@ def _aggregate(arm, metric, values, expected_reps, T=None, lam=None) -> ArmResul
     return ArmResult(arm, metric, mean, std, len(values), T, lam, values, status)
 
 
-def _features(ds: Dataset, view: str) -> np.ndarray:
-    return np.asarray([getattr(t, view) for t in ds.examples])
-
-
 def accuracy(model, ds: Dataset, view: str) -> float:
     """Fraction of examples whose argmax prediction matches the label's
     argmax (ties go to the lowest index on both sides)."""
-    out = forward(model, _features(ds, view))
-    return float(np.mean(np.argmax(out, axis=1) == np.argmax(_features(ds, "y"), axis=1)))
+    out = forward(model, ds.column(view))
+    return float(np.mean(np.argmax(out, axis=1) == np.argmax(ds.column("y"), axis=1)))
 
 
 def mse(model, ds: Dataset, view: str) -> float:
     """Mean squared error over examples and output components."""
-    out = forward(model, _features(ds, view))
-    return float(np.mean((out - _features(ds, "y")) ** 2))
+    out = forward(model, ds.column(view))
+    return float(np.mean((out - ds.column("y")) ** 2))
 
 
 # --- the repetition loop shared by every run ---------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngStream, check_simplex
+from .core import RngStream, check_simplex, simplex_rows
 
 __all__ = [
     "Arch",
@@ -197,16 +197,15 @@ def _as_batch(m: Model, x) -> tuple[np.ndarray, bool]:
     return x, single
 
 
-def _forward_cached(m: Model, X: np.ndarray):
-    """All layer activations; returns (activations list, output)."""
+def _forward_cached(weights, biases, X: np.ndarray) -> list[np.ndarray]:
+    """Every layer's activations, X first and the output last."""
     acts = [X]
-    a = X
-    last = len(m.weights) - 1
-    for i, (w, b) in enumerate(zip(m.weights, m.biases)):
-        z = a @ w + b
-        a = np.maximum(z, 0.0) if i < last else z
-        acts.append(a)
-    return acts, a
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = acts[-1] @ w
+        z += b
+        acts.append(np.maximum(z, 0.0, out=z) if i < last else z)
+    return acts
 
 
 def forward(m: Model, x) -> np.ndarray:
@@ -215,7 +214,7 @@ def forward(m: Model, x) -> np.ndarray:
     Accepts a single feature vector or an (n, d) batch.
     """
     X, single = _as_batch(m, x)
-    _, out = _forward_cached(m, X)
+    out = _forward_cached(m.weights, m.biases, X)[-1]
     return out[0] if single else out
 
 
@@ -252,43 +251,81 @@ class WeightedTarget:
             raise ValueError("target weights must be >= 0")
 
 
-def _pack(batch, c: int, task: str) -> tuple[np.ndarray, tuple]:
+def _pack(batch, c: int, task: str, names) -> tuple[np.ndarray, tuple]:
     """Features and row-aligned target columns of a list of (x, WeightedTarget).
 
-    Every target is validated here, once per call; an absent target is a
-    zero row with zero weight.  Classification targets are then combined
+    Rows are copied in one pass, an absent target as a zero row with zero
+    weight; `names[i]` names row i in errors.  Classification targets are
+    then validated in one array test per kind (hard, soft) and combined
     into the two row quantities the loss and its gradient need,
-    Y = hw * hard + sw * soft and w_tot = hw * sum(hard) + sw * sum(soft),
-    so a training step only gathers rows.  Regression keeps
-    (hard, soft, hw, sw).
+    Y = hw * hard + sw * soft and the column w_tot = hw * sum(hard) +
+    sw * sum(soft), so a training step only gathers rows.  Regression
+    keeps (hard, soft, hw, sw).
     """
     if not batch:
         raise ValueError("empty batch")
     xs = np.asarray([np.asarray(x, dtype=np.float64) for x, _ in batch])
     n = len(batch)
-    hard = np.zeros((n, c))
-    soft = np.zeros((n, c))
-    hw = np.zeros(n)
-    sw = np.zeros(n)
+    hard, soft = np.zeros((n, c)), np.zeros((n, c))
+    hw, sw = np.zeros(n), np.zeros(n)
+    has_hard, has_soft = [], []
     for i, (_, t) in enumerate(batch):
+        for kind, v in (("hard", t.hard), ("soft", t.soft)):
+            if v is not None and np.shape(v) != (c,):
+                raise ValueError(
+                    f"example {names[i]}: {kind} target has shape {np.shape(v)}, expected ({c},)"
+                )
         if t.hard is not None:
-            hard[i] = check_simplex(t.hard) if task == CLASSIFICATION else np.asarray(t.hard)
-            hw[i] = t.hard_weight
+            hard[i], hw[i] = t.hard, t.hard_weight
+            has_hard.append(i)
         if t.soft is not None:
-            soft[i] = check_simplex(t.soft) if task == CLASSIFICATION else np.asarray(t.soft)
-            sw[i] = t.soft_weight
-    if task == CLASSIFICATION:
-        w_tot = hw * np.sum(hard, axis=1) + sw * np.sum(soft, axis=1)
-        return xs, (hw[:, None] * hard + sw[:, None] * soft, w_tot)
-    return xs, (hard, soft, hw, sw)
+            soft[i], sw[i] = t.soft, t.soft_weight
+            has_soft.append(i)
+    if task == REGRESSION:
+        return xs, (hard, soft, hw, sw)
+    for kind, rows, present in (("hard", hard, has_hard), ("soft", soft, has_soft)):
+        # check_simplex's test on every present row at once (NaN and +-inf
+        # fail it too); check_simplex itself runs only on the first failing row
+        ok = simplex_rows(rows[present])
+        if not ok.all():
+            i = present[int(np.argmin(ok))]
+            try:
+                check_simplex(getattr(batch[i][1], kind))
+            except ValueError as e:
+                raise ValueError(f"example {names[i]}: {kind} target: {e}") from None
+    w_tot = hw * np.sum(hard, axis=1) + sw * np.sum(soft, axis=1)
+    return xs, (hw[:, None] * hard + sw[:, None] * soft, w_tot[:, None])
 
 
-def _data_loss_grad(out: np.ndarray, tgt: tuple, T: float, task: str, want_grad: bool):
-    """Mean weighted loss over the rows of `out` and (optionally) dLoss/dOut.
+class _Flat:
+    """A layer stack's weight matrices, then its biases, as views into one
+    float64 buffer, so a whole-model update is one call on `buf`; the
+    weight matrices fill `buf[:len(w_flat)]`, viewed as `w_flat`."""
 
-    `tgt` holds the target columns of `_pack`, restricted to the same rows.
+    def __init__(self, weights, biases):
+        shapes = [np.shape(a) for a in (*weights, *biases)]
+        self.buf = np.empty(sum(math.prod(s) for s in shapes))
+        views, start = [], 0
+        for s, a in zip(shapes, (*weights, *biases)):
+            stop = start + math.prod(s)
+            views.append(self.buf[start:stop].reshape(s))
+            views[-1][...] = a
+            start = stop
+        self.weights, self.biases = views[: len(weights)], views[len(weights) :]
+        self.w_flat = self.buf[: sum(w.size for w in self.weights)]
+
+
+def _loss_grad(p: _Flat, X: np.ndarray, tgt: tuple, T: float, task: str, l2: float, grad=None):
+    """Mean weighted loss of the layer stack `p` on rows X, plus the L2
+    penalty; given a `_Flat` `grad` of the same layout, also writes the
+    exact gradient into it.
+
+    `tgt` holds the target columns of `_pack`, restricted to the rows of X.
+    Every layer's gradient is formed from the weights as they are on
+    entry, so the caller may update all of them afterwards at once.
     """
-    n = out.shape[0]
+    acts = _forward_cached(p.weights, p.biases, X)
+    out, n = acts[-1], X.shape[0]
     if task == CLASSIFICATION:
         Y, w_tot = tgt
         zt = out / T
@@ -296,49 +333,36 @@ def _data_loss_grad(out: np.ndarray, tgt: tuple, T: float, task: str, want_grad:
         lse = m + np.log(np.exp(zt - m).sum(axis=1, keepdims=True))
         logp = zt - lse
         value = -float(np.vdot(Y, logp)) / n
-        if not want_grad:
-            return value, None
-        # d/dz of -sum_k y_k logp_k is (sigma * sum(y) - y) / T
-        g = (np.exp(logp) * w_tot[:, None] - Y) / T
-        return value, g / n
-    # regression: 0.5 * ||out - y||^2 per target
-    hard, soft, hw, sw = tgt
-    dh = out - hard
-    ds = out - soft
-    value = float(np.mean(0.5 * (hw * np.sum(dh * dh, axis=1) + sw * np.sum(ds * ds, axis=1))))
-    if not want_grad:
-        return value, None
-    g = hw[:, None] * dh + sw[:, None] * ds
-    return value, g / n
-
-
-def _l2_penalty(m: Model, l2: float) -> float:
-    if l2 == 0.0:
-        return 0.0
-    return 0.5 * l2 * sum(float(np.vdot(w, w)) for w in m.weights)
-
-
-def _backward(m: Model, acts, g: np.ndarray, l2: float):
-    """(layer, dW, db) from the output layer down, given dLoss/dOut `g`.
-
-    The gradient passed to the layer below is formed before a layer is
-    yielded, so the caller may update that layer in place at once.
-    """
-    for i in range(len(m.weights) - 1, -1, -1):
-        w = m.weights[i]
-        gw = acts[i].T @ g
-        if l2 != 0.0:
-            gw += l2 * w
-        gb = g.sum(axis=0)
+        if grad is not None:
+            # d/dz of -sum_k y_k logp_k is (sigma * sum(y) - y) / T
+            g = (np.exp(logp) * w_tot - Y) / T
+    else:  # 0.5 * ||out - y||^2 per target
+        hard, soft, hw, sw = tgt
+        dh = out - hard
+        ds = out - soft
+        value = float(np.mean(0.5 * (hw * np.sum(dh * dh, axis=1) + sw * np.sum(ds * ds, axis=1))))
+        if grad is not None:
+            g = hw[:, None] * dh + sw[:, None] * ds
+    if l2 != 0.0:
+        value += 0.5 * l2 * float(np.vdot(p.w_flat, p.w_flat))
+    if grad is None:
+        return value
+    g /= n
+    for i in range(len(p.weights) - 1, -1, -1):
+        np.matmul(acts[i].T, g, out=grad.weights[i])
+        np.add.reduce(g, axis=0, out=grad.biases[i])
         if i > 0:
-            g = (g @ w.T) * (acts[i] > 0.0)
-        yield i, gw, gb
+            g = g @ p.weights[i].T
+            np.multiply(g, acts[i] > 0.0, out=g)  # ReLU mask; `g *= mask` is slower
+    if l2 != 0.0:
+        grad.w_flat += l2 * p.w_flat
+    return value
 
 
-def _checked_pack(m: Model, batch, T_student: float):
+def _checked_pack(m: Model, batch, T_student: float, names=None):
     if not T_student > 0:
         raise ValueError("T_student must be positive")
-    X, tgt = _pack(batch, m.output_dim, m.task)
+    X, tgt = _pack(batch, m.output_dim, m.task, range(len(batch)) if names is None else names)
     if X.shape[1] != m.input_dim:
         raise ValueError(f"expected features of dimension {m.input_dim}, got {X.shape[1]}")
     return X, tgt
@@ -351,18 +375,15 @@ def loss(m: Model, batch, T_student: float = 1.0, l2: float = 0.0) -> float:
     model's logits before the softmax (classification only).
     """
     X, tgt = _checked_pack(m, batch, T_student)
-    _, out = _forward_cached(m, X)
-    value, _ = _data_loss_grad(out, tgt, T_student, m.task, want_grad=False)
-    return value + _l2_penalty(m, l2)
+    return _loss_grad(_Flat(m.weights, m.biases), X, tgt, T_student, m.task, l2)
 
 
 def gradient(m: Model, batch, T_student: float = 1.0, l2: float = 0.0) -> Gradient:
     """Exact gradient of loss() with respect to every parameter."""
     X, tgt = _checked_pack(m, batch, T_student)
-    acts, out = _forward_cached(m, X)
-    _, g = _data_loss_grad(out, tgt, T_student, m.task, want_grad=True)
-    layers = list(_backward(m, acts, g, l2))[::-1]
-    return Gradient([gw for _, gw, _ in layers], [gb for _, _, gb in layers])
+    grad = _Flat(m.weights, m.biases)  # same layout, overwritten
+    _loss_grad(_Flat(m.weights, m.biases), X, tgt, T_student, m.task, l2, grad)
+    return Gradient(grad.weights, grad.biases)
 
 
 def train(
@@ -377,11 +398,13 @@ def train(
     Batches are drawn by a seeded shuffle each epoch.  When `ids` are
     given they must be distinct, and examples are first put in
     ascending-id order, so the result does not depend on the order the
-    caller listed them in.  The returned model records the mean batch
-    loss per epoch in `loss_history`.
+    caller listed them in.  The returned model owns fresh arrays (m0 is
+    left as it was) and records the mean batch loss per epoch in
+    `loss_history`.
 
     Raises ValueError naming the example (its id, else its position) if
-    its features are not finite, and TrainingDivergence (with the epoch
+    its features are not finite or a target is malformed (classification:
+    not a probability vector), and TrainingDivergence (with the epoch
     index) if the loss ever becomes non-finite.
     """
     if not data:
@@ -400,34 +423,35 @@ def train(
             raise ValueError(f"duplicate id {names[1:][repeated][0]} in ids")
         data = [data[i] for i in order]
 
-    X, tgt = _checked_pack(m0, data, T_student)
+    X, tgt = _checked_pack(m0, data, T_student, names)
     finite = np.isfinite(X).all(axis=1)
     if not finite.all():
         raise ValueError(f"example {names[np.argmin(finite)]}: features are not finite")
 
-    m = m0.copy()
+    params = _Flat(m0.weights, m0.biases)
+    grad = _Flat(m0.weights, m0.biases)  # same layout; every step overwrites it
     shuffle = cfg.rng.generator()
-    lr, l2 = cfg.learning_rate, cfg.l2
+    lr, l2, size = cfg.learning_rate, cfg.l2, cfg.batch_size
     history = []
     # overflow here is not an error: it is how divergence is detected
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             perm = shuffle.permutation(n)
+            cols = [col[perm] for col in tgt]
             epoch_losses = []
-            for start in range(0, n, cfg.batch_size):
-                idx = perm[start : start + cfg.batch_size]
-                acts, out = _forward_cached(m, X[idx])
-                value, g = _data_loss_grad(out, [col[idx] for col in tgt], T_student, m.task, True)
-                value += _l2_penalty(m, l2)
+            for start in range(0, n, size):
+                rows = slice(start, start + size)
+                batch_tgt = [col[rows] for col in cols]
+                value = _loss_grad(params, X[perm[rows]], batch_tgt, T_student, m0.task, l2, grad)
                 if not math.isfinite(value):
                     raise TrainingDivergence(epoch, value)
-                for i, gw, gb in _backward(m, acts, g, l2):
-                    m.weights[i] -= lr * gw
-                    m.biases[i] -= lr * gb
+                grad.buf *= lr
+                params.buf -= grad.buf
                 epoch_losses.append(value)
             history.append(float(np.mean(epoch_losses)))
-    m.loss_history = history
-    return m
+    weights = [w.copy() for w in params.weights]
+    biases = [b.copy() for b in params.biases]
+    return Model(m0.kind, m0.task, weights, biases, loss_history=history)
 
 
 def hard_target(y, weight: float = 1.0) -> WeightedTarget:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RngStream
-from .distill import Dataset, DatasetHeader
+from .distill import Dataset, DatasetHeader, Triplet
 from .models import CLASSIFICATION
 
 __all__ = [
@@ -186,18 +186,18 @@ def replay_labels(ds: Dataset) -> np.ndarray:
     alpha = meta["alpha"]
     exp = meta["experiment"]
     if exp == 1:
-        margin = np.array([t.x for t in ds.examples]) @ alpha
+        margin = ds.column("x") @ alpha
         return (margin + meta["label_noise"] > 0).astype(int)
     if exp == 2:
-        Xs = np.array([t.x_star for t in ds.examples])
+        Xs = ds.column("x_star")
         return (Xs @ alpha > 0).astype(int)
     if exp == 3:
         J = meta["relevant"]
-        X = np.array([t.x for t in ds.examples])
+        X = ds.column("x")
         return (X[:, J] @ alpha[J] > 0).astype(int)
     if exp == 4:
         J = meta["relevant_sets"]
-        X = np.array([t.x for t in ds.examples])
+        X = ds.column("x")
         contrib = np.take_along_axis(X, J, axis=1) * alpha[J]
         return (np.sum(contrib, axis=1) > 0).astype(int)
     raise ValueError(f"unknown experiment {exp}")
@@ -207,7 +207,8 @@ def replay_labels(ds: Dataset) -> np.ndarray:
 #
 # Line 1: d <sep> d_star <sep> c <sep> n.  Then one record per example:
 # the x group, the x_star group, the y group, in that order; a present
-# group is its values, a missing group is the single token "_".
+# group is its values, a missing group is the single token "_", and a
+# present group of width 0 (e.g. d_star = 0) is one empty token.
 
 def dump_dataset(ds: Dataset, path, delimiter: str = ",") -> None:
     h = ds.header
@@ -220,25 +221,57 @@ def dump_dataset(ds: Dataset, path, delimiter: str = ",") -> None:
             f.write(delimiter.join(groups) + "\n")
 
 
-def load_dataset(path, delimiter: str = ",", task: str = CLASSIFICATION) -> Dataset:
-    from .distill import Triplet
+def _parse_record(line: str, sizes, delimiter: str):
+    """(x, x_star, y) of one record line; a missing group is None."""
+    tokens = line.split(delimiter)
+    groups, pos = [], 0
+    for size in sizes:
+        token = tokens[pos] if pos < len(tokens) else None
+        if token == "_":
+            groups.append(None)
+            pos += 1
+        elif size == 0:
+            if token != "":
+                raise ValueError(f"token {pos + 1}: a width-0 group is '' (present) or '_'")
+            groups.append(np.empty(0))
+            pos += 1
+        else:
+            values = tokens[pos : pos + size]
+            if len(values) < size:
+                raise ValueError(f"short record: {len(tokens)} tokens")
+            groups.append(np.array([float(v) for v in values]))
+            pos += size
+    if pos != len(tokens):
+        raise ValueError(f"expected {pos} tokens, got {len(tokens)}")
+    return groups
 
+
+def load_dataset(path, delimiter: str = ",", task: str = CLASSIFICATION) -> Dataset:
+    """Read a `dump_dataset` file.
+
+    Raises ValueError naming the header line or the record (1-based) for
+    a non-numeric token, a record that is too short or too long or has
+    no present group, or a record count that differs from the header's
+    n; the Dataset's own checks name the example (0-based).
+    """
     with open(path, "r", encoding="ascii") as f:
-        d, d_star, c, n = (int(v) for v in f.readline().strip().split(delimiter))
+        try:
+            d, d_star, c, n = (int(v) for v in f.readline().rstrip("\n").split(delimiter))
+        except ValueError as e:
+            raise ValueError(f"line 1: expected d, d_star, c, n: {e}") from None
+        if min(d, d_star, c, n) < 0:
+            raise ValueError("line 1: sizes and record count must be >= 0")
         header = DatasetHeader(d, d_star, c, task)
         examples = []
-        for line_no in range(n):
-            tokens = f.readline().strip().split(delimiter)
-            pos = 0
-            groups = []
-            for size in (d, d_star, c):
-                if pos < len(tokens) and tokens[pos] == "_":
-                    groups.append(None)
-                    pos += 1
-                else:
-                    groups.append(np.array([float(v) for v in tokens[pos : pos + size]]))
-                    pos += size
-            if pos != len(tokens):
-                raise ValueError(f"record {line_no + 1}: expected {pos} tokens, got {len(tokens)}")
-            examples.append(Triplet(*groups))
+        for k in range(1, n + 1):
+            line = f.readline()
+            if not line:
+                raise ValueError(f"record {k}: missing, the header says {n} records")
+            try:
+                groups = _parse_record(line.rstrip("\n"), (d, d_star, c), delimiter)
+                examples.append(Triplet(*groups))
+            except ValueError as e:
+                raise ValueError(f"record {k}: {e}") from None
+        if f.read().strip():
+            raise ValueError(f"more than the header's {n} records")
     return Dataset(header, examples)

@@ -177,6 +177,14 @@ class TestDistillStudent:
         with pytest.raises(ValueError):
             distill_student(data, [], small_cfg(imitation=1.0))
 
+    def test_bad_soft_label_names_the_example(self):
+        data = toy_dataset(n=30)
+        cfg = small_cfg(imitation=0.5)
+        soft = soft_labels(train_teacher(data, cfg), data, cfg.temperature)
+        soft[17] = (soft[17][0], np.array([0.5, 0.4]))
+        with pytest.raises(ValueError, match=f"^example {soft[17][0]}: soft target: .*sums to 0.9"):
+            distill_student(data, soft, cfg)
+
     def test_semi_supervised_uses_soft_only_for_unlabeled(self):
         data = toy_dataset(n=40, unlabeled_from=12)
         cfg = small_cfg(imitation=0.8)
@@ -322,3 +330,45 @@ class TestDatasetValidation:
     def test_empty_triplet_rejected(self):
         with pytest.raises(ValueError):
             Triplet()
+
+
+class TestColumns:
+    def test_from_arrays_columns_are_the_inputs(self):
+        rng = np.random.default_rng(4)
+        X, Xs, Y = rng.normal(size=(6, 3)), rng.normal(size=(6, 2)), np.eye(2)[[0, 1, 1, 0, 1, 0]]
+        ds = Dataset.from_arrays(DatasetHeader(3, 2, 2), x=X, x_star=Xs, y=Y)
+        for view, a in (("x", X), ("x_star", Xs), ("y", Y)):
+            assert np.shares_memory(ds.column(view), a)
+            assert ds.column(view).base is ds.column(view).base  # stacked once
+            rows = np.asarray([getattr(t, view) for t in ds.examples])
+            np.testing.assert_array_equal(ds.column(view), rows)
+
+    def test_from_arrays_rejects_missing_or_ragged_columns(self):
+        with pytest.raises(ValueError, match="one length"):
+            Dataset.from_arrays(DatasetHeader(2, 1, 2))
+        with pytest.raises(ValueError, match="one length"):
+            Dataset.from_arrays(DatasetHeader(2, 1, 2), x=np.zeros((3, 2)), y=np.eye(2))
+
+    def test_triplet_columns_are_the_stacked_rows(self):
+        data = toy_dataset(n=12)
+        for view in ("x", "x_star", "y"):
+            rows = np.asarray([getattr(t, view) for t in data.examples])
+            assert np.array_equal(data.column(view), rows)
+            assert not np.shares_memory(data.column(view), getattr(data.examples[0], view))
+
+    def test_columns_are_read_only(self):
+        X = np.arange(6.0).reshape(3, 2)
+        built = Dataset.from_arrays(DatasetHeader(2, 0, 2), x=X)
+        for ds, view in ((built, "x"), (toy_dataset(n=5), "x_star")):
+            col = ds.column(view)
+            with pytest.raises(ValueError, match="read-only"):
+                col -= 1.0
+            np.testing.assert_array_equal(ds.column(view), col)
+        assert X.flags.writeable  # the caller's own array is left writable
+
+    def test_missing_field_names_the_example(self):
+        data = toy_dataset(n=8, unlabeled_from=5)
+        with pytest.raises(ValueError, match="example 5 has no y"):
+            data.column("y")
+        with pytest.raises(ValueError, match="unknown view"):
+            data.column("z")

@@ -22,7 +22,7 @@ from distillery.experiments import (
     run_multitask,
     run_synthetic,
 )
-from distillery.models import Arch, TrainConfig, TrainingDivergence
+from distillery.models import Arch, TrainConfig, TrainingDivergence, forward
 from distillery.synthetic import SyntheticSpec
 
 TINY_TRAIN = TrainConfig(learning_rate=0.05, epochs=3, batch_size=10, l2=1e-4)
@@ -94,6 +94,22 @@ def diverge_on(monkeypatch, name, when):
 
 
 DIVERGED = "non-finite training loss nan at epoch 3"
+
+
+def recorded(monkeypatch, name):
+    """Calls of experiments.<name> as (args, result); results unchanged."""
+    real, calls = getattr(experiments, name), []
+
+    def patched(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(experiments, name, patched)
+    return calls
+
+
+def stacked(ds, view):
+    return np.asarray([getattr(t, view) for t in ds.examples])
 
 
 def mnist_kwargs(mnist_dir, **over):
@@ -240,6 +256,14 @@ class TestMnistMachinery:
             run_mnist(**mnist_kwargs(mnist_dir, reps=1, **grid))
         assert trained == []
 
+    def test_accuracy_equals_stacked_rows(self, mnist_dir, monkeypatch):
+        calls = recorded(monkeypatch, "accuracy")
+        run_mnist(**mnist_kwargs(mnist_dir, reps=1))
+        assert len(calls) == 2 + 4
+        for (model, ds, view), value in calls:
+            predicted = np.argmax(forward(model, stacked(ds, view)), axis=1)
+            assert value == np.mean(predicted == np.argmax(stacked(ds, "y"), axis=1))
+
     def test_single_cell_equals_full_grid(self, mnist_dir):
         full = run_mnist(**mnist_kwargs(mnist_dir))
         single = run_mnist(**mnist_kwargs(mnist_dir, T_grid=(2.0,), lambda_grid=(1.0,)))
@@ -344,6 +368,13 @@ class TestMultitaskMachinery:
         kept = [("privileged/task3", ()), ("regular/task6", ()), ("distilled/task3", (1.0, 1.0))]
         for arm, cell in kept:
             assert report.arm(arm, *cell) == clean.arm(arm, *cell)
+
+    def test_mse_equals_stacked_rows(self, multitask_path, monkeypatch):
+        calls = recorded(monkeypatch, "mse")
+        run_multitask(multitask_path, **self.mt_kwargs(multitask_path))
+        assert len(calls) == 7 * (2 + 2)
+        for (model, ds, view), value in calls:
+            assert value == np.mean((forward(model, stacked(ds, view)) - stacked(ds, "y")) ** 2)
 
     def test_lambda_zero_cell_equals_regular(self, multitask_path):
         report = run_multitask(multitask_path, **self.mt_kwargs(multitask_path))

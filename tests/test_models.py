@@ -344,6 +344,30 @@ class TestTrain:
         with pytest.raises(ValueError, match=f"example {ids[4]}: features are not finite"):
             train(init_model("linear", 2, 2), batch, TrainConfig(epochs=1, batch_size=4), ids=ids)
 
+    def test_m0_untouched_and_result_owns_its_arrays(self):
+        batch = separable_batch()
+        m0 = init_model(Arch.mlp(3, 4), 2, 2, rng=RngStream(13))
+        before = [a.copy() for a in m0.weights + m0.biases]
+        m = train(m0, batch, TrainConfig(epochs=3, batch_size=8, rng=RngStream(14)))
+        for a, b in zip(m0.weights + m0.biases, before):
+            assert np.array_equal(a, b)
+        arrays = m.weights + m.biases
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in m0.weights + m0.biases)
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
+
+    @pytest.mark.parametrize("kind", ["hard", "soft"])
+    def test_bad_target_names_the_example(self, kind):
+        batch = separable_batch()
+        ids = [10 * i for i in range(len(batch))]
+        cfg = TrainConfig(epochs=1, batch_size=4)
+        cases = [(np.array([0.6, 0.6]), ": .*sums to 1.2"), (np.ones(3) / 3, r" has shape \(3,\)")]
+        for bad, message in cases:
+            target = WeightedTarget(**{kind: bad, f"{kind}_weight": 1.0})
+            batch[5] = batch[6] = (batch[5][0], target)
+            with pytest.raises(ValueError, match=f"^example 50: {kind} target{message}"):
+                train(init_model("linear", 2, 2), batch, cfg, ids=ids)
+
     def test_batch_size_cannot_exceed_data(self):
         batch = separable_batch()
         cfg = TrainConfig(batch_size=21)
@@ -452,12 +476,12 @@ def mixed_data(rng, d, c, n, targets, task):
 class TestTrainMatchesReference:
     @pytest.mark.parametrize(
         "arch,task,targets",
-        list(itertools.product(["linear", "mlp"], ["classification", "regression"],
+        list(itertools.product(["linear", "mlp", "mlp3"], ["classification", "regression"],
                                ["hard", "soft", "mixed", "unlabeled"])),
     )
     def test_bit_identical_weights(self, arch, task, targets):
         rng = np.random.default_rng([ord(ch) for ch in arch + task + targets])
-        arch = Arch("linear") if arch == "linear" else Arch.mlp(5, 4)
+        arch = {"linear": Arch("linear"), "mlp": Arch.mlp(5, 4), "mlp3": Arch.mlp(4, 3, 5)}[arch]
         data = mixed_data(rng, 6, 3, 23, targets, task)  # 23 rows: the last batch is short
         for T, l2 in itertools.product([1.0, 3.0], [0.0, 1e-2]):
             m0 = init_model(arch, 6, 3, task=task, rng=RngStream(int(T), int(l2 * 100)))

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from distillery.core import RngStream
+from distillery.distill import Dataset, DatasetHeader, Triplet
 from distillery.synthetic import (
     Hyperplane,
     SyntheticSpec,
@@ -187,6 +190,119 @@ class TestDump:
         path = tmp_path / "dump.txt"
         dump_dataset(ds, path)
         assert path.read_text().splitlines()[0] == "50,3,2,4"
+
+
+@st.composite
+def datasets(draw):
+    """Regression datasets (any y) with d, d_star in 0..3, c in 1..3 and
+    random missing fields."""
+    sizes = [draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(1, 3))]
+    values = st.floats(allow_nan=False)
+    examples = []
+    for _ in range(draw(st.integers(0, 5))):
+        present = draw(st.lists(st.booleans(), min_size=3, max_size=3).filter(any))
+        examples.append(Triplet(*(
+            np.array(draw(st.lists(values, min_size=k, max_size=k)), float) if p else None
+            for k, p in zip(sizes, present)
+        )))
+    return Dataset(DatasetHeader(*sizes, "regression"), examples)
+
+
+def same_bits(a, b):
+    return (a is None and b is None) or (
+        a is not None and b is not None and a.shape == b.shape and a.tobytes() == b.tobytes()
+    )
+
+
+FUZZ_SETTINGS = settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+class TestDumpFormat:
+    def test_zero_width_group_round_trips(self, tmp_path):
+        # a present x_star of width 0 is written as an empty field
+        header = DatasetHeader(2, 0, 2)
+        ds = Dataset(header, [
+            Triplet(np.array([1.0, 2.0]), np.empty(0), np.array([0.0, 1.0])),
+            Triplet(np.array([3.0, 4.0]), None, np.array([1.0, 0.0])),
+        ])
+        path = tmp_path / "dump.txt"
+        dump_dataset(ds, path)
+        assert path.read_text().splitlines()[1:] == ["1.0,2.0,,0.0,1.0", "3.0,4.0,_,1.0,0.0"]
+        back = load_dataset(path)
+        assert back.header == header
+        for ta, tb in zip(ds.examples, back.examples):
+            assert all(same_bits(getattr(ta, f), getattr(tb, f)) for f in ("x", "x_star", "y"))
+
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            ("1,x,,0,1\n", "record 1: could not convert string to float: 'x'"),
+            ("1,2,,0,1\n1,2,,0\n", "record 2: short record"),
+            ("1,2,,0,1\n1,2,,0,1,7\n", "record 2: expected 5 tokens, got 6"),
+            ("1,2,7,0,1\n", "record 1: token 3: a width-0 group is '' \\(present\\) or '_'"),
+            ("1,2,,0,1\n", "record 2: missing"),
+            ("1,2,,0,1\n1,2,,0,1\n1,2,,0,1\n", "more than the header's 2 records"),
+            ("_,_,_\n1,2,,0,1\n", "record 1: a triplet needs"),
+        ],
+    )
+    def test_bad_record_is_named(self, tmp_path, body, message):
+        path = tmp_path / "dump.txt"
+        path.write_text("2,0,2,2\n" + body)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("first", ["2,0,2", "2,0,2,x", "2,0,2,1,1", "2,-1,2,1", ""])
+    def test_bad_header_line(self, tmp_path, first):
+        path = tmp_path / "dump.txt"
+        path.write_text(first + "\n1,2,,0,1\n")
+        with pytest.raises(ValueError, match="^line 1: "):
+            load_dataset(path)
+
+    @given(datasets(), st.sampled_from([",", ";", " ", "\t"]))
+    @FUZZ_SETTINGS
+    def test_round_trip(self, tmp_path, ds, delimiter):
+        path = tmp_path / "dump.txt"
+        dump_dataset(ds, path, delimiter)
+        back = load_dataset(path, delimiter, task="regression")
+        assert back.header == ds.header and len(back) == len(ds)
+        for ta, tb in zip(ds.examples, back.examples):
+            assert all(same_bits(getattr(ta, f), getattr(tb, f)) for f in ("x", "x_star", "y"))
+
+    @given(st.one_of(
+        st.text(max_size=120),
+        st.builds(
+            lambda sizes, body: ",".join(map(str, sizes)) + "\n" + body,
+            st.lists(st.integers(-1, 3), min_size=4, max_size=4),
+            st.text(alphabet="0123456789.,_-e\n", max_size=120),
+        ),
+    ))
+    @FUZZ_SETTINGS
+    def test_arbitrary_text_loads_or_raises_value_error(self, tmp_path, text):
+        path = tmp_path / "dump.txt"
+        path.write_text(text, encoding="utf-8")
+        for task in ("classification", "regression"):
+            try:
+                ds = load_dataset(path, task=task)
+            except ValueError:
+                continue
+            assert ds.header.task == task
+
+    @given(datasets(), st.data())
+    @FUZZ_SETTINGS
+    def test_edited_dump_loads_or_raises_value_error(self, tmp_path, ds, data):
+        path = tmp_path / "dump.txt"
+        dump_dataset(ds, path)
+        text = path.read_text()
+        at = data.draw(st.integers(0, len(text)))
+        cut = data.draw(st.integers(0, 3))
+        edit = data.draw(st.sampled_from(["", ",", "_", "\n", "x", "1"]))
+        path.write_text(text[:at] + edit + text[at + cut :])
+        try:
+            load_dataset(path, task="regression")
+        except ValueError:
+            pass
 
 
 class TestSpecValidation:
