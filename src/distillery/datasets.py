@@ -16,6 +16,8 @@ converted to feature vectors.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -153,22 +155,21 @@ def write_idx(imgset: ImageSet, images_path, labels_path) -> None:
 
 
 def load_cifar(batch_paths) -> ImageSet:
-    """Concatenate CIFAR-10 binary batches (label byte + 3072 pixel bytes).
+    """Concatenate CIFAR-10 binary batches (label byte + 3072 pixel bytes),
+    read straight into one buffer.
 
     Pixels are kept channel-planar: shape (n, 3, 32, 32).
     """
-    chunks = []
-    for path in batch_paths:
+    sizes = [os.path.getsize(p) for p in batch_paths]
+    records, start = np.empty(sum(sizes), dtype=np.uint8), 0
+    for path, size in zip(batch_paths, sizes):
+        if size % CIFAR_RECORD_BYTES != 0:
+            raise TruncatedFileError(f"{path}: size {size} not a multiple of {CIFAR_RECORD_BYTES}")
         with open(path, "rb") as f:
-            data = f.read()
-        if len(data) % CIFAR_RECORD_BYTES != 0:
-            raise TruncatedFileError(
-                f"{path}: size {len(data)} is not a multiple of {CIFAR_RECORD_BYTES}"
-            )
-        chunks.append(np.frombuffer(data, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES))
-    records = (
-        np.concatenate(chunks) if chunks else np.empty((0, CIFAR_RECORD_BYTES), dtype=np.uint8)
-    )
+            if f.readinto(records[start : start + size]) != size:
+                raise TruncatedFileError(f"{path}: shorter than its {size} bytes")
+        start += size
+    records = records.reshape(-1, CIFAR_RECORD_BYTES)
     labels = records[:, 0].astype(np.int64)
     images = records[:, 1:].reshape(-1, 3, 32, 32)
     return ImageSet(images, labels, n_classes=10, channel_first=True)
@@ -181,13 +182,17 @@ def downscale(img) -> np.ndarray:
     channel axis is squeezed.  Block means of exact replications are
     fixed points, so downscaling is idempotent under 4x upsampling.
     """
-    a = np.asarray(img, dtype=np.float64)
+    a = np.asarray(img)
     if a.ndim >= 3 and a.shape[-1] == 1:
         a = a[..., 0]
     if a.shape[-2:] != (28, 28):
         raise ValueError(f"expected 28x28 images, got shape {np.shape(img)}")
+    # whole-slice adds: exact block sums for integer pixels, ~3x faster than mean()
     blocks = a.reshape(*a.shape[:-2], 7, 4, 7, 4)
-    return blocks.mean(axis=(-3, -1)) / 255.0
+    rows = blocks[..., 0, :, :].astype(np.float64)
+    for k in (1, 2, 3):
+        rows += blocks[..., k, :, :]
+    return (rows[..., 0] + rows[..., 1] + rows[..., 2] + rows[..., 3]) / 16 / 255.0
 
 
 def pollute(features, sigma: float, rng: RngStream) -> np.ndarray:
@@ -195,8 +200,8 @@ def pollute(features, sigma: float, rng: RngStream) -> np.ndarray:
 
     Values may leave [0, 1]; the draw is fully determined by the stream.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     x = np.asarray(features, dtype=np.float64)
     if sigma == 0:
         return x.copy()
@@ -247,9 +252,13 @@ def load_multitask_csv(path, delimiter: str = ",") -> MultitaskTable:
             if len(cells) != arity:
                 raise TableFormatError(f"row {row_no}: expected {arity} columns, got {len(cells)}")
             try:
-                rows.append([float(c) for c in cells])
+                values = [float(c) for c in cells]
             except ValueError as e:
                 raise TableFormatError(f"row {row_no}: {e}") from None
+            if not all(map(math.isfinite, values)):
+                k = next(k for k, v in enumerate(values) if not math.isfinite(v))
+                raise TableFormatError(f"row {row_no}, column {k + 1}: {cells[k]!r} is not finite")
+            rows.append(values)
     if not rows:
         raise TableFormatError(f"{path}: no data rows")
     return MultitaskTable(np.array(rows))

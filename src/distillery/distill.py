@@ -1,12 +1,13 @@
 """Teacher-student pipeline over triplet data.
 
 A triplet holds regular features x, privileged features x_star, and a
-label y; any field may be missing (None).  The pipeline is three
+label y; any field may be missing (None).  A Dataset stores triplets as
+columns, one array and presence mask per field.  The pipeline is three
 sequential steps: train a teacher on the privileged view, soften its
 predictions into per-example soft labels, and train a student on the
 regular view against an imitation-weighted mix of hard and soft targets.
 
-Soft labels are keyed by the example's index in the full dataset (a
+Soft labels are keyed by the example's row in the full dataset (a
 stable id), so filtering incomplete examples can never misalign a
 feature vector with someone else's soft label.
 
@@ -18,7 +19,7 @@ examples, and per-task views of multi-output regression data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,83 +76,92 @@ class DatasetHeader:
             raise ValueError(f"unknown task {self.task!r}")
 
 
-@dataclass
-class Dataset:
-    """Header plus examples; `meta` records how the data was generated.
+_VIEWS = ("x", "x_star", "y")
 
-    `column(view)` stacks one field of every example once and keeps the
-    result, so it reflects the examples as built: do not reassign them
-    (or their fields) after construction.
+
+class Dataset:
+    """Header plus columns; `meta` records how the data was generated.
+
+    Each field ("x", "x_star", "y") is one 2-D float array, a row per
+    example (the row index is its id), with a mask of the rows that have it.
     """
 
-    header: DatasetHeader
-    examples: list[Triplet]
-    meta: dict = field(default_factory=dict)
-    _columns: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        h = self.header
-        labeled = []
-        for i, t in enumerate(self.examples):
-            if t.x is not None and np.shape(t.x) != (h.d,):
-                raise ValueError(f"example {i}: x has shape {np.shape(t.x)}, header says ({h.d},)")
-            if t.x_star is not None and np.shape(t.x_star) != (h.d_star,):
-                raise ValueError(
-                    f"example {i}: x_star has shape {np.shape(t.x_star)}, header says ({h.d_star},)"
-                )
-            if t.y is not None:
-                if np.shape(t.y) != (h.c,):
-                    raise ValueError(f"example {i}: y has shape {np.shape(t.y)}, header says ({h.c},)")
-                labeled.append(i)
-        if h.task == CLASSIFICATION and labeled:
-            # check_simplex's test on all labels at once; check_simplex itself
-            # runs only on the first failing row
-            ok = simplex_rows([self.examples[i].y for i in labeled])
-            if not ok.all():
-                i = labeled[int(np.argmin(ok))]
-                try:
-                    check_simplex(self.examples[i].y)
-                except ValueError as e:
-                    raise ValueError(f"example {i}: {e}") from None
-
-    def __len__(self) -> int:
-        return len(self.examples)
-
-    def column(self, view: str) -> np.ndarray:
-        """Field `view` ("x", "x_star" or "y") of every example, stacked as
-        rows; stacked on the first call and kept.  The result is a
-        read-only view, so writing into it cannot change the dataset."""
-        col = self._columns.get(view)
-        if col is None:
-            if view not in ("x", "x_star", "y"):
-                raise ValueError(f"unknown view {view!r}")
-            rows = [getattr(t, view) for t in self.examples]
-            for i, row in enumerate(rows):
+    def __init__(self, header: DatasetHeader, examples, meta=None):
+        """Row adapter: copies the fields of `examples` (Triplets) into
+        columns once; errors name the example."""
+        widths = dict(zip(_VIEWS, (header.d, header.d_star, header.c)))
+        cols = {view: np.zeros((len(examples), width)) for view, width in widths.items()}
+        masks = {view: np.zeros(len(examples), dtype=bool) for view in widths}
+        for i, t in enumerate(examples):
+            for view, width in widths.items():
+                row = getattr(t, view)
                 if row is None:
-                    raise ValueError(f"example {i} has no {view}")
-            col = self._columns[view] = np.asarray(rows)
-        col = col.view()
-        col.flags.writeable = False
-        return col
+                    continue
+                if np.shape(row) != (width,):
+                    raise ValueError(
+                        f"example {i}: {view} has shape {np.shape(row)}, header says ({width},)"
+                    )
+                cols[view][i], masks[view][i] = row, True
+        self._store(header, cols, masks, meta)
 
     @classmethod
-    def from_arrays(cls, header: DatasetHeader, x=None, x_star=None, y=None, meta=None) -> "Dataset":
-        """Build from columnar arrays; a None column is missing everywhere.
-
-        The examples' fields are rows of the given arrays, and `column`
-        returns read-only views of the arrays themselves (no copy).
-        """
-        given = (("x", x), ("x_star", x_star), ("y", y))
-        columns = {view: np.asarray(a) for view, a in given if a is not None}
-        lengths = {len(a) for a in columns.values()}
-        if len(lengths) != 1:
+    def from_arrays(
+        cls, header: DatasetHeader, x=None, x_star=None, y=None, meta=None, present=None
+    ) -> "Dataset":
+        """Build from column arrays, kept as given (float64 is not copied); a
+        None column is missing everywhere.  `present` may map a column's name
+        to a boolean mask of the rows that have it (other rows are ignored)."""
+        arrays = zip(_VIEWS, (x, x_star, y))
+        given = {v: np.asarray(a, dtype=np.float64) for v, a in arrays if a is not None}
+        if len({len(a) for a in given.values()}) != 1:
             raise ValueError("from_arrays needs at least one column, all of one length")
-        (n,) = lengths
-        rows = zip(*(columns[view] if view in columns else [None] * n for view, _ in given))
-        examples = [Triplet(*fields) for fields in rows]
-        ds = cls(header, examples, meta or {})
-        ds._columns.update(columns)
+        present = present or {}
+        masks = {v: np.asarray(present.get(v, np.ones(len(a))), bool) for v, a in given.items()}
+        ds = cls.__new__(cls)
+        ds._store(header, given, masks, meta)
         return ds
+
+    def _store(self, header: DatasetHeader, cols: dict, masks: dict, meta) -> None:
+        """Check `cols` and keep read-only views of them; a field not in `cols` is missing."""
+        n = len(next(iter(cols.values())))
+        for view, width in zip(_VIEWS, (header.d, header.d_star, header.c)):
+            col = cols.setdefault(view, np.zeros((n, width)))
+            mask = masks.setdefault(view, np.zeros(n, dtype=bool))
+            if col.shape != (n, width):
+                raise ValueError(f"{view} has shape {col.shape}, header says ({n}, {width})")
+            if mask.shape != (n,):
+                raise ValueError(f"the mask of {view} has shape {mask.shape}, not ({n},)")
+            cols[view] = col.view()
+            cols[view].flags.writeable = False
+        if header.task == CLASSIFICATION:
+            # check_simplex's test on every present label at once; check_simplex
+            # itself runs only on the first failing row
+            ok = simplex_rows(cols["y"]) | ~masks["y"]
+            if not ok.all():
+                i = int(np.argmin(ok))
+                try:
+                    check_simplex(cols["y"][i])
+                except ValueError as e:
+                    raise ValueError(f"example {i}: {e}") from None
+        self.header, self.meta, self._cols, self._masks = header, meta or {}, cols, masks
+
+    def __len__(self) -> int:
+        return len(self._masks["x"])
+
+    @property
+    def examples(self) -> tuple[Triplet, ...]:
+        """Triplets of read-only row views (None where missing), built on each read."""
+        cols = [(self._cols[view], self._masks[view]) for view in _VIEWS]
+        return tuple(Triplet(*(c[i] if m[i] else None for c, m in cols)) for i in range(len(self)))
+
+    def column(self, view: str) -> np.ndarray:
+        """Field `view` of every example, one row each: the stored array, read-only.
+        Raises ValueError naming the first example without the field."""
+        if view not in _VIEWS:
+            raise ValueError(f"unknown view {view!r}")
+        if not self._masks[view].all():
+            raise ValueError(f"example {int(np.argmin(self._masks[view]))} has no {view}")
+        return self._cols[view]
 
 
 def clean_subset(items, fields):
@@ -201,13 +211,11 @@ class DistillConfig:
 
 def train_teacher(data: Dataset, cfg: DistillConfig) -> Model:
     """Step 1: fit the teacher on (x_star, y) pairs with hard labels only."""
-    ids = [i for i, t in enumerate(data.examples) if t.x_star is not None and t.y is not None]
+    ids = np.flatnonzero(data._masks["x_star"] & data._masks["y"]).tolist()
     if not ids:
         raise ValueError("no examples with both privileged features and a label")
-    batch = [
-        (data.examples[i].x_star, WeightedTarget(hard=data.examples[i].y, hard_weight=1.0))
-        for i in ids
-    ]
+    X, Y = data._cols["x_star"], data._cols["y"]
+    batch = [(X[i], WeightedTarget(hard=Y[i], hard_weight=1.0)) for i in ids]
     rng = cfg.teacher_train.rng
     m0 = init_model(cfg.teacher_arch, data.header.d_star, data.header.c, data.header.task, rng.fork("init"))
     return train(m0, batch, replace(cfg.teacher_train, rng=rng.fork("shuffle")), ids=ids)
@@ -220,17 +228,13 @@ def soft_labels(teacher: Model, data: Dataset, T: float) -> list[tuple[int, np.n
     Regression: the teacher's raw prediction (temperature does not act).
     Labels are not required, so unlabeled examples are covered too.
     """
-    ids = [i for i, t in enumerate(data.examples) if t.x_star is not None]
-    if not ids:
+    ids = np.flatnonzero(data._masks["x_star"])
+    if not ids.size:
         return []
-    if len(ids) == len(data):
-        X = data.column("x_star")
-    else:
-        X = np.asarray([data.examples[i].x_star for i in ids])
-    out = forward(teacher, X)
+    out = forward(teacher, data._cols["x_star"][ids])
     if teacher.task == CLASSIFICATION:
         out = softmax(out, T)
-    return [(i, out[k]) for k, i in enumerate(ids)]
+    return list(zip(ids.tolist(), out))
 
 
 def distill_student(data: Dataset, soft, cfg: DistillConfig) -> Model:
@@ -243,19 +247,16 @@ def distill_student(data: Dataset, soft, cfg: DistillConfig) -> Model:
     """
     soft_map = dict(soft)
     lam = cfg.imitation
+    X, Y, labeled = data._cols["x"], data._cols["y"], data._masks["y"]
     ids, batch = [], []
-    for i, t in enumerate(data.examples):
-        if t.x is None:
-            continue
-        s = soft_map.get(i)
-        hard_w = (1.0 - lam) if t.y is not None else 0.0
-        soft_w = 0.0
-        if s is not None:
-            soft_w = lam if t.y is not None else lam * cfg.unlabeled_weight
+    for i in np.flatnonzero(data._masks["x"]).tolist():
+        y, s = (Y[i] if labeled[i] else None), soft_map.get(i)
+        hard_w = (1.0 - lam) if y is not None else 0.0
+        soft_w = 0.0 if s is None else lam if y is not None else lam * cfg.unlabeled_weight
         if hard_w == 0.0 and soft_w == 0.0:
             continue
         ids.append(i)
-        batch.append((t.x, WeightedTarget(t.y, s, hard_w, soft_w)))
+        batch.append((X[i], WeightedTarget(y, s, hard_w, soft_w)))
     if not batch:
         raise ValueError("no usable examples to distill into the student")
     T_student = 1.0
@@ -311,11 +312,7 @@ def multitask_views(data: Dataset, target_task: int) -> Dataset:
     if not 0 <= target_task < h.c:
         raise ValueError(f"target task {target_task} out of range for {h.c} tasks")
     others = [k for k in range(h.c) if k != target_task]
-    examples = []
-    for i, t in enumerate(data.examples):
-        if t.x is None or t.y is None:
-            raise ValueError(f"example {i} lacks inputs or task outputs")
-        examples.append(Triplet(t.x, np.asarray(t.y)[others], np.asarray(t.y)[[target_task]]))
+    X, Y = data.column("x"), data.column("y")  # raise naming an example without them
     header = DatasetHeader(h.d, h.c - 1, 1, REGRESSION)
     meta = dict(data.meta, target_task=target_task, source_tasks=others)
-    return Dataset(header, examples, meta)
+    return Dataset.from_arrays(header, X, Y[:, others], Y[:, [target_task]], meta)

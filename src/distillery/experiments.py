@@ -33,13 +33,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import RngStream, one_hot
+from .core import RngStream
 from .datasets import downscale, load_cifar, load_idx, load_multitask_csv, pollute
 from .distill import (
     Dataset,
     DatasetHeader,
     DistillConfig,
-    Triplet,
     distill_student,
     multitask_views,
     soft_labels,
@@ -373,6 +372,8 @@ def run_mnist(
     paths = _locate(data_dir, MNIST_FILES, "mnist")
     train_set = load_idx(paths[0], paths[1])
     test_set = load_idx(paths[2], paths[3])
+    if not 1 <= n_train <= train_set.n:
+        raise ValueError(f"n_train must lie in [1, {train_set.n}] (training images), got {n_train}")
 
     header = DatasetHeader(49, 784, 10)
     full_te = test_set.to_features()
@@ -429,6 +430,10 @@ def run_cifar_semisup(
     paths = _locate(data_dir, CIFAR_TRAIN_FILES + (CIFAR_TEST_FILE,), "cifar-10-batches-bin")
     train_set = load_cifar(paths[:-1])
     test_set = load_cifar([paths[-1]])
+    if not 1 <= n_labeled <= train_set.n:
+        raise ValueError(f"n_labeled must lie in [1, {train_set.n}] (images), got {n_labeled}")
+    if max_unlabeled is not None and max_unlabeled < 0:
+        raise ValueError(f"max_unlabeled must be >= 0 or None, got {max_unlabeled}")
 
     master = RngStream(seed)
     test_clean = test_set.to_features()
@@ -450,13 +455,11 @@ def run_cifar_semisup(
             pool_idx = np.concatenate([labeled_idx, rest])
             clean = train_set.images[pool_idx].reshape(len(pool_idx), -1).astype(np.float64) / 255.0
             noisy = pollute(clean, sigma, rep.fork("pollute-train"))
-            labels = train_set.labels[pool_idx]
-            examples = [
-                Triplet(noisy[i], clean[i], one_hot(int(labels[i]), 10) if i < n_labeled else None)
-                for i in range(len(pool_idx))
-            ]
+            y = np.eye(10)[train_set.labels[pool_idx]]
+            labeled = {"y": np.arange(len(pool_idx)) < n_labeled}
+            ds_tr = Dataset.from_arrays(header, x=noisy, x_star=clean, y=y, present=labeled)
             base = _base(rep, train_config, train_config, arch, unlabeled_weight=unlabeled_weight)
-            yield f"rep {r}", Dataset(header, examples), ds_te, base
+            yield f"rep {r}", ds_tr, ds_te, base
 
     config = _snapshot(
         "cifar", locals(),
@@ -492,8 +495,10 @@ def run_multitask(
     n_tasks = table.n_outputs
     master = RngStream(seed)
     perm = master.fork("split").generator().permutation(table.n)
-    if table.n <= n_train:
-        raise ValueError(f"table has {table.n} rows; need more than n_train={n_train}")
+    if not 1 <= n_train < table.n:
+        raise ValueError(f"n_train must lie in [1, {table.n - 1}] (rows - 1), got {n_train}")
+    if test_cap < 1:
+        raise ValueError(f"test_cap must be >= 1, got {test_cap}")
     train_idx = perm[:n_train]
     test_idx = perm[n_train : n_train + test_cap]
 
@@ -505,12 +510,9 @@ def run_multitask(
     Xs = (X - x_mean) / x_std
     Ys = (Y - y_mean) / y_std
 
-    def base_dataset(rows):
-        header = DatasetHeader(table.n_inputs, 0, n_tasks, "regression")
-        return Dataset(header, [Triplet(x=Xs[i], y=Ys[i]) for i in rows])
-
-    base_tr = base_dataset(train_idx)
-    base_te = base_dataset(test_idx)
+    header = DatasetHeader(table.n_inputs, 0, n_tasks, "regression")
+    base_tr = Dataset.from_arrays(header, x=Xs[train_idx], y=Ys[train_idx])
+    base_te = Dataset.from_arrays(header, x=Xs[test_idx], y=Ys[test_idx])
 
     def problems():
         for j in range(n_tasks):

@@ -103,6 +103,12 @@ class TestDownscale:
         imgs = np.zeros((3, 28, 28, 1), dtype=np.uint8)
         assert downscale(imgs).shape == (3, 7, 7)
 
+    def test_pixel_images_give_the_block_mean_bit_for_bit(self):
+        imgs = np.random.default_rng(6).integers(0, 256, size=(50, 28, 28, 1), dtype=np.uint8)
+        blocks = imgs[..., 0].astype(np.float64).reshape(50, 7, 4, 7, 4)
+        expected = blocks.mean(axis=(-3, -1)) / 255.0
+        assert downscale(imgs).tobytes() == expected.tobytes()
+
     def test_wrong_shape(self):
         with pytest.raises(ValueError):
             downscale(np.zeros((27, 28)))
@@ -183,6 +189,11 @@ class TestPollute:
         with pytest.raises(ValueError):
             pollute(np.zeros(3), -1.0, RngStream(0))
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            pollute(np.zeros(3), sigma, RngStream(0))
+
 
 class TestMultitaskCsv:
     def write(self, tmp_path, lines):
@@ -214,6 +225,14 @@ class TestMultitaskCsv:
         cells = ["1.0"] * 27 + ["oops"]
         p = self.write(tmp_path, [",".join(cells)])
         with pytest.raises(TableFormatError, match="row 1"):
+            load_multitask_csv(p)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        cells = ["1.0"] * 28
+        cells[5] = cell
+        p = self.write(tmp_path, [self.row(), ",".join(cells)])
+        with pytest.raises(TableFormatError, match=f"^row 2, column 6: '{cell}' is not finite"):
             load_multitask_csv(p)
 
     def test_whitespace_delimiter(self, tmp_path):

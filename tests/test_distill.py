@@ -83,8 +83,7 @@ class TestTrainTeacher:
 
     def test_all_privileged_missing_is_an_error(self):
         data = toy_dataset(n=10)
-        for t in data.examples:
-            t.x_star = None
+        data = Dataset(data.header, [Triplet(t.x, None, t.y) for t in data.examples])
         with pytest.raises(ValueError):
             train_teacher(data, small_cfg())
 
@@ -350,11 +349,12 @@ class TestColumns:
             Dataset.from_arrays(DatasetHeader(2, 1, 2), x=np.zeros((3, 2)), y=np.eye(2))
 
     def test_triplet_columns_are_the_stacked_rows(self):
-        data = toy_dataset(n=12)
+        triplets = toy_dataset(n=12).examples
+        data = Dataset(DatasetHeader(4, 2, 2), triplets)
         for view in ("x", "x_star", "y"):
             rows = np.asarray([getattr(t, view) for t in data.examples])
             assert np.array_equal(data.column(view), rows)
-            assert not np.shares_memory(data.column(view), getattr(data.examples[0], view))
+            assert not np.shares_memory(data.column(view), getattr(triplets[0], view))
 
     def test_columns_are_read_only(self):
         X = np.arange(6.0).reshape(3, 2)
@@ -365,6 +365,61 @@ class TestColumns:
                 col -= 1.0
             np.testing.assert_array_equal(ds.column(view), col)
         assert X.flags.writeable  # the caller's own array is left writable
+
+    def test_zero_rows_keep_the_header_widths(self):
+        header = DatasetHeader(3, 2, 2)
+        for ds in (Dataset(header, []), Dataset.from_arrays(header, x=np.empty((0, 3)))):
+            assert len(ds) == 0 and ds.examples == ()
+            assert ds.column("x").shape == (0, 3)
+
+    def test_from_arrays_builds_no_triplet(self, monkeypatch):
+        built, init = [], Triplet.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Triplet, "__init__", counted)
+        n, rng = 10_000, np.random.default_rng(6)
+        ds = Dataset.from_arrays(
+            DatasetHeader(3, 2, 2), rng.normal(size=(n, 3)), rng.normal(size=(n, 2)),
+            np.eye(2)[rng.integers(0, 2, n)],
+        )
+        assert len(ds) == n and built == []
+        assert len(ds.examples) == len(built) == n  # the count does see Triplets
+
+    def test_example_rows_are_the_column_rows(self):
+        rows = toy_dataset(n=9, unlabeled_from=6)
+        X, Xs = rows.column("x"), rows.column("x_star")
+        Y = np.eye(2)[[int(t.x[0] + t.x[1] > 0) for t in rows.examples]]
+        built = Dataset.from_arrays(rows.header, X, Xs, Y, present={"y": np.arange(9) < 6})
+        for ds in (rows, built):
+            examples = ds.examples
+            for view, col in (("x", X), ("x_star", Xs)):
+                rows = [getattr(t, view) for t in examples]
+                np.testing.assert_array_equal(rows, col)
+                np.testing.assert_array_equal(rows, ds.column(view))
+            assert [t.y is None for t in examples] == [False] * 6 + [True] * 3
+            np.testing.assert_array_equal([t.y for t in examples[:6]], Y[:6])
+            with pytest.raises(ValueError, match="read-only"):
+                examples[0].x[0] = 1.0
+
+    def test_from_arrays_checks_present_labels_only(self):
+        header, X = DatasetHeader(2, 0, 2), np.zeros((3, 2))
+        Y = np.array([[1.0, 0.0], [np.nan, 7.0], [0.7, 0.7]])
+        with pytest.raises(ValueError, match="^example 2: .*sums to 1.4"):
+            Dataset.from_arrays(header, x=X, y=Y, present={"y": np.array([True, False, True])})
+        ds = Dataset.from_arrays(header, x=X, y=Y, present={"y": np.array([True, False, False])})
+        assert [t.y is None for t in ds.examples] == [False, True, True]
+        with pytest.raises(ValueError, match="example 1 has no y"):
+            ds.column("y")
+        with pytest.raises(ValueError, match=r"mask of y has shape \(2,\)"):
+            Dataset.from_arrays(header, x=X, y=Y, present={"y": np.ones(2, dtype=bool)})
+
+    def test_from_arrays_rejects_a_width_off_the_header(self):
+        header, X = DatasetHeader(3, 2, 2), np.zeros((4, 3))
+        with pytest.raises(ValueError, match=r"x_star has shape \(4, 3\), header says \(4, 2\)"):
+            Dataset.from_arrays(header, x=X, x_star=X)
 
     def test_missing_field_names_the_example(self):
         data = toy_dataset(n=8, unlabeled_from=5)

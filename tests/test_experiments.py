@@ -256,6 +256,20 @@ class TestMnistMachinery:
             run_mnist(**mnist_kwargs(mnist_dir, reps=1, **grid))
         assert trained == []
 
+    @pytest.mark.parametrize("n_train", [0, -1, 81])
+    def test_bad_n_train_rejected_before_training(self, mnist_dir, monkeypatch, n_train):
+        # the fixture has 80 training images
+        with pytest.raises(ValueError, match="n_train"):
+            run_mnist(**mnist_kwargs(mnist_dir, reps=0, n_train=n_train))
+        trained = []
+        monkeypatch.setattr(experiments, "train_teacher", lambda *args: trained.append(args))
+        with pytest.raises(ValueError, match="n_train"):
+            run_mnist(**mnist_kwargs(mnist_dir, reps=1, n_train=n_train))
+        assert trained == []
+
+    def test_every_training_image_may_be_drawn(self, mnist_dir):
+        assert run_mnist(**mnist_kwargs(mnist_dir, reps=0, n_train=80)).status == "complete"
+
     def test_accuracy_equals_stacked_rows(self, mnist_dir, monkeypatch):
         calls = recorded(monkeypatch, "accuracy")
         run_mnist(**mnist_kwargs(mnist_dir, reps=1))
@@ -292,6 +306,27 @@ class TestCifarMachinery:
         )
         kw.update(over)
         return kw
+
+    @pytest.mark.parametrize(
+        "bad", [dict(n_labeled=0), dict(n_labeled=51), dict(max_unlabeled=-1)]
+    )
+    def test_bad_sample_size_rejected_before_training(self, cifar_dir, monkeypatch, bad):
+        # the fixture has 50 training images
+        (name,) = bad
+        with pytest.raises(ValueError, match=name):
+            run_cifar_semisup(**self.cifar_kwargs(cifar_dir, reps=0, **bad))
+        trained = []
+        monkeypatch.setattr(experiments, "train_teacher", lambda *args: trained.append(args))
+        with pytest.raises(ValueError, match=name):
+            run_cifar_semisup(**self.cifar_kwargs(cifar_dir, reps=1, **bad))
+        assert trained == []
+
+    def test_bad_sigma_rejected_before_training(self, cifar_dir, monkeypatch):
+        trained = []
+        monkeypatch.setattr(experiments, "train_teacher", lambda *args: trained.append(args))
+        with pytest.raises(ValueError, match="sigma"):
+            run_cifar_semisup(**self.cifar_kwargs(cifar_dir, sigma=math.nan))
+        assert trained == []
 
     def test_zero_unlabeled_weight_reduces_to_labeled_only(self, cifar_dir):
         report = run_cifar_semisup(**self.cifar_kwargs(cifar_dir, unlabeled_weight=0.0))
@@ -387,6 +422,17 @@ class TestMultitaskMachinery:
     def test_needs_enough_rows(self, multitask_path):
         with pytest.raises(ValueError):
             run_multitask(multitask_path, n_train=60)
+
+    @pytest.mark.parametrize(
+        "bad", [dict(n_train=0), dict(n_train=-1), dict(test_cap=0), dict(test_cap=-5)]
+    )
+    def test_bad_sample_size_rejected_before_training(self, multitask_path, monkeypatch, bad):
+        (name,) = bad
+        trained = []
+        monkeypatch.setattr(experiments, "train_teacher", lambda *args: trained.append(args))
+        with pytest.raises(ValueError, match=name):
+            run_multitask(multitask_path, **self.mt_kwargs(multitask_path, **bad))
+        assert trained == []
 
 
 class TestCli:

@@ -107,8 +107,9 @@ class TestSharedRelevantSubset:
         hp = draw_hyperplane(spec, RngStream(11))
         ds = gen_exp3(spec, hp)
         outside = np.setdiff1d(np.arange(spec.d), hp.relevant)
-        for t in ds.examples:
-            t.x[outside] = 123.0  # mutate unused coordinates
+        X = ds.column("x").copy()
+        X[:, outside] = 123.0  # mutate unused coordinates
+        ds = Dataset.from_arrays(ds.header, X, ds.column("x_star"), ds.column("y"), ds.meta)
         np.testing.assert_array_equal(replay_labels(ds), stored_classes(ds))
 
     def test_missing_relevant_set_rejected(self):
@@ -172,7 +173,9 @@ class TestDump:
     def test_round_trip(self, tmp_path):
         spec = spec_for(1, n_train=20)
         ds = gen_exp1(spec, draw_hyperplane(spec, RngStream(30)))
-        ds.examples[3].y = None  # exercise the missing-field token
+        labeled = {"y": np.arange(len(ds)) != 3}  # exercise the missing-field token
+        columns = [ds.column(v) for v in ("x", "x_star", "y")]
+        ds = Dataset.from_arrays(ds.header, *columns, present=labeled)
         path = tmp_path / "dump.txt"
         dump_dataset(ds, path)
         back = load_dataset(path)
