@@ -243,14 +243,21 @@ def load_multitask_csv(path, delimiter: str = ",") -> MultitaskTable:
     """
     arity = 28
     rows = []
-    with open(path, "r", encoding="ascii") as f:
+    # a byte that is not ASCII reads as a lone surrogate, so that its row can be named
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as f:
         for row_no, line in enumerate(f, start=1):
             line = line.strip()
+            if not line.isascii():
+                raise TableFormatError(f"row {row_no}: not ASCII text")
             if not line:
                 continue
             cells = line.split(delimiter) if delimiter is not None else line.split()
             if len(cells) != arity:
                 raise TableFormatError(f"row {row_no}: expected {arity} columns, got {len(cells)}")
+            if any("_" in c for c in cells):  # float() takes digit separators, as in 1_0
+                k = next(k for k, c in enumerate(cells) if "_" in c)
+                where = f"row {row_no}, column {k + 1}"
+                raise TableFormatError(f"{where}: {cells[k]!r} is not a number")
             try:
                 values = [float(c) for c in cells]
             except ValueError as e:

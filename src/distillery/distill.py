@@ -29,8 +29,8 @@ from .models import (
     REGRESSION,
     Arch,
     Model,
+    Packed,
     TrainConfig,
-    WeightedTarget,
     forward,
     init_model,
     train,
@@ -211,14 +211,15 @@ class DistillConfig:
 
 def train_teacher(data: Dataset, cfg: DistillConfig) -> Model:
     """Step 1: fit the teacher on (x_star, y) pairs with hard labels only."""
-    ids = np.flatnonzero(data._masks["x_star"] & data._masks["y"]).tolist()
-    if not ids:
+    ids = np.flatnonzero(data._masks["x_star"] & data._masks["y"])
+    if not ids.size:
         raise ValueError("no examples with both privileged features and a label")
-    X, Y = data._cols["x_star"], data._cols["y"]
-    batch = [(X[i], WeightedTarget(hard=Y[i], hard_weight=1.0)) for i in ids]
+    h, n, Y = data.header, len(ids), data._cols["y"][ids]
+    hard, no_soft = (Y, np.ones(n), np.ones(n, bool)), (Y, np.zeros(n), np.zeros(n, bool))
+    batch = Packed(data._cols["x_star"][ids], h.task, hard, no_soft, ids)
     rng = cfg.teacher_train.rng
-    m0 = init_model(cfg.teacher_arch, data.header.d_star, data.header.c, data.header.task, rng.fork("init"))
-    return train(m0, batch, replace(cfg.teacher_train, rng=rng.fork("shuffle")), ids=ids)
+    m0 = init_model(cfg.teacher_arch, h.d_star, h.c, h.task, rng.fork("init"))
+    return train(m0, batch, replace(cfg.teacher_train, rng=rng.fork("shuffle")))
 
 
 def soft_labels(teacher: Model, data: Dataset, T: float) -> list[tuple[int, np.ndarray]]:
@@ -237,34 +238,53 @@ def soft_labels(teacher: Model, data: Dataset, T: float) -> list[tuple[int, np.n
     return list(zip(ids.tolist(), out))
 
 
+def _soft_column(soft, n: int, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """`soft`'s (id, vector) pairs as an (n, c) column, zero elsewhere, and the
+    mask of its ids.  Raises ValueError naming an id that is not an integer
+    in [0, n), is listed twice, or has a vector not of shape (c,)."""
+    S, has = np.zeros((n, c)), np.zeros(n, dtype=bool)
+    if not len(soft):
+        return S, has
+    ids, vectors = zip(*soft)
+    ids = np.asarray(ids)
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"soft label ids must be integers, not {ids.dtype}")
+    outside = (ids < 0) | (ids >= n)
+    if outside.any():
+        raise ValueError(f"soft label id {ids[np.argmax(outside)]} is outside [0, {n})")
+    repeated = np.bincount(ids, minlength=n) > 1
+    if repeated.any():
+        raise ValueError(f"soft label id {np.argmax(repeated)} is listed more than once")
+    if set(map(np.shape, vectors)) != {(c,)}:
+        i, v = next((i, v) for i, v in soft if np.shape(v) != (c,))
+        raise ValueError(f"example {i}: soft target has shape {np.shape(v)}, expected ({c},)")
+    S[ids], has[ids] = vectors, True
+    return S, has
+
+
 def distill_student(data: Dataset, soft, cfg: DistillConfig) -> Model:
     """Step 3: train the student on regular features with mixed targets.
 
     Labeled examples weigh their hard label by (1 - imitation) and their
     soft label by imitation; unlabeled ones get only the soft term,
-    scaled further by unlabeled_weight.  Examples whose every weight is
-    zero (e.g. unlabeled ones under imitation = 0) drop out entirely.
+    scaled further by unlabeled_weight.  Examples without x, or whose
+    every weight is zero (e.g. unlabeled ones under imitation = 0), drop out.
     """
-    soft_map = dict(soft)
-    lam = cfg.imitation
-    X, Y, labeled = data._cols["x"], data._cols["y"], data._masks["y"]
-    ids, batch = [], []
-    for i in np.flatnonzero(data._masks["x"]).tolist():
-        y, s = (Y[i] if labeled[i] else None), soft_map.get(i)
-        hard_w = (1.0 - lam) if y is not None else 0.0
-        soft_w = 0.0 if s is None else lam if y is not None else lam * cfg.unlabeled_weight
-        if hard_w == 0.0 and soft_w == 0.0:
-            continue
-        ids.append(i)
-        batch.append((X[i], WeightedTarget(y, s, hard_w, soft_w)))
-    if not batch:
+    h, lam, labeled = data.header, cfg.imitation, data._masks["y"]
+    S, has_soft = _soft_column(soft, len(data), h.c)
+    hw = np.where(labeled, 1.0 - lam, 0.0)
+    sw = np.where(has_soft, np.where(labeled, lam, lam * cfg.unlabeled_weight), 0.0)
+    ids = np.flatnonzero(data._masks["x"] & ((hw != 0.0) | (sw != 0.0)))
+    if not ids.size:
         raise ValueError("no usable examples to distill into the student")
+    hard = (data._cols["y"][ids], hw[ids], labeled[ids])
+    batch = Packed(data._cols["x"][ids], h.task, hard, (S[ids], sw[ids], has_soft[ids]), ids)
     T_student = 1.0
-    if cfg.match_teacher_temperature and data.header.task == CLASSIFICATION:
+    if cfg.match_teacher_temperature and h.task == CLASSIFICATION:
         T_student = cfg.temperature
     rng = cfg.student_train.rng
-    m0 = init_model(cfg.student_arch, data.header.d, data.header.c, data.header.task, rng.fork("init"))
-    return train(m0, batch, replace(cfg.student_train, rng=rng.fork("shuffle")), T_student, ids=ids)
+    m0 = init_model(cfg.student_arch, h.d, h.c, h.task, rng.fork("init"))
+    return train(m0, batch, replace(cfg.student_train, rng=rng.fork("shuffle")), T_student)
 
 
 def restrict_simplex(p: np.ndarray, classes) -> np.ndarray:

@@ -174,6 +174,13 @@ def _base(stream: RngStream, teacher_train, student_train, arch, **extra) -> Dis
     )
 
 
+def _check_batch(name: str, n: int, *configs: TrainConfig) -> None:
+    """Reject a training sample `name` of n rows smaller than a config's batch."""
+    for cfg in configs:
+        if n < cfg.batch_size:
+            raise ValueError(f"{name} {n} is smaller than batch_size {cfg.batch_size}")
+
+
 def _repeat(problems, T_grid, lambda_grid, metric="accuracy", arms=None, per_task=False):
     """Generalized distillation over a stream of problems: (results, errors).
 
@@ -302,6 +309,7 @@ def run_synthetic(
     """
     if spec is None:
         spec = SyntheticSpec(experiment)
+    _check_batch("spec.n_train", spec.n_train, teacher_train, student_train)
     master = RngStream(seed)
 
     def problems():
@@ -374,6 +382,7 @@ def run_mnist(
     test_set = load_idx(paths[2], paths[3])
     if not 1 <= n_train <= train_set.n:
         raise ValueError(f"n_train must lie in [1, {train_set.n}] (training images), got {n_train}")
+    _check_batch("n_train", n_train, train_config)
 
     header = DatasetHeader(49, 784, 10)
     full_te = test_set.to_features()
@@ -432,6 +441,7 @@ def run_cifar_semisup(
     test_set = load_cifar([paths[-1]])
     if not 1 <= n_labeled <= train_set.n:
         raise ValueError(f"n_labeled must lie in [1, {train_set.n}] (images), got {n_labeled}")
+    _check_batch("n_labeled", n_labeled, train_config)
     if max_unlabeled is not None and max_unlabeled < 0:
         raise ValueError(f"max_unlabeled must be >= 0 or None, got {max_unlabeled}")
 
@@ -499,6 +509,7 @@ def run_multitask(
         raise ValueError(f"n_train must lie in [1, {table.n - 1}] (rows - 1), got {n_train}")
     if test_cap < 1:
         raise ValueError(f"test_cap must be >= 1, got {test_cap}")
+    _check_batch("n_train", n_train, train_config)
     train_idx = perm[:n_train]
     test_idx = perm[n_train : n_train + test_cap]
 

@@ -29,6 +29,7 @@ __all__ = [
     "Model",
     "TrainConfig",
     "WeightedTarget",
+    "Packed",
     "Gradient",
     "TrainingDivergence",
     "init_model",
@@ -251,50 +252,64 @@ class WeightedTarget:
             raise ValueError("target weights must be >= 0")
 
 
-def _pack(batch, c: int, task: str, names) -> tuple[np.ndarray, tuple]:
-    """Features and row-aligned target columns of a list of (x, WeightedTarget).
+class Packed:
+    """Checked training columns of n rows: features X (n, d) and the target
+    columns the loss needs; len() is n.  Errors name row i `names[i]`.
 
-    Rows are copied in one pass, an absent target as a zero row with zero
-    weight; `names[i]` names row i in errors.  Classification targets are
-    then validated in one array test per kind (hard, soft) and combined
-    into the two row quantities the loss and its gradient need,
-    Y = hw * hard + sw * soft and the column w_tot = hw * sum(hard) +
-    sw * sum(soft), so a training step only gathers rows.  Regression
-    keeps (hard, soft, hw, sw).
+    `hard` and `soft` are each ((n, c) targets, row weights, mask of the rows
+    that have the target); an absent row reads as zero and must weigh 0.
+    Features must be finite, and present classification targets probability
+    vectors, combined into Y = hw * hard + sw * soft and w_tot = hw * sum(hard)
+    + sw * sum(soft) for the loss; regression keeps (hard, soft, hw, sw).
     """
+
+    def __init__(self, X: np.ndarray, task: str, hard, soft, names):
+        cols = []
+        for kind, (rows, weights, present) in (("hard", hard), ("soft", soft)):
+            rows = np.where(present[:, None], rows, 0.0)
+            if task == CLASSIFICATION:
+                # check_simplex's test on every present row at once (NaN and +-inf
+                # fail it too); check_simplex itself runs only on the first failing row
+                ok = simplex_rows(rows) | ~present
+                if not ok.all():
+                    i = int(np.argmin(ok))
+                    try:
+                        check_simplex(rows[i])
+                    except ValueError as e:
+                        raise ValueError(f"example {names[i]}: {kind} target: {e}") from None
+            cols += [rows, weights]
+        finite = np.isfinite(X).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"example {names[np.argmin(finite)]}: features are not finite")
+        hard, hw, soft, sw = cols
+        if task == REGRESSION:
+            self.X, self.targets = X, (hard, soft, hw, sw)
+        else:
+            w_tot = hw * np.sum(hard, axis=1) + sw * np.sum(soft, axis=1)
+            self.X, self.targets = X, (hw[:, None] * hard + sw[:, None] * soft, w_tot[:, None])
+
+    def __len__(self) -> int:
+        return len(self.X)
+
+
+def _pack(batch, c: int, task: str) -> Packed:
+    """The Packed of a list of (x, WeightedTarget); row i is named i."""
     if not batch:
         raise ValueError("empty batch")
-    xs = np.asarray([np.asarray(x, dtype=np.float64) for x, _ in batch])
+    X = np.asarray([np.asarray(x, dtype=np.float64) for x, _ in batch])
     n = len(batch)
-    hard, soft = np.zeros((n, c)), np.zeros((n, c))
-    hw, sw = np.zeros(n), np.zeros(n)
-    has_hard, has_soft = [], []
+    cols = {kind: (np.zeros((n, c)), np.zeros(n), np.zeros(n, bool)) for kind in ("hard", "soft")}
     for i, (_, t) in enumerate(batch):
-        for kind, v in (("hard", t.hard), ("soft", t.soft)):
-            if v is not None and np.shape(v) != (c,):
+        for kind, v, w in (("hard", t.hard, t.hard_weight), ("soft", t.soft, t.soft_weight)):
+            if v is None:
+                continue
+            if np.shape(v) != (c,):
                 raise ValueError(
-                    f"example {names[i]}: {kind} target has shape {np.shape(v)}, expected ({c},)"
+                    f"example {i}: {kind} target has shape {np.shape(v)}, expected ({c},)"
                 )
-        if t.hard is not None:
-            hard[i], hw[i] = t.hard, t.hard_weight
-            has_hard.append(i)
-        if t.soft is not None:
-            soft[i], sw[i] = t.soft, t.soft_weight
-            has_soft.append(i)
-    if task == REGRESSION:
-        return xs, (hard, soft, hw, sw)
-    for kind, rows, present in (("hard", hard, has_hard), ("soft", soft, has_soft)):
-        # check_simplex's test on every present row at once (NaN and +-inf
-        # fail it too); check_simplex itself runs only on the first failing row
-        ok = simplex_rows(rows[present])
-        if not ok.all():
-            i = present[int(np.argmin(ok))]
-            try:
-                check_simplex(getattr(batch[i][1], kind))
-            except ValueError as e:
-                raise ValueError(f"example {names[i]}: {kind} target: {e}") from None
-    w_tot = hw * np.sum(hard, axis=1) + sw * np.sum(soft, axis=1)
-    return xs, (hw[:, None] * hard + sw[:, None] * soft, w_tot[:, None])
+            rows, weights, present = cols[kind]
+            rows[i], weights[i], present[i] = v, w, True
+    return Packed(X, task, cols["hard"], cols["soft"], range(n))
 
 
 class _Flat:
@@ -320,7 +335,7 @@ def _loss_grad(p: _Flat, X: np.ndarray, tgt: tuple, T: float, task: str, l2: flo
     penalty; given a `_Flat` `grad` of the same layout, also writes the
     exact gradient into it.
 
-    `tgt` holds the target columns of `_pack`, restricted to the rows of X.
+    `tgt` holds the target columns of a `Packed`, restricted to the rows of X.
     Every layer's gradient is formed from the weights as they are on
     entry, so the caller may update all of them afterwards at once.
     """
@@ -359,75 +374,56 @@ def _loss_grad(p: _Flat, X: np.ndarray, tgt: tuple, T: float, task: str, l2: flo
     return value
 
 
-def _checked_pack(m: Model, batch, T_student: float, names=None):
+def _checked(m: Model, data, T_student: float) -> Packed:
+    """`data` (a Packed, or a list of (x, WeightedTarget)) as a Packed that fits m."""
     if not T_student > 0:
         raise ValueError("T_student must be positive")
-    X, tgt = _pack(batch, m.output_dim, m.task, range(len(batch)) if names is None else names)
-    if X.shape[1] != m.input_dim:
-        raise ValueError(f"expected features of dimension {m.input_dim}, got {X.shape[1]}")
-    return X, tgt
+    if not isinstance(data, Packed):
+        data = _pack(data, m.output_dim, m.task)
+    got = (data.X.shape[1], data.targets[0].shape[1])
+    if got != (m.input_dim, m.output_dim):
+        raise ValueError(f"expected (d, c) = {(m.input_dim, m.output_dim)}, got {got}")
+    return data
 
 
 def loss(m: Model, batch, T_student: float = 1.0, l2: float = 0.0) -> float:
     """Mean weighted hard/soft loss over the batch plus the L2 penalty.
 
-    batch is a list of (x, WeightedTarget).  T_student rescales the
-    model's logits before the softmax (classification only).
+    batch is a Packed or a list of (x, WeightedTarget).  T_student
+    rescales the model's logits before the softmax (classification only).
     """
-    X, tgt = _checked_pack(m, batch, T_student)
-    return _loss_grad(_Flat(m.weights, m.biases), X, tgt, T_student, m.task, l2)
+    data = _checked(m, batch, T_student)
+    return _loss_grad(_Flat(m.weights, m.biases), data.X, data.targets, T_student, m.task, l2)
 
 
 def gradient(m: Model, batch, T_student: float = 1.0, l2: float = 0.0) -> Gradient:
     """Exact gradient of loss() with respect to every parameter."""
-    X, tgt = _checked_pack(m, batch, T_student)
+    data = _checked(m, batch, T_student)
     grad = _Flat(m.weights, m.biases)  # same layout, overwritten
-    _loss_grad(_Flat(m.weights, m.biases), X, tgt, T_student, m.task, l2, grad)
+    _loss_grad(_Flat(m.weights, m.biases), data.X, data.targets, T_student, m.task, l2, grad)
     return Gradient(grad.weights, grad.biases)
 
 
-def train(
-    m0: Model,
-    data,
-    cfg: TrainConfig,
-    T_student: float = 1.0,
-    ids=None,
-) -> Model:
-    """Mini-batch SGD from m0; returns the final model.
+def train(m0: Model, data, cfg: TrainConfig, T_student: float = 1.0) -> Model:
+    """Mini-batch SGD from m0 on `data` (a Packed or a list of (x, WeightedTarget));
+    returns the final model.
 
-    Batches are drawn by a seeded shuffle each epoch.  When `ids` are
-    given they must be distinct, and examples are first put in
-    ascending-id order, so the result does not depend on the order the
-    caller listed them in.  The returned model owns fresh arrays (m0 is
-    left as it was) and records the mean batch loss per epoch in
-    `loss_history`.
+    Batches are drawn by a seeded shuffle each epoch.  The returned model
+    owns fresh arrays (m0 is left as it was) and records the mean batch
+    loss per epoch in `loss_history`.
 
-    Raises ValueError naming the example (its id, else its position) if
-    its features are not finite or a target is malformed (classification:
-    not a probability vector), and TrainingDivergence (with the epoch
-    index) if the loss ever becomes non-finite.
+    Raises ValueError naming the example (its position in a list) if its
+    features are not finite or a target is malformed (classification: not
+    a probability vector), and TrainingDivergence (with the epoch index)
+    if the loss ever becomes non-finite.
     """
-    if not data:
-        raise ValueError("empty training data")
     n = len(data)
+    if not n:
+        raise ValueError("empty training data")
     if cfg.batch_size > n:
         raise ValueError(f"batch_size {cfg.batch_size} exceeds data size {n}")
-    names = np.arange(n)
-    if ids is not None:
-        if len(ids) != n:
-            raise ValueError("ids must match data length")
-        order = np.argsort(np.asarray(ids), kind="stable")
-        names = np.asarray(ids)[order]
-        repeated = names[1:] == names[:-1]
-        if repeated.any():
-            raise ValueError(f"duplicate id {names[1:][repeated][0]} in ids")
-        data = [data[i] for i in order]
-
-    X, tgt = _checked_pack(m0, data, T_student, names)
-    finite = np.isfinite(X).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"example {names[np.argmin(finite)]}: features are not finite")
-
+    data = _checked(m0, data, T_student)
+    X, tgt = data.X, data.targets
     params = _Flat(m0.weights, m0.biases)
     grad = _Flat(m0.weights, m0.biases)  # same layout; every step overwrites it
     shuffle = cfg.rng.generator()

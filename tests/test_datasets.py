@@ -1,7 +1,10 @@
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from distillery.core import RngStream
 from distillery.datasets import (
@@ -195,6 +198,20 @@ class TestPollute:
             pollute(np.zeros(3), sigma, RngStream(0))
 
 
+# any text but the delimiter and line breaks, which would move a cell to
+# another column or row
+CELL_TEXT = st.characters(blacklist_categories=("Cs",), blacklist_characters=",\r\n")
+
+
+def number(cell):
+    """A table cell's value, or None where the loader must reject it."""
+    try:
+        value = float(cell)
+    except ValueError:
+        return None
+    return value if "_" not in cell and math.isfinite(value) else None
+
+
 class TestMultitaskCsv:
     def write(self, tmp_path, lines):
         p = tmp_path / "table.csv"
@@ -234,6 +251,39 @@ class TestMultitaskCsv:
         p = self.write(tmp_path, [self.row(), ",".join(cells)])
         with pytest.raises(TableFormatError, match=f"^row 2, column 6: '{cell}' is not finite"):
             load_multitask_csv(p)
+
+    def test_digit_separator_names_row_and_column(self, tmp_path):
+        cells = ["1.0"] * 28
+        cells[5] = "1_0"
+        p = self.write(tmp_path, [self.row(), ",".join(cells)])
+        with pytest.raises(TableFormatError, match="^row 2, column 6: '1_0' is not a number"):
+            load_multitask_csv(p)
+
+    @given(
+        st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=28,
+                          max_size=28), min_size=1, max_size=3),
+        st.lists(st.tuples(st.integers(0, 2), st.integers(0, 27), st.text(CELL_TEXT, max_size=8)),
+                 max_size=3),
+    )
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_arbitrary_cells_parse_to_equal_rows_or_name_their_row(self, tmp_path, rows, edits):
+        cells = [[repr(v) for v in row] for row in rows]
+        for r, k, text in edits:
+            cells[r % len(cells)][k] = text
+        lines = [",".join(row) for row in cells]
+        p = tmp_path / "table.csv"
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        # the format: a row is a stripped ASCII line, split at the delimiter
+        # into finite numbers written without digit separators
+        expected = [[number(c) for c in line.strip().split(",")] if line.isascii() else [None]
+                    for line in lines]
+        bad = [r for r, values in enumerate(expected, start=1) if None in values]
+        if bad:
+            with pytest.raises(TableFormatError, match=f"^row {bad[0]}[:,]"):
+                load_multitask_csv(p)
+        else:
+            assert load_multitask_csv(p).rows.tobytes() == np.array(expected).tobytes()
 
     def test_whitespace_delimiter(self, tmp_path):
         p = self.write(tmp_path, [" ".join(["2.5"] * 28)])

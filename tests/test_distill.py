@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from distillery.distill import (
     train_teacher,
     universum_soft_labels,
 )
-from distillery.models import TrainConfig, forward, init_model
+from distillery.models import TrainConfig, WeightedTarget, forward, init_model, train
 
 
 def toy_dataset(n=30, seed=0, unlabeled_from=None):
@@ -33,6 +35,13 @@ def toy_dataset(n=30, seed=0, unlabeled_from=None):
             y = None
         examples.append(Triplet(X[i], Xs[i], y))
     return Dataset(DatasetHeader(4, 2, 2), examples)
+
+
+def toy_columns(n=30):
+    """The header and the x, x_star and y columns of toy_dataset(n), to edit."""
+    data = toy_dataset(n=n)
+    cols = {v: np.array([getattr(t, v) for t in data.examples]) for v in ("x", "x_star", "y")}
+    return data.header, cols
 
 
 def small_cfg(seed=0, **kw):
@@ -183,6 +192,40 @@ class TestDistillStudent:
         soft[17] = (soft[17][0], np.array([0.5, 0.4]))
         with pytest.raises(ValueError, match=f"^example {soft[17][0]}: soft target: .*sums to 0.9"):
             distill_student(data, soft, cfg)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda soft: soft + [(30, soft[0][1])], "soft label id 30 is outside"),
+            (lambda soft: soft + [(-1, soft[0][1])], "soft label id -1 is outside"),
+            (lambda soft: soft + [(7, soft[0][1])], "soft label id 7 is listed more than once"),
+            (lambda soft: soft + [(2.0, soft[0][1])], "soft label ids must be integers"),
+            (lambda soft: soft[:4] + [(4, np.ones(3) / 3)], r"^example 4: soft target has shape"),
+        ],
+        ids=["past-the-end", "negative", "repeated", "float", "bad-shape"],
+    )
+    def test_bad_soft_ids_and_shapes_rejected(self, edit, message):
+        data = toy_dataset(n=30)
+        cfg = small_cfg(imitation=0.5)
+        soft = soft_labels(train_teacher(data, cfg), data, cfg.temperature)
+        with pytest.raises(ValueError, match=message):
+            distill_student(data, edit(soft), cfg)
+
+    def test_soft_labels_of_rows_without_x_are_ignored(self):
+        data = toy_dataset(n=30)
+        has_x = np.arange(30) % 4 != 1
+        header, cols = toy_columns(30)
+        part = Dataset.from_arrays(header, **cols, present={"x": has_x})
+        cfg = small_cfg(imitation=0.5)
+        soft = soft_labels(train_teacher(data, cfg), data, cfg.temperature)
+        kept = [(i, s) for i, s in soft if has_x[i]]
+        assert_same_bits(distill_student(part, soft, cfg), distill_student(part, kept, cfg))
+
+    def test_non_finite_features_name_the_example(self):
+        header, cols = toy_columns(30)
+        cols["x"][13, 2] = np.nan
+        with pytest.raises(ValueError, match="^example 13: features are not finite"):
+            distill_student(Dataset.from_arrays(header, **cols), [], small_cfg(imitation=0.0))
 
     def test_semi_supervised_uses_soft_only_for_unlabeled(self):
         data = toy_dataset(n=40, unlabeled_from=12)
@@ -427,3 +470,75 @@ class TestColumns:
             data.column("y")
         with pytest.raises(ValueError, match="unknown view"):
             data.column("z")
+
+
+def reference_teacher(data, cfg):
+    """train_teacher as a list of (x_star, WeightedTarget) rows."""
+    batch = [(t.x_star, WeightedTarget(hard=t.y, hard_weight=1.0)) for t in data.examples
+             if t.x_star is not None and t.y is not None]
+    h, rng = data.header, cfg.teacher_train.rng
+    m0 = init_model(cfg.teacher_arch, h.d_star, h.c, h.task, rng.fork("init"))
+    return train(m0, batch, replace(cfg.teacher_train, rng=rng.fork("shuffle")))
+
+
+def reference_student(data, soft, cfg):
+    """distill_student as a list of (x, WeightedTarget) rows, one per usable example."""
+    soft, lam, batch = dict(soft), cfg.imitation, []
+    for i, t in enumerate(data.examples):
+        s = soft.get(i)
+        hard_w = 0.0 if t.y is None else 1.0 - lam
+        soft_w = 0.0 if s is None else lam if t.y is not None else lam * cfg.unlabeled_weight
+        if t.x is not None and (hard_w != 0.0 or soft_w != 0.0):
+            batch.append((t.x, WeightedTarget(t.y, s, hard_w, soft_w)))
+    h, rng = data.header, cfg.student_train.rng
+    T = cfg.temperature if cfg.match_teacher_temperature and h.task == "classification" else 1.0
+    m0 = init_model(cfg.student_arch, h.d, h.c, h.task, rng.fork("init"))
+    return train(m0, batch, replace(cfg.student_train, rng=rng.fork("shuffle")), T)
+
+
+def assert_same_bits(a, b):
+    for wa, wb in zip(params(a), params(b)):
+        assert np.array_equal(wa, wb)
+    assert a.loss_history == b.loss_history
+
+
+def gappy_dataset(n=40, stored=0.0):
+    """toy_dataset with rows 24.. unlabeled, every 7th row without x and
+    every 5th without x_star; `stored` fills the absent cells."""
+    header, cols = toy_columns(n)
+    present = {"x": np.arange(n) % 7 != 3, "x_star": np.arange(n) % 5 != 2, "y": np.arange(n) < 24}
+    for view, mask in present.items():
+        cols[view][~mask] = stored
+    return Dataset.from_arrays(header, **cols, present=present)
+
+
+class TestColumnsTrainAsRows:
+    """train_teacher and distill_student equal `train` on the per-row list bit for bit."""
+
+    @pytest.mark.parametrize(
+        "lam,unlabeled_weight", list(itertools.product([0.0, 0.5, 1.0], [0.0, 2.5]))
+    )
+    def test_classification(self, lam, unlabeled_weight):
+        data = gappy_dataset()
+        cfg = small_cfg(imitation=lam, temperature=2.0, unlabeled_weight=unlabeled_weight)
+        teacher = train_teacher(data, cfg)
+        assert_same_bits(teacher, reference_teacher(data, cfg))
+        soft = soft_labels(teacher, data, cfg.temperature)
+        for c in (cfg, replace(cfg, match_teacher_temperature=True)):
+            assert_same_bits(distill_student(data, soft, c), reference_student(data, soft, c))
+
+    def test_regression_view(self):
+        data = multitask_views(multitask_data(n=30), 2)
+        cfg = small_cfg(imitation=0.5)
+        teacher = train_teacher(data, cfg)
+        assert_same_bits(teacher, reference_teacher(data, cfg))
+        soft = soft_labels(teacher, data, 1.0)
+        assert_same_bits(distill_student(data, soft, cfg), reference_student(data, soft, cfg))
+
+    def test_nan_under_an_absent_mask_is_never_read(self):
+        clean, dirty = gappy_dataset(), gappy_dataset(stored=np.nan)
+        cfg = small_cfg(imitation=0.5, unlabeled_weight=2.5)
+        teacher = train_teacher(dirty, cfg)
+        assert_same_bits(teacher, train_teacher(clean, cfg))
+        soft = soft_labels(teacher, dirty, cfg.temperature)
+        assert_same_bits(distill_student(dirty, soft, cfg), distill_student(clean, soft, cfg))

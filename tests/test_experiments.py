@@ -291,6 +291,31 @@ class TestMnistMachinery:
         assert run_from_config(report.config) == report
 
 
+@pytest.mark.parametrize("reps", [0, 1])
+@pytest.mark.parametrize("runner", ["synthetic", "mnist", "cifar", "multitask"])
+def test_sample_smaller_than_batch_rejected_before_training(
+    runner, reps, mnist_dir, cifar_dir, multitask_path, monkeypatch
+):
+    # each runner's smallest training sample, one row short of the batch
+    small = TrainConfig(learning_rate=0.05, epochs=2, batch_size=6)
+    calls = {
+        "synthetic": (lambda: run_synthetic(1, reps, SyntheticSpec(1, n_train=10, n_test=20)),
+                      "spec.n_train 10 is smaller than batch_size 32"),
+        "mnist": (lambda: run_mnist(**mnist_kwargs(mnist_dir, reps=reps, n_train=9)),
+                  "n_train 9 is smaller than batch_size 10"),
+        "cifar": (lambda: run_cifar_semisup(5, cifar_dir, reps=reps, train_config=small),
+                  "n_labeled 5 is smaller than batch_size 6"),
+        "multitask": (lambda: run_multitask(multitask_path, n_train=5, train_config=small),
+                      "n_train 5 is smaller than batch_size 6"),
+    }
+    call, message = calls[runner]
+    trained = []
+    monkeypatch.setattr(experiments, "train_teacher", lambda *args: trained.append(args))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+    assert trained == []
+
+
 class TestCifarMachinery:
     def cifar_kwargs(self, cifar_dir, **over):
         kw = dict(

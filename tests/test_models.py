@@ -3,12 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize
 from scipy.special import logsumexp
 
 from distillery.core import RngStream, one_hot, softmax
 from distillery.models import (
     Arch,
+    Model,
+    Packed,
     TrainConfig,
     TrainingDivergence,
     WeightedTarget,
@@ -241,6 +246,17 @@ class TestGradient:
             assert err <= 1e-4, f"case {k}: rel err {err}"
 
 
+def pack_args(batch):
+    """Packed's arguments, names aside, for a list of 2-class (x, WeightedTarget)."""
+    args = [np.array([x for x, _ in batch]), "classification"]
+    for kind in ("hard", "soft"):
+        targets = [getattr(t, kind) for _, t in batch]
+        present = np.array([v is not None for v in targets])
+        rows = np.array([np.zeros(2) if v is None else v for v in targets])
+        args.append((rows, np.array([getattr(t, f"{kind}_weight") for _, t in batch]), present))
+    return args
+
+
 def separable_batch():
     # 2-d, 2 classes, margin 1 around the axis x0 = 0
     rng = np.random.default_rng(12)
@@ -294,19 +310,6 @@ class TestTrain:
         for w1, w2 in zip(m1.weights + m1.biases, m2.weights + m2.biases):
             assert np.array_equal(w1, w2)
 
-    def test_invariant_to_example_order_given_ids(self):
-        batch = separable_batch()
-        ids = list(range(len(batch)))
-        cfg = TrainConfig(epochs=15, batch_size=8, rng=RngStream(5))
-        m0 = init_model("linear", 2, 2, rng=RngStream(6))
-        ref = train(m0, batch, cfg, ids=ids)
-        perm = np.random.default_rng(1).permutation(len(batch))
-        shuffled = [batch[i] for i in perm]
-        out = train(m0, shuffled, cfg, ids=[ids[i] for i in perm])
-        for w1, w2 in zip(ref.weights + ref.biases, out.weights + out.biases):
-            assert np.array_equal(w1, w2)
-        assert loss(ref, batch) == loss(out, batch)
-
     def test_doubling_epochs_never_increases_final_loss(self):
         # full-batch descent at a stable learning rate is monotone
         rng = np.random.default_rng(31)
@@ -329,20 +332,29 @@ class TestTrain:
             train(m0, data, cfg)
         assert isinstance(exc.value.epoch, int)
 
-    def test_duplicate_ids_rejected(self):
-        batch = separable_batch()
-        ids = list(range(len(batch)))
-        ids[7] = 3
-        with pytest.raises(ValueError, match="duplicate id 3"):
-            train(init_model("linear", 2, 2), batch, TrainConfig(epochs=1, batch_size=4), ids=ids)
-
     def test_non_finite_features_name_the_example(self):
         # a NaN feature is bad input, not a divergence at epoch 0
         batch = separable_batch()
         batch[4] = (np.array([np.nan, 0.0]), batch[4][1])
-        ids = [10 * i for i in range(len(batch))][::-1]
-        with pytest.raises(ValueError, match=f"example {ids[4]}: features are not finite"):
-            train(init_model("linear", 2, 2), batch, TrainConfig(epochs=1, batch_size=4), ids=ids)
+        cfg = TrainConfig(epochs=1, batch_size=4)
+        with pytest.raises(ValueError, match="^example 4: features are not finite"):
+            train(init_model("linear", 2, 2), batch, cfg)
+        names = 10 * np.arange(len(batch))[::-1]
+        with pytest.raises(ValueError, match=f"^example {names[4]}: features are not finite"):
+            Packed(*pack_args(batch), names)
+
+    def test_packed_columns_act_as_their_list(self):
+        batch = separable_batch()
+        packed = Packed(*pack_args(batch), range(len(batch)))
+        assert len(packed) == len(batch)
+        m0 = init_model(Arch.mlp(3), 2, 2, rng=RngStream(3))
+        cfg = TrainConfig(epochs=5, batch_size=8, rng=RngStream(4))
+        a, b = train(m0, packed, cfg), train(m0, batch, cfg)
+        for wa, wb in zip(a.weights + a.biases, b.weights + b.biases):
+            assert np.array_equal(wa, wb)
+        assert loss(a, packed, l2=0.1) == loss(a, batch, l2=0.1)
+        with pytest.raises(ValueError, match=r"expected \(d, c\) = \(2, 3\), got \(2, 2\)"):
+            train(init_model("linear", 2, 3), packed, cfg)
 
     def test_m0_untouched_and_result_owns_its_arrays(self):
         batch = separable_batch()
@@ -359,14 +371,15 @@ class TestTrain:
     @pytest.mark.parametrize("kind", ["hard", "soft"])
     def test_bad_target_names_the_example(self, kind):
         batch = separable_batch()
-        ids = [10 * i for i in range(len(batch))]
-        cfg = TrainConfig(epochs=1, batch_size=4)
-        cases = [(np.array([0.6, 0.6]), ": .*sums to 1.2"), (np.ones(3) / 3, r" has shape \(3,\)")]
-        for bad, message in cases:
-            target = WeightedTarget(**{kind: bad, f"{kind}_weight": 1.0})
-            batch[5] = batch[6] = (batch[5][0], target)
-            with pytest.raises(ValueError, match=f"^example 50: {kind} target{message}"):
-                train(init_model("linear", 2, 2), batch, cfg, ids=ids)
+        target = WeightedTarget(**{kind: np.ones(3) / 3, f"{kind}_weight": 1.0})
+        batch[5] = batch[6] = (batch[5][0], target)
+        with pytest.raises(ValueError, match=rf"^example 5: {kind} target has shape \(3,\)"):
+            train(init_model("linear", 2, 2), batch, TrainConfig(epochs=1, batch_size=4))
+        target = WeightedTarget(**{kind: np.array([0.6, 0.6]), f"{kind}_weight": 1.0})
+        batch[5] = batch[6] = (batch[5][0], target)
+        names = 10 * np.arange(len(batch))
+        with pytest.raises(ValueError, match=f"^example 50: {kind} target: .*sums to 1.2"):
+            Packed(*pack_args(batch), names)
 
     def test_batch_size_cannot_exceed_data(self):
         batch = separable_batch()
@@ -523,6 +536,21 @@ class TestSerialization:
         assert (back.kind, back.task) == (m.kind, m.task)
         for a, b in zip(m.weights + m.biases, back.weights + back.biases):
             assert np.array_equal(a, b)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_text_round_trips_any_finite_model_bit_for_bit(self, data):
+        sizes = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        shapes = list(zip(sizes, sizes[1:]))
+        weights = [data.draw(arrays(np.float64, shape, elements=finite)) for shape in shapes]
+        biases = [data.draw(arrays(np.float64, (c,), elements=finite)) for c in sizes[1:]]
+        task = data.draw(st.sampled_from(["classification", "regression"]))
+        m = Model("mlp" if len(sizes) > 2 else "linear", task, weights, biases)
+        back = model_from_text(model_to_text(m))
+        assert (back.kind, back.task) == (m.kind, m.task)
+        for a, b in zip(m.weights + m.biases, back.weights + back.biases):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_bad_magic(self):
         with pytest.raises(ValueError):

@@ -242,6 +242,7 @@ class TestDumpFormat:
         "body,message",
         [
             ("1,x,,0,1\n", "record 1: could not convert string to float: 'x'"),
+            ("1,2,,0,1_0\n", "record 1: token 5: '1_0' is not a number"),
             ("1,2,,0,1\n1,2,,0\n", "record 2: short record"),
             ("1,2,,0,1\n1,2,,0,1,7\n", "record 2: expected 5 tokens, got 6"),
             ("1,2,7,0,1\n", "record 1: token 3: a width-0 group is '' \\(present\\) or '_'"),
