@@ -8,7 +8,8 @@ three training shapes, each of `ROUNDS` rounds times one `train` call
 from each tree, alternating which goes first; the script prints the
 median NEW/OLD time ratio with its min and max, the median microseconds
 per SGD step of each tree, and whether the two trees trained
-bit-identical weights.
+bit-identical weights.  The data is given to each tree as its own
+`models.Packed`; a tree without it is refused.
 Timing both trees in one process, interleaved, cancels the host's speed
 drift over minutes that separate benchmark runs cannot.
 
@@ -66,13 +67,10 @@ def problem(models, hidden, d, c, n, labeled, epochs):
     X = rng.normal(size=(n, d))
     labels = rng.integers(c, size=n)
     soft = rng.dirichlet(np.ones(c), size=n)
-    data = []
-    for i in range(n):
-        if i < labeled:
-            t = models.WeightedTarget(np.eye(c)[labels[i]], soft[i], 1.0 - IMITATION, IMITATION)
-        else:
-            t = models.WeightedTarget(soft=soft[i], soft_weight=IMITATION)
-        data.append((X[i], t))
+    has_label = np.arange(n) < labeled
+    hard = (np.eye(c)[labels], np.where(has_label, 1.0 - IMITATION, 0.0), has_label)
+    data = models.Packed(X, "classification", hard, (soft, np.full(n, IMITATION), np.ones(n, bool)),
+                         range(n))
     arch = models.Arch.mlp(*hidden) if hidden else models.Arch("linear")
     m0 = models.init_model(arch, d, c, rng=models.RngStream(1))
     cfg = models.TrainConfig(learning_rate=0.01, epochs=epochs, batch_size=BATCH_SIZE, l2=1e-4,
@@ -92,6 +90,9 @@ def main(argv=None) -> int:
     parser.add_argument("new", type=Path, help="source tree of the change")
     args = parser.parse_args(argv)
     trees = {k: load_models(getattr(args, k), f"distillery_{k}") for k in ("old", "new")}
+    for k, models in trees.items():
+        if not hasattr(models, "Packed"):
+            raise SystemExit(f"{getattr(args, k)}: distillery.models has no Packed training input")
     print(f"numpy {np.__version__}, nproc {os.cpu_count()}, {ROUNDS} rounds per shape")
     for name, hidden, (d, c), n, labeled, epochs in SHAPES:
         problems = {k: problem(m, hidden, d, c, n, labeled, epochs) for k, m in trees.items()}

@@ -19,7 +19,7 @@ from .distill import (
     soft_labels,
     train_teacher,
 )
-from .models import Arch, Model, TrainConfig, WeightedTarget
+from .models import Arch, Model, Packed, TrainConfig
 
 __all__ = [
     "__version__",
@@ -38,6 +38,6 @@ __all__ = [
     "distill_student",
     "Arch",
     "Model",
+    "Packed",
     "TrainConfig",
-    "WeightedTarget",
 ]

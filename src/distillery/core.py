@@ -25,6 +25,8 @@ __all__ = [
     "one_hot",
     "check_simplex",
     "simplex_rows",
+    "check_rows",
+    "check_simplex_rows",
 ]
 
 
@@ -145,6 +147,26 @@ def simplex_rows(P, tol: float = 1e-9) -> np.ndarray:
     fail it)."""
     P = np.asarray(P, dtype=np.float64)
     return np.all(P >= 0, axis=1) & (np.abs(P.sum(axis=1) - 1.0) <= tol)
+
+
+def check_rows(ok, names, what: str) -> None:
+    """Raise ValueError `example {names[i]}: {what}` for the first row i
+    where the boolean (n,) array `ok` is False."""
+    if not ok.all():
+        raise ValueError(f"example {names[int(np.argmin(ok))]}: {what}")
+
+
+def check_simplex_rows(P, present, names, what: str = "") -> None:
+    """check_simplex on every present row of an (n, c) array, as one array
+    test; for the first failing row i, raises ValueError
+    `example {names[i]}: {what}{check_simplex's reason}`."""
+    ok = simplex_rows(P) | ~present
+    if not ok.all():
+        i = int(np.argmin(ok))
+        try:
+            check_simplex(P[i])
+        except ValueError as e:
+            raise ValueError(f"example {names[i]}: {what}{e}") from None
 
 
 def cross_entropy(y, z, T: float = 1.0) -> float:

@@ -104,8 +104,17 @@ def _read_be32(data: bytes, offset: int, path) -> int:
     return struct.unpack_from(">i", data, offset)[0]
 
 
+def _check_labels(labels: np.ndarray, path) -> None:
+    """Reject a label byte outside the 10 classes, naming the file and its record."""
+    bad = labels >= 10
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ParseError(f"{path}: record {k}: label {labels[k]} out of range for 10 classes")
+
+
 def load_idx(images_path, labels_path) -> ImageSet:
-    """Parse an IDX image/label file pair; the counts must agree."""
+    """Parse an IDX image/label file pair; the counts must agree.  Raises a
+    ParseError naming the file that is malformed."""
     with open(images_path, "rb") as f:
         img_data = f.read()
     magic = _read_be32(img_data, 0, images_path)
@@ -116,6 +125,8 @@ def load_idx(images_path, labels_path) -> ImageSet:
     n = _read_be32(img_data, 4, images_path)
     h = _read_be32(img_data, 8, images_path)
     w = _read_be32(img_data, 12, images_path)
+    if min(n, h, w) < 0:
+        raise ParseError(f"{images_path}: negative dimension in {n}x{h}x{w}")
     expected = 16 + n * h * w
     if len(img_data) != expected:
         raise TruncatedFileError(
@@ -136,9 +147,12 @@ def load_idx(images_path, labels_path) -> ImageSet:
             f"{labels_path}: expected {8 + n_lab} bytes, got {len(lab_data)}"
         )
     if n_lab != n:
-        raise CountMismatchError(f"{n} images but {n_lab} labels")
-    labels = np.frombuffer(lab_data, dtype=np.uint8, offset=8).astype(np.int64)
-    return ImageSet(images, labels, n_classes=10)
+        raise CountMismatchError(
+            f"{labels_path}: {n_lab} labels for the {n} images of {images_path}"
+        )
+    labels = np.frombuffer(lab_data, dtype=np.uint8, offset=8)
+    _check_labels(labels, labels_path)
+    return ImageSet(images, labels.astype(np.int64), n_classes=10)
 
 
 def write_idx(imgset: ImageSet, images_path, labels_path) -> None:
@@ -158,7 +172,8 @@ def load_cifar(batch_paths) -> ImageSet:
     """Concatenate CIFAR-10 binary batches (label byte + 3072 pixel bytes),
     read straight into one buffer.
 
-    Pixels are kept channel-planar: shape (n, 3, 32, 32).
+    Pixels are kept channel-planar: shape (n, 3, 32, 32).  Raises a
+    ParseError naming the file that is malformed.
     """
     sizes = [os.path.getsize(p) for p in batch_paths]
     records, start = np.empty(sum(sizes), dtype=np.uint8), 0
@@ -168,6 +183,7 @@ def load_cifar(batch_paths) -> ImageSet:
         with open(path, "rb") as f:
             if f.readinto(records[start : start + size]) != size:
                 raise TruncatedFileError(f"{path}: shorter than its {size} bytes")
+        _check_labels(records[start : start + size : CIFAR_RECORD_BYTES], path)
         start += size
     records = records.reshape(-1, CIFAR_RECORD_BYTES)
     labels = records[:, 0].astype(np.int64)

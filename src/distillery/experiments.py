@@ -27,7 +27,7 @@ import csv
 import inspect
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -607,32 +607,85 @@ def emit_report(report: ExperimentReport, format: str, path) -> None:
         raise ValueError(f"unknown report format {format!r} (expected csv or json)")
 
 
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# the JSON values a report field accepts, by the field's annotation
+_JSON_FIELD = {
+    "str": lambda v: isinstance(v, str),
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": _number,
+    "float | None": lambda v: v is None or _number(v),
+    "dict": lambda v: isinstance(v, dict),
+    "list[float]": lambda v: isinstance(v, list) and all(map(_number, v)),
+    "list[str]": lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+    "list[ArmResult]": lambda v: isinstance(v, list),
+}
+
+
+def _json_fields(cls, obj, where: str) -> dict:
+    """`obj` if it is a JSON object holding a valid value for each field of
+    dataclass `cls` (fields with a default may be left out) and no other key;
+    raises ValueError naming `where` and the key otherwise."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    for f in fields(cls):
+        if f.name in obj:
+            if not _JSON_FIELD[f.type](obj[f.name]):
+                raise ValueError(f"{where}: key {f.name!r} holds a malformed value")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"{where}: missing key {f.name!r}")
+    unknown = obj.keys() - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"{where}: unknown key {min(unknown)!r}")
+    return obj
+
+
 def load_report_json(path) -> ExperimentReport:
+    """Read an `emit_report` JSON file.  Raises ValueError naming the key, or
+    the result index and its key, that is missing, unknown or malformed."""
     with open(path, "r", encoding="utf-8") as f:
         payload = json.load(f)
-    payload.pop("status", None)
-    results = [ArmResult(**r) for r in payload.pop("results")]
+    if isinstance(payload, dict):
+        payload = {k: v for k, v in payload.items() if k != "status"}
+    payload = _json_fields(ExperimentReport, payload, "report")
+    results = [
+        ArmResult(**_json_fields(ArmResult, r, f"results[{i}]"))
+        for i, r in enumerate(payload.pop("results"))
+    ]
     return ExperimentReport(results=results, **payload)
 
 
 def load_report_csv(path) -> list[dict]:
-    """Rows of an emitted CSV, with numeric fields parsed back."""
+    """Rows of an emitted CSV, with numeric fields parsed back.
+
+    Raises ValueError naming the line of a malformed row (the header is line 1).
+    """
+    rows = []
     with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {reader.fieldnames}")
-        rows = []
-        for row in reader:
-            rows.append(
-                {
-                    "experiment": row["experiment"],
-                    "arm": row["arm"],
-                    "T": float(row["T"]) if row["T"] else None,
-                    "lambda": float(row["lambda"]) if row["lambda"] else None,
-                    "mean": float(row["mean"]),
-                    "std": float(row["std"]),
-                    "reps": int(row["reps"]),
-                    "status": row["status"],
-                }
-            )
+        reader = csv.reader(f)
+        try:
+            if next(reader, None) != CSV_HEADER:
+                raise ValueError(f"expected the CSV header {','.join(CSV_HEADER)}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(CSV_HEADER):
+                    raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
+                experiment, arm, T, lam, mean, std, reps, status = row
+                rows.append(
+                    {
+                        "experiment": experiment,
+                        "arm": arm,
+                        "T": float(T) if T else None,
+                        "lambda": float(lam) if lam else None,
+                        "mean": float(mean),
+                        "std": float(std),
+                        "reps": int(reps),
+                        "status": status,
+                    }
+                )
+        except (ValueError, csv.Error) as e:
+            raise ValueError(f"line {max(reader.line_num, 1)}: {e}") from None
     return rows

@@ -22,13 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngStream, check_simplex, simplex_rows
+# check_simplex is looked up here by perfbench/tracing.py, which counts its calls
+from .core import RngStream, check_rows, check_simplex, check_simplex_rows  # noqa: F401
 
 __all__ = [
     "Arch",
     "Model",
     "TrainConfig",
-    "WeightedTarget",
     "Packed",
     "Gradient",
     "TrainingDivergence",
@@ -227,60 +227,53 @@ def predict_class(m: Model, x):
     return int(np.argmax(out)) if out.ndim == 1 else np.argmax(out, axis=1)
 
 
-@dataclass(frozen=True)
-class WeightedTarget:
-    """Hard and/or soft target for one example, each with its own weight.
-
-    For classification both targets are probability vectors; for
-    regression they are raw target vectors.  An absent target must have
-    weight 0 (and is stored as None).
-    """
-
-    hard: np.ndarray | None = None
-    soft: np.ndarray | None = None
-    hard_weight: float = 0.0
-    soft_weight: float = 0.0
-
-    def __post_init__(self):
-        if self.hard is None and self.soft is None:
-            raise ValueError("at least one of hard/soft must be present")
-        if self.hard is None and self.hard_weight != 0:
-            raise ValueError("absent hard target must have weight 0")
-        if self.soft is None and self.soft_weight != 0:
-            raise ValueError("absent soft target must have weight 0")
-        if self.hard_weight < 0 or self.soft_weight < 0:
-            raise ValueError("target weights must be >= 0")
-
-
 class Packed:
-    """Checked training columns of n rows: features X (n, d) and the target
-    columns the loss needs; len() is n.  Errors name row i `names[i]`.
+    """Checked training columns of n >= 1 rows: features X (n, d) and the
+    target columns the loss needs; len() is n.  Errors name row i `names[i]`.
 
-    `hard` and `soft` are each ((n, c) targets, row weights, mask of the rows
-    that have the target); an absent row reads as zero and must weigh 0.
-    Features must be finite, and present classification targets probability
-    vectors, combined into Y = hw * hard + sw * soft and w_tot = hw * sum(hard)
-    + sw * sum(soft) for the loss; regression keeps (hard, soft, hw, sw).
+    `hard` and `soft` are each ((n, c) targets, (n,) row weights, boolean (n,)
+    mask of the rows that have the target).  An absent row reads as zero and
+    must weigh 0; weights are finite and >= 0, and every row has a present
+    target.  Features must be finite, present classification targets
+    probability vectors and present regression targets finite.
+    Classification combines them into Y = hw * hard + sw * soft and
+    w_tot = hw * sum(hard) + sw * sum(soft) for the loss; regression keeps
+    (hard, soft, hw, sw).
     """
 
-    def __init__(self, X: np.ndarray, task: str, hard, soft, names):
-        cols = []
+    def __init__(self, X, task: str, hard, soft, names):
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or not len(X):
+            raise ValueError(f"X: shape {X.shape}, expected (n, d) with n >= 1")
+        n = len(X)
+        if len(names) != n:
+            raise ValueError(f"names has {len(names)} entries for {n} rows")
+        if np.ndim(hard[0]) != 2:
+            raise ValueError(f"hard targets: shape {np.shape(hard[0])}, expected (n, c)")
+        c = np.shape(hard[0])[1]
+        cols, has_target = [], np.zeros(n, dtype=bool)
         for kind, (rows, weights, present) in (("hard", hard), ("soft", soft)):
+            rows, weights = np.asarray(rows, np.float64), np.asarray(weights, np.float64)
+            present = np.asarray(present)
+            for arg, a, shape in (("targets", rows, (n, c)), ("weights", weights, (n,)),
+                                  ("mask", present, (n,))):
+                if a.shape != shape:
+                    raise ValueError(f"{kind} {arg}: shape {a.shape}, expected {shape}")
+            if present.dtype != bool:
+                raise ValueError(f"{kind} mask: dtype {present.dtype}, expected bool")
+            ok = np.isfinite(weights) & (weights >= 0)
+            check_rows(ok, names, f"{kind} weight is not finite and >= 0")
+            absent_ok = present | (weights == 0)
+            check_rows(absent_ok, names, f"absent {kind} target has a nonzero weight")
             rows = np.where(present[:, None], rows, 0.0)
             if task == CLASSIFICATION:
-                # check_simplex's test on every present row at once (NaN and +-inf
-                # fail it too); check_simplex itself runs only on the first failing row
-                ok = simplex_rows(rows) | ~present
-                if not ok.all():
-                    i = int(np.argmin(ok))
-                    try:
-                        check_simplex(rows[i])
-                    except ValueError as e:
-                        raise ValueError(f"example {names[i]}: {kind} target: {e}") from None
+                check_simplex_rows(rows, present, names, f"{kind} target: ")
+            else:
+                check_rows(np.isfinite(rows).all(axis=1), names, f"{kind} target is not finite")
             cols += [rows, weights]
-        finite = np.isfinite(X).all(axis=1)
-        if not finite.all():
-            raise ValueError(f"example {names[np.argmin(finite)]}: features are not finite")
+            has_target |= present
+        check_rows(has_target, names, "no hard or soft target")
+        check_rows(np.isfinite(X).all(axis=1), names, "features are not finite")
         hard, hw, soft, sw = cols
         if task == REGRESSION:
             self.X, self.targets = X, (hard, soft, hw, sw)
@@ -290,26 +283,6 @@ class Packed:
 
     def __len__(self) -> int:
         return len(self.X)
-
-
-def _pack(batch, c: int, task: str) -> Packed:
-    """The Packed of a list of (x, WeightedTarget); row i is named i."""
-    if not batch:
-        raise ValueError("empty batch")
-    X = np.asarray([np.asarray(x, dtype=np.float64) for x, _ in batch])
-    n = len(batch)
-    cols = {kind: (np.zeros((n, c)), np.zeros(n), np.zeros(n, bool)) for kind in ("hard", "soft")}
-    for i, (_, t) in enumerate(batch):
-        for kind, v, w in (("hard", t.hard, t.hard_weight), ("soft", t.soft, t.soft_weight)):
-            if v is None:
-                continue
-            if np.shape(v) != (c,):
-                raise ValueError(
-                    f"example {i}: {kind} target has shape {np.shape(v)}, expected ({c},)"
-                )
-            rows, weights, present = cols[kind]
-            rows[i], weights[i], present[i] = v, w, True
-    return Packed(X, task, cols["hard"], cols["soft"], range(n))
 
 
 class _Flat:
@@ -374,29 +347,29 @@ def _loss_grad(p: _Flat, X: np.ndarray, tgt: tuple, T: float, task: str, l2: flo
     return value
 
 
-def _checked(m: Model, data, T_student: float) -> Packed:
-    """`data` (a Packed, or a list of (x, WeightedTarget)) as a Packed that fits m."""
+def _checked(m: Model, data: Packed, T_student: float) -> Packed:
+    """`data`, checked to be a Packed that fits m."""
     if not T_student > 0:
         raise ValueError("T_student must be positive")
     if not isinstance(data, Packed):
-        data = _pack(data, m.output_dim, m.task)
+        raise TypeError(f"expected training data as a Packed, got {type(data).__name__}")
     got = (data.X.shape[1], data.targets[0].shape[1])
     if got != (m.input_dim, m.output_dim):
         raise ValueError(f"expected (d, c) = {(m.input_dim, m.output_dim)}, got {got}")
     return data
 
 
-def loss(m: Model, batch, T_student: float = 1.0, l2: float = 0.0) -> float:
+def loss(m: Model, batch: Packed, T_student: float = 1.0, l2: float = 0.0) -> float:
     """Mean weighted hard/soft loss over the batch plus the L2 penalty.
 
-    batch is a Packed or a list of (x, WeightedTarget).  T_student
-    rescales the model's logits before the softmax (classification only).
+    T_student rescales the model's logits before the softmax (classification
+    only).
     """
     data = _checked(m, batch, T_student)
     return _loss_grad(_Flat(m.weights, m.biases), data.X, data.targets, T_student, m.task, l2)
 
 
-def gradient(m: Model, batch, T_student: float = 1.0, l2: float = 0.0) -> Gradient:
+def gradient(m: Model, batch: Packed, T_student: float = 1.0, l2: float = 0.0) -> Gradient:
     """Exact gradient of loss() with respect to every parameter."""
     data = _checked(m, batch, T_student)
     grad = _Flat(m.weights, m.biases)  # same layout, overwritten
@@ -404,25 +377,21 @@ def gradient(m: Model, batch, T_student: float = 1.0, l2: float = 0.0) -> Gradie
     return Gradient(grad.weights, grad.biases)
 
 
-def train(m0: Model, data, cfg: TrainConfig, T_student: float = 1.0) -> Model:
-    """Mini-batch SGD from m0 on `data` (a Packed or a list of (x, WeightedTarget));
-    returns the final model.
+def train(m0: Model, data: Packed, cfg: TrainConfig, T_student: float = 1.0) -> Model:
+    """Mini-batch SGD from m0 on `data`; returns the final model.
 
     Batches are drawn by a seeded shuffle each epoch.  The returned model
     owns fresh arrays (m0 is left as it was) and records the mean batch
     loss per epoch in `loss_history`.
 
-    Raises ValueError naming the example (its position in a list) if its
-    features are not finite or a target is malformed (classification: not
-    a probability vector), and TrainingDivergence (with the epoch index)
-    if the loss ever becomes non-finite.
+    Raises ValueError if `data` does not fit m0 or has fewer rows than a
+    batch, and TrainingDivergence (with the epoch index) if the loss ever
+    becomes non-finite.
     """
+    data = _checked(m0, data, T_student)
     n = len(data)
-    if not n:
-        raise ValueError("empty training data")
     if cfg.batch_size > n:
         raise ValueError(f"batch_size {cfg.batch_size} exceeds data size {n}")
-    data = _checked(m0, data, T_student)
     X, tgt = data.X, data.targets
     params = _Flat(m0.weights, m0.biases)
     grad = _Flat(m0.weights, m0.biases)  # same layout; every step overwrites it
@@ -448,11 +417,6 @@ def train(m0: Model, data, cfg: TrainConfig, T_student: float = 1.0) -> Model:
     weights = [w.copy() for w in params.weights]
     biases = [b.copy() for b in params.biases]
     return Model(m0.kind, m0.task, weights, biases, loss_history=history)
-
-
-def hard_target(y, weight: float = 1.0) -> WeightedTarget:
-    """Convenience: a purely hard-labeled target."""
-    return WeightedTarget(hard=np.asarray(y, dtype=np.float64), hard_weight=weight)
 
 
 # --- serialization ---------------------------------------------------------

@@ -223,6 +223,8 @@ def dump_dataset(ds: Dataset, path, delimiter: str = ",") -> None:
 
 def _parse_record(line: str, sizes, delimiter: str):
     """(x, x_star, y) of one record line; a missing group is None."""
+    if not line.isascii():
+        raise ValueError("not ASCII text")
     tokens = line.split(delimiter)
     groups, pos = [], 0
     for size in sizes:
@@ -253,13 +255,17 @@ def load_dataset(path, delimiter: str = ",", task: str = CLASSIFICATION) -> Data
     """Read a `dump_dataset` file.
 
     Raises ValueError naming the header line or the record (1-based) for
-    a non-numeric token, a record that is too short or too long or has
-    no present group, or a record count that differs from the header's
-    n; the Dataset's own checks name the example (0-based).
+    a non-ASCII or non-numeric token, a record that is too short or too
+    long or has no present group, or a record count that differs from the
+    header's n; the Dataset's own checks name the example (0-based).
     """
-    with open(path, "r", encoding="ascii") as f:
+    # a byte that is not ASCII reads as a lone surrogate, so that its line can be named
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as f:
+        first = f.readline()
+        if not first.isascii():
+            raise ValueError("line 1: not ASCII text")
         try:
-            d, d_star, c, n = (int(v) for v in f.readline().rstrip("\n").split(delimiter))
+            d, d_star, c, n = (int(v) for v in first.rstrip("\n").split(delimiter))
         except ValueError as e:
             raise ValueError(f"line 1: expected d, d_star, c, n: {e}") from None
         if min(d, d_star, c, n) < 0:

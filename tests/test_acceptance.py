@@ -30,10 +30,9 @@ from distillery.experiments import (
 )
 from distillery.models import (
     Arch,
+    Packed,
     TrainConfig,
-    WeightedTarget,
     gradient,
-    hard_target,
     init_model,
     loss,
     train,
@@ -245,14 +244,15 @@ class TestPropertySuite:
             task = "regression" if k % 5 == 4 else "classification"
             for attempt in range(50):
                 m = init_model(arch, 3, 2, task=task, rng=RngStream(4000 + k, attempt))
-                batch = []
+                rows = []
                 for _ in range(5):
                     x = rng.normal(size=3)
                     if task == "classification":
                         hard, soft = one_hot(rng.integers(2), 2), rng.dirichlet(np.ones(2))
                     else:
                         hard, soft = rng.normal(size=2), rng.normal(size=2)
-                    batch.append((x, WeightedTarget(hard, soft, 1 - lam, lam)))
+                    rows.append((x, hard, soft))
+                batch = _mixed(rows, task, 1 - lam, lam)
                 if _kink_distance(m, batch) > 1e-3:
                     break
             T = 1.0 if task == "regression" else [1.0, 2.0][k % 2]
@@ -274,8 +274,7 @@ class TestPropertySuite:
             base.append((rng.normal(size=4), one_hot(rng.integers(3), 3), rng.dirichlet(np.ones(3))))
 
         def at(lam):
-            batch = [(x, WeightedTarget(h, s, 1 - lam, lam)) for x, h, s in base]
-            return loss(m, batch, l2=0.01)
+            return loss(m, _mixed(base, "classification", 1 - lam, lam), l2=0.01)
 
         l0, l1 = at(0.0), at(1.0)
         return all(
@@ -317,9 +316,12 @@ class TestPropertySuite:
 class TestOracleEquivalence:
     def test_criterion_9_convex_logistic(self):
         rng = np.random.default_rng(20)
-        data = [(rng.normal(size=2), hard_target(one_hot(rng.integers(2), 2))) for _ in range(20)]
-        X = np.array([x for x, _ in data])
-        Y = np.array([t.hard for _, t in data])
+        rows = [(rng.normal(size=2), one_hot(rng.integers(2), 2)) for _ in range(20)]
+        X = np.array([x for x, _ in rows])
+        Y = np.array([y for _, y in rows])
+        hard = (Y, np.ones(20), np.ones(20, bool))
+        no_soft = (np.zeros_like(Y), np.zeros(20), np.zeros(20, bool))
+        data = Packed(X, "classification", hard, no_soft, range(20))
 
         def objective(theta):
             W = theta[:4].reshape(2, 2)
@@ -339,9 +341,17 @@ class TestOracleEquivalence:
         ])
 
 
+def _mixed(rows, task, hard_weight, soft_weight):
+    """Packed of (x, hard, soft) rows, both targets present at the given weights."""
+    X, H, S = (np.array(col) for col in zip(*rows))
+    n = len(rows)
+    present = np.ones(n, dtype=bool)
+    hard, soft = (H, np.full(n, hard_weight), present), (S, np.full(n, soft_weight), present)
+    return Packed(X, task, hard, soft, range(n))
+
+
 def _kink_distance(m, batch):
-    X = np.array([x for x, _ in batch])
-    a = X
+    a = batch.X
     dist = np.inf
     for i, (w, b) in enumerate(zip(m.weights, m.biases)):
         z = a @ w + b

@@ -11,6 +11,7 @@ from distillery.datasets import (
     BadMagicError,
     CountMismatchError,
     ImageSet,
+    ParseError,
     TableFormatError,
     TruncatedFileError,
     downscale,
@@ -77,6 +78,65 @@ class TestIdx:
         assert lp2.read_bytes() == lp.read_bytes()
 
 
+IO_FUZZ = settings(max_examples=200, deadline=None,
+                  suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def be32s(*values):
+    return struct.pack(f">{len(values)}i", *values)
+
+
+class TestIdxFuzz:
+    @given(st.integers(0, 4), st.integers(0, 5), st.integers(0, 5), st.data())
+    @IO_FUZZ
+    def test_write_load_round_trips_bit_exactly(self, tmp_path, n, h, w, data):
+        images = np.frombuffer(data.draw(st.binary(min_size=n * h * w, max_size=n * h * w)),
+                               dtype=np.uint8).reshape(n, h, w, 1)
+        labels = np.array(data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)), dtype=int)
+        ip, lp = tmp_path / "images", tmp_path / "labels"
+        write_idx(ImageSet(images, labels, 10), ip, lp)
+        back = load_idx(ip, lp)
+        assert back.images.tobytes() == images.tobytes() and back.images.shape == images.shape
+        assert np.array_equal(back.labels, labels)
+        files = ip.read_bytes(), lp.read_bytes()
+        write_idx(back, ip, lp)
+        assert (ip.read_bytes(), lp.read_bytes()) == files
+
+    @given(
+        st.one_of(st.binary(max_size=40), st.builds(
+            lambda dims, body: be32s(0x803, *dims) + body,
+            st.lists(st.integers(-2, 3), min_size=3, max_size=3), st.binary(max_size=30),
+        )),
+        st.one_of(st.binary(max_size=20), st.builds(
+            lambda n, body: be32s(0x801, n) + body, st.integers(-2, 4), st.binary(max_size=6),
+        )),
+    )
+    @IO_FUZZ
+    def test_arbitrary_bytes_parse_or_name_the_file(self, tmp_path, image_bytes, label_bytes):
+        ip, lp = tmp_path / "images", tmp_path / "labels"
+        ip.write_bytes(image_bytes)
+        lp.write_bytes(label_bytes)
+        try:
+            s = load_idx(ip, lp)
+        except ParseError as e:
+            assert str(ip) in str(e) or str(lp) in str(e)
+        else:
+            assert s.images.tobytes() == image_bytes[16:] and s.labels.max(initial=0) < 10
+
+    def test_label_out_of_range_names_the_file(self, tmp_path):
+        ip, lp, *_ = make_idx_pair(tmp_path, n=3)
+        lp.write_bytes(be32s(0x801, 3) + bytes([1, 200, 2]))
+        with pytest.raises(ParseError, match=f"^{lp}: record 1: label 200 out of range"):
+            load_idx(ip, lp)
+
+    def test_negative_dimensions_name_the_file(self, tmp_path):
+        ip, lp = tmp_path / "images", tmp_path / "labels"
+        ip.write_bytes(be32s(0x803, -1, -1, 4))
+        lp.write_bytes(be32s(0x801, 1) + bytes([0]))
+        with pytest.raises(ParseError, match=f"^{ip}: negative dimension in -1x-1x4"):
+            load_idx(ip, lp)
+
+
 class TestDownscale:
     def test_constant_image(self):
         img = np.full((28, 28), 51, dtype=np.uint8)
@@ -117,6 +177,9 @@ class TestDownscale:
             downscale(np.zeros((27, 28)))
 
 
+CIFAR_RECORD = 3073
+
+
 def cifar_record(label, value=0, rng=None):
     pixels = (
         rng.integers(0, 256, size=3072, dtype=np.uint8)
@@ -154,6 +217,30 @@ class TestCifar:
         p.write_bytes(b"\x00" * 3072)  # one byte short of a record
         with pytest.raises(TruncatedFileError):
             load_cifar([p])
+
+    def test_label_out_of_range_names_the_file(self, tmp_path):
+        paths = [tmp_path / "a.bin", tmp_path / "b.bin"]
+        paths[0].write_bytes(cifar_record(3))
+        paths[1].write_bytes(cifar_record(4) + cifar_record(77))
+        with pytest.raises(ParseError, match=f"^{paths[1]}: record 1: label 77 out of range"):
+            load_cifar(paths)
+
+    @given(st.lists(st.one_of(
+        st.binary(max_size=8),
+        st.builds(lambda labels, tail: b"".join(bytes([k]) + bytes(3072) for k in labels) + tail,
+                  st.lists(st.integers(0, 255), max_size=3), st.binary(max_size=2)),
+    ), min_size=1, max_size=3))
+    @IO_FUZZ
+    def test_arbitrary_bytes_parse_or_name_the_file(self, tmp_path, contents):
+        paths = [tmp_path / f"batch{i}.bin" for i in range(len(contents))]
+        for p, content in zip(paths, contents):
+            p.write_bytes(content)
+        try:
+            s = load_cifar(paths)
+        except ParseError as e:
+            assert any(str(e).startswith(f"{p}: ") for p in paths)
+        else:
+            assert s.n == sum(map(len, contents)) // CIFAR_RECORD and s.labels.max(initial=0) < 10
 
     def test_features_scaled(self, tmp_path):
         p = tmp_path / "batch.bin"

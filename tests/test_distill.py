@@ -19,7 +19,7 @@ from distillery.distill import (
     train_teacher,
     universum_soft_labels,
 )
-from distillery.models import TrainConfig, WeightedTarget, forward, init_model, train
+from distillery.models import Packed, TrainConfig, forward, init_model, train
 
 
 def toy_dataset(n=30, seed=0, unlabeled_from=None):
@@ -365,6 +365,16 @@ class TestDatasetValidation:
             with pytest.raises(ValueError, match=f"^example 3: .*{message}"):
                 Dataset(DatasetHeader(2, 1, 2), [Triplet(x=np.zeros(2), y=y) for y in ys])
 
+    @pytest.mark.parametrize("build", ["rows", "from_arrays"])
+    def test_regression_label_must_be_finite(self, build):
+        header, y = DatasetHeader(2, 1, 1, "regression"), np.arange(10.0)[:, None]
+        y[3], y[5] = np.nan, np.inf
+        with pytest.raises(ValueError, match="^example 3: label is not finite"):
+            if build == "rows":
+                Dataset(header, [Triplet(x=np.zeros(2), y=row) for row in y])
+            else:
+                Dataset.from_arrays(header, x=np.zeros((10, 2)), y=y)
+
     def test_label_within_tolerance_accepted(self):
         Dataset(DatasetHeader(2, 1, 2), [Triplet(y=np.array([0.5, 0.5 + 5e-10]))])
         Dataset(DatasetHeader(2, 1, 2, "regression"), [Triplet(y=np.array([0.7, 0.7]))])
@@ -472,27 +482,44 @@ class TestColumns:
             data.column("z")
 
 
+def pack_rows(rows, c, task):
+    """Packed of (x, hard, soft, hard_weight, soft_weight) rows, assembled one
+    row at a time; None marks an absent target, stored as zeros."""
+    n = len(rows)
+    cols = []
+    for k in (1, 2):
+        targets, weights, present = np.zeros((n, c)), np.zeros(n), np.zeros(n, dtype=bool)
+        for i, row in enumerate(rows):
+            if row[k] is not None:
+                targets[i], present[i] = row[k], True
+            weights[i] = row[k + 2]
+        cols.append((targets, weights, present))
+    return Packed(np.array([row[0] for row in rows]), task, *cols, range(n))
+
+
 def reference_teacher(data, cfg):
-    """train_teacher as a list of (x_star, WeightedTarget) rows."""
-    batch = [(t.x_star, WeightedTarget(hard=t.y, hard_weight=1.0)) for t in data.examples
-             if t.x_star is not None and t.y is not None]
+    """train_teacher as (x_star, y) rows, one per example with both."""
+    rows = [(t.x_star, t.y, None, 1.0, 0.0) for t in data.examples
+            if t.x_star is not None and t.y is not None]
     h, rng = data.header, cfg.teacher_train.rng
     m0 = init_model(cfg.teacher_arch, h.d_star, h.c, h.task, rng.fork("init"))
+    batch = pack_rows(rows, h.c, h.task)
     return train(m0, batch, replace(cfg.teacher_train, rng=rng.fork("shuffle")))
 
 
 def reference_student(data, soft, cfg):
-    """distill_student as a list of (x, WeightedTarget) rows, one per usable example."""
-    soft, lam, batch = dict(soft), cfg.imitation, []
+    """distill_student as (x, hard, soft, weights) rows, one per usable example."""
+    soft, lam, rows = dict(soft), cfg.imitation, []
     for i, t in enumerate(data.examples):
         s = soft.get(i)
         hard_w = 0.0 if t.y is None else 1.0 - lam
         soft_w = 0.0 if s is None else lam if t.y is not None else lam * cfg.unlabeled_weight
         if t.x is not None and (hard_w != 0.0 or soft_w != 0.0):
-            batch.append((t.x, WeightedTarget(t.y, s, hard_w, soft_w)))
+            rows.append((t.x, t.y, s, hard_w, soft_w))
     h, rng = data.header, cfg.student_train.rng
     T = cfg.temperature if cfg.match_teacher_temperature and h.task == "classification" else 1.0
     m0 = init_model(cfg.student_arch, h.d, h.c, h.task, rng.fork("init"))
+    batch = pack_rows(rows, h.c, h.task)
     return train(m0, batch, replace(cfg.student_train, rng=rng.fork("shuffle")), T)
 
 

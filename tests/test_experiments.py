@@ -1,10 +1,14 @@
 import argparse
+import dataclasses
 import inspect
+import json
 import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from distillery import __version__, experiments
 from distillery.cli import build_parser
@@ -176,6 +180,127 @@ class TestReportSerialization:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             emit_report(tiny_synthetic(), "xml", tmp_path / "r.xml")
+
+    def test_malformed_csv_names_the_line(self, tmp_path):
+        path = tmp_path / "r.csv"
+        emit_report(tiny_synthetic(), "csv", path)
+        lines = path.read_text().splitlines()
+        for k, line, message in [
+            (2, "demo,regular", "expected 8 fields, got 2"),
+            (3, lines[2].replace("complete", "complete,x"), "expected 8 fields, got 9"),
+            (4, lines[3].replace(",1.0,", ",one,", 1), "could not convert string to float: 'one'"),
+            (1, lines[0].replace("lambda", "lam"), "expected the CSV header"),
+        ]:
+            path.write_text("\n".join(lines[: k - 1] + [line] + lines[k:]) + "\n")
+            with pytest.raises(ValueError, match=f"^line {k}: {message}"):
+                load_report_csv(path)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda p: p.pop("results"), "^report: missing key 'results'"),
+            (lambda p: p.update(results={}), "^report: key 'results' holds a malformed value"),
+            (lambda p: p.update(extra=1), "^report: unknown key 'extra'"),
+            (lambda p: p["results"][1].pop("mean"), r"^results\[1\]: missing key 'mean'"),
+            (lambda p: p["results"][2].update(reps="2"), r"^results\[2\]: key 'reps' holds"),
+            (lambda p: p["results"].append([]), r"^results\[3\]: expected a JSON object, got list"),
+        ],
+        ids=["no-results", "results-not-a-list", "unknown-key", "result-without-mean",
+             "reps-a-string", "result-a-list"],
+    )
+    def test_malformed_json_names_the_key(self, tmp_path, edit, message):
+        path = tmp_path / "r.json"
+        emit_report(tiny_synthetic(), "json", path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message):
+            load_report_json(path)
+        path.write_text("[]")
+        with pytest.raises(ValueError, match="^report: expected a JSON object, got list"):
+            load_report_json(path)
+
+
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+VALUES = st.floats(-1e6, 1e6)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | VALUES | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def reports(draw):
+    """Reports of aggregated arms, grid cells and per-task rows, some without values."""
+    metric = draw(st.sampled_from(["accuracy", "mse"]))
+    results = []
+    for _ in range(draw(st.integers(0, 5))):
+        names = st.sampled_from(["privileged", "regular", "distilled", "regular/task3"])
+        arm = draw(names | st.text())
+        T, lam = draw(st.sampled_from([(None, None), (draw(VALUES), draw(VALUES))]))
+        values = draw(st.lists(VALUES, max_size=3))
+        results.append(experiments._aggregate(arm, metric, values, draw(st.integers(0, 3)), T, lam))
+    return ExperimentReport(
+        draw(st.text()), draw(st.integers(0, 2**64)), draw(st.text(max_size=8)),
+        draw(st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=4)),
+        results, draw(st.lists(st.text(), max_size=2)),
+    )
+
+
+def same_float(a, b):
+    return a == b or (a is not None and b is not None and math.isnan(a) and math.isnan(b))
+
+
+class TestReportFuzz:
+    @given(reports())
+    @FUZZ
+    def test_round_trips_in_both_formats(self, tmp_path, report):
+        emit_report(report, "json", tmp_path / "r.json")
+        assert load_report_json(tmp_path / "r.json") == report
+        emit_report(report, "csv", tmp_path / "r.csv")
+        rows = load_report_csv(tmp_path / "r.csv")
+        assert len(rows) == len(report.results)
+        for row, r in zip(rows, report.results):
+            assert (row["experiment"], row["arm"], row["reps"], row["status"]) == (
+                report.experiment_id, r.arm, r.reps, r.status)
+            pairs = zip(("T", "lambda", "mean", "std"), (r.temperature, r.imitation, r.mean, r.std))
+            assert all(same_float(row[k], v) for k, v in pairs)
+
+    @given(reports(), st.data())
+    @FUZZ
+    def test_edited_json_loads_or_names_the_key(self, tmp_path, report, data):
+        payload = json.loads(json.dumps(dataclasses.asdict(report)))
+        target = payload
+        if payload["results"] and data.draw(st.booleans()):
+            target = payload["results"][data.draw(st.integers(0, len(payload["results"]) - 1))]
+        key = data.draw(st.sampled_from(sorted(target)))
+        if data.draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = data.draw(JSON_VALUES)
+        (tmp_path / "r.json").write_text(json.dumps(payload))
+        try:
+            load_report_json(tmp_path / "r.json")
+        except ValueError as e:
+            assert str(e).startswith(("report: ", "results["))
+
+    @given(st.one_of(
+        st.text(max_size=200),
+        st.builds(",".join, st.lists(st.text("0123456789.,\"\nx-_", max_size=6))),
+        st.builds(json.dumps, JSON_VALUES),
+    ))
+    @FUZZ
+    def test_arbitrary_text_loads_or_raises_value_error(self, tmp_path, text):
+        path = tmp_path / "r.txt"
+        path.write_text(text, encoding="utf-8")
+        for load in (load_report_json, load_report_csv):
+            try:
+                load(path)
+            except ValueError:
+                pass
 
 
 class TestSyntheticRun:

@@ -16,10 +16,8 @@ from distillery.models import (
     Packed,
     TrainConfig,
     TrainingDivergence,
-    WeightedTarget,
     forward,
     gradient,
-    hard_target,
     init_model,
     load_model,
     loss,
@@ -40,9 +38,30 @@ def zero_model(kind, d, c, hidden=(), task="classification"):
     return m
 
 
-def random_batch(rng, m, n, lam, task="classification"):
+def pack(rows, task="classification", names=None):
+    """Packed of (x, hard, soft, hard_weight, soft_weight) rows, assembled one
+    row at a time; None marks an absent target, stored as zeros."""
+    n, c = len(rows), next(len(v) for row in rows for v in row[1:3] if v is not None)
+    cols = []
+    for k in (1, 2):
+        targets, weights, present = np.zeros((n, c)), np.zeros(n), np.zeros(n, dtype=bool)
+        for i, row in enumerate(rows):
+            if row[k] is not None:
+                targets[i], present[i] = row[k], True
+            weights[i] = row[k + 2]
+        cols.append((targets, weights, present))
+    X = np.array([row[0] for row in rows], dtype=np.float64)
+    return Packed(X, task, *cols, range(n) if names is None else names)
+
+
+def hard_rows(rng, n, d, c=2):
+    """n rows of normal features and a hard one-hot label of weight 1."""
+    return [(rng.normal(size=d), one_hot(rng.integers(c), c), None, 1.0, 0.0) for _ in range(n)]
+
+
+def random_rows(rng, m, n, lam, task="classification"):
     c = m.output_dim
-    batch = []
+    rows = []
     for _ in range(n):
         x = rng.normal(size=m.input_dim)
         if task == "classification":
@@ -51,8 +70,8 @@ def random_batch(rng, m, n, lam, task="classification"):
         else:
             hard = rng.normal(size=c)
             soft = rng.normal(size=c)
-        batch.append((x, WeightedTarget(hard, soft, 1.0 - lam, lam)))
-    return batch
+        rows.append((x, hard, soft, 1.0 - lam, lam))
+    return rows
 
 
 class TestForward:
@@ -115,12 +134,12 @@ class TestLoss:
     def test_hard_only_is_plain_cross_entropy(self):
         rng = np.random.default_rng(5)
         m = init_model("linear", 3, 2, rng=RngStream(5))
-        batch = [(rng.normal(size=3), hard_target(one_hot(rng.integers(2), 2))) for _ in range(6)]
+        rows = hard_rows(rng, 6, 3)
         from distillery.core import cross_entropy
 
-        expect = np.mean([cross_entropy(t.hard, forward(m, x)) for x, t in batch])
+        expect = np.mean([cross_entropy(y, forward(m, x)) for x, y, *_ in rows])
         expect += 0.5 * 0.01 * sum(np.sum(w * w) for w in m.weights)
-        assert loss(m, batch, l2=0.01) == pytest.approx(expect, rel=1e-12)
+        assert loss(m, pack(rows), l2=0.01) == pytest.approx(expect, rel=1e-12)
 
     def test_self_prediction_gives_entropy(self):
         # hard target equal to the model's own softmax -> loss is the
@@ -128,7 +147,7 @@ class TestLoss:
         m = init_model("linear", 4, 3, rng=RngStream(8))
         x = np.random.default_rng(2).normal(size=4)
         p = softmax(forward(m, x))
-        batch = [(x, WeightedTarget(hard=p, hard_weight=1.0))]
+        batch = pack([(x, p, None, 1.0, 0.0)])
         oracle = -float(np.sum(p * np.log(p)))
         assert loss(m, batch) == pytest.approx(oracle, rel=1e-12)
 
@@ -137,32 +156,39 @@ class TestLoss:
         rng = np.random.default_rng(3)
         m = init_model(Arch.mlp(5), 3, 4, rng=RngStream(3))
         xs = rng.normal(size=(8, 3))
-        batch, ents = [], []
+        rows, ents = [], []
         for x in xs:
             p = softmax(forward(m, x))
-            batch.append((x, WeightedTarget(soft=p, soft_weight=1.0)))
+            rows.append((x, None, p, 0.0, 1.0))
             ents.append(-float(np.sum(p * np.log(p))))
         l2 = 0.05
         expect = np.mean(ents) + 0.5 * l2 * sum(np.sum(w * w) for w in m.weights)
-        assert loss(m, batch, l2=l2) == pytest.approx(expect, rel=1e-12)
+        assert loss(m, pack(rows), l2=l2) == pytest.approx(expect, rel=1e-12)
 
     def test_linear_in_imitation_weight(self):
         rng = np.random.default_rng(7)
         m = init_model(Arch.mlp(6, 6), 4, 3, rng=RngStream(7))
-        base = random_batch(rng, m, 10, lam=0.0)
+        base = random_rows(rng, m, 10, lam=0.0)
 
         def at(lam):
-            b = [(x, WeightedTarget(t.hard, t.soft, 1.0 - lam, lam)) for x, t in base]
-            return loss(m, b, l2=0.01)
+            return loss(m, pack([(x, h, s, 1.0 - lam, lam) for x, h, s, *_ in base]), l2=0.01)
 
         l0, l1 = at(0.0), at(1.0)
         for lam in (0.25, 0.5, 0.75):
             assert at(lam) == pytest.approx((1 - lam) * l0 + lam * l1, rel=1e-12)
 
     def test_empty_batch(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            Packed(np.zeros((0, 2)), "classification", *2 * [(np.zeros((0, 2)), [], [])], [])
+
+    def test_only_a_packed_is_accepted(self):
         m = zero_model("linear", 2, 2)
-        with pytest.raises(ValueError):
-            loss(m, [])
+        rows = [(np.zeros(2), one_hot(0, 2), None, 1.0, 0.0)]
+        for fn in (loss, gradient):
+            with pytest.raises(TypeError, match="expected training data as a Packed, got list"):
+                fn(m, rows)
+        with pytest.raises(TypeError, match="got list"):
+            train(m, rows, TrainConfig(epochs=1, batch_size=1))
 
 
 def flatten_grad(g):
@@ -171,8 +197,7 @@ def flatten_grad(g):
 
 def kink_distance(m, batch):
     """Smallest |preactivation| across all hidden ReLU units and examples."""
-    X = np.array([x for x, _ in batch])
-    a = X
+    a = batch.X
     dist = np.inf
     for i, (w, b) in enumerate(zip(m.weights, m.biases)):
         z = a @ w + b
@@ -208,16 +233,13 @@ def fd_gradient(m, batch, T, l2, step=1e-5):
 class TestGradient:
     def test_zero_weights_zero_gradient(self):
         m = init_model("linear", 3, 2, rng=RngStream(1))
-        x = np.ones(3)
-        t = WeightedTarget(one_hot(0, 2), one_hot(1, 2), 0.0, 0.0)
-        g = gradient(m, [(x, t)], l2=0.0)
+        g = gradient(m, pack([(np.ones(3), one_hot(0, 2), one_hot(1, 2), 0.0, 0.0)]), l2=0.0)
         assert flatten_grad(g).max() == 0.0
 
     def test_l2_only_gradient_is_l2_times_weights(self):
         # Omega = (l2/2) * ||W||^2 over weight matrices, biases excluded
         m = init_model(Arch.mlp(4), 3, 2, rng=RngStream(2))
-        t = WeightedTarget(one_hot(0, 2), one_hot(1, 2), 0.0, 0.0)
-        g = gradient(m, [(np.ones(3), t)], l2=0.5)
+        g = gradient(m, pack([(np.ones(3), one_hot(0, 2), one_hot(1, 2), 0.0, 0.0)]), l2=0.5)
         for gw, w in zip(g.weights, m.weights):
             np.testing.assert_allclose(gw, 0.5 * w, rtol=1e-15)
         for gb in g.biases:
@@ -235,7 +257,7 @@ class TestGradient:
             # finite-difference step of a kink (the oracle is invalid there)
             for attempt in range(50):
                 m = init_model(arch, 3, 2, task=task, rng=RngStream(1000 + k, attempt))
-                batch = random_batch(rng, m, 5, lam, task=task)
+                batch = pack(random_rows(rng, m, 5, lam, task=task), task)
                 if kink_distance(m, batch) > 1e-3:
                     break
             T = 1.0 if task == "regression" else [1.0, 2.5][k % 2]
@@ -246,49 +268,36 @@ class TestGradient:
             assert err <= 1e-4, f"case {k}: rel err {err}"
 
 
-def pack_args(batch):
-    """Packed's arguments, names aside, for a list of 2-class (x, WeightedTarget)."""
-    args = [np.array([x for x, _ in batch]), "classification"]
-    for kind in ("hard", "soft"):
-        targets = [getattr(t, kind) for _, t in batch]
-        present = np.array([v is not None for v in targets])
-        rows = np.array([np.zeros(2) if v is None else v for v in targets])
-        args.append((rows, np.array([getattr(t, f"{kind}_weight") for _, t in batch]), present))
-    return args
-
-
-def separable_batch():
+def separable_rows():
     # 2-d, 2 classes, margin 1 around the axis x0 = 0
     rng = np.random.default_rng(12)
-    batch = []
+    rows = []
     for i in range(20):
         cls = i % 2
         x0 = rng.uniform(1.0, 2.0) * (1 if cls else -1)
-        batch.append((np.array([x0, rng.normal()]), hard_target(one_hot(cls, 2))))
-    return batch
+        rows.append((np.array([x0, rng.normal()]), one_hot(cls, 2), None, 1.0, 0.0))
+    return rows
 
 
 class TestTrain:
     def test_linearly_separable_reaches_full_accuracy(self):
-        batch = separable_batch()
+        rows = separable_rows()
         cfg = TrainConfig(learning_rate=0.5, epochs=300, batch_size=10, l2=0.0, rng=RngStream(0))
-        m = train(init_model("linear", 2, 2, rng=RngStream(1)), batch, cfg)
-        correct = sum(predict_class(m, x) == int(np.argmax(t.hard)) for x, t in batch)
+        m = train(init_model("linear", 2, 2, rng=RngStream(1)), pack(rows), cfg)
+        correct = sum(predict_class(m, x) == int(np.argmax(y)) for x, y, *_ in rows)
         assert correct == 20
 
     def test_convex_problem_reaches_stationarity(self):
-        rng = np.random.default_rng(20)
-        data = [(rng.normal(size=2), hard_target(one_hot(rng.integers(2), 2))) for _ in range(20)]
+        data = pack(hard_rows(np.random.default_rng(20), 20, 2))
         cfg = TrainConfig(learning_rate=0.5, epochs=4000, batch_size=20, l2=0.1, rng=RngStream(2))
         m = train(init_model("linear", 2, 2, rng=RngStream(3)), data, cfg)
         assert gradient(m, data, l2=0.1).norm() <= 1e-3
 
     def test_convex_optimum_matches_descent_oracle(self):
         # independent objective implementation + BFGS as the oracle
-        rng = np.random.default_rng(20)
-        data = [(rng.normal(size=2), hard_target(one_hot(rng.integers(2), 2))) for _ in range(20)]
-        X = np.array([x for x, _ in data])
-        Y = np.array([t.hard for _, t in data])
+        rows = hard_rows(np.random.default_rng(20), 20, 2)
+        X = np.array([x for x, *_ in rows])
+        Y = np.array([y for _, y, *_ in rows])
 
         def objective(theta):
             W = theta[:4].reshape(2, 2)
@@ -299,11 +308,12 @@ class TestTrain:
 
         oracle = minimize(objective, np.zeros(6), method="BFGS", options={"gtol": 1e-10})
         cfg = TrainConfig(learning_rate=0.5, epochs=4000, batch_size=20, l2=0.1, rng=RngStream(2))
+        data = pack(rows)
         m = train(init_model("linear", 2, 2, rng=RngStream(3)), data, cfg)
         assert loss(m, data, l2=0.1) == pytest.approx(oracle.fun, abs=1e-4)
 
     def test_deterministic(self):
-        batch = separable_batch()
+        batch = pack(separable_rows())
         cfg = TrainConfig(epochs=20, batch_size=8, rng=RngStream(9))
         m1 = train(init_model("linear", 2, 2, rng=RngStream(4)), batch, cfg)
         m2 = train(init_model("linear", 2, 2, rng=RngStream(4)), batch, cfg)
@@ -312,8 +322,7 @@ class TestTrain:
 
     def test_doubling_epochs_never_increases_final_loss(self):
         # full-batch descent at a stable learning rate is monotone
-        rng = np.random.default_rng(31)
-        data = [(rng.normal(size=3), hard_target(one_hot(rng.integers(2), 2))) for _ in range(16)]
+        data = pack(hard_rows(np.random.default_rng(31), 16, 3))
         m0 = init_model("linear", 3, 2, rng=RngStream(7))
         prev = None
         for epochs in (10, 20, 40, 80):
@@ -325,42 +334,28 @@ class TestTrain:
 
     def test_divergence_carries_epoch(self):
         rng = np.random.default_rng(40)
-        data = [(rng.normal(size=2), hard_target(np.array([rng.normal()]))) for _ in range(8)]
+        rows = [(rng.normal(size=2), np.array([rng.normal()]), None, 1.0, 0.0) for _ in range(8)]
         m0 = init_model("linear", 2, 1, task="regression", rng=RngStream(9))
         cfg = TrainConfig(learning_rate=1e12, epochs=50, batch_size=8, rng=RngStream(10))
         with pytest.raises(TrainingDivergence) as exc:
-            train(m0, data, cfg)
+            train(m0, pack(rows, "regression"), cfg)
         assert isinstance(exc.value.epoch, int)
 
     def test_non_finite_features_name_the_example(self):
         # a NaN feature is bad input, not a divergence at epoch 0
-        batch = separable_batch()
-        batch[4] = (np.array([np.nan, 0.0]), batch[4][1])
-        cfg = TrainConfig(epochs=1, batch_size=4)
+        rows = separable_rows()
+        rows[4] = (np.array([np.nan, 0.0]), *rows[4][1:])
         with pytest.raises(ValueError, match="^example 4: features are not finite"):
-            train(init_model("linear", 2, 2), batch, cfg)
-        names = 10 * np.arange(len(batch))[::-1]
+            pack(rows)
+        names = 10 * np.arange(len(rows))[::-1]
         with pytest.raises(ValueError, match=f"^example {names[4]}: features are not finite"):
-            Packed(*pack_args(batch), names)
-
-    def test_packed_columns_act_as_their_list(self):
-        batch = separable_batch()
-        packed = Packed(*pack_args(batch), range(len(batch)))
-        assert len(packed) == len(batch)
-        m0 = init_model(Arch.mlp(3), 2, 2, rng=RngStream(3))
-        cfg = TrainConfig(epochs=5, batch_size=8, rng=RngStream(4))
-        a, b = train(m0, packed, cfg), train(m0, batch, cfg)
-        for wa, wb in zip(a.weights + a.biases, b.weights + b.biases):
-            assert np.array_equal(wa, wb)
-        assert loss(a, packed, l2=0.1) == loss(a, batch, l2=0.1)
-        with pytest.raises(ValueError, match=r"expected \(d, c\) = \(2, 3\), got \(2, 2\)"):
-            train(init_model("linear", 2, 3), packed, cfg)
+            pack(rows, names=names)
 
     def test_m0_untouched_and_result_owns_its_arrays(self):
-        batch = separable_batch()
         m0 = init_model(Arch.mlp(3, 4), 2, 2, rng=RngStream(13))
         before = [a.copy() for a in m0.weights + m0.biases]
-        m = train(m0, batch, TrainConfig(epochs=3, batch_size=8, rng=RngStream(14)))
+        cfg = TrainConfig(epochs=3, batch_size=8, rng=RngStream(14))
+        m = train(m0, pack(separable_rows()), cfg)
         for a, b in zip(m0.weights + m0.biases, before):
             assert np.array_equal(a, b)
         arrays = m.weights + m.biases
@@ -370,33 +365,28 @@ class TestTrain:
 
     @pytest.mark.parametrize("kind", ["hard", "soft"])
     def test_bad_target_names_the_example(self, kind):
-        batch = separable_batch()
-        target = WeightedTarget(**{kind: np.ones(3) / 3, f"{kind}_weight": 1.0})
-        batch[5] = batch[6] = (batch[5][0], target)
-        with pytest.raises(ValueError, match=rf"^example 5: {kind} target has shape \(3,\)"):
-            train(init_model("linear", 2, 2), batch, TrainConfig(epochs=1, batch_size=4))
-        target = WeightedTarget(**{kind: np.array([0.6, 0.6]), f"{kind}_weight": 1.0})
-        batch[5] = batch[6] = (batch[5][0], target)
-        names = 10 * np.arange(len(batch))
+        rows, bad = separable_rows(), np.array([0.6, 0.6])
+        x = rows[5][0]
+        rows[5] = rows[6] = (x, bad, None, 1.0, 0.0) if kind == "hard" else (x, None, bad, 0.0, 1.0)
+        names = 10 * np.arange(len(rows))
         with pytest.raises(ValueError, match=f"^example 50: {kind} target: .*sums to 1.2"):
-            Packed(*pack_args(batch), names)
+            pack(rows, names=names)
 
     def test_batch_size_cannot_exceed_data(self):
-        batch = separable_batch()
         cfg = TrainConfig(batch_size=21)
-        with pytest.raises(ValueError):
-            train(init_model("linear", 2, 2), batch, cfg)
+        with pytest.raises(ValueError, match="batch_size 21 exceeds data size 20"):
+            train(init_model("linear", 2, 2), pack(separable_rows()), cfg)
 
     def test_loss_history_recorded(self):
-        batch = separable_batch()
         cfg = TrainConfig(epochs=30, batch_size=20, learning_rate=0.2, rng=RngStream(11))
-        m = train(init_model("linear", 2, 2, rng=RngStream(12)), batch, cfg)
+        m = train(init_model("linear", 2, 2, rng=RngStream(12)), pack(separable_rows()), cfg)
         assert len(m.loss_history) == 30
         assert m.loss_history[-1] < m.loss_history[0]
 
 
 def reference_train(m0, data, cfg, T_student=1.0):
-    """SGD as `train` ran it before targets were combined once per call.
+    """SGD as `train` ran it before targets were combined once per call, on
+    (x, hard, soft, hard_weight, soft_weight) rows.
 
     Targets are packed into four dense columns; each step gathers all four
     and forms the loss and gradient from them, then applies every update
@@ -404,13 +394,13 @@ def reference_train(m0, data, cfg, T_student=1.0):
     """
     c, task = m0.output_dim, m0.task
     n = len(data)
-    X = np.asarray([np.asarray(x, dtype=np.float64) for x, _ in data])
+    X = np.asarray([np.asarray(x, dtype=np.float64) for x, *_ in data])
     hard, soft, hw, sw = np.zeros((n, c)), np.zeros((n, c)), np.zeros(n), np.zeros(n)
-    for i, (_, t) in enumerate(data):
-        if t.hard is not None:
-            hard[i], hw[i] = t.hard, t.hard_weight
-        if t.soft is not None:
-            soft[i], sw[i] = t.soft, t.soft_weight
+    for i, (_, h, s, h_weight, s_weight) in enumerate(data):
+        if h is not None:
+            hard[i], hw[i] = h, h_weight
+        if s is not None:
+            soft[i], sw[i] = s, s_weight
 
     def loss_and_grads(m, Xb, hard, soft, hw, sw):
         acts = [Xb]
@@ -475,14 +465,13 @@ def mixed_data(rng, d, c, n, targets, task):
         else:
             h, s = rng.normal(size=c), rng.normal(size=c)
         if targets == "hard":
-            t = WeightedTarget(hard=h, hard_weight=1.0)
+            data.append((x, h, None, 1.0, 0.0))
         elif targets == "soft":
-            t = WeightedTarget(soft=s, soft_weight=1.0)
+            data.append((x, None, s, 0.0, 1.0))
         elif targets == "unlabeled" and i % 3 == 0:
-            t = WeightedTarget(soft=s, soft_weight=0.3 * 2.5)
+            data.append((x, None, s, 0.0, 0.3 * 2.5))
         else:
-            t = WeightedTarget(h, s, 0.7, 0.3)
-        data.append((x, t))
+            data.append((x, h, s, 0.7, 0.3))
     return data
 
 
@@ -499,24 +488,86 @@ class TestTrainMatchesReference:
         for T, l2 in itertools.product([1.0, 3.0], [0.0, 1e-2]):
             m0 = init_model(arch, 6, 3, task=task, rng=RngStream(int(T), int(l2 * 100)))
             cfg = TrainConfig(learning_rate=0.1, epochs=6, batch_size=5, l2=l2, rng=RngStream(7))
-            got, ref = train(m0, data, cfg, T_student=T), reference_train(m0, data, cfg, T_student=T)
+            got = train(m0, pack(data, task), cfg, T_student=T)
+            ref = reference_train(m0, data, cfg, T_student=T)
             for a, b in zip(got.weights + got.biases, ref.weights + ref.biases):
                 assert np.array_equal(a, b), (T, l2)
             np.testing.assert_allclose(got.loss_history, ref.loss_history, rtol=1e-12, atol=0)
 
 
-class TestWeightedTarget:
+def columns(task="classification"):
+    """Packed arguments for 4 hard-labeled rows of weight 1 without soft
+    targets, named 0, 10, 20, 30: [X, task, hard, soft, names], as lists."""
+    rng = np.random.default_rng(4)
+    H = np.eye(2)[[0, 1, 1, 0]] if task == "classification" else rng.normal(size=(4, 2))
+    hard = [H, np.ones(4), np.ones(4, bool)]
+    soft = [np.zeros((4, 2)), np.zeros(4), np.zeros(4, bool)]
+    return [rng.normal(size=(4, 3)), task, hard, soft, 10 * np.arange(4)]
+
+
+class TestPacked:
+    """Each malformed input raises ValueError naming the row by `names`, or the argument."""
+
     def test_requires_some_target(self):
-        with pytest.raises(ValueError):
-            WeightedTarget()
+        args = columns()
+        args[2][1][1], args[2][2][1] = 0.0, False
+        with pytest.raises(ValueError, match="^example 10: no hard or soft target"):
+            Packed(*args)
 
-    def test_absent_target_must_be_unweighted(self):
-        with pytest.raises(ValueError):
-            WeightedTarget(hard=one_hot(0, 2), hard_weight=0.5, soft_weight=0.5)
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_absent_target_must_be_unweighted(self, task):
+        args = columns(task)
+        args[3][1][2] = 0.5
+        with pytest.raises(ValueError, match="^example 20: absent soft target has a nonzero"):
+            Packed(*args)
 
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            WeightedTarget(hard=one_hot(0, 2), hard_weight=-0.1)
+    @pytest.mark.parametrize("weight", [-0.1, np.nan, np.inf])
+    def test_weight_must_be_finite_and_non_negative(self, weight):
+        args = columns()
+        args[2][1][3] = weight
+        with pytest.raises(ValueError, match="^example 30: hard weight is not finite and >= 0"):
+            Packed(*args)
+
+    def test_present_target_may_weigh_zero(self):
+        args = columns()
+        args[2][1][:] = 0.0
+        assert len(Packed(*args)) == 4
+
+    @pytest.mark.parametrize(
+        "where,value,message",
+        [
+            ((2, 0), np.eye(2)[:1], r"^hard targets: shape \(1, 2\), expected \(4, 2\)"),
+            ((2, 1), np.ones(1), r"^hard weights: shape \(1,\), expected \(4,\)"),
+            ((3, 0), np.zeros((4, 3)), r"^soft targets: shape \(4, 3\), expected \(4, 2\)"),
+            ((3, 2), np.zeros(1, bool), r"^soft mask: shape \(1,\), expected \(4,\)"),
+            ((2, 2), np.ones(4), "^hard mask: dtype float64, expected bool"),
+            ((2, 0), np.ones(4), r"^hard targets: shape \(4,\), expected \(n, c\)"),
+            ((0,), np.ones(4), r"^X: shape \(4,\), expected \(n, d\)"),
+            ((4,), range(3), "^names has 3 entries for 4 rows"),
+        ],
+        ids=["targets-of-one-row", "weights-of-one-row", "soft-width", "mask-of-one-row",
+             "mask-not-bool", "targets-1d", "X-1d", "names-short"],
+    )
+    def test_shapes_are_not_broadcast(self, where, value, message):
+        args = columns()
+        (args[where[0]] if len(where) == 2 else args)[where[-1]] = value
+        with pytest.raises(ValueError, match=message):
+            Packed(*args)
+
+    def test_regression_target_must_be_finite_where_present(self):
+        args = columns("regression")
+        args[3][0][:] = np.nan  # absent soft targets: never read
+        assert np.array_equal(Packed(*args).targets[1], np.zeros((4, 2)))
+        args[2][0][1, 0] = np.inf
+        with pytest.raises(ValueError, match="^example 10: hard target is not finite"):
+            Packed(*args)
+
+    def test_length_and_fit_to_the_model(self):
+        packed = Packed(*columns())
+        assert len(packed) == 4
+        cfg = TrainConfig(epochs=1, batch_size=4)
+        with pytest.raises(ValueError, match=r"expected \(d, c\) = \(3, 3\), got \(3, 2\)"):
+            train(init_model("linear", 3, 3), packed, cfg)
 
 
 class TestSerialization:

@@ -197,16 +197,16 @@ class TestDump:
 
 @st.composite
 def datasets(draw):
-    """Regression datasets (any y) with d, d_star in 0..3, c in 1..3 and
-    random missing fields."""
+    """Regression datasets (any features, any finite y) with d, d_star in
+    0..3, c in 1..3 and random missing fields."""
     sizes = [draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(1, 3))]
-    values = st.floats(allow_nan=False)
+    features, labels = st.floats(allow_nan=False), st.floats(allow_nan=False, allow_infinity=False)
     examples = []
     for _ in range(draw(st.integers(0, 5))):
         present = draw(st.lists(st.booleans(), min_size=3, max_size=3).filter(any))
         examples.append(Triplet(*(
             np.array(draw(st.lists(values, min_size=k, max_size=k)), float) if p else None
-            for k, p in zip(sizes, present)
+            for k, p, values in zip(sizes, present, (features, features, labels))
         )))
     return Dataset(DatasetHeader(*sizes, "regression"), examples)
 
@@ -249,11 +249,12 @@ class TestDumpFormat:
             ("1,2,,0,1\n", "record 2: missing"),
             ("1,2,,0,1\n1,2,,0,1\n1,2,,0,1\n", "more than the header's 2 records"),
             ("_,_,_\n1,2,,0,1\n", "record 1: a triplet needs"),
+            ("1,2,,0,1\n1,2,,0,\xe9\n", "record 2: not ASCII text"),
         ],
     )
     def test_bad_record_is_named(self, tmp_path, body, message):
         path = tmp_path / "dump.txt"
-        path.write_text("2,0,2,2\n" + body)
+        path.write_text("2,0,2,2\n" + body, encoding="utf-8")
         with pytest.raises(ValueError, match=f"^{message}"):
             load_dataset(path)
 
@@ -262,6 +263,12 @@ class TestDumpFormat:
         path = tmp_path / "dump.txt"
         path.write_text(first + "\n1,2,,0,1\n")
         with pytest.raises(ValueError, match="^line 1: "):
+            load_dataset(path)
+
+    def test_non_ascii_header_is_named(self, tmp_path):
+        path = tmp_path / "dump.txt"
+        path.write_text("2,0,2,\xe9\n1,2,,0,1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^line 1: not ASCII text"):
             load_dataset(path)
 
     @given(datasets(), st.sampled_from([",", ";", " ", "\t"]))
