@@ -7,9 +7,12 @@ sequential steps: train a teacher on the privileged view, soften its
 predictions into per-example soft labels, and train a student on the
 regular view against an imitation-weighted mix of hard and soft targets.
 
-Soft labels are keyed by the example's row in the full dataset (a
-stable id), so filtering incomplete examples can never misalign a
-feature vector with someone else's soft label.
+Soft labels are one (n, c) column aligned with the dataset's rows: the
+teacher's output on the rows with x_star, NaN on the rest.  The student
+reads a soft label only on a row that has both x and x_star, so a row
+without them is never read and no filtering can misalign a feature
+vector with another example's soft label.  The student always trains
+at T = 1 on soft labels taken at the teacher's temperature.
 
 Extensions: clean-subset routing for semi-supervised data, soft-label
 restriction to the classes of interest for out-of-task (Universum)
@@ -184,9 +187,7 @@ class DistillConfig:
     temperature softens the teacher's predictions; imitation weighs soft
     against hard targets (0 = supervised only, 1 = imitation only);
     unlabeled_weight additionally scales the soft term of examples that
-    have no hard label.  match_teacher_temperature applies the same
-    temperature to the student's own logits during training
-    (classification only); by default the student trains at T = 1.
+    have no hard label (0 trains on the labeled examples alone).
     """
 
     temperature: float = 1.0
@@ -196,7 +197,6 @@ class DistillConfig:
     student_arch: Arch = Arch("linear")
     teacher_train: TrainConfig = TrainConfig()
     student_train: TrainConfig = TrainConfig()
-    match_teacher_temperature: bool = False
 
     def __post_init__(self):
         if not 0 < self.temperature < math.inf:
@@ -220,56 +220,37 @@ def train_teacher(data: Dataset, cfg: DistillConfig) -> Model:
     return train(m0, batch, replace(cfg.teacher_train, rng=rng.fork("shuffle")))
 
 
-def soft_labels(teacher: Model, data: Dataset, T: float) -> list[tuple[int, np.ndarray]]:
-    """Step 2: (example-id, soft target) for every example with x_star.
+def soft_labels(teacher: Model, data: Dataset, T: float) -> np.ndarray:
+    """Step 2: an (n, c) column of soft targets aligned with `data`'s rows.
 
     Classification: sigma(f_t(x_star) / T), a valid probability vector.
     Regression: the teacher's raw prediction (temperature does not act).
-    Labels are not required, so unlabeled examples are covered too.
+    Labels are not required, so unlabeled examples are covered too; rows
+    without x_star hold NaN.
     """
     ids = np.flatnonzero(data._masks["x_star"])
-    if not ids.size:
-        return []
-    out = forward(teacher, data._cols["x_star"][ids])
-    if teacher.task == CLASSIFICATION:
-        out = softmax(out, T)
-    return list(zip(ids.tolist(), out))
-
-
-def _soft_column(soft, n: int, c: int) -> tuple[np.ndarray, np.ndarray]:
-    """`soft`'s (id, vector) pairs as an (n, c) column, zero elsewhere, and the
-    mask of its ids.  Raises ValueError naming an id that is not an integer
-    in [0, n), is listed twice, or has a vector not of shape (c,)."""
-    S, has = np.zeros((n, c)), np.zeros(n, dtype=bool)
-    if not len(soft):
-        return S, has
-    ids, vectors = zip(*soft)
-    ids = np.asarray(ids)
-    if ids.dtype.kind not in "iu":
-        raise ValueError(f"soft label ids must be integers, not {ids.dtype}")
-    outside = (ids < 0) | (ids >= n)
-    if outside.any():
-        raise ValueError(f"soft label id {ids[np.argmax(outside)]} is outside [0, {n})")
-    repeated = np.bincount(ids, minlength=n) > 1
-    if repeated.any():
-        raise ValueError(f"soft label id {np.argmax(repeated)} is listed more than once")
-    if set(map(np.shape, vectors)) != {(c,)}:
-        i, v = next((i, v) for i, v in soft if np.shape(v) != (c,))
-        raise ValueError(f"example {i}: soft target has shape {np.shape(v)}, expected ({c},)")
-    S[ids], has[ids] = vectors, True
-    return S, has
+    soft = np.full((len(data), teacher.output_dim), np.nan)
+    if ids.size:
+        out = forward(teacher, data._cols["x_star"][ids])
+        soft[ids] = softmax(out, T) if teacher.task == CLASSIFICATION else out
+    return soft
 
 
 def distill_student(data: Dataset, soft, cfg: DistillConfig) -> Model:
     """Step 3: train the student on regular features with mixed targets.
 
-    Labeled examples weigh their hard label by (1 - imitation) and their
-    soft label by imitation; unlabeled ones get only the soft term,
-    scaled further by unlabeled_weight.  Examples without x, or whose
-    every weight is zero (e.g. unlabeled ones under imitation = 0), drop out.
+    `soft` is a `soft_labels` column for `data`, or empty for none; the
+    student reads it on the rows with x_star.  Labeled examples weigh their
+    hard label by (1 - imitation) and their soft label by imitation;
+    unlabeled ones get only the soft term, scaled further by
+    unlabeled_weight.  Examples without x, or whose every weight is zero
+    (e.g. unlabeled ones under imitation = 0), drop out.
     """
-    h, lam, labeled = data.header, cfg.imitation, data._masks["y"]
-    S, has_soft = _soft_column(soft, len(data), h.c)
+    h, lam, labeled, given = data.header, cfg.imitation, data._masks["y"], len(soft) > 0
+    S = np.asarray(soft, dtype=np.float64) if given else np.zeros((len(data), h.c))
+    if S.shape != (len(data), h.c):
+        raise ValueError(f"soft labels: shape {S.shape}, expected ({len(data)}, {h.c})")
+    has_soft = data._masks["x_star"] & given
     hw = np.where(labeled, 1.0 - lam, 0.0)
     sw = np.where(has_soft, np.where(labeled, lam, lam * cfg.unlabeled_weight), 0.0)
     ids = np.flatnonzero(data._masks["x"] & ((hw != 0.0) | (sw != 0.0)))
@@ -277,32 +258,31 @@ def distill_student(data: Dataset, soft, cfg: DistillConfig) -> Model:
         raise ValueError("no usable examples to distill into the student")
     hard = (data._cols["y"][ids], hw[ids], labeled[ids])
     batch = Packed(data._cols["x"][ids], h.task, hard, (S[ids], sw[ids], has_soft[ids]), ids)
-    T_student = 1.0
-    if cfg.match_teacher_temperature and h.task == CLASSIFICATION:
-        T_student = cfg.temperature
     rng = cfg.student_train.rng
     m0 = init_model(cfg.student_arch, h.d, h.c, h.task, rng.fork("init"))
-    return train(m0, batch, replace(cfg.student_train, rng=rng.fork("shuffle")), T_student)
+    return train(m0, batch, replace(cfg.student_train, rng=rng.fork("shuffle")))
 
 
 def restrict_simplex(p: np.ndarray, classes) -> np.ndarray:
-    """Renormalize a probability vector onto a subset of its classes."""
-    q = np.asarray(p, dtype=np.float64)[classes]
-    mass = float(q.sum())
-    if mass < 1e-300:
-        raise ValueError("probability mass on the classes of interest is numerically zero")
+    """Renormalize probability vectors (along the last axis) onto a subset of
+    their classes; a NaN row stays NaN.  Raises ValueError, naming the
+    first row of a 2-D `p`, where the mass on the subset is numerically zero."""
+    q = np.asarray(p, dtype=np.float64)[..., classes]
+    mass = q.sum(axis=-1, keepdims=True)
+    zero = np.flatnonzero(mass < 1e-300)
+    if zero.size:
+        row = f"row {zero[0]}: " if q.ndim == 2 else ""
+        raise ValueError(f"{row}probability mass on the classes of interest is numerically zero")
     return q / mass
 
 
-def universum_soft_labels(
-    teacher: Model, data: Dataset, T: float, classes_of_interest
-) -> list[tuple[int, np.ndarray]]:
-    """Soft labels from an all-classes teacher, kept only for the classes
-    of interest and renormalized.
+def universum_soft_labels(teacher: Model, data: Dataset, T: float, classes_of_interest):
+    """`soft_labels` of an all-classes teacher, kept only for the classes of
+    interest and renormalized row by row (rows without x_star stay NaN).
 
     The teacher may have been trained on extra out-of-task classes; the
     restriction preserves the ratios between retained class
-    probabilities.  Output vectors are indexed by ascending class id.
+    probabilities.  Columns are indexed by ascending class id.
     """
     if teacher.task != CLASSIFICATION:
         raise ValueError("universum soft labels require a classification teacher")
@@ -315,7 +295,7 @@ def universum_soft_labels(
     c_all = teacher.output_dim
     if classes[0] < 0 or classes[-1] >= c_all:
         raise ValueError(f"classes of interest out of range for {c_all} teacher classes")
-    return [(i, restrict_simplex(p, classes)) for i, p in soft_labels(teacher, data, T)]
+    return restrict_simplex(soft_labels(teacher, data, T), classes)
 
 
 def multitask_views(data: Dataset, target_task: int) -> Dataset:

@@ -26,7 +26,10 @@ from __future__ import annotations
 import csv
 import inspect
 import json
+import math
+import numbers
 import os
+import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -174,6 +177,12 @@ def _base(stream: RngStream, teacher_train, student_train, arch, **extra) -> Dis
     )
 
 
+def _check_reps(reps) -> None:
+    """Reject a repetition count that is not an integer >= 0."""
+    if not isinstance(reps, numbers.Integral) or reps < 0:
+        raise ValueError(f"reps must be an integer >= 0, got {reps!r}")
+
+
 def _check_batch(name: str, n: int, *configs: TrainConfig) -> None:
     """Reject a training sample `name` of n rows smaller than a config's batch."""
     for cfg in configs:
@@ -186,19 +195,20 @@ def _repeat(problems, T_grid, lambda_grid, metric="accuracy", arms=None, per_tas
 
     A problem is (label, train set, test set, base DistillConfig).  For
     each one the teacher and the regular student (imitation 0, no soft
-    labels) are trained and scored, then soft labels are computed once
-    per T and one student per lambda is trained for every distilled arm.
-    `arms` maps a distilled arm to a predicate on example ids that keeps
-    part of the soft labels (None keeps them all).  A diverging teacher
+    labels) are trained and scored, then one soft-label column is computed
+    per T and one student per lambda is trained on it for every distilled
+    arm.  `arms` maps a distilled arm to its DistillConfig overrides, e.g.
+    {"unlabeled_weight": 0.0} to train on the labeled rows alone (the
+    default is one arm, "distilled", with none).  A diverging teacher
     or regular student drops the problem; a diverging distilled student
     drops only its cell; an aggregate is complete with one value per
     problem.  `per_task` adds one row per value, named after its problem.
     """
     score = accuracy if metric == "accuracy" else mse
-    arms = arms or {"distilled": None}
+    arms = arms or {"distilled": {}}
     grid = [(a, float(T), float(lam)) for a in arms for T in T_grid for lam in lambda_grid]
-    for _, T, lam in grid:  # a bad grid value fails here, before any training
-        DistillConfig(temperature=T, imitation=lam)
+    for a, T, lam in grid:  # a bad grid value fails here, before any training
+        DistillConfig(temperature=T, imitation=lam, **arms[a])
     values = {key: [] for key in [("privileged", None, None), ("regular", None, None), *grid]}
     errors, n_problems = [], 0
     for label, train_ds, test_ds, base in problems:
@@ -213,11 +223,13 @@ def _repeat(problems, T_grid, lambda_grid, metric="accuracy", arms=None, per_tas
         values["regular", None, None].append((label, score(regular, test_ds, "x")))
         for T in T_grid:
             soft = soft_labels(teacher, train_ds, T)
-            kept = {a: [s for s in soft if keep is None or keep(s[0])] for a, keep in arms.items()}
             for lam in lambda_grid:
                 cfg = replace(base, temperature=float(T), imitation=float(lam))
                 try:
-                    students = {a: distill_student(train_ds, kept[a], cfg) for a in arms}
+                    students = {
+                        a: distill_student(train_ds, soft, replace(cfg, **over))
+                        for a, over in arms.items()
+                    }
                 except TrainingDivergence as e:
                     errors.append(f"{label} cell T={T} lambda={lam}: {e}")
                     continue
@@ -307,6 +319,7 @@ def run_synthetic(
     Each repetition draws a fresh problem instance (hyperplane), a fresh
     train set and a fresh test set; all three arms share them.
     """
+    _check_reps(reps)
     if spec is None:
         spec = SyntheticSpec(experiment)
     _check_batch("spec.n_train", spec.n_train, teacher_train, student_train)
@@ -376,6 +389,7 @@ def run_mnist(
     Both are MLPs with two hidden ReLU layers; the distilled arm is
     evaluated per (T, lambda) grid cell on the full test set.
     """
+    _check_reps(reps)
     data_dir = data_dir_from_env(data_dir)
     paths = _locate(data_dir, MNIST_FILES, "mnist")
     train_set = load_idx(paths[0], paths[1])
@@ -435,6 +449,7 @@ def run_cifar_semisup(
     pool ("distilled" arm), or the labeled images alone
     ("distilled-labeled" arm), against a supervised-only baseline.
     """
+    _check_reps(reps)
     data_dir = data_dir_from_env(data_dir)
     paths = _locate(data_dir, CIFAR_TRAIN_FILES + (CIFAR_TEST_FILE,), "cifar-10-batches-bin")
     train_set = load_cifar(paths[:-1])
@@ -475,7 +490,7 @@ def run_cifar_semisup(
         "cifar", locals(),
         noise="additive N(0, sigma^2) on [0,1] pixels, train and test, no clipping",
     )
-    arms = {"distilled": None, "distilled-labeled": lambda i: i < n_labeled}
+    arms = {"distilled": {}, "distilled-labeled": {"unlabeled_weight": 0.0}}
     results, errors = _repeat(problems(), T_grid, lambda_grid, arms=arms)
     return ExperimentReport("cifar-semisup", seed, __version__, config, results, errors)
 
@@ -608,7 +623,8 @@ def emit_report(report: ExperimentReport, format: str, path) -> None:
 
 
 def _number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A JSON number that converts to a float: not a bool, nor an int too large."""
+    return isinstance(v, float) or type(v) is int and abs(v) <= sys.float_info.max
 
 
 # the JSON values a report field accepts, by the field's annotation
@@ -644,17 +660,35 @@ def _json_fields(cls, obj, where: str) -> dict:
 
 def load_report_json(path) -> ExperimentReport:
     """Read an `emit_report` JSON file.  Raises ValueError naming the key, or
-    the result index and its key, that is missing, unknown or malformed."""
+    the result index and its key, that is missing, unknown or malformed, a
+    result whose `reps`, `mean` or `std` differs by more than 1e-9 (relative,
+    for another numpy's summation order) from what its `values` give, or a
+    `status` that its errors and results do not give.  A NaN mean or std is
+    not checked: next to values it never compares equal (`ArmResult.__eq__`)."""
     with open(path, "r", encoding="utf-8") as f:
         payload = json.load(f)
-    if isinstance(payload, dict):
-        payload = {k: v for k, v in payload.items() if k != "status"}
+    status = payload.pop("status", MISSING) if isinstance(payload, dict) else MISSING
     payload = _json_fields(ExperimentReport, payload, "report")
-    results = [
-        ArmResult(**_json_fields(ArmResult, r, f"results[{i}]"))
-        for i, r in enumerate(payload.pop("results"))
-    ]
-    return ExperimentReport(results=results, **payload)
+    results = []
+    for i, r in enumerate(payload.pop("results")):
+        result = ArmResult(**_json_fields(ArmResult, r, f"results[{i}]"))
+        given = _aggregate(result.arm, result.metric, result.values, result.reps)
+        for key in ("reps", "mean", "std"):
+            a, b = getattr(result, key), getattr(given, key)
+            if a == a and not math.isclose(a, b, rel_tol=1e-9):
+                raise ValueError(f"results[{i}]: key {key!r} is {a!r}, but its values give {b!r}")
+        results.append(result)
+    report = ExperimentReport(results=results, **payload)
+    if status is not MISSING and status != report.status:
+        raise ValueError(f"report: key 'status' is {status!r}, but the report is {report.status!r}")
+    return report
+
+
+def _csv_number(text: str, parse):
+    """`parse(text)`, refusing digit separators (1_0) and surrounding whitespace."""
+    if "_" in text or text != text.strip():
+        raise ValueError(f"{text!r} is not a number")
+    return parse(text)
 
 
 def load_report_csv(path) -> list[dict]:
@@ -674,18 +708,9 @@ def load_report_csv(path) -> list[dict]:
                 if len(row) != len(CSV_HEADER):
                     raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
                 experiment, arm, T, lam, mean, std, reps, status = row
-                rows.append(
-                    {
-                        "experiment": experiment,
-                        "arm": arm,
-                        "T": float(T) if T else None,
-                        "lambda": float(lam) if lam else None,
-                        "mean": float(mean),
-                        "std": float(std),
-                        "reps": int(reps),
-                        "status": status,
-                    }
-                )
+                numbers = [_csv_number(v, float) if v else None for v in (T, lam)]
+                numbers += [_csv_number(v, float) for v in (mean, std)] + [_csv_number(reps, int)]
+                rows.append(dict(zip(CSV_HEADER, (experiment, arm, *numbers, status))))
         except (ValueError, csv.Error) as e:
             raise ValueError(f"line {max(reader.line_num, 1)}: {e}") from None
     return rows

@@ -7,8 +7,8 @@ example carries a weighted pair of targets (hard label and/or soft
 label), so the same trainer covers ordinary supervised training,
 imitation-weighted distillation, and their regression analogues.
 
-Classification losses consume logits, never probabilities: temperature
-scaling and the log are fused through log-sum-exp.  Regression replaces
+Classification losses consume logits (at T = 1), never probabilities:
+the softmax and the log are fused through log-sum-exp.  Regression replaces
 cross-entropy with 0.5 * squared error per target (gradient out - y).
 L2 regularization is (l2 / 2) * sum of squared weight-matrix entries;
 biases are not regularized.
@@ -303,7 +303,7 @@ class _Flat:
         self.w_flat = self.buf[: sum(w.size for w in self.weights)]
 
 
-def _loss_grad(p: _Flat, X: np.ndarray, tgt: tuple, T: float, task: str, l2: float, grad=None):
+def _loss_grad(p: _Flat, X: np.ndarray, tgt: tuple, task: str, l2: float, grad=None):
     """Mean weighted loss of the layer stack `p` on rows X, plus the L2
     penalty; given a `_Flat` `grad` of the same layout, also writes the
     exact gradient into it.
@@ -316,14 +316,13 @@ def _loss_grad(p: _Flat, X: np.ndarray, tgt: tuple, T: float, task: str, l2: flo
     out, n = acts[-1], X.shape[0]
     if task == CLASSIFICATION:
         Y, w_tot = tgt
-        zt = out / T
-        m = zt.max(axis=1, keepdims=True)
-        lse = m + np.log(np.exp(zt - m).sum(axis=1, keepdims=True))
-        logp = zt - lse
+        m = out.max(axis=1, keepdims=True)
+        lse = m + np.log(np.exp(out - m).sum(axis=1, keepdims=True))
+        logp = out - lse
         value = -float(np.vdot(Y, logp)) / n
         if grad is not None:
-            # d/dz of -sum_k y_k logp_k is (sigma * sum(y) - y) / T
-            g = (np.exp(logp) * w_tot - Y) / T
+            # d/dz of -sum_k y_k logp_k is sigma * sum(y) - y
+            g = np.exp(logp) * w_tot - Y
     else:  # 0.5 * ||out - y||^2 per target
         hard, soft, hw, sw = tgt
         dh = out - hard
@@ -347,10 +346,8 @@ def _loss_grad(p: _Flat, X: np.ndarray, tgt: tuple, T: float, task: str, l2: flo
     return value
 
 
-def _checked(m: Model, data: Packed, T_student: float) -> Packed:
+def _checked(m: Model, data: Packed) -> Packed:
     """`data`, checked to be a Packed that fits m."""
-    if not T_student > 0:
-        raise ValueError("T_student must be positive")
     if not isinstance(data, Packed):
         raise TypeError(f"expected training data as a Packed, got {type(data).__name__}")
     got = (data.X.shape[1], data.targets[0].shape[1])
@@ -359,25 +356,21 @@ def _checked(m: Model, data: Packed, T_student: float) -> Packed:
     return data
 
 
-def loss(m: Model, batch: Packed, T_student: float = 1.0, l2: float = 0.0) -> float:
-    """Mean weighted hard/soft loss over the batch plus the L2 penalty.
-
-    T_student rescales the model's logits before the softmax (classification
-    only).
-    """
-    data = _checked(m, batch, T_student)
-    return _loss_grad(_Flat(m.weights, m.biases), data.X, data.targets, T_student, m.task, l2)
+def loss(m: Model, batch: Packed, *, l2: float = 0.0) -> float:
+    """Mean weighted hard/soft loss over the batch plus the L2 penalty."""
+    data = _checked(m, batch)
+    return _loss_grad(_Flat(m.weights, m.biases), data.X, data.targets, m.task, l2)
 
 
-def gradient(m: Model, batch: Packed, T_student: float = 1.0, l2: float = 0.0) -> Gradient:
+def gradient(m: Model, batch: Packed, *, l2: float = 0.0) -> Gradient:
     """Exact gradient of loss() with respect to every parameter."""
-    data = _checked(m, batch, T_student)
+    data = _checked(m, batch)
     grad = _Flat(m.weights, m.biases)  # same layout, overwritten
-    _loss_grad(_Flat(m.weights, m.biases), data.X, data.targets, T_student, m.task, l2, grad)
+    _loss_grad(_Flat(m.weights, m.biases), data.X, data.targets, m.task, l2, grad)
     return Gradient(grad.weights, grad.biases)
 
 
-def train(m0: Model, data: Packed, cfg: TrainConfig, T_student: float = 1.0) -> Model:
+def train(m0: Model, data: Packed, cfg: TrainConfig) -> Model:
     """Mini-batch SGD from m0 on `data`; returns the final model.
 
     Batches are drawn by a seeded shuffle each epoch.  The returned model
@@ -388,7 +381,7 @@ def train(m0: Model, data: Packed, cfg: TrainConfig, T_student: float = 1.0) -> 
     batch, and TrainingDivergence (with the epoch index) if the loss ever
     becomes non-finite.
     """
-    data = _checked(m0, data, T_student)
+    data = _checked(m0, data)
     n = len(data)
     if cfg.batch_size > n:
         raise ValueError(f"batch_size {cfg.batch_size} exceeds data size {n}")
@@ -407,7 +400,7 @@ def train(m0: Model, data: Packed, cfg: TrainConfig, T_student: float = 1.0) -> 
             for start in range(0, n, size):
                 rows = slice(start, start + size)
                 batch_tgt = [col[rows] for col in cols]
-                value = _loss_grad(params, X[perm[rows]], batch_tgt, T_student, m0.task, l2, grad)
+                value = _loss_grad(params, X[perm[rows]], batch_tgt, m0.task, l2, grad)
                 if not math.isfinite(value):
                     raise TrainingDivergence(epoch, value)
                 grad.buf *= lr

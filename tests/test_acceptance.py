@@ -255,11 +255,10 @@ class TestPropertySuite:
                 batch = _mixed(rows, task, 1 - lam, lam)
                 if _kink_distance(m, batch) > 1e-3:
                     break
-            T = 1.0 if task == "regression" else [1.0, 2.0][k % 2]
             l2 = [0.0, 0.1][k % 2]
-            g = gradient(m, batch, T, l2)
+            g = gradient(m, batch, l2=l2)
             ga = np.concatenate([a.ravel() for a in g.weights + g.biases])
-            gf = _fd_grad(m, batch, T, l2)
+            gf = _fd_grad(m, batch, l2)
             err = np.linalg.norm(ga - gf) / max(np.linalg.norm(ga), np.linalg.norm(gf), 1e-8)
             if err > 1e-4:
                 return False
@@ -363,7 +362,7 @@ def _kink_distance(m, batch):
     return dist
 
 
-def _fd_grad(m, batch, T, l2, step=1e-5):
+def _fd_grad(m, batch, l2, step=1e-5):
     grads = []
     for arr_list in (m.weights, m.biases):
         for arr in arr_list:
@@ -373,9 +372,9 @@ def _fd_grad(m, batch, T, l2, step=1e-5):
                 ix = it.multi_index
                 orig = arr[ix]
                 arr[ix] = orig + step
-                up = loss(m, batch, T, l2)
+                up = loss(m, batch, l2=l2)
                 arr[ix] = orig - step
-                down = loss(m, batch, T, l2)
+                down = loss(m, batch, l2=l2)
                 arr[ix] = orig
                 g[ix] = (up - down) / (2 * step)
                 it.iternext()

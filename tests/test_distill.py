@@ -110,15 +110,15 @@ class TestSoftLabels:
     def test_temperature_one_is_plain_softmax(self):
         data = toy_dataset(n=12)
         teacher = train_teacher(data, small_cfg())
-        for i, s in soft_labels(teacher, data, 1.0):
-            expect = softmax(forward(teacher, data.examples[i].x_star), 1.0)
-            np.testing.assert_array_equal(s, expect)
+        soft = soft_labels(teacher, data, 1.0)
+        assert soft.shape == (12, 2)
+        for t, s in zip(data.examples, soft):
+            np.testing.assert_array_equal(s, softmax(forward(teacher, t.x_star), 1.0))
 
     def test_high_temperature_limit_is_uniform(self):
         data = toy_dataset(n=12)
         teacher = train_teacher(data, small_cfg())
-        for _, s in soft_labels(teacher, data, 1e9):
-            np.testing.assert_allclose(s, [0.5, 0.5], atol=1e-5)
+        np.testing.assert_allclose(soft_labels(teacher, data, 1e9), 0.5, atol=1e-5)
 
     def test_zero_teacher_emits_bias_softmax(self):
         data = toy_dataset(n=5)
@@ -126,19 +126,26 @@ class TestSoftLabels:
         for w in teacher.weights:
             w[:] = 0.0
         teacher.biases[0][:] = [1.0, -1.0]
-        for _, s in soft_labels(teacher, data, 2.0):
+        for s in soft_labels(teacher, data, 2.0):
             np.testing.assert_allclose(s, softmax(np.array([1.0, -1.0]), 2.0), rtol=1e-15)
 
     def test_covers_unlabeled_examples(self):
         data = toy_dataset(n=20, unlabeled_from=10)
         teacher = train_teacher(data, small_cfg())
         out = soft_labels(teacher, data, 1.0)
-        assert len(out) == len(clean_subset(data.examples, ("x_star",))) == 20
+        assert out.shape == (20, 2) and np.isfinite(out).all()
+
+    def test_rows_without_x_star_are_nan(self):
+        data = gappy_dataset()
+        out = soft_labels(train_teacher(data, small_cfg()), data, 1.0)
+        assert len(out) == len(data)
+        has_x_star = np.arange(len(data)) % 5 != 2
+        assert np.isnan(out[~has_x_star]).all() and np.isfinite(out[has_x_star]).all()
 
     def test_outputs_are_simplex_vectors(self):
         data = toy_dataset(n=20)
         teacher = train_teacher(data, small_cfg())
-        for _, s in soft_labels(teacher, data, 5.0):
+        for s in soft_labels(teacher, data, 5.0):
             assert abs(s.sum() - 1.0) <= 1e-9 and np.all(s >= 0)
 
 
@@ -174,7 +181,8 @@ class TestDistillStudent:
         cfg = small_cfg(imitation=0.5, unlabeled_weight=0.0)
         teacher = train_teacher(data, cfg)
         soft = soft_labels(teacher, data, cfg.temperature)
-        labeled_only = [(i, s) for i, s in soft if i < 10]
+        labeled_only = soft.copy()
+        labeled_only[10:] = np.nan  # the unlabeled rows weigh 0, so they are never read
         a = distill_student(data, soft, cfg)
         b = distill_student(data, labeled_only, small_cfg(imitation=0.5, unlabeled_weight=0.0))
         for wa, wb in zip(params(a), params(b)):
@@ -189,27 +197,36 @@ class TestDistillStudent:
         data = toy_dataset(n=30)
         cfg = small_cfg(imitation=0.5)
         soft = soft_labels(train_teacher(data, cfg), data, cfg.temperature)
-        soft[17] = (soft[17][0], np.array([0.5, 0.4]))
-        with pytest.raises(ValueError, match=f"^example {soft[17][0]}: soft target: .*sums to 0.9"):
+        soft[17] = [0.5, 0.4]
+        with pytest.raises(ValueError, match="^example 17: soft target: .*sums to 0.9"):
             distill_student(data, soft, cfg)
 
     @pytest.mark.parametrize(
-        "edit,message",
+        "edit,shape",
         [
-            (lambda soft: soft + [(30, soft[0][1])], "soft label id 30 is outside"),
-            (lambda soft: soft + [(-1, soft[0][1])], "soft label id -1 is outside"),
-            (lambda soft: soft + [(7, soft[0][1])], "soft label id 7 is listed more than once"),
-            (lambda soft: soft + [(2.0, soft[0][1])], "soft label ids must be integers"),
-            (lambda soft: soft[:4] + [(4, np.ones(3) / 3)], r"^example 4: soft target has shape"),
+            (lambda soft: soft[:29], r"\(29, 2\)"),
+            (lambda soft: np.vstack([soft, soft[:1]]), r"\(31, 2\)"),
+            (lambda soft: np.full((30, 3), 1 / 3), r"\(30, 3\)"),
+            (lambda soft: soft[:, 0], r"\(30,\)"),
+            (lambda soft: soft[None], r"\(1, 30, 2\)"),
         ],
-        ids=["past-the-end", "negative", "repeated", "float", "bad-shape"],
+        ids=["short", "long", "wide", "one-dimensional", "three-dimensional"],
     )
-    def test_bad_soft_ids_and_shapes_rejected(self, edit, message):
+    def test_soft_labels_of_the_wrong_shape_rejected(self, edit, shape):
         data = toy_dataset(n=30)
         cfg = small_cfg(imitation=0.5)
         soft = soft_labels(train_teacher(data, cfg), data, cfg.temperature)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=rf"^soft labels: shape {shape}, expected \(30, 2\)"):
             distill_student(data, edit(soft), cfg)
+
+    def test_column_of_another_dataset_names_the_example(self):
+        # gappy_dataset has no x_star on rows 2, 7, ..., so its column is NaN there;
+        # toy_dataset has x_star on every row, so the student reads row 2
+        cfg = small_cfg(imitation=0.5)
+        other = gappy_dataset(n=30)
+        soft = soft_labels(train_teacher(other, cfg), other, cfg.temperature)
+        with pytest.raises(ValueError, match="^example 2: soft target: .*finite"):
+            distill_student(toy_dataset(n=30), soft, cfg)
 
     def test_soft_labels_of_rows_without_x_are_ignored(self):
         data = toy_dataset(n=30)
@@ -218,8 +235,21 @@ class TestDistillStudent:
         part = Dataset.from_arrays(header, **cols, present={"x": has_x})
         cfg = small_cfg(imitation=0.5)
         soft = soft_labels(train_teacher(data, cfg), data, cfg.temperature)
-        kept = [(i, s) for i, s in soft if has_x[i]]
+        kept = soft.copy()
+        kept[~has_x] = np.nan
         assert_same_bits(distill_student(part, soft, cfg), distill_student(part, kept, cfg))
+
+    def test_soft_labels_of_rows_without_x_star_are_never_read(self):
+        data = gappy_dataset()
+        cfg = small_cfg(imitation=0.5, unlabeled_weight=2.5)
+        soft = soft_labels(train_teacher(data, cfg), data, cfg.temperature)
+        no_x_star = np.arange(len(data)) % 5 == 2
+        garbage = soft.copy()
+        garbage[no_x_star] = [7.0, -3.0]  # no probability vector
+        assert_same_bits(distill_student(data, garbage, cfg), distill_student(data, soft, cfg))
+        garbage[~no_x_star] = np.nan
+        with pytest.raises(ValueError, match="^example 0: soft target"):
+            distill_student(data, garbage, cfg)
 
     def test_non_finite_features_name_the_example(self):
         header, cols = toy_columns(30)
@@ -246,7 +276,7 @@ class TestUniversum:
         teacher.weights[0][:] = 0.0
         teacher.biases[0][:] = np.log([0.5, 0.3, 0.2])
         data = Dataset(DatasetHeader(1, 1, 3), [Triplet(x_star=np.zeros(1))])
-        [(_, q)] = universum_soft_labels(teacher, data, 1.0, [0, 1])
+        [q] = universum_soft_labels(teacher, data, 1.0, [0, 1])
         np.testing.assert_allclose(q, [0.625, 0.375], rtol=1e-12)
 
     def test_full_class_set_is_identity(self):
@@ -269,8 +299,24 @@ class TestUniversum:
 
     def test_vanishing_mass_is_an_error(self):
         p = np.array([1.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^probability mass"):
             restrict_simplex(p, [1, 2])
+
+    def test_rows_are_restricted_one_by_one(self):
+        P = np.array([[0.2, 0.5, 0.3], [np.nan] * 3, [0.5, 0.25, 0.25]])
+        Q = restrict_simplex(P, [1, 2])
+        for p, q in zip(P[[0, 2]], Q[[0, 2]]):
+            np.testing.assert_array_equal(q, restrict_simplex(p, [1, 2]))
+        assert np.isnan(Q[1]).all()
+
+    def test_first_row_without_mass_is_named(self):
+        # logits (1000 x, 0, 0): x = 1 puts all the mass on class 0 (e^-1000 is 0.0)
+        teacher = init_model("linear", 1, 3)
+        teacher.weights[0][:] = [[1000.0, 0.0, 0.0]]
+        data = Dataset.from_arrays(DatasetHeader(1, 1, 3), x_star=[[0.0], [0.5], [1.0], [1.0]])
+        with pytest.raises(ValueError, match="^row 2: probability mass on the classes of interest"):
+            universum_soft_labels(teacher, data, 1.0, [1, 2])
+        np.testing.assert_allclose(universum_soft_labels(teacher, data, 1.0, [0, 1])[2], [1, 0])
 
     def test_class_set_validation(self):
         teacher = init_model("linear", 1, 3)
@@ -285,8 +331,7 @@ class TestUniversum:
     def test_class_set_accepts_any_iterable(self):
         teacher = init_model("linear", 1, 3)
         data = Dataset(DatasetHeader(1, 1, 3), [Triplet(x_star=np.zeros(1))])
-        [(_, q)] = universum_soft_labels(teacher, data, 1.0, (k for k in (0, 2)))
-        assert q.shape == (2,)
+        assert universum_soft_labels(teacher, data, 1.0, (k for k in (0, 2))).shape == (1, 2)
 
 
 def multitask_data(n=10, tasks=7, d=21, seed=3):
@@ -509,18 +554,17 @@ def reference_teacher(data, cfg):
 
 def reference_student(data, soft, cfg):
     """distill_student as (x, hard, soft, weights) rows, one per usable example."""
-    soft, lam, rows = dict(soft), cfg.imitation, []
+    lam, rows = cfg.imitation, []
     for i, t in enumerate(data.examples):
-        s = soft.get(i)
+        s = None if t.x_star is None else soft[i]
         hard_w = 0.0 if t.y is None else 1.0 - lam
         soft_w = 0.0 if s is None else lam if t.y is not None else lam * cfg.unlabeled_weight
         if t.x is not None and (hard_w != 0.0 or soft_w != 0.0):
             rows.append((t.x, t.y, s, hard_w, soft_w))
     h, rng = data.header, cfg.student_train.rng
-    T = cfg.temperature if cfg.match_teacher_temperature and h.task == "classification" else 1.0
     m0 = init_model(cfg.student_arch, h.d, h.c, h.task, rng.fork("init"))
     batch = pack_rows(rows, h.c, h.task)
-    return train(m0, batch, replace(cfg.student_train, rng=rng.fork("shuffle")), T)
+    return train(m0, batch, replace(cfg.student_train, rng=rng.fork("shuffle")))
 
 
 def assert_same_bits(a, b):
@@ -551,8 +595,7 @@ class TestColumnsTrainAsRows:
         teacher = train_teacher(data, cfg)
         assert_same_bits(teacher, reference_teacher(data, cfg))
         soft = soft_labels(teacher, data, cfg.temperature)
-        for c in (cfg, replace(cfg, match_teacher_temperature=True)):
-            assert_same_bits(distill_student(data, soft, c), reference_student(data, soft, c))
+        assert_same_bits(distill_student(data, soft, cfg), reference_student(data, soft, cfg))
 
     def test_regression_view(self):
         data = multitask_views(multitask_data(n=30), 2)

@@ -131,6 +131,13 @@ def mnist_kwargs(mnist_dir, **over):
     return kw
 
 
+def edit_cell(line, k, text):
+    """CSV `line` with its k-th field (0-based) replaced by `text`."""
+    cells = line.split(",")
+    cells[k] = text
+    return ",".join(cells)
+
+
 class TestReportSerialization:
     def test_csv_contract(self, tmp_path):
         report = tiny_synthetic()
@@ -190,10 +197,54 @@ class TestReportSerialization:
             (3, lines[2].replace("complete", "complete,x"), "expected 8 fields, got 9"),
             (4, lines[3].replace(",1.0,", ",one,", 1), "could not convert string to float: 'one'"),
             (1, lines[0].replace("lambda", "lam"), "expected the CSV header"),
+            (4, edit_cell(lines[3], 2, "1_0"), "'1_0' is not a number"),
+            (4, edit_cell(lines[3], 3, " 0.5 "), "' 0.5 ' is not a number"),
+            (3, edit_cell(lines[2], 4, "0.5 "), "'0.5 ' is not a number"),
+            (2, edit_cell(lines[1], 5, "0_0"), "'0_0' is not a number"),
+            (3, edit_cell(lines[2], 6, "1_2"), "'1_2' is not a number"),
+            (3, edit_cell(lines[2], 6, " 2"), "' 2' is not a number"),
         ]:
             path.write_text("\n".join(lines[: k - 1] + [line] + lines[k:]) + "\n")
             with pytest.raises(ValueError, match=f"^line {k}: {message}"):
                 load_report_csv(path)
+        spelled = edit_cell(edit_cell(edit_cell(lines[3], 2, "inf"), 4, "nan"), 5, "-inf")
+        path.write_text("\n".join(lines[:3] + [spelled]) + "\n")
+        row = load_report_csv(path)[2]
+        assert row["T"] == math.inf and math.isnan(row["mean"]) and row["std"] == -math.inf
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda p: p["results"][1].update(reps=7), r"^results\[1\]: key 'reps' is 7, but its"),
+            (lambda p: p["results"][1].update(mean=0.9), r"^results\[1\]: key 'mean' is 0.9, but"),
+            (lambda p: p["results"][1].update(std=0.5), r"^results\[1\]: key 'std' is 0.5, but"),
+            (lambda p: p["results"][1].update(values=[]), r"^results\[1\]: key 'reps' is 2, but"),
+            (lambda p: p["results"][1].update(values=[10**400]), r"^results\[1\]: key 'values' hold"),
+            (lambda p: p.update(status="incomplete"), "^report: key 'status' is 'incomplete', but"),
+            (lambda p: p.update(status=None), "^report: key 'status' is None, but"),
+        ],
+        ids=["reps", "mean", "std", "no-values", "huge-value", "status", "null-status"],
+    )
+    def test_json_aggregates_must_match_their_values(self, tmp_path, edit, message):
+        path = tmp_path / "r.json"
+        emit_report(tiny_synthetic(), "json", path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message):
+            load_report_json(path)
+
+    def test_json_aggregates_within_rounding_or_nan_load(self, tmp_path):
+        report = tiny_synthetic()
+        path = tmp_path / "r.json"
+        emit_report(report, "json", path)
+        payload = json.loads(path.read_text())
+        payload["results"][0]["mean"] = np.nextafter(payload["results"][0]["mean"], 2.0)
+        payload["results"][1]["std"] = math.nan
+        path.write_text(json.dumps(payload))
+        loaded = load_report_json(path)
+        assert loaded.results[0].mean == payload["results"][0]["mean"]
+        assert loaded.results[2] == report.results[2] and loaded != report
 
     @pytest.mark.parametrize(
         "edit,message",
@@ -441,6 +492,24 @@ def test_sample_smaller_than_batch_rejected_before_training(
     assert trained == []
 
 
+@pytest.mark.parametrize("reps", [-2, 2.5, "3", None])
+@pytest.mark.parametrize("runner", ["synthetic", "mnist", "cifar"])
+def test_bad_reps_rejected_before_reading_or_training(runner, reps, tmp_path, monkeypatch):
+    # the data directory does not exist, so reading it first would raise FileNotFoundError
+    nowhere = tmp_path / "nowhere"
+    calls = {
+        "synthetic": lambda: run_synthetic(1, reps, SyntheticSpec(1, n_train=40, n_test=20)),
+        "mnist": lambda: run_mnist(data_dir=nowhere, reps=reps),
+        "cifar": lambda: run_cifar_semisup(data_dir=nowhere, reps=reps),
+    }
+    touched = []
+    for name in ("generate", "load_idx", "load_cifar", "train_teacher"):
+        monkeypatch.setattr(experiments, name, lambda *args, **kw: touched.append(args))
+    with pytest.raises(ValueError, match="^reps must be"):
+        calls[runner]()
+    assert touched == []
+
+
 class TestCifarMachinery:
     def cifar_kwargs(self, cifar_dir, **over):
         kw = dict(
@@ -504,7 +573,7 @@ class TestCifarMachinery:
         clean = run_cifar_semisup(**self.cifar_kwargs(cifar_dir))
 
         def labeled_only_student(k, data, soft, cfg):
-            return (cfg.temperature, cfg.imitation) == (5.0, 1.0) and len(soft) == 12
+            return (cfg.temperature, cfg.imitation) == (5.0, 1.0) and cfg.unlabeled_weight == 0.0
 
         diverge_on(monkeypatch, "distill_student", labeled_only_student)
         report = run_cifar_semisup(**self.cifar_kwargs(cifar_dir))
@@ -621,6 +690,12 @@ class TestCli:
             if command == "synthetic":
                 dests -= {"n_train", "n_test"}  # they build the SyntheticSpec
             assert dests <= set(inspect.signature(RUNNERS[command]).parameters), command
+
+    def test_bad_reps_exits_2(self, capsys):
+        code = cli_main(["synthetic", "--experiment", "1", "--reps", "-2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: ValueError: reps must be an integer >= 0, got -2\n"
 
     def test_bad_grid_rejected(self, capsys):
         with pytest.raises(SystemExit):
