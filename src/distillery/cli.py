@@ -14,7 +14,7 @@ import argparse
 import inspect
 import sys
 
-from .experiments import DEFAULT_LAMBDA_GRID, DEFAULT_T_GRID, RUNNERS, emit_report
+from .experiments import RUNNERS, emit_report
 from .synthetic import SyntheticSpec
 
 
@@ -31,68 +31,65 @@ def _grid(text: str) -> tuple[float, ...]:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="distillery",
-        description="Teacher-student distillation experiments (privileged/regular/distilled arms).",
+        description="Teacher-student distillation experiments (privileged/regular/distilled arms). "
+        "An option left out takes the default of the experiment's run_* function.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+        p.add_argument("--seed", type=int, help="master seed")
         p.add_argument("--out", help="report file to write")
         p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="report format (default csv)")
 
     p = sub.add_parser("synthetic", help="synthetic setups 1-4, three arms")
     p.add_argument("--experiment", type=int, choices=(1, 2, 3, 4), required=True)
-    p.add_argument("--reps", type=int, default=100, help="repetitions (default 100)")
-    p.add_argument("--T", dest="temperature", type=float, default=1.0,
-                   help="soft-label temperature (default 1)")
-    p.add_argument("--lambda", dest="imitation", type=float, default=1.0,
-                   help="imitation weight in [0,1] (default 1)")
-    p.add_argument("--n-train", type=int, default=200)
-    p.add_argument("--n-test", type=int, default=10_000)
+    p.add_argument("--reps", type=int, help="repetitions")
+    p.add_argument("--T", dest="temperature", type=float, help="soft-label temperature")
+    p.add_argument("--lambda", dest="imitation", type=float, help="imitation weight in [0,1]")
+    p.add_argument("--n-train", type=int)
+    p.add_argument("--n-test", type=int)
     common(p)
 
     p = sub.add_parser("mnist", help="28x28 teacher distilled into a 7x7 student")
-    p.add_argument("--n-train", type=int, default=300, help="training samples (default 300)")
-    p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--T", dest="T_grid", type=_grid, default=DEFAULT_T_GRID,
-                   help="temperature grid, e.g. 1,2,5")
-    p.add_argument("--lambda", dest="lambda_grid", type=_grid, default=DEFAULT_LAMBDA_GRID,
-                   help="imitation grid, e.g. 0,0.5,1")
+    p.add_argument("--n-train", type=int, help="training samples")
+    p.add_argument("--reps", type=int)
+    p.add_argument("--T", dest="T_grid", type=_grid, help="temperature grid, e.g. 1,2,5")
+    p.add_argument("--lambda", dest="lambda_grid", type=_grid, help="imitation grid, e.g. 0,0.5,1")
     p.add_argument("--data-dir", help="directory holding the IDX files")
     common(p)
 
     p = sub.add_parser("cifar", help="semi-supervised distillation on noisy images")
-    p.add_argument("--n-labeled", type=int, default=300)
-    p.add_argument("--sigma", type=float, default=0.5, help="pixel noise std (default 0.5)")
-    p.add_argument("--max-unlabeled", type=int, default=None,
-                   help="subsample the soft-labeled pool for desk-scale runs")
-    p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--T", dest="T_grid", type=_grid, default=DEFAULT_T_GRID)
-    p.add_argument("--lambda", dest="lambda_grid", type=_grid, default=DEFAULT_LAMBDA_GRID)
+    p.add_argument("--n-labeled", type=int)
+    p.add_argument("--sigma", type=float, help="pixel noise std")
+    p.add_argument("--max-unlabeled", type=int, help="subsample the soft-labeled pool")
+    p.add_argument("--reps", type=int)
+    p.add_argument("--T", dest="T_grid", type=_grid)
+    p.add_argument("--lambda", dest="lambda_grid", type=_grid)
     p.add_argument("--data-dir", help="directory holding the CIFAR-10 binary batches")
     common(p)
 
     p = sub.add_parser("multitask", help="per-task teachers over a 21+7 column table")
     p.add_argument("--path", required=True, help="delimiter-separated table file")
-    p.add_argument("--n-train", type=int, default=300)
-    p.add_argument("--test-cap", type=int, default=5000)
-    p.add_argument("--delimiter", default=",", help="cell delimiter (default comma)")
-    p.add_argument("--T", dest="T_grid", type=_grid, default=(1.0,))
-    p.add_argument("--lambda", dest="lambda_grid", type=_grid, default=DEFAULT_LAMBDA_GRID)
+    p.add_argument("--n-train", type=int)
+    p.add_argument("--test-cap", type=int)
+    p.add_argument("--delimiter", help="cell delimiter")
+    p.add_argument("--T", dest="T_grid", type=_grid)
+    p.add_argument("--lambda", dest="lambda_grid", type=_grid)
     common(p)
 
     return parser
 
 
 def _dispatch(args):
-    """Call the subcommand's runner with the options named like its parameters."""
-    arguments = dict(vars(args))
+    """Call the subcommand's runner with the options given, named like its parameters."""
+    given = {k: v for k, v in vars(args).items() if v is not None}
     if args.command == "synthetic":
-        arguments["spec"] = SyntheticSpec(args.experiment, n_train=args.n_train, n_test=args.n_test)
+        sizes = {k: given.pop(k) for k in ("n_train", "n_test") if k in given}
+        given["spec"] = SyntheticSpec(args.experiment, **sizes)
     runner = RUNNERS[args.command]
     params = inspect.signature(runner).parameters
-    return runner(**{k: v for k, v in arguments.items() if k in params})
+    return runner(**{k: v for k, v in given.items() if k in params})
 
 
 def _summarize(report) -> str:

@@ -10,6 +10,7 @@ distinct streams are statistically independent by construction.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,8 @@ __all__ = [
     "simplex_rows",
     "check_rows",
     "check_simplex_rows",
+    "check_temperature",
+    "check_count",
 ]
 
 
@@ -97,7 +100,7 @@ def _check_logits(z) -> np.ndarray:
     return z
 
 
-def _check_temperature(T) -> float:
+def check_temperature(T) -> float:
     T = float(T)
     if not (T > 0.0) or not np.isfinite(T):
         raise ValueError(f"temperature must be positive and finite, got {T}")
@@ -112,7 +115,7 @@ def softmax(z, T: float = 1.0) -> np.ndarray:
     T = 1 is the plain softmax.  The argmax of the output equals the
     argmax of z for every T.
     """
-    T = _check_temperature(T)
+    T = check_temperature(T)
     z = _check_logits(z)
     zt = z / T
     e = np.exp(zt - np.max(zt, axis=-1, keepdims=True))
@@ -121,7 +124,7 @@ def softmax(z, T: float = 1.0) -> np.ndarray:
 
 def log_softmax(z, T: float = 1.0) -> np.ndarray:
     """Log of softmax(z, T), kept in log space (finite for finite logits)."""
-    T = _check_temperature(T)
+    T = check_temperature(T)
     z = _check_logits(z)
     zt = z / T
     m = np.max(zt, axis=-1, keepdims=True)
@@ -147,6 +150,16 @@ def simplex_rows(P, tol: float = 1e-9) -> np.ndarray:
     fail it)."""
     P = np.asarray(P, dtype=np.float64)
     return np.all(P >= 0, axis=1) & (np.abs(P.sum(axis=1) - 1.0) <= tol)
+
+
+def check_count(name: str, value) -> None:
+    """Raise ValueError naming `name` unless `value` is an integer >= 1."""
+    try:
+        ok = operator.index(value) >= 1
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def check_rows(ok, names, what: str) -> None:

@@ -182,15 +182,15 @@ def clean_subset(items, fields):
 
 @dataclass(frozen=True)
 class DistillConfig:
-    """Knobs for the full pipeline.
+    """Knobs for the teacher and the student.
 
-    temperature softens the teacher's predictions; imitation weighs soft
-    against hard targets (0 = supervised only, 1 = imitation only);
-    unlabeled_weight additionally scales the soft term of examples that
-    have no hard label (0 trains on the labeled examples alone).
+    imitation weighs soft against hard targets (0 = supervised only,
+    1 = imitation only); unlabeled_weight additionally scales the soft term
+    of examples that have no hard label (0 trains on the labeled examples
+    alone).  The temperature is not a knob here: it acts only in
+    `soft_labels`, and the student always trains at T = 1.
     """
 
-    temperature: float = 1.0
     imitation: float = 1.0
     unlabeled_weight: float = 1.0
     teacher_arch: Arch = Arch("linear")
@@ -199,8 +199,6 @@ class DistillConfig:
     student_train: TrainConfig = TrainConfig()
 
     def __post_init__(self):
-        if not 0 < self.temperature < math.inf:
-            raise ValueError("temperature must be positive and finite")
         if not 0.0 <= self.imitation <= 1.0:
             raise ValueError("imitation must lie in [0, 1]")
         if not 0 <= self.unlabeled_weight < math.inf:

@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import RngStream
+from .core import RngStream, check_temperature
 from .datasets import downscale, load_cifar, load_idx, load_multitask_csv, pollute
 from .distill import (
     Dataset,
@@ -208,7 +208,8 @@ def _repeat(problems, T_grid, lambda_grid, metric="accuracy", arms=None, per_tas
     arms = arms or {"distilled": {}}
     grid = [(a, float(T), float(lam)) for a in arms for T in T_grid for lam in lambda_grid]
     for a, T, lam in grid:  # a bad grid value fails here, before any training
-        DistillConfig(temperature=T, imitation=lam, **arms[a])
+        check_temperature(T)
+        DistillConfig(imitation=lam, **arms[a])
     values = {key: [] for key in [("privileged", None, None), ("regular", None, None), *grid]}
     errors, n_problems = [], 0
     for label, train_ds, test_ds, base in problems:
@@ -224,7 +225,7 @@ def _repeat(problems, T_grid, lambda_grid, metric="accuracy", arms=None, per_tas
         for T in T_grid:
             soft = soft_labels(teacher, train_ds, T)
             for lam in lambda_grid:
-                cfg = replace(base, temperature=float(T), imitation=float(lam))
+                cfg = replace(base, imitation=float(lam))
                 try:
                     students = {
                         a: distill_student(train_ds, soft, replace(cfg, **over))
@@ -322,6 +323,8 @@ def run_synthetic(
     _check_reps(reps)
     if spec is None:
         spec = SyntheticSpec(experiment)
+    if spec.experiment != experiment:
+        raise ValueError(f"spec.experiment {spec.experiment} differs from experiment {experiment}")
     _check_batch("spec.n_train", spec.n_train, teacher_train, student_train)
     master = RngStream(seed)
 

@@ -17,13 +17,13 @@ biases are not regularized.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import RngStream, check_count, check_rows, check_simplex_rows
 # check_simplex is looked up here by perfbench/tracing.py, which counts its calls
-from .core import RngStream, check_rows, check_simplex, check_simplex_rows  # noqa: F401
+from .core import check_simplex  # noqa: F401
 
 __all__ = [
     "Arch",
@@ -62,10 +62,12 @@ class Arch:
             raise ValueError("linear architecture takes no hidden sizes")
         if self.kind == "mlp" and not self.hidden:
             raise ValueError("mlp architecture needs at least one hidden size")
+        for h in self.hidden:
+            check_count("hidden size", h)
 
     @staticmethod
     def mlp(*hidden: int) -> "Arch":
-        return Arch("mlp", tuple(int(h) for h in hidden))
+        return Arch("mlp", hidden)
 
 
 class TrainingDivergence(RuntimeError):
@@ -85,7 +87,6 @@ class Model:
     single-layer model is exactly the linear map x @ W + b.
     """
 
-    kind: str
     task: str
     weights: list[np.ndarray]
     biases: list[np.ndarray]
@@ -104,6 +105,19 @@ class Model:
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError(f"layer {i} has non-finite parameters")
 
+    def __eq__(self, other):
+        # same task and bit-equal parameters; loss_history records the training only
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = zip([*self.weights, *self.biases], [*other.weights, *other.biases])
+        return (self.task, len(self.weights)) == (other.task, len(other.weights)) and all(
+            np.array_equal(a, b) for a, b in pairs
+        )
+
+    @property
+    def kind(self) -> str:
+        return "linear" if len(self.weights) == 1 else "mlp"
+
     @property
     def input_dim(self) -> int:
         return self.weights[0].shape[0]
@@ -113,12 +127,7 @@ class Model:
         return self.weights[-1].shape[1]
 
     def copy(self) -> "Model":
-        return Model(
-            self.kind,
-            self.task,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
+        return Model(self.task, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
 
 @dataclass
@@ -149,14 +158,7 @@ class TrainConfig:
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite")
         for name in ("epochs", "batch_size"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer") from None
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            check_count(name, getattr(self, name))
         if not 0 <= self.l2 < math.inf:
             raise ValueError("l2 must be finite and >= 0")
         if self.init_scale != "fan_in_normal":
@@ -185,7 +187,7 @@ def init_model(
         scale = np.sqrt((2.0 if is_hidden else 1.0) / fi)
         weights.append(g.standard_normal((fi, fo)) * scale)
         biases.append(np.zeros(fo))
-    return Model(arch.kind, task, weights, biases)
+    return Model(task, weights, biases)
 
 
 def _as_batch(m: Model, x) -> tuple[np.ndarray, bool]:
@@ -409,14 +411,14 @@ def train(m0: Model, data: Packed, cfg: TrainConfig) -> Model:
             history.append(float(np.mean(epoch_losses)))
     weights = [w.copy() for w in params.weights]
     biases = [b.copy() for b in params.biases]
-    return Model(m0.kind, m0.task, weights, biases, loss_history=history)
+    return Model(m0.task, weights, biases, loss_history=history)
 
 
 # --- serialization ---------------------------------------------------------
 #
 # Flat text record, version 1:
 #   line 1: "distillery-model 1"
-#   line 2: "kind <linear|mlp>"
+#   line 2: "kind <linear|mlp>" (linear for one layer, mlp for more)
 #   line 3: "task <classification|regression>"
 #   line 4: "sizes d h1 ... c"
 #   then per layer i: a line "W<i>" followed by fan_in rows of fan_out
@@ -479,7 +481,10 @@ def model_from_text(text: str) -> Model:
         pos += 1
         weights.append(w)
         biases.append(b)
-    return Model(kind, task, weights, biases)
+    m = Model(task, weights, biases)
+    if kind != m.kind:
+        raise ValueError(f"kind {kind!r} at line 2 contradicts the {len(weights)} layer(s)")
+    return m
 
 
 def save_model(m: Model, path) -> None:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream
+from .core import RngStream, check_count
 from .distill import Dataset, DatasetHeader, Triplet
 from .models import CLASSIFICATION
 
@@ -59,10 +59,10 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.experiment not in (1, 2, 3, 4):
             raise ValueError(f"experiment must be 1..4, got {self.experiment}")
-        if not 1 <= self.relevant_size <= self.d:
+        for name in ("d", "n_train", "n_test", "relevant_size"):
+            check_count(name, getattr(self, name))
+        if self.relevant_size > self.d:
             raise ValueError("need d >= relevant_size >= 1")
-        if self.n_train < 1 or self.n_test < 1:
-            raise ValueError("n_train and n_test must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -100,7 +100,7 @@ class TestTrainTeacher:
         data = toy_dataset(n=30)
         cfg = small_cfg()
         t1 = train_teacher(data, cfg)
-        distill_student(data, soft_labels(t1, data, cfg.temperature), cfg)
+        distill_student(data, soft_labels(t1, data, 1.0), cfg)
         t2 = train_teacher(data, cfg)
         for a, b in zip(params(t1), params(t2)):
             assert np.array_equal(a, b)
@@ -154,9 +154,9 @@ class TestDistillStudent:
         # also with soft-only (unlabeled) rows, any unlabeled_weight and any T
         for unlabeled_from, unlabeled_weight, T in [(None, 1.0, 1.0), (20, 2.5, 3.0)]:
             data = toy_dataset(n=30, unlabeled_from=unlabeled_from)
-            cfg = small_cfg(imitation=0.0, temperature=T, unlabeled_weight=unlabeled_weight)
+            cfg = small_cfg(imitation=0.0, unlabeled_weight=unlabeled_weight)
             teacher = train_teacher(data, cfg)
-            soft = soft_labels(teacher, data, cfg.temperature)
+            soft = soft_labels(teacher, data, T)
             with_soft = distill_student(data, soft, cfg)
             plain = distill_student(data, [], small_cfg(imitation=0.0))
             for a, b in zip(params(with_soft), params(plain)):
@@ -166,7 +166,7 @@ class TestDistillStudent:
         data = toy_dataset(n=30)
         cfg = small_cfg(imitation=1.0)
         teacher = train_teacher(data, cfg)
-        soft = soft_labels(teacher, data, cfg.temperature)
+        soft = soft_labels(teacher, data, 1.0)
         ref = distill_student(data, soft, cfg)
         poisoned = Dataset(
             data.header,
@@ -180,7 +180,7 @@ class TestDistillStudent:
         data = toy_dataset(n=30, unlabeled_from=10)
         cfg = small_cfg(imitation=0.5, unlabeled_weight=0.0)
         teacher = train_teacher(data, cfg)
-        soft = soft_labels(teacher, data, cfg.temperature)
+        soft = soft_labels(teacher, data, 1.0)
         labeled_only = soft.copy()
         labeled_only[10:] = np.nan  # the unlabeled rows weigh 0, so they are never read
         a = distill_student(data, soft, cfg)
@@ -196,7 +196,7 @@ class TestDistillStudent:
     def test_bad_soft_label_names_the_example(self):
         data = toy_dataset(n=30)
         cfg = small_cfg(imitation=0.5)
-        soft = soft_labels(train_teacher(data, cfg), data, cfg.temperature)
+        soft = soft_labels(train_teacher(data, cfg), data, 1.0)
         soft[17] = [0.5, 0.4]
         with pytest.raises(ValueError, match="^example 17: soft target: .*sums to 0.9"):
             distill_student(data, soft, cfg)
@@ -215,7 +215,7 @@ class TestDistillStudent:
     def test_soft_labels_of_the_wrong_shape_rejected(self, edit, shape):
         data = toy_dataset(n=30)
         cfg = small_cfg(imitation=0.5)
-        soft = soft_labels(train_teacher(data, cfg), data, cfg.temperature)
+        soft = soft_labels(train_teacher(data, cfg), data, 1.0)
         with pytest.raises(ValueError, match=rf"^soft labels: shape {shape}, expected \(30, 2\)"):
             distill_student(data, edit(soft), cfg)
 
@@ -224,7 +224,7 @@ class TestDistillStudent:
         # toy_dataset has x_star on every row, so the student reads row 2
         cfg = small_cfg(imitation=0.5)
         other = gappy_dataset(n=30)
-        soft = soft_labels(train_teacher(other, cfg), other, cfg.temperature)
+        soft = soft_labels(train_teacher(other, cfg), other, 1.0)
         with pytest.raises(ValueError, match="^example 2: soft target: .*finite"):
             distill_student(toy_dataset(n=30), soft, cfg)
 
@@ -234,7 +234,7 @@ class TestDistillStudent:
         header, cols = toy_columns(30)
         part = Dataset.from_arrays(header, **cols, present={"x": has_x})
         cfg = small_cfg(imitation=0.5)
-        soft = soft_labels(train_teacher(data, cfg), data, cfg.temperature)
+        soft = soft_labels(train_teacher(data, cfg), data, 1.0)
         kept = soft.copy()
         kept[~has_x] = np.nan
         assert_same_bits(distill_student(part, soft, cfg), distill_student(part, kept, cfg))
@@ -242,7 +242,7 @@ class TestDistillStudent:
     def test_soft_labels_of_rows_without_x_star_are_never_read(self):
         data = gappy_dataset()
         cfg = small_cfg(imitation=0.5, unlabeled_weight=2.5)
-        soft = soft_labels(train_teacher(data, cfg), data, cfg.temperature)
+        soft = soft_labels(train_teacher(data, cfg), data, 1.0)
         no_x_star = np.arange(len(data)) % 5 == 2
         garbage = soft.copy()
         garbage[no_x_star] = [7.0, -3.0]  # no probability vector
@@ -261,7 +261,7 @@ class TestDistillStudent:
         data = toy_dataset(n=40, unlabeled_from=12)
         cfg = small_cfg(imitation=0.8)
         teacher = train_teacher(data, cfg)
-        soft = soft_labels(teacher, data, cfg.temperature)
+        soft = soft_labels(teacher, data, 1.0)
         student = distill_student(data, soft, cfg)
         X = np.array([t.x for t in data.examples])
         labels = np.array([int(t.x[0] + t.x[1] > 0) for t in data.examples])
@@ -373,10 +373,6 @@ class TestDistillConfigValidation:
     @pytest.mark.parametrize(
         "bad",
         [
-            dict(temperature=0.0),
-            dict(temperature=-1.0),
-            dict(temperature=math.inf),
-            dict(temperature=math.nan),
             dict(imitation=-0.1),
             dict(imitation=1.5),
             dict(imitation=math.nan),
@@ -591,10 +587,10 @@ class TestColumnsTrainAsRows:
     )
     def test_classification(self, lam, unlabeled_weight):
         data = gappy_dataset()
-        cfg = small_cfg(imitation=lam, temperature=2.0, unlabeled_weight=unlabeled_weight)
+        cfg = small_cfg(imitation=lam, unlabeled_weight=unlabeled_weight)
         teacher = train_teacher(data, cfg)
         assert_same_bits(teacher, reference_teacher(data, cfg))
-        soft = soft_labels(teacher, data, cfg.temperature)
+        soft = soft_labels(teacher, data, 2.0)
         assert_same_bits(distill_student(data, soft, cfg), reference_student(data, soft, cfg))
 
     def test_regression_view(self):
@@ -610,5 +606,5 @@ class TestColumnsTrainAsRows:
         cfg = small_cfg(imitation=0.5, unlabeled_weight=2.5)
         teacher = train_teacher(dirty, cfg)
         assert_same_bits(teacher, train_teacher(clean, cfg))
-        soft = soft_labels(teacher, dirty, cfg.temperature)
+        soft = soft_labels(teacher, dirty, 1.0)
         assert_same_bits(distill_student(dirty, soft, cfg), distill_student(clean, soft, cfg))

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from distillery import __version__, experiments
-from distillery.cli import build_parser
+from distillery.cli import _dispatch, build_parser
 from distillery.cli import main as cli_main
 from distillery.experiments import (
     RUNNERS,
@@ -362,6 +363,21 @@ class TestSyntheticRun:
         report = tiny_synthetic()
         assert run_from_config(report.config) == report
 
+    def test_spec_of_another_setup_rejected_before_training(self, monkeypatch):
+        trained = []
+        monkeypatch.setattr(experiments, "train_teacher", lambda *args: trained.append(args))
+        spec = SyntheticSpec(2, n_train=40, n_test=50)
+        for reps in (0, 1):
+            with pytest.raises(ValueError, match="^spec.experiment 2 differs from experiment 1"):
+                run_synthetic(1, reps=reps, spec=spec)
+        assert trained == []
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_temperature_rejected_at_reps_0(self, T):
+        # the temperature acts only in soft_labels; the run checks it before any training
+        with pytest.raises(ValueError, match="^temperature must be positive and finite"):
+            tiny_synthetic(reps=0, temperature=T)
+
     def test_arm_lookup(self):
         report = tiny_synthetic()
         assert report.arm("regular").reps == 2
@@ -465,6 +481,12 @@ class TestMnistMachinery:
     def test_replay_from_config(self, mnist_dir):
         report = run_mnist(**mnist_kwargs(mnist_dir))
         assert run_from_config(report.config) == report
+
+    def test_snapshot_with_a_bad_hidden_size_rejected_before_reading(self, mnist_dir, tmp_path):
+        config = run_mnist(**mnist_kwargs(mnist_dir, reps=0)).config
+        config.update(arch="mlp:0", data_dir=str(tmp_path / "nowhere"))
+        with pytest.raises(ValueError, match="^hidden size must be an integer >= 1, got 0"):
+            run_from_config(config)
 
 
 @pytest.mark.parametrize("reps", [0, 1])
@@ -573,7 +595,8 @@ class TestCifarMachinery:
         clean = run_cifar_semisup(**self.cifar_kwargs(cifar_dir))
 
         def labeled_only_student(k, data, soft, cfg):
-            return (cfg.temperature, cfg.imitation) == (5.0, 1.0) and cfg.unlabeled_weight == 0.0
+            # call 0 trains the regular student; calls 1-6 are T = 1 and 7-12 are T = 5
+            return k >= 7 and (cfg.imitation, cfg.unlabeled_weight) == (1.0, 0.0)
 
         diverge_on(monkeypatch, "distill_student", labeled_only_student)
         report = run_cifar_semisup(**self.cifar_kwargs(cifar_dir))
@@ -690,6 +713,41 @@ class TestCli:
             if command == "synthetic":
                 dests -= {"n_train", "n_test"}  # they build the SyntheticSpec
             assert dests <= set(inspect.signature(RUNNERS[command]).parameters), command
+
+    def test_report_equals_the_runner_call(self, tmp_path):
+        out = tmp_path / "report.json"
+        code = cli_main([
+            "synthetic", "--experiment", "1", "--reps", "1",
+            "--n-train", "40", "--n-test", "50", "--out", str(out), "--format", "json",
+        ])
+        assert code == 0
+        spec = SyntheticSpec(1, n_train=40, n_test=50)
+        assert load_report_json(out) == run_synthetic(1, reps=1, spec=spec)
+
+    @pytest.mark.parametrize(
+        "argv,passed",
+        [
+            (["synthetic", "--experiment", "2"], dict(experiment=2, spec=SyntheticSpec(2))),
+            (
+                ["synthetic", "--experiment", "1", "--n-test", "50", "--T", "2"],
+                dict(experiment=1, spec=SyntheticSpec(1, n_test=50), temperature=2.0),
+            ),
+            (["mnist", "--reps", "0"], dict(reps=0)),
+            (["cifar"], {}),
+            (["multitask", "--path", "t.csv", "--seed", "4"], dict(path="t.csv", seed=4)),
+        ],
+    )
+    def test_options_left_out_are_not_passed(self, monkeypatch, argv, passed):
+        # a runner parameter whose option is left out keeps the runner's default
+        runner, received = RUNNERS[argv[0]], []
+
+        @functools.wraps(runner)
+        def record(**kwargs):
+            received.append(kwargs)
+
+        monkeypatch.setitem(RUNNERS, argv[0], record)
+        _dispatch(build_parser().parse_args(argv))
+        assert received == [passed]
 
     def test_bad_reps_exits_2(self, capsys):
         code = cli_main(["synthetic", "--experiment", "1", "--reps", "-2"])

@@ -595,7 +595,7 @@ class TestSerialization:
         weights = [data.draw(arrays(np.float64, shape, elements=finite)) for shape in shapes]
         biases = [data.draw(arrays(np.float64, (c,), elements=finite)) for c in sizes[1:]]
         task = data.draw(st.sampled_from(["classification", "regression"]))
-        m = Model("mlp" if len(sizes) > 2 else "linear", task, weights, biases)
+        m = Model(task, weights, biases)
         back = model_from_text(model_to_text(m))
         assert (back.kind, back.task) == (m.kind, m.task)
         for a, b in zip(m.weights + m.biases, back.weights + back.biases):
@@ -615,6 +615,45 @@ class TestSerialization:
         text = model_to_text(init_model("linear", 2, 2)).replace("task ", "tusk ")
         with pytest.raises(ValueError, match="'task' at line 3"):
             model_from_text(text)
+
+    @pytest.mark.parametrize(
+        "arch,kind",
+        [(Arch("linear"), "mlp"), (Arch.mlp(3), "linear"), (Arch.mlp(3, 2), "banana")],
+        ids=["linear-as-mlp", "mlp-as-linear", "unknown"],
+    )
+    def test_kind_that_contradicts_the_layers_rejected(self, arch, kind):
+        m = init_model(arch, 2, 2, rng=RngStream(6))
+        text = model_to_text(m)
+        assert text.splitlines()[1] == f"kind {arch.kind}" == f"kind {m.kind}"
+        bad = text.replace(f"kind {m.kind}\n", f"kind {kind}\n")
+        with pytest.raises(ValueError, match=f"^kind '{kind}' at line 2 contradicts"):
+            model_from_text(bad)
+
+
+class TestModelEquality:
+    def test_copy_is_equal(self):
+        m = init_model(Arch.mlp(3), 4, 2, rng=RngStream(3))
+        assert m == m.copy()
+
+    def test_loss_history_is_not_compared(self):
+        data = pack(hard_rows(np.random.default_rng(0), 8, 4))
+        m = train(init_model("linear", 4, 2), data, TrainConfig(epochs=2, batch_size=4))
+        assert m.loss_history and m.copy().loss_history is None
+        assert m == m.copy()
+
+    @pytest.mark.parametrize("layer", ["weights", "biases"])
+    def test_one_ulp_differs(self, layer):
+        m = init_model(Arch.mlp(3), 4, 2, rng=RngStream(3))
+        other = m.copy()
+        a = getattr(other, layer)[1]
+        a.flat[0] = np.nextafter(a.flat[0], np.inf)
+        assert m != other and other != m
+
+    def test_task_and_layers_compared(self):
+        m = init_model("linear", 4, 2, rng=RngStream(3))
+        assert m != Model("regression", m.weights, m.biases)
+        assert m != init_model(Arch.mlp(3), 4, 2, rng=RngStream(3))
+        assert m != "a model"
 
 
 class TestTrainConfigValidation:
@@ -640,3 +679,15 @@ class TestTrainConfigValidation:
     def test_rejected_at_construction(self, bad):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
+
+
+class TestArchValidation:
+    @pytest.mark.parametrize("hidden", [(0,), (-3,), (4, 0), (2.5,), ("3",)])
+    def test_bad_hidden_size_rejected(self, hidden):
+        with pytest.raises(ValueError, match="^hidden size must be an integer >= 1"):
+            Arch("mlp", hidden)
+
+    def test_mlp_shorthand_does_not_truncate(self):
+        with pytest.raises(ValueError, match="^hidden size must be an integer >= 1, got 2.5"):
+            Arch.mlp(2.5)
+        assert Arch.mlp(np.int64(4), 2).hidden == (4, 2)

@@ -324,3 +324,9 @@ class TestSpecValidation:
     def test_relevant_size_bounds(self):
         with pytest.raises(ValueError):
             SyntheticSpec(experiment=3, d=2, relevant_size=3)
+
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, "3"])
+    @pytest.mark.parametrize("field", ["d", "n_train", "n_test", "relevant_size"])
+    def test_size_must_be_an_integer_at_least_one(self, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1"):
+            SyntheticSpec(experiment=3, **{field: bad})
