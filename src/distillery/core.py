@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_U64 = 0xFFFFFFFFFFFFFFFF
-
 __all__ = [
     "RngStream",
     "log_sum_exp",
@@ -58,14 +56,21 @@ class RngStream:
     object carries no mutable state: `generator()` always starts the
     stream from its beginning, so functions taking an RngStream are pure.
     Forking with distinct keys yields independent streams.
+
+    `seed` is an integer in [0, 2**53] and `stream` one in [0, 2**64 - 1]:
+    `generator()` keys Philox with a float64 when the stream id is
+    >= 2**63, and a float64 holds every integer only up to 2**53.
     """
 
     seed: int
     stream: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", int(self.seed) & _U64)
-        object.__setattr__(self, "stream", int(self.stream) & _U64)
+        # Python ints, not numpy scalars: `fork` hashes them with `_mix_key`
+        check_count("seed", self.seed, 0, 2**53)
+        check_count("stream", self.stream, 0, 2**64 - 1)
+        object.__setattr__(self, "seed", operator.index(self.seed))
+        object.__setattr__(self, "stream", operator.index(self.stream))
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
@@ -152,14 +157,17 @@ def simplex_rows(P, tol: float = 1e-9) -> np.ndarray:
     return np.all(P >= 0, axis=1) & (np.abs(P.sum(axis=1) - 1.0) <= tol)
 
 
-def check_count(name: str, value) -> None:
-    """Raise ValueError naming `name` unless `value` is an integer >= 1."""
+def check_count(name: str, value, low: int = 1, high: int | None = None) -> None:
+    """Raise ValueError naming `name` unless `value` is an integer (an
+    `operator.index` type, not a bool) in [low, high], open above when
+    `high` is None: `n_train must be an integer in [1, 80], got 81`."""
     try:
-        ok = operator.index(value) >= 1
+        n = operator.index(value)
     except TypeError:
-        ok = False
-    if not ok:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        n = None
+    if n is None or isinstance(value, bool) or n < low or high is not None and n > high:
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
 def check_rows(ok, names, what: str) -> None:

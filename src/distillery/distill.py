@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 # check_simplex is looked up here by perfbench/tracing.py, which counts its calls
-from .core import check_rows, check_simplex, check_simplex_rows, softmax  # noqa: F401
+from .core import check_count, check_rows, check_simplex, check_simplex_rows, softmax  # noqa: F401
 from .models import (
     CLASSIFICATION,
     REGRESSION,
@@ -284,15 +284,14 @@ def universum_soft_labels(teacher: Model, data: Dataset, T: float, classes_of_in
     """
     if teacher.task != CLASSIFICATION:
         raise ValueError("universum soft labels require a classification teacher")
-    requested = [int(k) for k in classes_of_interest]
+    requested = list(classes_of_interest)
+    for k in requested:
+        check_count("class of interest", k, 0, teacher.output_dim - 1)
     classes = sorted(set(requested))
     if not classes:
         raise ValueError("classes_of_interest must be non-empty")
     if len(classes) != len(requested):
         raise ValueError("classes_of_interest contains duplicates")
-    c_all = teacher.output_dim
-    if classes[0] < 0 or classes[-1] >= c_all:
-        raise ValueError(f"classes of interest out of range for {c_all} teacher classes")
     return restrict_simplex(soft_labels(teacher, data, T), classes)
 
 

@@ -27,7 +27,6 @@ import csv
 import inspect
 import json
 import math
-import numbers
 import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -36,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import RngStream, check_temperature
+from .core import RngStream, check_count, check_temperature
 from .datasets import downscale, load_cifar, load_idx, load_multitask_csv, pollute
 from .distill import (
     Dataset,
@@ -177,12 +176,6 @@ def _base(stream: RngStream, teacher_train, student_train, arch, **extra) -> Dis
     )
 
 
-def _check_reps(reps) -> None:
-    """Reject a repetition count that is not an integer >= 0."""
-    if not isinstance(reps, numbers.Integral) or reps < 0:
-        raise ValueError(f"reps must be an integer >= 0, got {reps!r}")
-
-
 def _check_batch(name: str, n: int, *configs: TrainConfig) -> None:
     """Reject a training sample `name` of n rows smaller than a config's batch."""
     for cfg in configs:
@@ -254,8 +247,20 @@ def _same(value, config=None):
     return value
 
 
-def _fields_of(obj, names) -> dict:
-    return {n: getattr(obj, n) for n in names}
+def _record(key: str, names, build):
+    """Codec of a dataclass argument stored under `key` as an object of its
+    fields `names`; decoding rejects anything else with a ValueError naming
+    `key`, then calls `build(fields, config)`."""
+
+    def decode(value, config):
+        if not isinstance(value, dict):
+            raise ValueError(f"config[{key!r}]: expected an object, got {type(value).__name__}")
+        unknown = value.keys() - set(names)
+        if unknown:
+            raise ValueError(f"config[{key!r}]: unknown key {min(unknown)!r}")
+        return build(value, config)
+
+    return key, lambda obj: {n: getattr(obj, n) for n in names}, decode
 
 
 def _arch_text(arch: Arch) -> str:
@@ -267,23 +272,20 @@ def _arch_from_text(text: str, config=None) -> Arch:
     return Arch(kind, tuple(int(h) for h in hidden.split(",")) if hidden else ())
 
 
-_TRAIN_CODEC = (
-    lambda c: _fields_of(c, ("learning_rate", "epochs", "batch_size", "l2", "init_scale")),
-    lambda d, config: TrainConfig(**d),
-)
+_TRAIN_FIELDS = ("learning_rate", "epochs", "batch_size", "l2", "init_scale")
 _GRID_CODEC = (lambda grid: [float(v) for v in grid], _same)
 
 # parameter name -> (snapshot key, encode(value), decode(value, config));
 # any other parameter is stored under its own name as it is
 _CODEC = {
-    "spec": (
+    "spec": _record(
         "spec",
-        lambda s: _fields_of(s, ("d", "n_train", "n_test", "relevant_size")),
+        ("d", "n_train", "n_test", "relevant_size"),
         lambda s, config: SyntheticSpec(config["experiment"], **s),
     ),
-    "teacher_train": ("teacher_train", *_TRAIN_CODEC),
-    "student_train": ("student_train", *_TRAIN_CODEC),
-    "train_config": ("train", *_TRAIN_CODEC),
+    "teacher_train": _record("teacher_train", _TRAIN_FIELDS, lambda d, config: TrainConfig(**d)),
+    "student_train": _record("student_train", _TRAIN_FIELDS, lambda d, config: TrainConfig(**d)),
+    "train_config": _record("train", _TRAIN_FIELDS, lambda d, config: TrainConfig(**d)),
     "arch": ("arch", _arch_text, _arch_from_text),
     "T_grid": ("T_grid", *_GRID_CODEC),
     "lambda_grid": ("lambda_grid", *_GRID_CODEC),
@@ -292,14 +294,33 @@ _CODEC = {
 }
 
 
-def _snapshot(kind: str, arguments: dict, **notes) -> dict:
+# fixed notes that each kind of run records after its arguments
+_NOTES = {
+    "synthetic": {
+        "teacher_arch": "linear",
+        "student_arch": "linear",
+        "alpha_policy": "fresh hyperplane per repetition",
+    },
+    "mnist": {
+        "teacher_features": "28x28 pixels scaled to [0,1]",
+        "student_features": "7x7 block means",
+    },
+    "cifar": {"noise": "additive N(0, sigma^2) on [0,1] pixels, train and test, no clipping"},
+    "multitask": {
+        "standardization": "inputs and each task output, train-split statistics",
+        "temperature_note": "temperature is a no-op for regression soft targets",
+    },
+}
+
+
+def _snapshot(kind: str, arguments: dict) -> dict:
     """Config of a run: its arguments (a superset, e.g. `locals()`), then
-    fixed notes and the library version."""
+    its kind's notes and the library version."""
     config = {"kind": kind}
     for name in inspect.signature(RUNNERS[kind]).parameters:
         key, encode, _ = _CODEC.get(name, (name, _same, _same))
         config[key] = encode(arguments[name])
-    return {**config, **notes, "version": __version__}
+    return {**config, **_NOTES[kind], "version": __version__}
 
 
 # --- synthetic experiments ---------------------------------------------------
@@ -320,13 +341,13 @@ def run_synthetic(
     Each repetition draws a fresh problem instance (hyperplane), a fresh
     train set and a fresh test set; all three arms share them.
     """
-    _check_reps(reps)
+    master = RngStream(seed)
+    check_count("reps", reps, 0)
     if spec is None:
         spec = SyntheticSpec(experiment)
     if spec.experiment != experiment:
         raise ValueError(f"spec.experiment {spec.experiment} differs from experiment {experiment}")
     _check_batch("spec.n_train", spec.n_train, teacher_train, student_train)
-    master = RngStream(seed)
 
     def problems():
         for r in range(reps):
@@ -337,10 +358,7 @@ def run_synthetic(
             base = _base(rep, teacher_train, student_train, Arch("linear"))
             yield f"rep {r}", train_ds, test_ds, base
 
-    config = _snapshot(
-        "synthetic", locals(), teacher_arch="linear", student_arch="linear",
-        alpha_policy="fresh hyperplane per repetition",
-    )
+    config = _snapshot("synthetic", locals())
     results, errors = _repeat(problems(), (temperature,), (imitation,))
     return ExperimentReport(f"synthetic-{experiment}", seed, __version__, config, results, errors)
 
@@ -392,20 +410,19 @@ def run_mnist(
     Both are MLPs with two hidden ReLU layers; the distilled arm is
     evaluated per (T, lambda) grid cell on the full test set.
     """
-    _check_reps(reps)
+    master = RngStream(seed)
+    check_count("reps", reps, 0)
     data_dir = data_dir_from_env(data_dir)
     paths = _locate(data_dir, MNIST_FILES, "mnist")
     train_set = load_idx(paths[0], paths[1])
     test_set = load_idx(paths[2], paths[3])
-    if not 1 <= n_train <= train_set.n:
-        raise ValueError(f"n_train must lie in [1, {train_set.n}] (training images), got {n_train}")
+    check_count("n_train", n_train, 1, train_set.n)
     _check_batch("n_train", n_train, train_config)
 
     header = DatasetHeader(49, 784, 10)
     full_te = test_set.to_features()
     small_te = downscale(test_set.images).reshape(test_set.n, -1)
     ds_te = Dataset.from_arrays(header, x=small_te, x_star=full_te, y=np.eye(10)[test_set.labels])
-    master = RngStream(seed)
 
     def problems():
         for r in range(reps):
@@ -418,10 +435,7 @@ def run_mnist(
             ds_tr = Dataset.from_arrays(header, x=small_tr, x_star=full_tr, y=y)
             yield f"rep {r}", ds_tr, ds_te, _base(rep, train_config, train_config, arch)
 
-    config = _snapshot(
-        "mnist", locals(), teacher_features="28x28 pixels scaled to [0,1]",
-        student_features="7x7 block means",
-    )
+    config = _snapshot("mnist", locals())
     results, errors = _repeat(problems(), T_grid, lambda_grid)
     return ExperimentReport(f"mnist-{n_train}", seed, __version__, config, results, errors)
 
@@ -452,18 +466,17 @@ def run_cifar_semisup(
     pool ("distilled" arm), or the labeled images alone
     ("distilled-labeled" arm), against a supervised-only baseline.
     """
-    _check_reps(reps)
+    master = RngStream(seed)
+    check_count("reps", reps, 0)
     data_dir = data_dir_from_env(data_dir)
     paths = _locate(data_dir, CIFAR_TRAIN_FILES + (CIFAR_TEST_FILE,), "cifar-10-batches-bin")
     train_set = load_cifar(paths[:-1])
     test_set = load_cifar([paths[-1]])
-    if not 1 <= n_labeled <= train_set.n:
-        raise ValueError(f"n_labeled must lie in [1, {train_set.n}] (images), got {n_labeled}")
+    check_count("n_labeled", n_labeled, 1, train_set.n)
     _check_batch("n_labeled", n_labeled, train_config)
-    if max_unlabeled is not None and max_unlabeled < 0:
-        raise ValueError(f"max_unlabeled must be >= 0 or None, got {max_unlabeled}")
+    if max_unlabeled is not None:
+        check_count("max_unlabeled", max_unlabeled, 0)
 
-    master = RngStream(seed)
     test_clean = test_set.to_features()
     test_noisy = pollute(test_clean, sigma, master.fork("pollute-test"))
     d = test_clean.shape[1]
@@ -489,10 +502,7 @@ def run_cifar_semisup(
             base = _base(rep, train_config, train_config, arch, unlabeled_weight=unlabeled_weight)
             yield f"rep {r}", ds_tr, ds_te, base
 
-    config = _snapshot(
-        "cifar", locals(),
-        noise="additive N(0, sigma^2) on [0,1] pixels, train and test, no clipping",
-    )
+    config = _snapshot("cifar", locals())
     arms = {"distilled": {}, "distilled-labeled": {"unlabeled_weight": 0.0}}
     results, errors = _repeat(problems(), T_grid, lambda_grid, arms=arms)
     return ExperimentReport("cifar-semisup", seed, __version__, config, results, errors)
@@ -519,14 +529,12 @@ def run_multitask(
     across tasks (rows `privileged/task3`, ...).  Temperature does not act
     on regression soft targets, so the default grid has a single T.
     """
+    master = RngStream(seed)
     table = load_multitask_csv(path, delimiter)
     n_tasks = table.n_outputs
-    master = RngStream(seed)
     perm = master.fork("split").generator().permutation(table.n)
-    if not 1 <= n_train < table.n:
-        raise ValueError(f"n_train must lie in [1, {table.n - 1}] (rows - 1), got {n_train}")
-    if test_cap < 1:
-        raise ValueError(f"test_cap must be >= 1, got {test_cap}")
+    check_count("n_train", n_train, 1, table.n - 1)
+    check_count("test_cap", test_cap)
     _check_batch("n_train", n_train, train_config)
     train_idx = perm[:n_train]
     test_idx = perm[n_train : n_train + test_cap]
@@ -548,11 +556,7 @@ def run_multitask(
             base = _base(master.fork("task", j), train_config, train_config, arch)
             yield f"task {j}", multitask_views(base_tr, j), multitask_views(base_te, j), base
 
-    config = _snapshot(
-        "multitask", locals(),
-        standardization="inputs and each task output, train-split statistics",
-        temperature_note="temperature is a no-op for regression soft targets",
-    )
+    config = _snapshot("multitask", locals())
     results, errors = _repeat(problems(), T_grid, lambda_grid, "mse", per_task=True)
     return ExperimentReport("multitask", seed, __version__, config, results, errors)
 
@@ -572,14 +576,20 @@ def run_from_config(config: dict) -> ExperimentReport:
 
     With the same master seed this reproduces every aggregate bit for
     bit (dataset paths must still be present for the real-data runs).
-    A parameter missing from the snapshot takes the runner's default.
+    A parameter missing from the snapshot takes the runner's default.  A
+    key that is not a parameter, a note of the kind, `kind` or `version`
+    raises ValueError naming it, and so does a malformed object value.
     """
-    runner = RUNNERS.get(config["kind"])
+    kind = config.get("kind")
+    runner = RUNNERS.get(kind)
     if runner is None:
-        raise ValueError(f"unknown experiment kind {config['kind']!r}")
+        raise ValueError(f"unknown experiment kind {kind!r}")
+    codecs = {n: _CODEC.get(n, (n, _same, _same)) for n in inspect.signature(runner).parameters}
+    unknown = config.keys() - {"kind", "version", *_NOTES[kind], *(c[0] for c in codecs.values())}
+    if unknown:
+        raise ValueError(f"config: unknown key {min(unknown)!r}")
     arguments = {}
-    for name in inspect.signature(runner).parameters:
-        key, _, decode = _CODEC.get(name, (name, _same, _same))
+    for name, (key, _, decode) in codecs.items():
         if key in config:
             arguments[name] = decode(config[key], config)
     return runner(**arguments)

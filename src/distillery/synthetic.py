@@ -57,8 +57,7 @@ class SyntheticSpec:
     rng: RngStream = RngStream(0)
 
     def __post_init__(self):
-        if self.experiment not in (1, 2, 3, 4):
-            raise ValueError(f"experiment must be 1..4, got {self.experiment}")
+        check_count("experiment", self.experiment, 1, 4)
         for name in ("d", "n_train", "n_test", "relevant_size"):
             check_count(name, getattr(self, name))
         if self.relevant_size > self.d:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from distillery.core import (
     RngStream,
+    check_count,
     check_simplex,
     cross_entropy,
     log_softmax,
@@ -185,6 +186,40 @@ class TestRngStream:
         g1.standard_normal(10)  # consuming one generator does not advance the stream
         g2 = s.generator()
         assert np.array_equal(g2.standard_normal(3), RngStream(5, 2).generator().standard_normal(3))
+
+    @pytest.mark.parametrize("seed", [1.5, True, -1, 2**53 + 1, "3"])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match=rf"^seed must be an integer in \[0, {2**53}\], got "):
+            RngStream(seed)
+
+    @pytest.mark.parametrize("stream", [0.5, False, -1, 2**64])
+    def test_bad_stream_rejected(self, stream):
+        message = rf"^stream must be an integer in \[0, {2**64 - 1}\], got "
+        with pytest.raises(ValueError, match=message):
+            RngStream(0, stream)
+
+    def test_numpy_integers_become_python_ints(self):
+        s = RngStream(np.int64(5), np.int64(2))
+        assert type(s.seed) is int and type(s.stream) is int
+        assert s.fork("x") == RngStream(5, 2).fork("x")
+        assert RngStream(2**53, 2**64 - 1).fork("x").seed == 2**53
+
+
+class TestCheckCount:
+    def test_messages(self):
+        with pytest.raises(ValueError, match=r"^reps must be an integer >= 0, got -2$"):
+            check_count("reps", -2, 0)
+        with pytest.raises(ValueError, match=r"^n_train must be an integer in \[1, 80\], got 81$"):
+            check_count("n_train", 81, 1, 80)
+
+    def test_bounds_are_inclusive(self):
+        for value in (0, 3, np.int64(2), np.uint8(3)):
+            check_count("k", value, 0, 3)
+
+    @pytest.mark.parametrize("value", [True, False, 1.0, np.float64(1.0), "1", None, 0])
+    def test_non_integers_and_values_below_one_rejected(self, value):
+        with pytest.raises(ValueError, match="^k must be an integer >= 1, got "):
+            check_count("k", value)
 
 
 class TestSampleStandardNormal:

@@ -327,6 +327,8 @@ class TestUniversum:
             universum_soft_labels(teacher, data, 1.0, [0, 3])
         with pytest.raises(ValueError):
             universum_soft_labels(teacher, data, 1.0, [0, 0])
+        with pytest.raises(ValueError, match=r"^class of interest must be an integer in \[0, 2\]"):
+            universum_soft_labels(teacher, data, 1.0, [0.5, 1.7])
 
     def test_class_set_accepts_any_iterable(self):
         teacher = init_model("linear", 1, 3)

@@ -4,6 +4,7 @@ import functools
 import inspect
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -33,10 +34,10 @@ from distillery.synthetic import SyntheticSpec
 TINY_TRAIN = TrainConfig(learning_rate=0.05, epochs=3, batch_size=10, l2=1e-4)
 
 
-def tiny_synthetic(reps=2, **kw):
+def tiny_synthetic(reps=2, seed=7, **kw):
     spec = SyntheticSpec(1, n_train=40, n_test=100)
     fast = TrainConfig(learning_rate=0.1, epochs=5, batch_size=20)
-    return run_synthetic(1, reps=reps, spec=spec, seed=7,
+    return run_synthetic(1, reps=reps, spec=spec, seed=seed,
                          teacher_train=fast, student_train=fast, **kw)
 
 
@@ -363,6 +364,31 @@ class TestSyntheticRun:
         report = tiny_synthetic()
         assert run_from_config(report.config) == report
 
+    def test_largest_seed_reloads_and_replays_equal(self, tmp_path):
+        report = tiny_synthetic(reps=1, seed=2**53)
+        emit_report(report, "json", tmp_path / "r.json")
+        assert load_report_json(tmp_path / "r.json") == report
+        assert run_from_config(report.config) == report
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (dict(sed=5), "config: unknown key 'sed'"),
+            (dict(teacher_train={"bogus": 1}), "config['teacher_train']: unknown key 'bogus'"),
+            (dict(student_train="fast"), "config['student_train']: expected an object, got str"),
+            (dict(spec=5), "config['spec']: expected an object, got int"),
+            (dict(spec={"experiment": 2}), "config['spec']: unknown key 'experiment'"),
+        ],
+    )
+    def test_snapshot_edit_rejected_naming_the_key(self, monkeypatch, edit, message):
+        trained = []
+        monkeypatch.setattr(experiments, "train_teacher", lambda *args: trained.append(args))
+        for reps in (0, 1):
+            config = {**tiny_synthetic(reps=0).config, "reps": reps, **edit}
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                run_from_config(config)
+        assert trained == []
+
     def test_spec_of_another_setup_rejected_before_training(self, monkeypatch):
         trained = []
         monkeypatch.setattr(experiments, "train_teacher", lambda *args: trained.append(args))
@@ -448,7 +474,7 @@ class TestMnistMachinery:
             run_mnist(**mnist_kwargs(mnist_dir, reps=1, **grid))
         assert trained == []
 
-    @pytest.mark.parametrize("n_train", [0, -1, 81])
+    @pytest.mark.parametrize("n_train", [0, -1, 81, 30.5, True, "3"])
     def test_bad_n_train_rejected_before_training(self, mnist_dir, monkeypatch, n_train):
         # the fixture has 80 training images
         with pytest.raises(ValueError, match="n_train"):
@@ -488,6 +514,12 @@ class TestMnistMachinery:
         with pytest.raises(ValueError, match="^hidden size must be an integer >= 1, got 0"):
             run_from_config(config)
 
+    def test_snapshot_with_an_unknown_train_key_rejected_before_reading(self, mnist_dir, tmp_path):
+        config = run_mnist(**mnist_kwargs(mnist_dir, reps=0)).config
+        config.update(train={"bogus": 1}, data_dir=str(tmp_path / "nowhere"))
+        with pytest.raises(ValueError, match=r"^config\['train'\]: unknown key 'bogus'$"):
+            run_from_config(config)
+
 
 @pytest.mark.parametrize("reps", [0, 1])
 @pytest.mark.parametrize("runner", ["synthetic", "mnist", "cifar", "multitask"])
@@ -514,7 +546,7 @@ def test_sample_smaller_than_batch_rejected_before_training(
     assert trained == []
 
 
-@pytest.mark.parametrize("reps", [-2, 2.5, "3", None])
+@pytest.mark.parametrize("reps", [-2, 2.5, "3", None, True])
 @pytest.mark.parametrize("runner", ["synthetic", "mnist", "cifar"])
 def test_bad_reps_rejected_before_reading_or_training(runner, reps, tmp_path, monkeypatch):
     # the data directory does not exist, so reading it first would raise FileNotFoundError
@@ -529,6 +561,26 @@ def test_bad_reps_rejected_before_reading_or_training(runner, reps, tmp_path, mo
         monkeypatch.setattr(experiments, name, lambda *args, **kw: touched.append(args))
     with pytest.raises(ValueError, match="^reps must be"):
         calls[runner]()
+    assert touched == []
+
+
+@pytest.mark.parametrize("seed", [1.5, True, -1, 2**53 + 1])
+@pytest.mark.parametrize("runner", ["synthetic", "mnist", "cifar", "multitask"])
+def test_bad_seed_rejected_before_reading_or_training(runner, seed, tmp_path, monkeypatch):
+    # nothing exists at `nowhere`, so reading it first would raise FileNotFoundError
+    nowhere = tmp_path / "nowhere"
+    calls = {
+        "synthetic": lambda reps: run_synthetic(1, reps, SyntheticSpec(1, n_train=40), seed=seed),
+        "mnist": lambda reps: run_mnist(data_dir=nowhere, reps=reps, seed=seed),
+        "cifar": lambda reps: run_cifar_semisup(data_dir=nowhere, reps=reps, seed=seed),
+        "multitask": lambda reps: run_multitask(nowhere, seed=seed),
+    }
+    touched = []
+    for name in ("generate", "load_idx", "load_cifar", "load_multitask_csv", "train_teacher"):
+        monkeypatch.setattr(experiments, name, lambda *args, **kw: touched.append(args))
+    for reps in (0, 1):
+        with pytest.raises(ValueError, match=rf"^seed must be an integer in \[0, {2**53}\], got "):
+            calls[runner](reps)
     assert touched == []
 
 
@@ -549,7 +601,12 @@ class TestCifarMachinery:
         return kw
 
     @pytest.mark.parametrize(
-        "bad", [dict(n_labeled=0), dict(n_labeled=51), dict(max_unlabeled=-1)]
+        "bad",
+        [
+            dict(n_labeled=0), dict(n_labeled=51), dict(max_unlabeled=-1),
+            dict(n_labeled=30.5), dict(n_labeled=True), dict(n_labeled="3"),
+            dict(max_unlabeled=30.5), dict(max_unlabeled=True), dict(max_unlabeled="3"),
+        ],
     )
     def test_bad_sample_size_rejected_before_training(self, cifar_dir, monkeypatch, bad):
         # the fixture has 50 training images
@@ -666,7 +723,12 @@ class TestMultitaskMachinery:
             run_multitask(multitask_path, n_train=60)
 
     @pytest.mark.parametrize(
-        "bad", [dict(n_train=0), dict(n_train=-1), dict(test_cap=0), dict(test_cap=-5)]
+        "bad",
+        [
+            dict(n_train=0), dict(n_train=-1), dict(test_cap=0), dict(test_cap=-5),
+            dict(n_train=30.5), dict(n_train=True), dict(n_train="3"),
+            dict(test_cap=30.5), dict(test_cap=True), dict(test_cap="3"),
+        ],
     )
     def test_bad_sample_size_rejected_before_training(self, multitask_path, monkeypatch, bad):
         (name,) = bad

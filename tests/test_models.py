@@ -674,6 +674,7 @@ class TestTrainConfigValidation:
             dict(epochs="3"),
             dict(batch_size=2.5),
             dict(batch_size="3"),
+            dict(epochs=True),
         ],
     )
     def test_rejected_at_construction(self, bad):

@@ -320,6 +320,9 @@ class TestSpecValidation:
     def test_experiment_range(self):
         with pytest.raises(ValueError):
             SyntheticSpec(experiment=5)
+        for experiment in (True, 1.0):  # equal to 1, but not an integer
+            with pytest.raises(ValueError, match=r"^experiment must be an integer in \[1, 4\]"):
+                SyntheticSpec(experiment=experiment)
 
     def test_relevant_size_bounds(self):
         with pytest.raises(ValueError):
