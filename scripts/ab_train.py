@@ -8,8 +8,9 @@ three training shapes, each of `ROUNDS` rounds times one `train` call
 from each tree, alternating which goes first; the script prints the
 median NEW/OLD time ratio with its min and max, the median microseconds
 per SGD step of each tree, and whether the two trees trained
-bit-identical weights.  The data is given to each tree as its own
-`models.Packed`; a tree without it is refused.
+bit-identical weights.  It exits 1 when any shape's weights differ.
+The data is given to each tree as its own `models.Packed`; a tree
+without it is refused.
 Timing both trees in one process, interleaved, cancels the host's speed
 drift over minutes that separate benchmark runs cannot.
 
@@ -94,6 +95,7 @@ def main(argv=None) -> int:
         if not hasattr(models, "Packed"):
             raise SystemExit(f"{getattr(args, k)}: distillery.models has no Packed training input")
     print(f"numpy {np.__version__}, nproc {os.cpu_count()}, {ROUNDS} rounds per shape")
+    all_same = True
     for name, hidden, (d, c), n, labeled, epochs in SHAPES:
         problems = {k: problem(m, hidden, d, c, n, labeled, epochs) for k, m in trees.items()}
         steps = epochs * math.ceil(n / BATCH_SIZE)
@@ -115,7 +117,8 @@ def main(argv=None) -> int:
             f"us/step old {us['old']:.1f}, new {us['new']:.1f}; "
             f"weights identical: {'yes' if same else 'NO'}"
         )
-    return 0
+        all_same &= same
+    return 0 if all_same else 1
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ import csv
 import inspect
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -247,6 +248,11 @@ def _same(value, config=None):
     return value
 
 
+def _plain(value):
+    """`value`, with a numpy integer made a Python int, which JSON can write."""
+    return operator.index(value) if isinstance(value, np.integer) else value
+
+
 def _record(key: str, names, build):
     """Codec of a dataclass argument stored under `key` as an object of its
     fields `names`; decoding rejects anything else with a ValueError naming
@@ -260,7 +266,7 @@ def _record(key: str, names, build):
             raise ValueError(f"config[{key!r}]: unknown key {min(unknown)!r}")
         return build(value, config)
 
-    return key, lambda obj: {n: getattr(obj, n) for n in names}, decode
+    return key, lambda obj: {n: _plain(getattr(obj, n)) for n in names}, decode
 
 
 def _arch_text(arch: Arch) -> str:
@@ -268,8 +274,15 @@ def _arch_text(arch: Arch) -> str:
 
 
 def _arch_from_text(text: str, config=None) -> Arch:
-    kind, _, hidden = text.partition(":")
-    return Arch(kind, tuple(int(h) for h in hidden.split(",")) if hidden else ())
+    """Inverse of `_arch_text`: `kind` or `kind:h1,h2,...`, each hidden size
+    ASCII digits; anything else raises a ValueError naming `arch`."""
+    if not isinstance(text, str):
+        raise ValueError(f"config['arch']: expected a string, got {type(text).__name__}")
+    kind, colon, hidden = text.partition(":")
+    tokens = hidden.split(",") if colon else []
+    if not all(t.isascii() and t.isdigit() for t in tokens):
+        raise ValueError(f"config['arch']: expected kind or kind:h1,h2,..., got {text!r}")
+    return Arch(kind, tuple(map(int, tokens)))
 
 
 _TRAIN_FIELDS = ("learning_rate", "epochs", "batch_size", "l2", "init_scale")
@@ -319,7 +332,7 @@ def _snapshot(kind: str, arguments: dict) -> dict:
     config = {"kind": kind}
     for name in inspect.signature(RUNNERS[kind]).parameters:
         key, encode, _ = _CODEC.get(name, (name, _same, _same))
-        config[key] = encode(arguments[name])
+        config[key] = _plain(encode(arguments[name]))
     return {**config, **_NOTES[kind], "version": __version__}
 
 
@@ -360,7 +373,8 @@ def run_synthetic(
 
     config = _snapshot("synthetic", locals())
     results, errors = _repeat(problems(), (temperature,), (imitation,))
-    return ExperimentReport(f"synthetic-{experiment}", seed, __version__, config, results, errors)
+    experiment_id = f"synthetic-{experiment}"
+    return ExperimentReport(experiment_id, master.seed, __version__, config, results, errors)
 
 
 # --- image experiments -------------------------------------------------------
@@ -437,7 +451,7 @@ def run_mnist(
 
     config = _snapshot("mnist", locals())
     results, errors = _repeat(problems(), T_grid, lambda_grid)
-    return ExperimentReport(f"mnist-{n_train}", seed, __version__, config, results, errors)
+    return ExperimentReport(f"mnist-{n_train}", master.seed, __version__, config, results, errors)
 
 
 CIFAR_TRAIN_FILES = tuple(f"data_batch_{i}.bin" for i in range(1, 6))
@@ -505,7 +519,7 @@ def run_cifar_semisup(
     config = _snapshot("cifar", locals())
     arms = {"distilled": {}, "distilled-labeled": {"unlabeled_weight": 0.0}}
     results, errors = _repeat(problems(), T_grid, lambda_grid, arms=arms)
-    return ExperimentReport("cifar-semisup", seed, __version__, config, results, errors)
+    return ExperimentReport("cifar-semisup", master.seed, __version__, config, results, errors)
 
 
 # --- multitask regression ----------------------------------------------------
@@ -558,7 +572,7 @@ def run_multitask(
 
     config = _snapshot("multitask", locals())
     results, errors = _repeat(problems(), T_grid, lambda_grid, "mse", per_task=True)
-    return ExperimentReport("multitask", seed, __version__, config, results, errors)
+    return ExperimentReport("multitask", master.seed, __version__, config, results, errors)
 
 
 # --- config replay -----------------------------------------------------------
@@ -606,33 +620,36 @@ def emit_report(report: ExperimentReport, format: str, path) -> None:
     """Write the report as CSV (one aggregate row per arm/cell) or JSON.
 
     JSON carries the full nested report, including the config snapshot,
-    and reloads structurally equal via load_report_json.
+    and reloads structurally equal via load_report_json.  The report goes
+    to a temporary file next to `path` that then replaces `path`, so a
+    failed write leaves `path` as it was and no stray file behind; a
+    `path` that exists and is not a regular file raises ValueError.
     """
-    if format == "json":
-        payload = asdict(report)
-        payload["status"] = report.status
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=2)
-            f.write("\n")
-    elif format == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(CSV_HEADER)
-            for r in report.results:
-                w.writerow(
-                    [
-                        report.experiment_id,
-                        r.arm,
-                        _fmt(r.temperature),
-                        _fmt(r.imitation),
-                        repr(r.mean),
-                        repr(r.std),
-                        r.reps,
-                        r.status,
-                    ]
-                )
-    else:
+    if format not in ("csv", "json"):
         raise ValueError(f"unknown report format {format!r} (expected csv or json)")
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise ValueError(f"{os.fspath(path)!r} is not a regular file")
+    target = Path(path).resolve()  # write through a symlink, not over it
+    tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="" if format == "csv" else None) as f:
+            if format == "json":
+                payload = asdict(report)
+                payload["status"] = report.status
+                json.dump(payload, f, indent=2)
+                f.write("\n")
+            else:
+                w = csv.writer(f)
+                w.writerow(CSV_HEADER)
+                w.writerows(
+                    [report.experiment_id, r.arm, _fmt(r.temperature), _fmt(r.imitation),
+                     repr(r.mean), repr(r.std), r.reps, r.status]
+                    for r in report.results
+                )
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _number(v) -> bool:

@@ -30,7 +30,6 @@ __all__ = [
     "Model",
     "TrainConfig",
     "Packed",
-    "Gradient",
     "TrainingDivergence",
     "init_model",
     "forward",
@@ -85,6 +84,11 @@ class Model:
     weights[i] has shape (fan_in, fan_out); biases[i] has shape (fan_out,).
     ReLU is applied between layers, never on the output layer, so a
     single-layer model is exactly the linear map x @ W + b.
+
+    The model owns one float64 buffer `params`: every weight matrix, then
+    every bias, each in C order.  `weights`, `biases` and `w_flat` (the
+    span of the weight matrices) are views into it, so edit them in place;
+    the constructor copies its input arrays into a fresh buffer.
     """
 
     task: str
@@ -104,15 +108,19 @@ class Model:
                 raise ValueError(f"layer {i - 1} -> {i} dimension mismatch")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError(f"layer {i} has non-finite parameters")
+        arrays = (*self.weights, *self.biases)
+        self.params = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+        chunks = np.split(self.params, np.cumsum([a.size for a in arrays])[:-1])
+        views = [chunk.reshape(a.shape) for chunk, a in zip(chunks, arrays)]
+        self.weights, self.biases = views[: len(self.weights)], views[len(self.weights) :]
+        self.w_flat = self.params[: sum(w.size for w in self.weights)]
 
     def __eq__(self, other):
-        # same task and bit-equal parameters; loss_history records the training only
+        # same task, layer shapes and parameter bits; loss_history records the training only
         if other.__class__ is not self.__class__:
             return NotImplemented
-        pairs = zip([*self.weights, *self.biases], [*other.weights, *other.biases])
-        return (self.task, len(self.weights)) == (other.task, len(other.weights)) and all(
-            np.array_equal(a, b) for a, b in pairs
-        )
+        same_shapes = [w.shape for w in self.weights] == [w.shape for w in other.weights]
+        return self.task == other.task and same_shapes and np.array_equal(self.params, other.params)
 
     @property
     def kind(self) -> str:
@@ -127,20 +135,11 @@ class Model:
         return self.weights[-1].shape[1]
 
     def copy(self) -> "Model":
-        return Model(self.task, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return Model(self.task, self.weights, self.biases)
 
-
-@dataclass
-class Gradient:
-    """Parameter-shaped gradient (mirrors Model.weights / Model.biases)."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    def norm(self) -> float:
-        sq = sum(float(np.sum(g * g)) for g in self.weights)
-        sq += sum(float(np.sum(g * g)) for g in self.biases)
-        return float(np.sqrt(sq))
+    def __reduce__(self):
+        # pickle and deepcopy rebuild the model, so the layer views stay views into params
+        return Model, (self.task, self.weights, self.biases, self.loss_history)
 
 
 @dataclass(frozen=True)
@@ -287,28 +286,10 @@ class Packed:
         return len(self.X)
 
 
-class _Flat:
-    """A layer stack's weight matrices, then its biases, as views into one
-    float64 buffer, so a whole-model update is one call on `buf`; the
-    weight matrices fill `buf[:len(w_flat)]`, viewed as `w_flat`."""
-
-    def __init__(self, weights, biases):
-        shapes = [np.shape(a) for a in (*weights, *biases)]
-        self.buf = np.empty(sum(math.prod(s) for s in shapes))
-        views, start = [], 0
-        for s, a in zip(shapes, (*weights, *biases)):
-            stop = start + math.prod(s)
-            views.append(self.buf[start:stop].reshape(s))
-            views[-1][...] = a
-            start = stop
-        self.weights, self.biases = views[: len(weights)], views[len(weights) :]
-        self.w_flat = self.buf[: sum(w.size for w in self.weights)]
-
-
-def _loss_grad(p: _Flat, X: np.ndarray, tgt: tuple, task: str, l2: float, grad=None):
-    """Mean weighted loss of the layer stack `p` on rows X, plus the L2
-    penalty; given a `_Flat` `grad` of the same layout, also writes the
-    exact gradient into it.
+def _loss_grad(p: Model, X: np.ndarray, tgt: tuple, l2: float, grad: Model | None = None):
+    """Mean weighted loss of the model `p` on rows X, plus the L2 penalty;
+    given a model `grad` of the same layout, also writes the exact
+    gradient into its parameters.
 
     `tgt` holds the target columns of a `Packed`, restricted to the rows of X.
     Every layer's gradient is formed from the weights as they are on
@@ -316,7 +297,7 @@ def _loss_grad(p: _Flat, X: np.ndarray, tgt: tuple, task: str, l2: float, grad=N
     """
     acts = _forward_cached(p.weights, p.biases, X)
     out, n = acts[-1], X.shape[0]
-    if task == CLASSIFICATION:
+    if p.task == CLASSIFICATION:
         Y, w_tot = tgt
         m = out.max(axis=1, keepdims=True)
         lse = m + np.log(np.exp(out - m).sum(axis=1, keepdims=True))
@@ -361,15 +342,16 @@ def _checked(m: Model, data: Packed) -> Packed:
 def loss(m: Model, batch: Packed, *, l2: float = 0.0) -> float:
     """Mean weighted hard/soft loss over the batch plus the L2 penalty."""
     data = _checked(m, batch)
-    return _loss_grad(_Flat(m.weights, m.biases), data.X, data.targets, m.task, l2)
+    return _loss_grad(m, data.X, data.targets, l2)
 
 
-def gradient(m: Model, batch: Packed, *, l2: float = 0.0) -> Gradient:
-    """Exact gradient of loss() with respect to every parameter."""
+def gradient(m: Model, batch: Packed, *, l2: float = 0.0) -> np.ndarray:
+    """Exact gradient of loss() with respect to every parameter, as a (P,)
+    array in the order of `m.params`."""
     data = _checked(m, batch)
-    grad = _Flat(m.weights, m.biases)  # same layout, overwritten
-    _loss_grad(_Flat(m.weights, m.biases), data.X, data.targets, m.task, l2, grad)
-    return Gradient(grad.weights, grad.biases)
+    grad = m.copy()  # same layout, overwritten
+    _loss_grad(m, data.X, data.targets, l2, grad)
+    return grad.params
 
 
 def train(m0: Model, data: Packed, cfg: TrainConfig) -> Model:
@@ -388,8 +370,8 @@ def train(m0: Model, data: Packed, cfg: TrainConfig) -> Model:
     if cfg.batch_size > n:
         raise ValueError(f"batch_size {cfg.batch_size} exceeds data size {n}")
     X, tgt = data.X, data.targets
-    params = _Flat(m0.weights, m0.biases)
-    grad = _Flat(m0.weights, m0.biases)  # same layout; every step overwrites it
+    params = m0.copy()
+    grad = m0.copy()  # same layout; every step overwrites it
     shuffle = cfg.rng.generator()
     lr, l2, size = cfg.learning_rate, cfg.l2, cfg.batch_size
     history = []
@@ -402,16 +384,14 @@ def train(m0: Model, data: Packed, cfg: TrainConfig) -> Model:
             for start in range(0, n, size):
                 rows = slice(start, start + size)
                 batch_tgt = [col[rows] for col in cols]
-                value = _loss_grad(params, X[perm[rows]], batch_tgt, m0.task, l2, grad)
+                value = _loss_grad(params, X[perm[rows]], batch_tgt, l2, grad)
                 if not math.isfinite(value):
                     raise TrainingDivergence(epoch, value)
-                grad.buf *= lr
-                params.buf -= grad.buf
+                grad.params *= lr
+                params.params -= grad.params
                 epoch_losses.append(value)
             history.append(float(np.mean(epoch_losses)))
-    weights = [w.copy() for w in params.weights]
-    biases = [b.copy() for b in params.biases]
-    return Model(m0.task, weights, biases, loss_history=history)
+    return Model(m0.task, params.weights, params.biases, loss_history=history)
 
 
 # --- serialization ---------------------------------------------------------

@@ -186,6 +186,23 @@ class TestReportSerialization:
         arm = ArmResult("regular", "accuracy", math.nan, 0.0, 1, values=[0.5])
         assert arm != ArmResult("regular", "accuracy", math.nan, 0.0, 1, values=[0.5])
 
+    def test_failed_write_leaves_the_old_file(self, tmp_path):
+        # a real-valued numpy scalar in the snapshot still fails to serialise
+        report = tiny_synthetic(reps=0, imitation=np.float32(0.5))
+        path = tmp_path / "r.json"
+        path.write_bytes(b"an earlier report\n")
+        with pytest.raises(TypeError, match="float32 is not JSON serializable"):
+            emit_report(report, "json", path)
+        assert path.read_bytes() == b"an earlier report\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_target_that_is_not_a_regular_file_rejected(self, tmp_path, format):
+        (tmp_path / "r").mkdir()
+        with pytest.raises(ValueError, match="is not a regular file"):
+            emit_report(tiny_synthetic(reps=0), format, tmp_path / "r")
+        assert [p.name for p in tmp_path.rglob("*")] == ["r"]
+
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             emit_report(tiny_synthetic(), "xml", tmp_path / "r.xml")
@@ -370,6 +387,17 @@ class TestSyntheticRun:
         assert load_report_json(tmp_path / "r.json") == report
         assert run_from_config(report.config) == report
 
+    def test_numpy_integer_arguments_reload_and_replay_equal(self, tmp_path):
+        fast = TrainConfig(learning_rate=0.1, epochs=np.int32(5), batch_size=20)
+        spec = SyntheticSpec(1, n_train=np.int64(40), n_test=np.uint16(100))
+        report = run_synthetic(1, reps=np.int64(1), spec=spec, seed=np.int64(5),
+                               teacher_train=fast, student_train=fast)
+        assert type(report.master_seed) is int
+        emit_report(report, "json", tmp_path / "r.json")
+        loaded = load_report_json(tmp_path / "r.json")
+        assert loaded == report
+        assert run_from_config(loaded.config) == report
+
     @pytest.mark.parametrize(
         "edit,message",
         [
@@ -508,10 +536,22 @@ class TestMnistMachinery:
         report = run_mnist(**mnist_kwargs(mnist_dir))
         assert run_from_config(report.config) == report
 
-    def test_snapshot_with_a_bad_hidden_size_rejected_before_reading(self, mnist_dir, tmp_path):
+    @pytest.mark.parametrize(
+        "arch,message",
+        [
+            ("mlp:0", "hidden size must be an integer >= 1, got 0"),
+            (5, "config['arch']: expected a string, got int"),
+            ("mlp:3_0", "config['arch']: expected kind or kind:h1,h2,..., got 'mlp:3_0'"),
+            ("mlp: 3", "config['arch']: expected kind or kind:h1,h2,..., got 'mlp: 3'"),
+            ("mlp:+3", "config['arch']: expected kind or kind:h1,h2,..., got 'mlp:+3'"),
+        ],
+        ids=["zero", "int", "underscore", "space", "plus"],
+    )
+    def test_snapshot_with_a_bad_arch_rejected(self, mnist_dir, tmp_path, arch, message):
+        # nothing exists at `nowhere`, so reading it first would raise FileNotFoundError
         config = run_mnist(**mnist_kwargs(mnist_dir, reps=0)).config
-        config.update(arch="mlp:0", data_dir=str(tmp_path / "nowhere"))
-        with pytest.raises(ValueError, match="^hidden size must be an integer >= 1, got 0"):
+        config.update(arch=arch, data_dir=str(tmp_path / "nowhere"))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_from_config(config)
 
     def test_snapshot_with_an_unknown_train_key_rejected_before_reading(self, mnist_dir, tmp_path):

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -191,10 +193,6 @@ class TestLoss:
             train(m, rows, TrainConfig(epochs=1, batch_size=1))
 
 
-def flatten_grad(g):
-    return np.concatenate([a.ravel() for a in g.weights + g.biases])
-
-
 def kink_distance(m, batch):
     """Smallest |preactivation| across all hidden ReLU units and examples."""
     a = batch.X
@@ -234,16 +232,15 @@ class TestGradient:
     def test_zero_weights_zero_gradient(self):
         m = init_model("linear", 3, 2, rng=RngStream(1))
         g = gradient(m, pack([(np.ones(3), one_hot(0, 2), one_hot(1, 2), 0.0, 0.0)]), l2=0.0)
-        assert flatten_grad(g).max() == 0.0
+        assert g.max() == 0.0
 
     def test_l2_only_gradient_is_l2_times_weights(self):
         # Omega = (l2/2) * ||W||^2 over weight matrices, biases excluded
         m = init_model(Arch.mlp(4), 3, 2, rng=RngStream(2))
         g = gradient(m, pack([(np.ones(3), one_hot(0, 2), one_hot(1, 2), 0.0, 0.0)]), l2=0.5)
-        for gw, w in zip(g.weights, m.weights):
-            np.testing.assert_allclose(gw, 0.5 * w, rtol=1e-15)
-        for gb in g.biases:
-            np.testing.assert_array_equal(gb, np.zeros_like(gb))
+        nw = m.w_flat.size
+        np.testing.assert_allclose(g[:nw], 0.5 * m.w_flat, rtol=1e-15)
+        np.testing.assert_array_equal(g[nw:], np.zeros_like(g[nw:]))
 
     @pytest.mark.parametrize("lam", [0.0, 1.0, 0.4])
     def test_matches_finite_differences(self, lam):
@@ -261,7 +258,7 @@ class TestGradient:
                 if kink_distance(m, batch) > 1e-3:
                     break
             l2 = [0.0, 0.1][k % 2]
-            ga = flatten_grad(gradient(m, batch, l2=l2))
+            ga = gradient(m, batch, l2=l2)
             gf = fd_gradient(m, batch, l2)
             err = np.linalg.norm(ga - gf) / max(np.linalg.norm(ga), np.linalg.norm(gf), 1e-8)
             assert err <= 1e-4, f"case {k}: rel err {err}"
@@ -290,7 +287,7 @@ class TestTrain:
         data = pack(hard_rows(np.random.default_rng(20), 20, 2))
         cfg = TrainConfig(learning_rate=0.5, epochs=4000, batch_size=20, l2=0.1, rng=RngStream(2))
         m = train(init_model("linear", 2, 2, rng=RngStream(3)), data, cfg)
-        assert gradient(m, data, l2=0.1).norm() <= 1e-3
+        assert np.linalg.norm(gradient(m, data, l2=0.1)) <= 1e-3
 
     def test_convex_optimum_matches_descent_oracle(self):
         # independent objective implementation + BFGS as the oracle
@@ -654,6 +651,26 @@ class TestModelEquality:
         assert m != Model("regression", m.weights, m.biases)
         assert m != init_model(Arch.mlp(3), 4, 2, rng=RngStream(3))
         assert m != "a model"
+        # the same 6 parameter values laid out as different layer shapes
+        a = Model("classification", [np.zeros((1, 3))], [np.zeros(3)])
+        b = Model("classification", [np.zeros((2, 2))], [np.zeros(2)])
+        assert np.array_equal(a.params, b.params) and a != b
+
+    def test_params_is_one_copied_buffer_under_the_layer_views(self):
+        weights = [np.arange(12.0).reshape(3, 4), np.arange(8.0).reshape(4, 2)]
+        biases = [np.arange(4.0), np.arange(2.0)]
+        m = Model("classification", weights, biases)
+        expected = m.copy()
+        for a in weights + biases:
+            a += 100.0
+        assert m == expected
+        for c in (m, copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert c == expected
+            for view in [*c.weights, *c.biases, c.w_flat]:
+                assert np.shares_memory(view, c.params)
+        np.testing.assert_array_equal(
+            m.params, np.concatenate([a.ravel() - 100.0 for a in weights + biases])
+        )
 
 
 class TestTrainConfigValidation:
