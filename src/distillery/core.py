@@ -10,6 +10,8 @@ distinct streams are statistically independent by construction.
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -26,8 +28,8 @@ __all__ = [
     "simplex_rows",
     "check_rows",
     "check_simplex_rows",
-    "check_temperature",
     "check_count",
+    "check_real",
 ]
 
 
@@ -67,10 +69,8 @@ class RngStream:
 
     def __post_init__(self):
         # Python ints, not numpy scalars: `fork` hashes them with `_mix_key`
-        check_count("seed", self.seed, 0, 2**53)
-        check_count("stream", self.stream, 0, 2**64 - 1)
-        object.__setattr__(self, "seed", operator.index(self.seed))
-        object.__setattr__(self, "stream", operator.index(self.stream))
+        object.__setattr__(self, "seed", check_count("seed", self.seed, 0, 2**53))
+        object.__setattr__(self, "stream", check_count("stream", self.stream, 0, 2**64 - 1))
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
@@ -105,13 +105,6 @@ def _check_logits(z) -> np.ndarray:
     return z
 
 
-def check_temperature(T) -> float:
-    T = float(T)
-    if not (T > 0.0) or not np.isfinite(T):
-        raise ValueError(f"temperature must be positive and finite, got {T}")
-    return T
-
-
 def softmax(z, T: float = 1.0) -> np.ndarray:
     """Temperature-softened softmax over the last axis.
 
@@ -120,7 +113,7 @@ def softmax(z, T: float = 1.0) -> np.ndarray:
     T = 1 is the plain softmax.  The argmax of the output equals the
     argmax of z for every T.
     """
-    T = check_temperature(T)
+    T = check_real("temperature", T, 0.0, low_open=True)
     z = _check_logits(z)
     zt = z / T
     e = np.exp(zt - np.max(zt, axis=-1, keepdims=True))
@@ -129,7 +122,7 @@ def softmax(z, T: float = 1.0) -> np.ndarray:
 
 def log_softmax(z, T: float = 1.0) -> np.ndarray:
     """Log of softmax(z, T), kept in log space (finite for finite logits)."""
-    T = check_temperature(T)
+    T = check_real("temperature", T, 0.0, low_open=True)
     z = _check_logits(z)
     zt = z / T
     m = np.max(zt, axis=-1, keepdims=True)
@@ -157,10 +150,10 @@ def simplex_rows(P, tol: float = 1e-9) -> np.ndarray:
     return np.all(P >= 0, axis=1) & (np.abs(P.sum(axis=1) - 1.0) <= tol)
 
 
-def check_count(name: str, value, low: int = 1, high: int | None = None) -> None:
-    """Raise ValueError naming `name` unless `value` is an integer (an
-    `operator.index` type, not a bool) in [low, high], open above when
-    `high` is None: `n_train must be an integer in [1, 80], got 81`."""
+def check_count(name: str, value, low: int = 1, high: int | None = None) -> int:
+    """`value` as a Python int if it is an integer (an `operator.index` type,
+    not a bool) in [low, high], open above when `high` is None, else ValueError
+    naming `name`: `n_train must be an integer in [1, 80], got 81`."""
     try:
         n = operator.index(value)
     except TypeError:
@@ -168,6 +161,24 @@ def check_count(name: str, value, low: int = 1, high: int | None = None) -> None
     if n is None or isinstance(value, bool) or n < low or high is not None and n > high:
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+    return n
+
+
+def check_real(name: str, value, low=0.0, high=None, low_open=False) -> float:
+    """check_count's rule for reals: `value` as a Python float if it is a finite
+    `numbers.Real` (not a bool) in [low, high], or (low, high] when `low_open`,
+    else ValueError `temperature must be a finite real number > 0, got 0.0`."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an int or a Fraction beyond the float range
+        x = math.nan
+    above_low = low < x if low_open else low <= x
+    if not (above_low and math.isfinite(x) and (high is None or x <= high)):
+        op, bracket = (">", "(") if low_open else (">=", "[")
+        bounds = f"{op} {low:g}" if high is None else f"in {bracket}{low:g}, {high:g}]"
+        raise ValueError(f"{name} must be a finite real number {bounds}, got {value!r}")
+    return x
 
 
 def check_rows(ok, names, what: str) -> None:
@@ -205,15 +216,11 @@ def cross_entropy(y, z, T: float = 1.0) -> float:
 
 def one_hot(index: int, c: int) -> np.ndarray:
     """Hard label as a c-dimensional probability vector."""
-    if not 0 <= index < c:
-        raise ValueError(f"class index {index} out of range for {c} classes")
-    v = np.zeros(c)
-    v[index] = 1.0
+    v = np.zeros(check_count("c", c))
+    v[check_count("class index", index, 0, c - 1)] = 1.0
     return v
 
 
 def sample_standard_normal(rng: RngStream, n: int) -> np.ndarray:
     """n i.i.d. N(0, 1) draws, fully determined by (rng.seed, rng.stream)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return rng.generator().standard_normal(n)
+    return rng.generator().standard_normal(check_count("n", n))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream
+from .core import RngStream, check_real
 
 __all__ = [
     "ParseError",
@@ -216,8 +216,7 @@ def pollute(features, sigma: float, rng: RngStream) -> np.ndarray:
 
     Values may leave [0, 1]; the draw is fully determined by the stream.
     """
-    if not 0 <= sigma < np.inf:
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    sigma = check_real("sigma", sigma)
     x = np.asarray(features, dtype=np.float64)
     if sigma == 0:
         return x.copy()

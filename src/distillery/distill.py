@@ -21,13 +21,13 @@ examples, and per-task views of multi-output regression data.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .core import check_count, check_real, check_rows, check_simplex_rows, softmax
 # check_simplex is looked up here by perfbench/tracing.py, which counts its calls
-from .core import check_count, check_rows, check_simplex, check_simplex_rows, softmax  # noqa: F401
+from .core import check_simplex  # noqa: F401
 from .models import (
     CLASSIFICATION,
     REGRESSION,
@@ -76,6 +76,8 @@ class DatasetHeader:
     task: str = CLASSIFICATION
 
     def __post_init__(self):
+        for name, low in (("d", 0), ("d_star", 0), ("c", 1)):
+            object.__setattr__(self, name, check_count(name, getattr(self, name), low))
         if self.task not in (CLASSIFICATION, REGRESSION):
             raise ValueError(f"unknown task {self.task!r}")
 
@@ -131,7 +133,7 @@ class Dataset:
         or finite (regression)."""
         n = len(next(iter(cols.values())))
         for view, width in zip(_VIEWS, (header.d, header.d_star, header.c)):
-            col = cols.setdefault(view, np.zeros((n, width)))
+            col = cols[view] if view in cols else np.zeros((n, width))
             mask = masks.setdefault(view, np.zeros(n, dtype=bool))
             if col.shape != (n, width):
                 raise ValueError(f"{view} has shape {col.shape}, header says ({n}, {width})")
@@ -199,10 +201,8 @@ class DistillConfig:
     student_train: TrainConfig = TrainConfig()
 
     def __post_init__(self):
-        if not 0.0 <= self.imitation <= 1.0:
-            raise ValueError("imitation must lie in [0, 1]")
-        if not 0 <= self.unlabeled_weight < math.inf:
-            raise ValueError("unlabeled_weight must be finite and >= 0")
+        for name, high in (("imitation", 1.0), ("unlabeled_weight", None)):
+            object.__setattr__(self, name, check_real(name, getattr(self, name), 0.0, high))
 
 
 def train_teacher(data: Dataset, cfg: DistillConfig) -> Model:
@@ -304,8 +304,7 @@ def multitask_views(data: Dataset, target_task: int) -> Dataset:
     h = data.header
     if h.task != REGRESSION or h.c < 2:
         raise ValueError("multitask views need multi-output regression data")
-    if not 0 <= target_task < h.c:
-        raise ValueError(f"target task {target_task} out of range for {h.c} tasks")
+    target_task = check_count("target_task", target_task, 0, h.c - 1)
     others = [k for k in range(h.c) if k != target_task]
     X, Y = data.column("x"), data.column("y")  # raise naming an example without them
     header = DatasetHeader(h.d, h.c - 1, 1, REGRESSION)

@@ -27,7 +27,6 @@ import csv
 import inspect
 import json
 import math
-import operator
 import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -36,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import RngStream, check_count, check_temperature
+from .core import RngStream, check_count, check_real
 from .datasets import downscale, load_cifar, load_idx, load_multitask_csv, pollute
 from .distill import (
     Dataset,
@@ -184,6 +183,13 @@ def _check_batch(name: str, n: int, *configs: TrainConfig) -> None:
             raise ValueError(f"{name} {n} is smaller than batch_size {cfg.batch_size}")
 
 
+def _grids(T_grid, lambda_grid) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The grids as tuples of checked floats: every T > 0, every lambda in [0, 1]."""
+    Ts = tuple(check_real(f"T_grid[{i}]", T, 0.0, low_open=True) for i, T in enumerate(T_grid))
+    lams = tuple(check_real(f"lambda_grid[{i}]", v, 0.0, 1.0) for i, v in enumerate(lambda_grid))
+    return Ts, lams
+
+
 def _repeat(problems, T_grid, lambda_grid, metric="accuracy", arms=None, per_task=False):
     """Generalized distillation over a stream of problems: (results, errors).
 
@@ -200,10 +206,7 @@ def _repeat(problems, T_grid, lambda_grid, metric="accuracy", arms=None, per_tas
     """
     score = accuracy if metric == "accuracy" else mse
     arms = arms or {"distilled": {}}
-    grid = [(a, float(T), float(lam)) for a in arms for T in T_grid for lam in lambda_grid]
-    for a, T, lam in grid:  # a bad grid value fails here, before any training
-        check_temperature(T)
-        DistillConfig(imitation=lam, **arms[a])
+    grid = [(a, T, lam) for a in arms for T in T_grid for lam in lambda_grid]
     values = {key: [] for key in [("privileged", None, None), ("regular", None, None), *grid]}
     errors, n_problems = [], 0
     for label, train_ds, test_ds, base in problems:
@@ -219,7 +222,7 @@ def _repeat(problems, T_grid, lambda_grid, metric="accuracy", arms=None, per_tas
         for T in T_grid:
             soft = soft_labels(teacher, train_ds, T)
             for lam in lambda_grid:
-                cfg = replace(base, imitation=float(lam))
+                cfg = replace(base, imitation=lam)
                 try:
                     students = {
                         a: distill_student(train_ds, soft, replace(cfg, **over))
@@ -229,7 +232,7 @@ def _repeat(problems, T_grid, lambda_grid, metric="accuracy", arms=None, per_tas
                     errors.append(f"{label} cell T={T} lambda={lam}: {e}")
                     continue
                 for a, student in students.items():
-                    values[a, float(T), float(lam)].append((label, score(student, test_ds, "x")))
+                    values[a, T, lam].append((label, score(student, test_ds, "x")))
     results = []
     for (arm, T, lam), scored in values.items():
         results.append(_aggregate(arm, metric, [v for _, v in scored], n_problems, T, lam))
@@ -248,11 +251,6 @@ def _same(value, config=None):
     return value
 
 
-def _plain(value):
-    """`value`, with a numpy integer made a Python int, which JSON can write."""
-    return operator.index(value) if isinstance(value, np.integer) else value
-
-
 def _record(key: str, names, build):
     """Codec of a dataclass argument stored under `key` as an object of its
     fields `names`; decoding rejects anything else with a ValueError naming
@@ -266,7 +264,7 @@ def _record(key: str, names, build):
             raise ValueError(f"config[{key!r}]: unknown key {min(unknown)!r}")
         return build(value, config)
 
-    return key, lambda obj: {n: _plain(getattr(obj, n)) for n in names}, decode
+    return key, lambda obj: {n: getattr(obj, n) for n in names}, decode
 
 
 def _arch_text(arch: Arch) -> str:
@@ -286,7 +284,6 @@ def _arch_from_text(text: str, config=None) -> Arch:
 
 
 _TRAIN_FIELDS = ("learning_rate", "epochs", "batch_size", "l2", "init_scale")
-_GRID_CODEC = (lambda grid: [float(v) for v in grid], _same)
 
 # parameter name -> (snapshot key, encode(value), decode(value, config));
 # any other parameter is stored under its own name as it is
@@ -300,8 +297,8 @@ _CODEC = {
     "student_train": _record("student_train", _TRAIN_FIELDS, lambda d, config: TrainConfig(**d)),
     "train_config": _record("train", _TRAIN_FIELDS, lambda d, config: TrainConfig(**d)),
     "arch": ("arch", _arch_text, _arch_from_text),
-    "T_grid": ("T_grid", *_GRID_CODEC),
-    "lambda_grid": ("lambda_grid", *_GRID_CODEC),
+    "T_grid": ("T_grid", list, _same),
+    "lambda_grid": ("lambda_grid", list, _same),
     "data_dir": ("data_dir", str, _same),
     "path": ("path", str, _same),
 }
@@ -327,12 +324,12 @@ _NOTES = {
 
 
 def _snapshot(kind: str, arguments: dict) -> dict:
-    """Config of a run: its arguments (a superset, e.g. `locals()`), then
-    its kind's notes and the library version."""
+    """Config of a run: its checked arguments (a superset, e.g. `locals()`),
+    then its kind's notes and the library version."""
     config = {"kind": kind}
     for name in inspect.signature(RUNNERS[kind]).parameters:
         key, encode, _ = _CODEC.get(name, (name, _same, _same))
-        config[key] = _plain(encode(arguments[name]))
+        config[key] = encode(arguments[name])
     return {**config, **_NOTES[kind], "version": __version__}
 
 
@@ -355,7 +352,10 @@ def run_synthetic(
     train set and a fresh test set; all three arms share them.
     """
     master = RngStream(seed)
-    check_count("reps", reps, 0)
+    seed, reps = master.seed, check_count("reps", reps, 0)
+    experiment = check_count("experiment", experiment, 1, 4)
+    temperature = check_real("temperature", temperature, 0.0, low_open=True)
+    imitation = check_real("imitation", imitation, 0.0, 1.0)
     if spec is None:
         spec = SyntheticSpec(experiment)
     if spec.experiment != experiment:
@@ -425,12 +425,13 @@ def run_mnist(
     evaluated per (T, lambda) grid cell on the full test set.
     """
     master = RngStream(seed)
-    check_count("reps", reps, 0)
+    seed, reps = master.seed, check_count("reps", reps, 0)
+    T_grid, lambda_grid = _grids(T_grid, lambda_grid)
     data_dir = data_dir_from_env(data_dir)
     paths = _locate(data_dir, MNIST_FILES, "mnist")
     train_set = load_idx(paths[0], paths[1])
     test_set = load_idx(paths[2], paths[3])
-    check_count("n_train", n_train, 1, train_set.n)
+    n_train = check_count("n_train", n_train, 1, train_set.n)
     _check_batch("n_train", n_train, train_config)
 
     header = DatasetHeader(49, 784, 10)
@@ -481,15 +482,18 @@ def run_cifar_semisup(
     ("distilled-labeled" arm), against a supervised-only baseline.
     """
     master = RngStream(seed)
-    check_count("reps", reps, 0)
+    seed, reps = master.seed, check_count("reps", reps, 0)
+    T_grid, lambda_grid = _grids(T_grid, lambda_grid)
+    sigma = check_real("sigma", sigma)
+    unlabeled_weight = check_real("unlabeled_weight", unlabeled_weight)
     data_dir = data_dir_from_env(data_dir)
     paths = _locate(data_dir, CIFAR_TRAIN_FILES + (CIFAR_TEST_FILE,), "cifar-10-batches-bin")
     train_set = load_cifar(paths[:-1])
     test_set = load_cifar([paths[-1]])
-    check_count("n_labeled", n_labeled, 1, train_set.n)
+    n_labeled = check_count("n_labeled", n_labeled, 1, train_set.n)
     _check_batch("n_labeled", n_labeled, train_config)
     if max_unlabeled is not None:
-        check_count("max_unlabeled", max_unlabeled, 0)
+        max_unlabeled = check_count("max_unlabeled", max_unlabeled, 0)
 
     test_clean = test_set.to_features()
     test_noisy = pollute(test_clean, sigma, master.fork("pollute-test"))
@@ -544,11 +548,13 @@ def run_multitask(
     on regression soft targets, so the default grid has a single T.
     """
     master = RngStream(seed)
+    seed = master.seed
+    T_grid, lambda_grid = _grids(T_grid, lambda_grid)
     table = load_multitask_csv(path, delimiter)
     n_tasks = table.n_outputs
     perm = master.fork("split").generator().permutation(table.n)
-    check_count("n_train", n_train, 1, table.n - 1)
-    check_count("test_cap", test_cap)
+    n_train = check_count("n_train", n_train, 1, table.n - 1)
+    test_cap = check_count("test_cap", test_cap)
     _check_batch("n_train", n_train, train_config)
     train_idx = perm[:n_train]
     test_idx = perm[n_train : n_train + test_cap]

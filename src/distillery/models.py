@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngStream, check_count, check_rows, check_simplex_rows
+from .core import RngStream, check_count, check_real, check_rows, check_simplex_rows
 # check_simplex is looked up here by perfbench/tracing.py, which counts its calls
 from .core import check_simplex  # noqa: F401
 
@@ -61,8 +61,8 @@ class Arch:
             raise ValueError("linear architecture takes no hidden sizes")
         if self.kind == "mlp" and not self.hidden:
             raise ValueError("mlp architecture needs at least one hidden size")
-        for h in self.hidden:
-            check_count("hidden size", h)
+        hidden = tuple(check_count("hidden size", h) for h in self.hidden)
+        object.__setattr__(self, "hidden", hidden)
 
     @staticmethod
     def mlp(*hidden: int) -> "Arch":
@@ -154,12 +154,11 @@ class TrainConfig:
     rng: RngStream = RngStream(0)
 
     def __post_init__(self):
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be positive and finite")
+        lr = check_real("learning_rate", self.learning_rate, 0.0, low_open=True)
+        object.__setattr__(self, "learning_rate", lr)
         for name in ("epochs", "batch_size"):
-            check_count(name, getattr(self, name))
-        if not 0 <= self.l2 < math.inf:
-            raise ValueError("l2 must be finite and >= 0")
+            object.__setattr__(self, name, check_count(name, getattr(self, name)))
+        object.__setattr__(self, "l2", check_real("l2", self.l2))
         if self.init_scale != "fan_in_normal":
             raise ValueError(f"unknown init scheme {self.init_scale!r}")
 
@@ -178,7 +177,7 @@ def init_model(
     """
     if isinstance(arch, str):
         arch = Arch(arch)
-    sizes = [d, *arch.hidden, c]
+    sizes = [check_count("d", d), *arch.hidden, check_count("c", c)]
     g = rng.generator()
     weights, biases = [], []
     for i, (fi, fo) in enumerate(zip(sizes, sizes[1:])):

@@ -24,7 +24,7 @@ separately, so train and test sets of one repetition share them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,9 +57,9 @@ class SyntheticSpec:
     rng: RngStream = RngStream(0)
 
     def __post_init__(self):
-        check_count("experiment", self.experiment, 1, 4)
+        object.__setattr__(self, "experiment", check_count("experiment", self.experiment, 1, 4))
         for name in ("d", "n_train", "n_test", "relevant_size"):
-            check_count(name, getattr(self, name))
+            object.__setattr__(self, name, check_count(name, getattr(self, name)))
         if self.relevant_size > self.d:
             raise ValueError("need d >= relevant_size >= 1")
 
@@ -254,9 +254,10 @@ def load_dataset(path, delimiter: str = ",", task: str = CLASSIFICATION) -> Data
     """Read a `dump_dataset` file.
 
     Raises ValueError naming the header line or the record (1-based) for
-    a non-ASCII or non-numeric token, a record that is too short or too
-    long or has no present group, or a record count that differs from the
-    header's n; the Dataset's own checks name the example (0-based).
+    a non-ASCII or non-numeric token, a header size out of range (`c` >= 1,
+    the others >= 0), a record that is too short or too long or has no
+    present group, or a record count that differs from the header's n;
+    the Dataset's own checks name the example (0-based).
     """
     # a byte that is not ASCII reads as a lone surrogate, so that its line can be named
     with open(path, "r", encoding="ascii", errors="surrogateescape") as f:
@@ -265,11 +266,10 @@ def load_dataset(path, delimiter: str = ",", task: str = CLASSIFICATION) -> Data
             raise ValueError("line 1: not ASCII text")
         try:
             d, d_star, c, n = (int(v) for v in first.rstrip("\n").split(delimiter))
+            sizes, n = DatasetHeader(d, d_star, c), check_count("n", n, 0)
         except ValueError as e:
             raise ValueError(f"line 1: expected d, d_star, c, n: {e}") from None
-        if min(d, d_star, c, n) < 0:
-            raise ValueError("line 1: sizes and record count must be >= 0")
-        header = DatasetHeader(d, d_star, c, task)
+        header = replace(sizes, task=task)  # a bad task is the caller's, not line 1's
         examples = []
         for k in range(1, n + 1):
             line = f.readline()

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from distillery.core import (
     RngStream,
     check_count,
+    check_real,
     check_simplex,
     cross_entropy,
     log_softmax,
@@ -142,6 +144,13 @@ class TestCheckSimplex:
         with pytest.raises(ValueError):
             one_hot(4, 4)
 
+    @pytest.mark.parametrize("index", [4, -1, True, 1.5, np.float64(1.0), "1"])
+    def test_one_hot_index_must_be_a_class(self, index):
+        # True would set v[True] = v[1] and 1.5 would raise IndexError
+        with pytest.raises(ValueError, match=r"^class index must be an integer in \[0, 3\], got "):
+            one_hot(index, 4)
+        assert one_hot(np.int64(3), np.uint8(4)).tolist() == [0.0, 0.0, 0.0, 1.0]
+
     def test_tolerance(self):
         check_simplex(np.array([0.5, 0.5 + 5e-10]))
         with pytest.raises(ValueError):
@@ -216,10 +225,54 @@ class TestCheckCount:
         for value in (0, 3, np.int64(2), np.uint8(3)):
             check_count("k", value, 0, 3)
 
+    def test_the_value_comes_back_a_python_int(self):
+        for value in (0, 3, np.int64(2), np.uint8(3), 2**70):
+            n = check_count("k", value, 0)
+            assert type(n) is int and n == value
+
     @pytest.mark.parametrize("value", [True, False, 1.0, np.float64(1.0), "1", None, 0])
     def test_non_integers_and_values_below_one_rejected(self, value):
         with pytest.raises(ValueError, match="^k must be an integer >= 1, got "):
             check_count("k", value)
+
+
+class TestCheckReal:
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (("T", 0.0, 0.0, None, True), "T must be a finite real number > 0, got 0.0"),
+            (("l2", -1), "l2 must be a finite real number >= 0, got -1"),
+            (("lam", True, 0.0, 1.0), "lam must be a finite real number in [0, 1], got True"),
+            (("T", 0, 0.0, 1.0, True), "T must be a finite real number in (0, 1], got 0"),
+        ],
+    )
+    def test_messages(self, args, message):
+        with pytest.raises(ValueError) as e:
+            check_real(*args)
+        assert str(e.value) == message
+
+    @pytest.mark.parametrize(
+        "value",
+        [0, 1, 0.25, np.int64(1), np.uint8(0), np.float32(0.1), np.float64(1.0), Fraction(1, 3)],
+    )
+    def test_reals_in_range_come_back_python_floats(self, value):
+        x = check_real("k", value, 0.0, 1.0)
+        assert type(x) is float and x == float(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, False, np.bool_(True), "0.5", None, [0.5], 1j, math.nan, math.inf, -math.inf,
+         np.float32(np.inf), -0.5, 1.5, np.float64(1.0000001), 10**400, -(10**400)],
+    )
+    def test_everything_else_rejected(self, value):
+        with pytest.raises(ValueError, match=r"^k must be a finite real number in \[0, 1\], got "):
+            check_real("k", value, 0.0, 1.0)
+
+    def test_open_and_unbounded(self):
+        assert check_real("k", 1e300) == 1e300 and check_real("k", 0.0) == 0.0
+        assert check_real("k", 5e-324, low_open=True) == 5e-324
+        with pytest.raises(ValueError, match="^k must be a finite real number > 0, got -0.0$"):
+            check_real("k", -0.0, low_open=True)
 
 
 class TestSampleStandardNormal:
@@ -231,3 +284,8 @@ class TestSampleStandardNormal:
     def test_n_validation(self):
         with pytest.raises(ValueError):
             sample_standard_normal(RngStream(0), 0)
+
+    @pytest.mark.parametrize("n", [0, 2.5, True, "3"])
+    def test_n_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="^n must be an integer >= 1, got "):
+            sample_standard_normal(RngStream(0), n)

@@ -279,9 +279,14 @@ class TestPollute:
         with pytest.raises(ValueError):
             pollute(np.zeros(3), -1.0, RngStream(0))
 
+    @pytest.mark.parametrize("sigma", ["0.5", True, np.bool_(False), None])
+    def test_sigma_must_be_a_real_number(self, sigma):
+        with pytest.raises(ValueError, match=r"^sigma must be a finite real number >= 0, got "):
+            pollute(np.zeros(3), sigma, RngStream(0))
+
     @pytest.mark.parametrize("sigma", [np.nan, np.inf])
     def test_non_finite_sigma(self, sigma):
-        with pytest.raises(ValueError, match="sigma must be finite"):
+        with pytest.raises(ValueError, match=r"^sigma must be a finite real number >= 0, got "):
             pollute(np.zeros(3), sigma, RngStream(0))
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -381,14 +382,51 @@ class TestDistillConfigValidation:
             dict(unlabeled_weight=-1.0),
             dict(unlabeled_weight=math.nan),
             dict(unlabeled_weight=math.inf),
+            dict(imitation=True),
+            dict(imitation=np.bool_(False)),
+            dict(imitation="0.5"),
+            dict(unlabeled_weight=True),
+            dict(unlabeled_weight="1"),
         ],
     )
     def test_rejected_at_construction(self, bad):
-        with pytest.raises(ValueError):
+        ((name, _),) = bad.items()
+        with pytest.raises(ValueError, match=f"^{name} must be a finite real number"):
             DistillConfig(**bad)
+
+    def test_numbers_stored_as_python_floats(self):
+        cfg = DistillConfig(imitation=np.float32(0.1), unlabeled_weight=2)
+        assert type(cfg.imitation) is float and cfg.imitation == float(np.float32(0.1))
+        assert type(cfg.unlabeled_weight) is float and cfg.unlabeled_weight == 2.0
 
 
 class TestDatasetValidation:
+    @pytest.mark.parametrize(
+        "sizes,name",
+        [((2, 0, 0), "c"), ((True, 0, 2), "d"), ((-1, 0, 2), "d"), ((2, -1, 2), "d_star"),
+         ((2.0, 0, 2), "d"), ((2, 0, "2"), "c")],
+    )
+    def test_header_sizes_checked(self, sizes, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+            DatasetHeader(*sizes)
+
+    def test_header_sizes_stored_as_python_ints(self):
+        h = DatasetHeader(np.int64(3), np.uint8(0), np.int32(2), "regression")
+        assert (h.d, h.d_star, h.c) == (3, 0, 2)
+        assert all(type(v) is int for v in (h.d, h.d_star, h.c))
+
+    def test_present_columns_are_not_shadowed_by_zero_columns(self):
+        # only a missing field gets a zero column: x and x_star here cost no allocation
+        n, d = 400, 1000
+        X, y = np.zeros((n, d)), np.eye(2)[np.arange(n) % 2]
+        tracemalloc.start()
+        try:
+            Dataset.from_arrays(DatasetHeader(d, d, 2), x=X, x_star=X, y=y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes / 4
+
     def test_header_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Dataset(DatasetHeader(3, 1, 2), [Triplet(x=np.zeros(2))])

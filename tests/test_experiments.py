@@ -186,12 +186,16 @@ class TestReportSerialization:
         arm = ArmResult("regular", "accuracy", math.nan, 0.0, 1, values=[0.5])
         assert arm != ArmResult("regular", "accuracy", math.nan, 0.0, 1, values=[0.5])
 
-    def test_failed_write_leaves_the_old_file(self, tmp_path):
-        # a real-valued numpy scalar in the snapshot still fails to serialise
-        report = tiny_synthetic(reps=0, imitation=np.float32(0.5))
+    def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch):
+        def write_part_then_fail(payload, f, **kwargs):
+            f.write('{"experiment_id": ')
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(experiments.json, "dump", write_part_then_fail)
+        report = tiny_synthetic(reps=0)
         path = tmp_path / "r.json"
         path.write_bytes(b"an earlier report\n")
-        with pytest.raises(TypeError, match="float32 is not JSON serializable"):
+        with pytest.raises(OSError, match="no space left on device"):
             emit_report(report, "json", path)
         assert path.read_bytes() == b"an earlier report\n"
         assert list(tmp_path.iterdir()) == [path]
@@ -429,7 +433,7 @@ class TestSyntheticRun:
     @pytest.mark.parametrize("T", [0.0, -1.0, math.inf, math.nan])
     def test_bad_temperature_rejected_at_reps_0(self, T):
         # the temperature acts only in soft_labels; the run checks it before any training
-        with pytest.raises(ValueError, match="^temperature must be positive and finite"):
+        with pytest.raises(ValueError, match="^temperature must be a finite real number > 0, got "):
             tiny_synthetic(reps=0, temperature=T)
 
     def test_arm_lookup(self):
@@ -622,6 +626,139 @@ def test_bad_seed_rejected_before_reading_or_training(runner, seed, tmp_path, mo
         with pytest.raises(ValueError, match=rf"^seed must be an integer in \[0, {2**53}\], got "):
             calls[runner](reps)
     assert touched == []
+
+
+# --- the number rule: every numeric argument is checked where it enters ------
+
+# values of every kind a numeric argument may be given as: Python and numpy
+# integers and floats (float32 too), bools, numpy bools, strings, NaN, +-inf,
+# an int beyond the float range, and values out of any argument's range
+NUMBERS = st.one_of(
+    st.integers(-2, 90), st.integers(0, 90).map(np.uint8), st.integers(-2, 90).map(np.int64),
+    st.floats(0, 1), st.floats(-2, 90), st.floats(-2, 90, width=32).map(np.float32),
+    st.floats(-2, 90).map(np.float64),
+    st.sampled_from([math.nan, math.inf, -math.inf, np.float32(math.nan), 10**400, 2**53 + 1]),
+    st.booleans(), st.booleans().map(np.bool_), st.sampled_from(["1", "0.5", "x", None]),
+)
+# reps stays 0 whenever it is accepted, so no call trains
+ZERO_REPS = st.sampled_from([0, np.int64(0), np.uint8(0), 0.0, np.float32(0), False,
+                             np.bool_(False), "0", -1, None])
+
+
+def integer_in(low, high=math.inf):
+    return lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool) and (
+        low <= v <= high)
+
+
+def real_in(low, high=math.inf, low_open=False):
+    def ok(v):
+        if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+            return False
+        try:
+            x = float(v)
+        except OverflowError:
+            return False
+        return math.isfinite(x) and (low < x if low_open else low <= x) and x <= high
+    return ok
+
+
+def grid_of(rule):
+    return lambda grid: all(map(rule, grid))
+
+
+TEMPERATURE, IMITATION = real_in(0.0, low_open=True), real_in(0.0, 1.0)
+GRIDS = {"T_grid": grid_of(TEMPERATURE), "lambda_grid": grid_of(IMITATION)}
+NUMBER_RULES = {
+    "synthetic": {
+        "experiment": integer_in(1, 4), "reps": integer_in(0), "seed": integer_in(0, 2**53),
+        "temperature": TEMPERATURE, "imitation": IMITATION,
+        "learning_rate": real_in(0.0, low_open=True), "l2": real_in(0.0), "epochs": integer_in(1),
+    },
+    # the fixtures hold 80 and 50 training images, and the batch sizes are 10 and 6
+    "mnist": {"n_train": integer_in(10, 80), "reps": integer_in(0),
+              "seed": integer_in(0, 2**53), **GRIDS},
+    "cifar": {
+        "n_labeled": integer_in(6, 50), "sigma": real_in(0.0), "max_unlabeled": integer_in(0),
+        "unlabeled_weight": real_in(0.0), "reps": integer_in(0), "seed": integer_in(0, 2**53),
+        **GRIDS,
+    },
+}
+
+
+def synthetic_call(learning_rate, l2, epochs, **kw):
+    train = TrainConfig(learning_rate=learning_rate, epochs=epochs, batch_size=20, l2=l2)
+    return run_synthetic(teacher_train=train, student_train=train, **kw)
+
+
+def plain(value) -> bool:
+    """Whether `value` is built of Python str, int, float, None, lists and dicts only."""
+    if isinstance(value, (list, dict)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        return all(plain(k) and plain(v) for k, v in items)
+    return type(value) in (str, int, float, type(None))
+
+
+@pytest.mark.parametrize("runner", ["synthetic", "mnist", "cifar"])
+@given(data=st.data())
+@FUZZ
+def test_number_rule_holds_for_every_runner_argument(runner, mnist_dir, cifar_dir, tmp_path,
+                                                     data):
+    valid = {
+        "synthetic": dict(experiment=1, reps=0, seed=7, temperature=2.0, imitation=0.5,
+                          learning_rate=0.1, l2=1e-4, epochs=5),
+        "mnist": mnist_kwargs(mnist_dir, reps=0),
+        "cifar": dict(n_labeled=12, data_dir=cifar_dir, sigma=0.3, T_grid=(1.0, 5.0),
+                      lambda_grid=(0.0, 0.5), max_unlabeled=20, unlabeled_weight=1.0, seed=5,
+                      reps=0, train_config=TrainConfig(learning_rate=0.05, epochs=2, batch_size=6),
+                      arch=Arch.mlp(4)),
+    }[runner]
+    call = {"synthetic": synthetic_call, "mnist": run_mnist, "cifar": run_cifar_semisup}[runner]
+    rules = NUMBER_RULES[runner]
+    for name in data.draw(st.sets(st.sampled_from(sorted(rules)), max_size=2)):
+        if name in GRIDS:
+            valid[name] = data.draw(st.lists(NUMBERS, max_size=3).map(tuple))
+        else:
+            valid[name] = data.draw(ZERO_REPS if name == "reps" else NUMBERS)
+    rejected = tuple(name for name, ok in rules.items() if not ok(valid[name]))
+    if rejected:
+        with pytest.raises(ValueError) as e:
+            call(**valid)
+        assert str(e.value).startswith(rejected)
+        return
+    report = call(**valid)
+    assert plain(dataclasses.asdict(report))
+    emit_report(report, "json", tmp_path / "r.json")
+    loaded = load_report_json(tmp_path / "r.json")
+    assert loaded == report
+    assert run_from_config(loaded.config) == report
+
+
+@pytest.mark.parametrize("temperature", ["x", [1.0], True])
+def test_bad_snapshot_temperature_fails_on_replay_as_in_the_call(temperature):
+    config = json.loads(json.dumps({**tiny_synthetic(reps=0).config, "temperature": temperature}))
+    with pytest.raises(ValueError) as direct:
+        tiny_synthetic(reps=0, temperature=temperature)
+    with pytest.raises(ValueError) as replayed:
+        run_from_config(config)
+    assert str(replayed.value) == str(direct.value)
+    assert str(direct.value).startswith("temperature must be a finite real number > 0, got ")
+
+
+@pytest.mark.parametrize("runner", ["mnist", "cifar", "multitask"])
+def test_bad_grid_value_rejected_naming_the_grid(runner, mnist_dir, cifar_dir, multitask_path):
+    # _snapshot writes the grids as they are, so a grid must be checked before it
+    calls = {
+        "mnist": lambda **grid: run_mnist(data_dir=mnist_dir, reps=0, **grid),
+        "cifar": lambda **grid: run_cifar_semisup(data_dir=cifar_dir, reps=0, **grid),
+        "multitask": lambda **grid: run_multitask(multitask_path, n_train=40, **grid),
+    }
+    for grid, message in [
+        (dict(T_grid=("x",)), "T_grid[0] must be a finite real number > 0, got 'x'"),
+        (dict(T_grid=(1.0, 0.0)), "T_grid[1] must be a finite real number > 0, got 0.0"),
+        (dict(lambda_grid=(0.5, True)), "lambda_grid[1] must be a finite real number in [0, 1], got True"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            calls[runner](**grid)
 
 
 class TestCifarMachinery:

@@ -692,11 +692,33 @@ class TestTrainConfigValidation:
             dict(batch_size=2.5),
             dict(batch_size="3"),
             dict(epochs=True),
+            dict(learning_rate="0.1"),
+            dict(learning_rate=True),
+            dict(l2=np.bool_(False)),
+            dict(l2="0"),
         ],
     )
     def test_rejected_at_construction(self, bad):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
+
+    def test_numbers_stored_as_python_numbers(self):
+        cfg = TrainConfig(learning_rate=np.float32(0.1), epochs=np.int64(3),
+                          batch_size=np.uint8(4), l2=0)
+        assert (cfg.learning_rate, cfg.epochs, cfg.batch_size, cfg.l2) == (
+            float(np.float32(0.1)), 3, 4, 0.0)
+        assert [type(v) for v in (cfg.learning_rate, cfg.epochs, cfg.batch_size, cfg.l2)] == [
+            float, int, int, float]
+
+
+class TestInitModel:
+    @pytest.mark.parametrize(
+        "sizes,name", [((0, 2), "d"), ((3, 0), "c"), ((2.0, 2), "d"), ((3, True), "c")]
+    )
+    def test_sizes_checked(self, sizes, name):
+        # d = 0 divided by zero in the fan-in scale, and c = 0 built a model with no outputs
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got "):
+            init_model("linear", *sizes)
 
 
 class TestArchValidation:
@@ -708,4 +730,5 @@ class TestArchValidation:
     def test_mlp_shorthand_does_not_truncate(self):
         with pytest.raises(ValueError, match="^hidden size must be an integer >= 1, got 2.5"):
             Arch.mlp(2.5)
-        assert Arch.mlp(np.int64(4), 2).hidden == (4, 2)
+        hidden = Arch.mlp(np.int64(4), 2).hidden
+        assert hidden == (4, 2) and all(type(h) is int for h in hidden)

@@ -258,7 +258,9 @@ class TestDumpFormat:
         with pytest.raises(ValueError, match=f"^{message}"):
             load_dataset(path)
 
-    @pytest.mark.parametrize("first", ["2,0,2", "2,0,2,x", "2,0,2,1,1", "2,-1,2,1", ""])
+    @pytest.mark.parametrize(
+        "first", ["2,0,2", "2,0,2,x", "2,0,2,1,1", "2,-1,2,1", "", "2,0,0,1", "2,0,2,-1"]
+    )
     def test_bad_header_line(self, tmp_path, first):
         path = tmp_path / "dump.txt"
         path.write_text(first + "\n1,2,,0,1\n")
