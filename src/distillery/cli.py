@@ -23,8 +23,6 @@ def _grid(text: str) -> tuple[float, ...]:
         values = tuple(float(v) for v in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("empty grid")
     return values
 
 

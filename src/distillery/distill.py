@@ -205,6 +205,16 @@ class DistillConfig:
             object.__setattr__(self, name, check_real(name, getattr(self, name), 0.0, high))
 
 
+def _rows(col: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Rows `ids` (sorted and unique, as from np.flatnonzero) of `col`: a view
+    when they are one contiguous run of a C-contiguous `col`, a copy otherwise.
+    Both are C-contiguous, so a product with them gives the same bits (BLAS
+    may round a product with another layout differently)."""
+    if col.flags.c_contiguous and ids.size and ids[-1] - ids[0] + 1 == ids.size:
+        return col[ids[0] : ids[-1] + 1]
+    return col[ids]
+
+
 def train_teacher(data: Dataset, cfg: DistillConfig) -> Model:
     """Step 1: fit the teacher on (x_star, y) pairs with hard labels only."""
     ids = np.flatnonzero(data._masks["x_star"] & data._masks["y"])
@@ -212,7 +222,7 @@ def train_teacher(data: Dataset, cfg: DistillConfig) -> Model:
         raise ValueError("no examples with both privileged features and a label")
     h, n, Y = data.header, len(ids), data._cols["y"][ids]
     hard, no_soft = (Y, np.ones(n), np.ones(n, bool)), (Y, np.zeros(n), np.zeros(n, bool))
-    batch = Packed(data._cols["x_star"][ids], h.task, hard, no_soft, ids)
+    batch = Packed(_rows(data._cols["x_star"], ids), h.task, hard, no_soft, ids)
     rng = cfg.teacher_train.rng
     m0 = init_model(cfg.teacher_arch, h.d_star, h.c, h.task, rng.fork("init"))
     return train(m0, batch, replace(cfg.teacher_train, rng=rng.fork("shuffle")))
@@ -229,7 +239,7 @@ def soft_labels(teacher: Model, data: Dataset, T: float) -> np.ndarray:
     ids = np.flatnonzero(data._masks["x_star"])
     soft = np.full((len(data), teacher.output_dim), np.nan)
     if ids.size:
-        out = forward(teacher, data._cols["x_star"][ids])
+        out = forward(teacher, _rows(data._cols["x_star"], ids))
         soft[ids] = softmax(out, T) if teacher.task == CLASSIFICATION else out
     return soft
 
@@ -255,7 +265,7 @@ def distill_student(data: Dataset, soft, cfg: DistillConfig) -> Model:
     if not ids.size:
         raise ValueError("no usable examples to distill into the student")
     hard = (data._cols["y"][ids], hw[ids], labeled[ids])
-    batch = Packed(data._cols["x"][ids], h.task, hard, (S[ids], sw[ids], has_soft[ids]), ids)
+    batch = Packed(_rows(data._cols["x"], ids), h.task, hard, (S[ids], sw[ids], has_soft[ids]), ids)
     rng = cfg.student_train.rng
     m0 = init_model(cfg.student_arch, h.d, h.c, h.task, rng.fork("init"))
     return train(m0, batch, replace(cfg.student_train, rng=rng.fork("shuffle")))

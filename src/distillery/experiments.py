@@ -176,6 +176,13 @@ def _base(stream: RngStream, teacher_train, student_train, arch, **extra) -> Dis
     )
 
 
+def _check_kind(name: str, value, kind, what: str):
+    """`value`, or a ValueError naming argument `name` if it is not a `kind`."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
 def _check_batch(name: str, n: int, *configs: TrainConfig) -> None:
     """Reject a training sample `name` of n rows smaller than a config's batch."""
     for cfg in configs:
@@ -183,11 +190,21 @@ def _check_batch(name: str, n: int, *configs: TrainConfig) -> None:
             raise ValueError(f"{name} {n} is smaller than batch_size {cfg.batch_size}")
 
 
+def _grid(name: str, grid, high=None, low_open=False) -> tuple[float, ...]:
+    """`grid`, an iterable of numbers that is not a string, as a tuple of
+    floats in [0, high] checked by `check_real`."""
+    try:
+        values = None if isinstance(grid, (str, bytes)) else tuple(grid)
+    except TypeError:
+        values = None
+    if values is None:
+        raise ValueError(f"{name} must be a sequence of numbers, got {grid!r}")
+    return tuple(check_real(f"{name}[{i}]", v, 0.0, high, low_open) for i, v in enumerate(values))
+
+
 def _grids(T_grid, lambda_grid) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """The grids as tuples of checked floats: every T > 0, every lambda in [0, 1]."""
-    Ts = tuple(check_real(f"T_grid[{i}]", T, 0.0, low_open=True) for i, T in enumerate(T_grid))
-    lams = tuple(check_real(f"lambda_grid[{i}]", v, 0.0, 1.0) for i, v in enumerate(lambda_grid))
-    return Ts, lams
+    return _grid("T_grid", T_grid, low_open=True), _grid("lambda_grid", lambda_grid, 1.0)
 
 
 def _repeat(problems, T_grid, lambda_grid, metric="accuracy", arms=None, per_task=False):
@@ -358,6 +375,7 @@ def run_synthetic(
     imitation = check_real("imitation", imitation, 0.0, 1.0)
     if spec is None:
         spec = SyntheticSpec(experiment)
+    _check_kind("spec", spec, SyntheticSpec, "a SyntheticSpec or None")
     if spec.experiment != experiment:
         raise ValueError(f"spec.experiment {spec.experiment} differs from experiment {experiment}")
     _check_batch("spec.n_train", spec.n_train, teacher_train, student_train)
@@ -388,7 +406,7 @@ def data_dir_from_env(data_dir=None) -> Path:
         raise FileNotFoundError(
             "no data directory: pass data_dir or set DISTILLERY_DATA_DIR"
         )
-    return Path(data_dir)
+    return Path(_check_kind("data_dir", data_dir, (str, os.PathLike), "a str or os.PathLike"))
 
 
 def _locate(root: Path, names, subdir: str) -> list[Path]:
@@ -459,6 +477,15 @@ CIFAR_TRAIN_FILES = tuple(f"data_batch_{i}.bin" for i in range(1, 6))
 CIFAR_TEST_FILE = "test_batch.bin"
 
 
+def _cifar_test_set(path, header: DatasetHeader, sigma: float, noise: RngStream) -> Dataset:
+    """The test batch at `path` as a Dataset of noisy (x) and clean (x_star)
+    pixels; the parsed bytes are not kept."""
+    images = load_cifar([path])
+    clean = images.to_features()
+    noisy = pollute(clean, sigma, noise)
+    return Dataset.from_arrays(header, x=noisy, x_star=clean, y=np.eye(10)[images.labels])
+
+
 def run_cifar_semisup(
     n_labeled: int = 300,
     data_dir=None,
@@ -489,18 +516,14 @@ def run_cifar_semisup(
     data_dir = data_dir_from_env(data_dir)
     paths = _locate(data_dir, CIFAR_TRAIN_FILES + (CIFAR_TEST_FILE,), "cifar-10-batches-bin")
     train_set = load_cifar(paths[:-1])
-    test_set = load_cifar([paths[-1]])
     n_labeled = check_count("n_labeled", n_labeled, 1, train_set.n)
     _check_batch("n_labeled", n_labeled, train_config)
     if max_unlabeled is not None:
         max_unlabeled = check_count("max_unlabeled", max_unlabeled, 0)
 
-    test_clean = test_set.to_features()
-    test_noisy = pollute(test_clean, sigma, master.fork("pollute-test"))
-    d = test_clean.shape[1]
+    d = train_set.images[0].size
     header = DatasetHeader(d, d, 10)
-    y_te = np.eye(10)[test_set.labels]
-    ds_te = Dataset.from_arrays(header, x=test_noisy, x_star=test_clean, y=y_te)
+    ds_te = _cifar_test_set(paths[-1], header, sigma, master.fork("pollute-test"))
 
     def problems():
         for r in range(reps):
@@ -550,6 +573,9 @@ def run_multitask(
     master = RngStream(seed)
     seed = master.seed
     T_grid, lambda_grid = _grids(T_grid, lambda_grid)
+    _check_kind("path", path, (str, os.PathLike), "a str or os.PathLike")
+    if delimiter == "" or not isinstance(delimiter, (str, type(None))):
+        raise ValueError(f"delimiter must be a non-empty string or None, got {delimiter!r}")
     table = load_multitask_csv(path, delimiter)
     n_tasks = table.n_outputs
     perm = master.fork("split").generator().permutation(table.n)

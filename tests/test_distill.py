@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from distillery import distill
 from distillery.core import RngStream, one_hot, softmax
 from distillery.distill import (
     Dataset,
@@ -648,3 +649,75 @@ class TestColumnsTrainAsRows:
         assert_same_bits(teacher, train_teacher(clean, cfg))
         soft = soft_labels(teacher, dirty, 1.0)
         assert_same_bits(distill_student(dirty, soft, cfg), distill_student(clean, soft, cfg))
+
+
+def recorded(monkeypatch, name):
+    """Replace distill.<name> by a wrapper that records its arguments in the list returned."""
+    calls, real = [], getattr(distill, name)
+
+    def record(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(distill, name, record)
+    return calls
+
+
+# the labeled rows of TestRowSelection's datasets: one run, or every other row
+LABELED = {"run": np.arange(40) < 24, "scattered": np.arange(40) % 2 == 0}
+
+
+class TestRowSelection:
+    """Rows that form one run are trained on as a view of their column, other
+    rows as a copy; either way the model equals one trained on copied rows."""
+
+    @staticmethod
+    def data(labeled, order="C"):
+        header, cols = toy_columns(40)
+        cols = {view: np.asarray(col, order=order) for view, col in cols.items()}
+        return Dataset.from_arrays(header, **cols, present={"y": LABELED[labeled]})
+
+    @pytest.mark.parametrize("labeled,run", [("run", True), ("scattered", False)])
+    def test_teacher_rows(self, monkeypatch, labeled, run):
+        data, cfg, calls = self.data(labeled), small_cfg(), recorded(monkeypatch, "train")
+        teacher = train_teacher(data, cfg)
+        assert np.shares_memory(calls[0][1].X, data.column("x_star")) == run
+        assert_same_bits(teacher, reference_teacher(data, cfg))
+
+    @pytest.mark.parametrize("labeled,lam,run", [
+        ("run", 0.0, True), ("run", 0.5, True), ("scattered", 0.0, False), ("scattered", 0.5, True),
+    ])
+    def test_student_rows(self, monkeypatch, labeled, lam, run):
+        data, cfg = self.data(labeled), small_cfg(imitation=lam)
+        soft = soft_labels(train_teacher(data, cfg), data, 2.0)
+        calls = recorded(monkeypatch, "train")
+        student = distill_student(data, soft, cfg)
+        assert np.shares_memory(calls[0][1].X, data.column("x")) == run
+        assert_same_bits(student, reference_student(data, soft, cfg))
+
+    @pytest.mark.parametrize("order,run", [("C", True), ("F", False)])
+    def test_soft_label_rows(self, monkeypatch, order, run):
+        # a row run of a column in another layout is copied: BLAS may round the
+        # product with it differently
+        data, cfg = self.data("run", order), small_cfg()
+        teacher = train_teacher(data, cfg)
+        calls = recorded(monkeypatch, "forward")
+        soft = soft_labels(teacher, data, 2.0)
+        assert np.shares_memory(calls[0][1], data.column("x_star")) == run
+        copied = np.ascontiguousarray(data.column("x_star"))
+        assert np.array_equal(soft, softmax(forward(teacher, copied), 2.0))
+
+    def test_training_on_every_row_copies_no_column(self):
+        n, d = 2000, 1000
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(n, d))
+        data = Dataset.from_arrays(DatasetHeader(d, 0, 2), x=X, y=np.eye(2)[np.arange(n) % 2])
+        train_cfg = TrainConfig(epochs=1, batch_size=100, rng=RngStream(0))
+        cfg = DistillConfig(imitation=0.0, student_train=train_cfg)
+        tracemalloc.start()
+        try:
+            distill_student(data, [], cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes

@@ -1,11 +1,14 @@
 import argparse
 import dataclasses
 import functools
+import gc
 import inspect
 import json
 import math
+import os
 import re
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from distillery import __version__, experiments
-from distillery.cli import _dispatch, build_parser
+from distillery.cli import _dispatch, _grid, build_parser
 from distillery.cli import main as cli_main
 from distillery.experiments import (
     RUNNERS,
@@ -662,8 +665,13 @@ def real_in(low, high=math.inf, low_open=False):
     return ok
 
 
+def a_path(v) -> bool:
+    return isinstance(v, (str, os.PathLike))
+
+
 def grid_of(rule):
-    return lambda grid: all(map(rule, grid))
+    # a grid is drawn as a tuple, or as one value of NUMBERS, which is never a grid
+    return lambda grid: isinstance(grid, tuple) and all(map(rule, grid))
 
 
 TEMPERATURE, IMITATION = real_in(0.0, low_open=True), real_in(0.0, 1.0)
@@ -673,15 +681,24 @@ NUMBER_RULES = {
         "experiment": integer_in(1, 4), "reps": integer_in(0), "seed": integer_in(0, 2**53),
         "temperature": TEMPERATURE, "imitation": IMITATION,
         "learning_rate": real_in(0.0, low_open=True), "l2": real_in(0.0), "epochs": integer_in(1),
+        "spec": lambda v: v is None,  # no other value of NUMBERS is a SyntheticSpec
     },
     # the fixtures hold 80 and 50 training images, and the batch sizes are 10 and 6
     "mnist": {"n_train": integer_in(10, 80), "reps": integer_in(0),
-              "seed": integer_in(0, 2**53), **GRIDS},
+              "seed": integer_in(0, 2**53), "data_dir": a_path, **GRIDS},
     "cifar": {
-        "n_labeled": integer_in(6, 50), "sigma": real_in(0.0), "max_unlabeled": integer_in(0),
+        "n_labeled": integer_in(6, 50), "sigma": real_in(0.0),
+        "max_unlabeled": lambda v: v is None or integer_in(0)(v),
         "unlabeled_weight": real_in(0.0), "reps": integer_in(0), "seed": integer_in(0, 2**53),
-        **GRIDS,
+        "data_dir": a_path, **GRIDS,
     },
+}
+# a string names a directory that is not there and None reads the environment, so
+# data_dir is drawn from the other values
+DRAWS = {
+    "reps": ZERO_REPS,
+    "data_dir": NUMBERS.filter(lambda v: v is not None and not isinstance(v, str)),
+    **dict.fromkeys(GRIDS, st.lists(NUMBERS, max_size=3).map(tuple) | NUMBERS),
 }
 
 
@@ -705,7 +722,7 @@ def test_number_rule_holds_for_every_runner_argument(runner, mnist_dir, cifar_di
                                                      data):
     valid = {
         "synthetic": dict(experiment=1, reps=0, seed=7, temperature=2.0, imitation=0.5,
-                          learning_rate=0.1, l2=1e-4, epochs=5),
+                          learning_rate=0.1, l2=1e-4, epochs=5, spec=None),
         "mnist": mnist_kwargs(mnist_dir, reps=0),
         "cifar": dict(n_labeled=12, data_dir=cifar_dir, sigma=0.3, T_grid=(1.0, 5.0),
                       lambda_grid=(0.0, 0.5), max_unlabeled=20, unlabeled_weight=1.0, seed=5,
@@ -715,10 +732,7 @@ def test_number_rule_holds_for_every_runner_argument(runner, mnist_dir, cifar_di
     call = {"synthetic": synthetic_call, "mnist": run_mnist, "cifar": run_cifar_semisup}[runner]
     rules = NUMBER_RULES[runner]
     for name in data.draw(st.sets(st.sampled_from(sorted(rules)), max_size=2)):
-        if name in GRIDS:
-            valid[name] = data.draw(st.lists(NUMBERS, max_size=3).map(tuple))
-        else:
-            valid[name] = data.draw(ZERO_REPS if name == "reps" else NUMBERS)
+        valid[name] = data.draw(DRAWS.get(name, NUMBERS))
     rejected = tuple(name for name, ok in rules.items() if not ok(valid[name]))
     if rejected:
         with pytest.raises(ValueError) as e:
@@ -756,9 +770,24 @@ def test_bad_grid_value_rejected_naming_the_grid(runner, mnist_dir, cifar_dir, m
         (dict(T_grid=("x",)), "T_grid[0] must be a finite real number > 0, got 'x'"),
         (dict(T_grid=(1.0, 0.0)), "T_grid[1] must be a finite real number > 0, got 0.0"),
         (dict(lambda_grid=(0.5, True)), "lambda_grid[1] must be a finite real number in [0, 1], got True"),
+        (dict(T_grid=5), "T_grid must be a sequence of numbers, got 5"),
+        (dict(lambda_grid="0,1"), "lambda_grid must be a sequence of numbers, got '0,1'"),
     ]:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             calls[runner](**grid)
+
+
+@pytest.mark.parametrize("argument, value, message", [
+    ("path", 5, "path must be a str or os.PathLike, got 5"),
+    ("delimiter", 5, "delimiter must be a non-empty string or None, got 5"),
+    ("delimiter", "", "delimiter must be a non-empty string or None, got ''"),
+])
+def test_multitask_argument_of_wrong_kind_rejected_naming_it(multitask_path, argument, value,
+                                                             message):
+    # a path of 5 would otherwise be opened as file descriptor 5
+    kwargs = {"path": multitask_path, "n_train": 40, argument: value}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_multitask(**kwargs)
 
 
 class TestCifarMachinery:
@@ -795,6 +824,25 @@ class TestCifarMachinery:
         with pytest.raises(ValueError, match=name):
             run_cifar_semisup(**self.cifar_kwargs(cifar_dir, reps=1, **bad))
         assert trained == []
+
+    def test_parsed_test_images_are_not_held_through_the_repetitions(self, cifar_dir,
+                                                                      monkeypatch):
+        loaded, alive, real_load, real_repeat = [], [], experiments.load_cifar, experiments._repeat
+
+        def load(paths):
+            images = real_load(paths)
+            loaded.append(weakref.ref(images))
+            return images
+
+        def repeat(*args, **kwargs):
+            gc.collect()
+            alive.append([ref() is not None for ref in loaded])
+            return real_repeat(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "load_cifar", load)
+        monkeypatch.setattr(experiments, "_repeat", repeat)
+        run_cifar_semisup(**self.cifar_kwargs(cifar_dir, reps=0))
+        assert alive == [[True, False]]  # the training batches stay, the test batch goes
 
     def test_bad_sigma_rejected_before_training(self, cifar_dir, monkeypatch):
         trained = []
@@ -997,3 +1045,9 @@ class TestCli:
     def test_bad_grid_rejected(self, capsys):
         with pytest.raises(SystemExit):
             cli_main(["mnist", "--T", "1,x"])
+
+    @pytest.mark.parametrize("text", ["", ",", " "])
+    def test_empty_grid_is_not_a_float_list(self, text):
+        with pytest.raises(argparse.ArgumentTypeError) as e:
+            _grid(text)
+        assert str(e.value) == f"not a comma-separated float list: {text!r}"
