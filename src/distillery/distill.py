@@ -90,6 +90,8 @@ class Dataset:
 
     Each field ("x", "x_star", "y") is one 2-D float array, a row per
     example (the row index is its id), with a mask of the rows that have it.
+    Both are read-only, so `distill_student` may keep the imitation-0
+    student trained on a dataset with it.
     """
 
     def __init__(self, header: DatasetHeader, examples, meta=None):
@@ -114,39 +116,41 @@ class Dataset:
     def from_arrays(
         cls, header: DatasetHeader, x=None, x_star=None, y=None, meta=None, present=None
     ) -> "Dataset":
-        """Build from column arrays, kept as given (float64 is not copied); a
-        None column is missing everywhere.  `present` may map a column's name
-        to a boolean mask of the rows that have it (other rows are ignored)."""
+        """Build from column arrays; a None column is missing everywhere.  A
+        float64 column is kept as given, not copied, so do not write to it
+        afterwards.  `present` may map a column's name to a boolean mask of
+        the rows that have it (other rows are ignored); the mask is copied."""
         arrays = zip(_VIEWS, (x, x_star, y))
         given = {v: np.asarray(a, dtype=np.float64) for v, a in arrays if a is not None}
         if len({len(a) for a in given.values()}) != 1:
             raise ValueError("from_arrays needs at least one column, all of one length")
         present = present or {}
-        masks = {v: np.asarray(present.get(v, np.ones(len(a))), bool) for v, a in given.items()}
+        masks = {v: present.get(v, np.ones(len(a), bool)) for v, a in given.items()}
         ds = cls.__new__(cls)
         ds._store(header, given, masks, meta)
         return ds
 
     def _store(self, header: DatasetHeader, cols: dict, masks: dict, meta) -> None:
-        """Check `cols` and keep read-only views of them; a field not in `cols` is
-        missing.  Present labels must be probability vectors (classification)
-        or finite (regression)."""
+        """Check `cols` and keep read-only views of them and read-only copies of
+        `masks`; a field not in `cols` is missing.  Present labels must be
+        probability vectors (classification) or finite (regression)."""
         n = len(next(iter(cols.values())))
         for view, width in zip(_VIEWS, (header.d, header.d_star, header.c)):
             col = cols[view] if view in cols else np.zeros((n, width))
-            mask = masks.setdefault(view, np.zeros(n, dtype=bool))
+            mask = np.array(masks.get(view, np.zeros(n, bool)), dtype=bool)
             if col.shape != (n, width):
                 raise ValueError(f"{view} has shape {col.shape}, header says ({n}, {width})")
             if mask.shape != (n,):
                 raise ValueError(f"the mask of {view} has shape {mask.shape}, not ({n},)")
-            cols[view] = col.view()
-            cols[view].flags.writeable = False
+            cols[view], masks[view] = col.view(), mask
+            cols[view].flags.writeable = mask.flags.writeable = False
         y, labeled = cols["y"], masks["y"]
         if header.task == CLASSIFICATION:
             check_simplex_rows(y, labeled, range(n))
         else:
             check_rows(np.isfinite(y).all(axis=1) | ~labeled, range(n), "label is not finite")
         self.header, self.meta, self._cols, self._masks = header, meta or {}, cols, masks
+        self._plain = None  # (key, model): the imitation-0 student, see distill_student
 
     def __len__(self) -> int:
         return len(self._masks["x"])
@@ -253,12 +257,30 @@ def distill_student(data: Dataset, soft, cfg: DistillConfig) -> Model:
     unlabeled ones get only the soft term, scaled further by
     unlabeled_weight.  Examples without x, or whose every weight is zero
     (e.g. unlabeled ones under imitation = 0), drop out.
+
+    Imitation 0 weighs every soft label by zero, so it trains the plain
+    student and reads neither `soft` nor unlabeled_weight.  `data` keeps
+    that student for the last (student_arch, student_train) it was trained
+    with, and each call returns a copy of it.
     """
-    h, lam, labeled, given = data.header, cfg.imitation, data._masks["y"], len(soft) > 0
-    S = np.asarray(soft, dtype=np.float64) if given else np.zeros((len(data), h.c))
-    if S.shape != (len(data), h.c):
-        raise ValueError(f"soft labels: shape {S.shape}, expected ({len(data)}, {h.c})")
-    has_soft = data._masks["x_star"] & given
+    given = len(soft) > 0
+    S = np.asarray(soft, dtype=np.float64) if given else None
+    if given and S.shape != (len(data), data.header.c):
+        raise ValueError(f"soft labels: shape {S.shape}, expected ({len(data)}, {data.header.c})")
+    if cfg.imitation != 0.0:
+        return _train_student(data, S, cfg)
+    key = (cfg.student_arch, cfg.student_train)
+    if data._plain is None or data._plain[0] != key:
+        data._plain = key, _train_student(data, None, cfg)
+    plain = data._plain[1]
+    return Model(plain.task, plain.weights, plain.biases, list(plain.loss_history))
+
+
+def _train_student(data: Dataset, S: np.ndarray | None, cfg: DistillConfig) -> Model:
+    """`distill_student` on a checked soft column `S`, None for none."""
+    h, lam, labeled = data.header, cfg.imitation, data._masks["y"]
+    has_soft = data._masks["x_star"] & (S is not None)
+    S = np.zeros((len(data), h.c)) if S is None else S
     hw = np.where(labeled, 1.0 - lam, 0.0)
     sw = np.where(has_soft, np.where(labeled, lam, lam * cfg.unlabeled_weight), 0.0)
     ids = np.flatnonzero(data._masks["x"] & ((hw != 0.0) | (sw != 0.0)))

@@ -10,10 +10,11 @@ preparation and a generator of per-repetition problems.
 
 Randomness is a tree of forked streams keyed by purpose ("rep", r,
 "teacher", ...).  Grid cells reuse one per-repetition student stream, so
-an imitation = 0 cell reproduces the regular baseline bit for bit, and a
-cell run alone equals its value inside a full-grid run.  Arms within a
-repetition train on identical data draws, isolating the effect of the
-soft labels.
+a cell run alone equals its value inside a full-grid run, and an
+imitation = 0 cell is the regular student itself: `distill_student`
+trains it once per training set and hands it back to every such cell.
+Arms within a repetition train on identical data draws, isolating the
+effect of the soft labels.
 
 Reports serialize to JSON (full nested structure, lossless round-trip)
 and CSV (one aggregate row per experiment/arm/T/lambda).  A report's
@@ -177,8 +178,11 @@ def _base(stream: RngStream, teacher_train, student_train, arch, **extra) -> Dis
 
 
 def _check_kind(name: str, value, kind, what: str):
-    """`value`, or a ValueError naming argument `name` if it is not a `kind`."""
-    if not isinstance(value, kind):
+    """`value`, or a ValueError naming argument `name` if it is not a `kind` (a
+    class or a tuple of them).  A class also matches by name, because a caller
+    may hold distillery's classes from an earlier import of it."""
+    kinds = {k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,))}
+    if not isinstance(value, kind) and kinds.isdisjoint(c.__name__ for c in type(value).__mro__):
         raise ValueError(f"{name} must be {what}, got {value!r}")
     return value
 
@@ -214,9 +218,10 @@ def _repeat(problems, T_grid, lambda_grid, metric="accuracy", arms=None, per_tas
     each one the teacher and the regular student (imitation 0, no soft
     labels) are trained and scored, then one soft-label column is computed
     per T and one student per lambda is trained on it for every distilled
-    arm.  `arms` maps a distilled arm to its DistillConfig overrides, e.g.
-    {"unlabeled_weight": 0.0} to train on the labeled rows alone (the
-    default is one arm, "distilled", with none).  A diverging teacher
+    arm (at lambda = 0, `distill_student` hands back the regular student
+    without training it again).  `arms` maps a distilled arm to its
+    DistillConfig overrides, e.g. {"unlabeled_weight": 0.0} to train on the
+    labeled rows alone (the default is one arm, "distilled", with none).  A diverging teacher
     or regular student drops the problem; a diverging distilled student
     drops only its cell; an aggregate is complete with one value per
     problem.  `per_task` adds one row per value, named after its problem.
@@ -376,6 +381,8 @@ def run_synthetic(
     if spec is None:
         spec = SyntheticSpec(experiment)
     _check_kind("spec", spec, SyntheticSpec, "a SyntheticSpec or None")
+    _check_kind("teacher_train", teacher_train, TrainConfig, "a TrainConfig")
+    _check_kind("student_train", student_train, TrainConfig, "a TrainConfig")
     if spec.experiment != experiment:
         raise ValueError(f"spec.experiment {spec.experiment} differs from experiment {experiment}")
     _check_batch("spec.n_train", spec.n_train, teacher_train, student_train)
@@ -445,6 +452,8 @@ def run_mnist(
     master = RngStream(seed)
     seed, reps = master.seed, check_count("reps", reps, 0)
     T_grid, lambda_grid = _grids(T_grid, lambda_grid)
+    _check_kind("train_config", train_config, TrainConfig, "a TrainConfig")
+    _check_kind("arch", arch, Arch, "an Arch")
     data_dir = data_dir_from_env(data_dir)
     paths = _locate(data_dir, MNIST_FILES, "mnist")
     train_set = load_idx(paths[0], paths[1])
@@ -513,6 +522,8 @@ def run_cifar_semisup(
     T_grid, lambda_grid = _grids(T_grid, lambda_grid)
     sigma = check_real("sigma", sigma)
     unlabeled_weight = check_real("unlabeled_weight", unlabeled_weight)
+    _check_kind("train_config", train_config, TrainConfig, "a TrainConfig")
+    _check_kind("arch", arch, Arch, "an Arch")
     data_dir = data_dir_from_env(data_dir)
     paths = _locate(data_dir, CIFAR_TRAIN_FILES + (CIFAR_TEST_FILE,), "cifar-10-batches-bin")
     train_set = load_cifar(paths[:-1])
@@ -576,6 +587,8 @@ def run_multitask(
     _check_kind("path", path, (str, os.PathLike), "a str or os.PathLike")
     if delimiter == "" or not isinstance(delimiter, (str, type(None))):
         raise ValueError(f"delimiter must be a non-empty string or None, got {delimiter!r}")
+    _check_kind("train_config", train_config, TrainConfig, "a TrainConfig")
+    _check_kind("arch", arch, Arch, "an Arch")
     table = load_multitask_csv(path, delimiter)
     n_tasks = table.n_outputs
     perm = master.fork("split").generator().permutation(table.n)

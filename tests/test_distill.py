@@ -21,7 +21,15 @@ from distillery.distill import (
     train_teacher,
     universum_soft_labels,
 )
-from distillery.models import Packed, TrainConfig, forward, init_model, train
+from distillery.models import (
+    Arch,
+    Packed,
+    TrainConfig,
+    TrainingDivergence,
+    forward,
+    init_model,
+    train,
+)
 
 
 def toy_dataset(n=30, seed=0, unlabeled_from=None):
@@ -153,16 +161,17 @@ class TestSoftLabels:
 
 class TestDistillStudent:
     def test_lambda_zero_reduces_to_plain_student(self):
-        # also with soft-only (unlabeled) rows, any unlabeled_weight and any T
-        for unlabeled_from, unlabeled_weight, T in [(None, 1.0, 1.0), (20, 2.5, 3.0)]:
-            data = toy_dataset(n=30, unlabeled_from=unlabeled_from)
+        # also with soft-only (unlabeled) rows, any unlabeled_weight and any T; the two
+        # students train on two datasets of the same arrays, so each is trained
+        for labeled, unlabeled_weight, T in [(30, 1.0, 1.0), (20, 2.5, 3.0)]:
+            header, cols = toy_columns(30)
+            present = {"y": np.arange(30) < labeled}
+            data, twin = (Dataset.from_arrays(header, **cols, present=present) for _ in range(2))
             cfg = small_cfg(imitation=0.0, unlabeled_weight=unlabeled_weight)
-            teacher = train_teacher(data, cfg)
-            soft = soft_labels(teacher, data, T)
+            soft = soft_labels(train_teacher(data, cfg), data, T)
             with_soft = distill_student(data, soft, cfg)
-            plain = distill_student(data, [], small_cfg(imitation=0.0))
-            for a, b in zip(params(with_soft), params(plain)):
-                assert np.array_equal(a, b)
+            plain = distill_student(twin, [], small_cfg(imitation=0.0))
+            assert_same_bits(with_soft, plain)
 
     def test_pure_imitation_ignores_hard_labels(self):
         data = toy_dataset(n=30)
@@ -218,8 +227,11 @@ class TestDistillStudent:
         data = toy_dataset(n=30)
         cfg = small_cfg(imitation=0.5)
         soft = soft_labels(train_teacher(data, cfg), data, 1.0)
-        with pytest.raises(ValueError, match=rf"^soft labels: shape {shape}, expected \(30, 2\)"):
-            distill_student(data, edit(soft), cfg)
+        distill_student(data, [], replace(cfg, imitation=0.0))  # kept, and reused below
+        message = rf"^soft labels: shape {shape}, expected \(30, 2\)"
+        for lam in (0.5, 0.0):
+            with pytest.raises(ValueError, match=message):
+                distill_student(data, edit(soft), replace(cfg, imitation=lam))
 
     def test_column_of_another_dataset_names_the_example(self):
         # gappy_dataset has no x_star on rows 2, 7, ..., so its column is NaN there;
@@ -501,6 +513,17 @@ class TestColumns:
             np.testing.assert_array_equal(ds.column(view), col)
         assert X.flags.writeable  # the caller's own array is left writable
 
+    def test_masks_are_read_only_copies(self):
+        header, cols = toy_columns(6)
+        labeled = np.arange(6) < 4
+        ds = Dataset.from_arrays(header, **cols, present={"y": labeled})
+        labeled[:] = False  # the caller's own mask stays writable, and the dataset keeps its copy
+        assert [t.y is None for t in ds.examples] == [False] * 4 + [True] * 2
+        for ds in (ds, toy_dataset(n=5, unlabeled_from=3)):
+            for mask in ds._masks.values():
+                with pytest.raises(ValueError, match="read-only"):
+                    mask[0] = not mask[0]
+
     def test_zero_rows_keep_the_header_widths(self):
         header = DatasetHeader(3, 2, 2)
         for ds in (Dataset(header, []), Dataset.from_arrays(header, x=np.empty((0, 3)))):
@@ -721,3 +744,60 @@ class TestRowSelection:
         finally:
             tracemalloc.stop()
         assert peak < X.nbytes
+
+
+class TestPlainStudentKept:
+    """A dataset's imitation-0 student is trained once per student setting; every
+    later imitation-0 call on that dataset gets a copy of it."""
+
+    def test_later_calls_train_nothing(self, monkeypatch):
+        data = toy_dataset(n=40, unlabeled_from=24)
+        cfg = small_cfg(imitation=0.0)
+        teacher = train_teacher(data, cfg)
+        calls = [recorded(monkeypatch, name) for name in ("Packed", "init_model", "train")]
+        first = distill_student(data, [], cfg)  # the regular student
+        # any T and any arm: the soft column and unlabeled_weight are not read
+        for T, unlabeled_weight in [(1.0, 1.0), (2.0, 0.0), (5.0, 2.5)]:
+            soft = soft_labels(teacher, data, T)
+            cell = distill_student(data, soft, replace(cfg, unlabeled_weight=unlabeled_weight))
+            assert_same_bits(cell, first)
+        assert [len(c) for c in calls] == [1, 1, 1]
+
+    def test_each_call_returns_an_independent_copy(self):
+        data, cfg = toy_dataset(n=30), small_cfg(imitation=0.0)
+        first, second = distill_student(data, [], cfg), distill_student(data, [], cfg)
+        assert_same_bits(first, second)
+        assert_same_bits(second, distill_student(toy_dataset(n=30), [], cfg))
+        assert not np.shares_memory(first.params, second.params)
+        first.params[:] = 0.0
+        first.loss_history.clear()
+        assert_same_bits(distill_student(data, [], cfg), second)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda cfg: replace(cfg, student_train=replace(cfg.student_train, rng=RngStream(0, 2))),
+            lambda cfg: replace(cfg, student_train=replace(cfg.student_train, epochs=41)),
+            lambda cfg: replace(cfg, student_arch=Arch.mlp(3)),
+        ],
+        ids=["rng", "epochs", "arch"],
+    )
+    def test_another_student_setting_trains(self, monkeypatch, change):
+        data, cfg = toy_dataset(n=30), small_cfg(imitation=0.0)
+        distill_student(data, [], cfg)
+        calls = recorded(monkeypatch, "train")
+        teacher = replace(cfg.teacher_train, epochs=7)
+        distill_student(data, [], replace(cfg, teacher_arch=Arch.mlp(3), teacher_train=teacher))
+        assert calls == []  # the teacher's settings are not part of the key
+        other = distill_student(data, [], change(cfg))
+        assert len(calls) == 1
+        assert_same_bits(other, distill_student(toy_dataset(n=30), [], change(cfg)))
+
+    def test_a_diverging_student_is_not_kept(self, monkeypatch):
+        data, cfg = toy_dataset(n=30), small_cfg(imitation=0.0)
+        cfg = replace(cfg, student_train=replace(cfg.student_train, learning_rate=1e12))
+        calls = recorded(monkeypatch, "train")
+        for _ in range(2):
+            with pytest.raises(TrainingDivergence):
+                distill_student(data, [], cfg)
+        assert len(calls) == 2

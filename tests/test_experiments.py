@@ -2,12 +2,14 @@ import argparse
 import dataclasses
 import functools
 import gc
+import importlib
 import inspect
 import json
 import math
 import os
 import re
 import struct
+import sys
 import weakref
 
 import numpy as np
@@ -539,6 +541,11 @@ class TestMnistMachinery:
             == full.arm("distilled", temperature=2.0, imitation=1.0).values
         )
 
+    def test_lambda_zero_alone_equals_full_grid(self, mnist_dir):
+        full = run_mnist(**mnist_kwargs(mnist_dir))
+        alone = run_mnist(**mnist_kwargs(mnist_dir, T_grid=(2.0,), lambda_grid=(0.0,)))
+        assert alone.arm("distilled", 2.0, 0.0).values == full.arm("distilled", 2.0, 0.0).values
+
     def test_replay_from_config(self, mnist_dir):
         report = run_mnist(**mnist_kwargs(mnist_dir))
         assert run_from_config(report.config) == report
@@ -790,6 +797,43 @@ def test_multitask_argument_of_wrong_kind_rejected_naming_it(multitask_path, arg
         run_multitask(**kwargs)
 
 
+@pytest.mark.parametrize("runner,argument", [
+    ("synthetic", "teacher_train"), ("synthetic", "student_train"),
+    ("mnist", "train_config"), ("mnist", "arch"),
+    ("cifar", "train_config"), ("cifar", "arch"),
+    ("multitask", "train_config"), ("multitask", "arch"),
+])
+def test_config_argument_of_wrong_kind_rejected_before_reading(runner, argument, tmp_path,
+                                                               monkeypatch):
+    # nothing exists at `nowhere`, so reading it first would raise FileNotFoundError
+    nowhere = tmp_path / "nowhere"
+    calls = {
+        "synthetic": lambda **kw: run_synthetic(1, 0, SyntheticSpec(1, n_train=40), **kw),
+        "mnist": lambda **kw: run_mnist(data_dir=nowhere, reps=0, **kw),
+        "cifar": lambda **kw: run_cifar_semisup(data_dir=nowhere, reps=0, **kw),
+        "multitask": lambda **kw: run_multitask(nowhere, **kw),
+    }
+    kind, other = ("an Arch", TrainConfig()) if argument == "arch" else ("a TrainConfig", Arch())
+    touched = []
+    for name in ("generate", "load_idx", "load_cifar", "load_multitask_csv", "train_teacher"):
+        monkeypatch.setattr(experiments, name, lambda *args, **kw: touched.append(args))
+    for value in (5, None, "mlp:4", other):
+        message = f"{argument} must be {kind}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            calls[runner](**{argument: value})
+    assert touched == []
+
+
+def test_configs_of_an_earlier_import_accepted(mnist_dir, monkeypatch):
+    # a caller may build its configs from one import of distillery and run another
+    for name in [m for m in sys.modules if m.split(".")[0] == "distillery"]:
+        monkeypatch.delitem(sys.modules, name)
+    fresh = importlib.import_module("distillery.experiments")
+    assert fresh.TrainConfig is not TrainConfig and fresh.Arch is not Arch
+    a, b = (run(**mnist_kwargs(mnist_dir, reps=1)) for run in (fresh.run_mnist, run_mnist))
+    assert list(map(dataclasses.astuple, a.results)) == list(map(dataclasses.astuple, b.results))
+
+
 class TestCifarMachinery:
     def cifar_kwargs(self, cifar_dir, **over):
         kw = dict(
@@ -863,6 +907,12 @@ class TestCifarMachinery:
         for T in (1.0, 5.0):
             assert report.arm("distilled", T, 0.0).values == regular.values
             assert report.arm("distilled-labeled", T, 0.0).values == regular.values
+
+    def test_lambda_zero_alone_equals_full_grid(self, cifar_dir):
+        full = run_cifar_semisup(**self.cifar_kwargs(cifar_dir))
+        alone = run_cifar_semisup(**self.cifar_kwargs(cifar_dir, T_grid=(5.0,), lambda_grid=(0.0,)))
+        for arm in ("distilled", "distilled-labeled"):
+            assert alone.arm(arm, 5.0, 0.0).values == full.arm(arm, 5.0, 0.0).values
 
     def test_deterministic(self, cifar_dir):
         a = run_cifar_semisup(**self.cifar_kwargs(cifar_dir))
