@@ -9,8 +9,9 @@ from each tree, alternating which goes first; the script prints the
 median NEW/OLD time ratio with its min and max, the median microseconds
 per SGD step of each tree, and whether the two trees trained
 bit-identical weights.  It exits 1 when any shape's weights differ.
-The data is given to each tree as its own `models.Packed`; a tree
-without it is refused.
+The data is given to each tree as its own `models.Packed` of
+`(targets, weights)` hard and soft targets; a tree without `Packed` is
+refused, and one whose `Packed` takes another form fails to build it.
 Timing both trees in one process, interleaved, cancels the host's speed
 drift over minutes that separate benchmark runs cannot.
 
@@ -68,10 +69,8 @@ def problem(models, hidden, d, c, n, labeled, epochs):
     X = rng.normal(size=(n, d))
     labels = rng.integers(c, size=n)
     soft = rng.dirichlet(np.ones(c), size=n)
-    has_label = np.arange(n) < labeled
-    hard = (np.eye(c)[labels], np.where(has_label, 1.0 - IMITATION, 0.0), has_label)
-    data = models.Packed(X, "classification", hard, (soft, np.full(n, IMITATION), np.ones(n, bool)),
-                         range(n))
+    hard = (np.eye(c)[labels], np.where(np.arange(n) < labeled, 1.0 - IMITATION, 0.0))
+    data = models.Packed(X, "classification", hard, (soft, np.full(n, IMITATION)), range(n))
     arch = models.Arch.mlp(*hidden) if hidden else models.Arch("linear")
     m0 = models.init_model(arch, d, c, rng=models.RngStream(1))
     cfg = models.TrainConfig(learning_rate=0.01, epochs=epochs, batch_size=BATCH_SIZE, l2=1e-4,

@@ -14,13 +14,14 @@ import argparse
 import inspect
 import sys
 
+from .core import parse_number
 from .experiments import RUNNERS, emit_report
 from .synthetic import SyntheticSpec
 
 
 def _grid(text: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(v) for v in text.split(","))
+        values = tuple(parse_number(v) for v in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
     return values

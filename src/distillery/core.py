@@ -30,6 +30,7 @@ __all__ = [
     "check_simplex_rows",
     "check_count",
     "check_real",
+    "parse_number",
 ]
 
 
@@ -179,6 +180,15 @@ def check_real(name: str, value, low=0.0, high=None, low_open=False) -> float:
         bounds = f"{op} {low:g}" if high is None else f"in {bracket}{low:g}, {high:g}]"
         raise ValueError(f"{name} must be a finite real number {bounds}, got {value!r}")
     return x
+
+
+def parse_number(text: str, parse=float):
+    """`parse(text)` (float or int) if `text` is ASCII with no digit separator
+    and no surrounding whitespace, all of which float() and int() accept (as
+    in `1_0`, a non-ASCII digit or ` 1`); else ValueError `'1_0' is not a number`."""
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(f"{text!r} is not a number")
+    return parse(text)
 
 
 def check_rows(ok, names, what: str) -> None:

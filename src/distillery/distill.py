@@ -221,15 +221,9 @@ def _rows(col: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 def train_teacher(data: Dataset, cfg: DistillConfig) -> Model:
     """Step 1: fit the teacher on (x_star, y) pairs with hard labels only."""
-    ids = np.flatnonzero(data._masks["x_star"] & data._masks["y"])
-    if not ids.size:
-        raise ValueError("no examples with both privileged features and a label")
-    h, n, Y = data.header, len(ids), data._cols["y"][ids]
-    hard, no_soft = (Y, np.ones(n), np.ones(n, bool)), (Y, np.zeros(n), np.zeros(n, bool))
-    batch = Packed(_rows(data._cols["x_star"], ids), h.task, hard, no_soft, ids)
-    rng = cfg.teacher_train.rng
-    m0 = init_model(cfg.teacher_arch, h.d_star, h.c, h.task, rng.fork("init"))
-    return train(m0, batch, replace(cfg.teacher_train, rng=rng.fork("shuffle")))
+    hw = data._masks["y"].astype(np.float64)
+    return _fit(data, "x_star", hw, None, cfg.teacher_arch, cfg.teacher_train,
+                "no examples with both privileged features and a label")
 
 
 def soft_labels(teacher: Model, data: Dataset, T: float) -> np.ndarray:
@@ -278,19 +272,27 @@ def distill_student(data: Dataset, soft, cfg: DistillConfig) -> Model:
 
 def _train_student(data: Dataset, S: np.ndarray | None, cfg: DistillConfig) -> Model:
     """`distill_student` on a checked soft column `S`, None for none."""
-    h, lam, labeled = data.header, cfg.imitation, data._masks["y"]
-    has_soft = data._masks["x_star"] & (S is not None)
-    S = np.zeros((len(data), h.c)) if S is None else S
+    lam, labeled = cfg.imitation, data._masks["y"]
     hw = np.where(labeled, 1.0 - lam, 0.0)
-    sw = np.where(has_soft, np.where(labeled, lam, lam * cfg.unlabeled_weight), 0.0)
-    ids = np.flatnonzero(data._masks["x"] & ((hw != 0.0) | (sw != 0.0)))
+    sw = np.where(labeled, lam, lam * cfg.unlabeled_weight) * data._masks["x_star"]
+    soft = None if S is None else (S, sw)
+    return _fit(data, "x", hw, soft, cfg.student_arch, cfg.student_train,
+                "no usable examples to distill into the student")
+
+
+def _fit(data: Dataset, view: str, hw, soft, arch: Arch, train_cfg: TrainConfig, empty: str):
+    """A fresh `arch` model trained with `train_cfg` on features `view` against
+    the labels weighted by `hw` and `soft` = (an (n, c) soft column, its
+    weights), None for none.  Only the rows with `view` and a weight > 0 are
+    trained on; ValueError `empty` when there is none."""
+    S, sw = soft or (data._cols["y"], np.zeros(len(data)))  # no soft column: weight 0, never read
+    ids = np.flatnonzero(data._masks[view] & ((hw > 0) | (sw > 0)))
     if not ids.size:
-        raise ValueError("no usable examples to distill into the student")
-    hard = (data._cols["y"][ids], hw[ids], labeled[ids])
-    batch = Packed(_rows(data._cols["x"], ids), h.task, hard, (S[ids], sw[ids], has_soft[ids]), ids)
-    rng = cfg.student_train.rng
-    m0 = init_model(cfg.student_arch, h.d, h.c, h.task, rng.fork("init"))
-    return train(m0, batch, replace(cfg.student_train, rng=rng.fork("shuffle")))
+        raise ValueError(empty)
+    X, h = _rows(data._cols[view], ids), data.header
+    batch = Packed(X, h.task, (data._cols["y"][ids], hw[ids]), (S[ids], sw[ids]), ids)
+    m0 = init_model(arch, X.shape[1], h.c, h.task, train_cfg.rng.fork("init"))
+    return train(m0, batch, replace(train_cfg, rng=train_cfg.rng.fork("shuffle")))
 
 
 def restrict_simplex(p: np.ndarray, classes) -> np.ndarray:

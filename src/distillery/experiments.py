@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import RngStream, check_count, check_real
+from .core import RngStream, check_count, check_real, parse_number
 from .datasets import downscale, load_cifar, load_idx, load_multitask_csv, pollute
 from .distill import (
     Dataset,
@@ -217,9 +217,10 @@ def _repeat(problems, T_grid, lambda_grid, metric="accuracy", arms=None, per_tas
     A problem is (label, train set, test set, base DistillConfig).  For
     each one the teacher and the regular student (imitation 0, no soft
     labels) are trained and scored, then one soft-label column is computed
-    per T and one student per lambda is trained on it for every distilled
-    arm (at lambda = 0, `distill_student` hands back the regular student
-    without training it again).  `arms` maps a distilled arm to its
+    per T, unless every lambda is 0, and one student per lambda is trained
+    on it for every distilled arm (at lambda = 0, `distill_student` reads no
+    soft label and hands back the regular student without training it
+    again).  `arms` maps a distilled arm to its
     DistillConfig overrides, e.g. {"unlabeled_weight": 0.0} to train on the
     labeled rows alone (the default is one arm, "distilled", with none).  A diverging teacher
     or regular student drops the problem; a diverging distilled student
@@ -242,7 +243,7 @@ def _repeat(problems, T_grid, lambda_grid, metric="accuracy", arms=None, per_tas
         values["privileged", None, None].append((label, score(teacher, test_ds, "x_star")))
         values["regular", None, None].append((label, score(regular, test_ds, "x")))
         for T in T_grid:
-            soft = soft_labels(teacher, train_ds, T)
+            soft = soft_labels(teacher, train_ds, T) if any(lambda_grid) else []
             for lam in lambda_grid:
                 cfg = replace(base, imitation=lam)
                 try:
@@ -759,13 +760,6 @@ def load_report_json(path) -> ExperimentReport:
     return report
 
 
-def _csv_number(text: str, parse):
-    """`parse(text)`, refusing digit separators (1_0) and surrounding whitespace."""
-    if "_" in text or text != text.strip():
-        raise ValueError(f"{text!r} is not a number")
-    return parse(text)
-
-
 def load_report_csv(path) -> list[dict]:
     """Rows of an emitted CSV, with numeric fields parsed back.
 
@@ -783,8 +777,8 @@ def load_report_csv(path) -> list[dict]:
                 if len(row) != len(CSV_HEADER):
                     raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
                 experiment, arm, T, lam, mean, std, reps, status = row
-                numbers = [_csv_number(v, float) if v else None for v in (T, lam)]
-                numbers += [_csv_number(v, float) for v in (mean, std)] + [_csv_number(reps, int)]
+                numbers = [parse_number(v) if v else None for v in (T, lam)]
+                numbers += [parse_number(v) for v in (mean, std)] + [parse_number(reps, int)]
                 rows.append(dict(zip(CSV_HEADER, (experiment, arm, *numbers, status))))
         except (ValueError, csv.Error) as e:
             raise ValueError(f"line {max(reader.line_num, 1)}: {e}") from None

@@ -231,14 +231,13 @@ class Packed:
     """Checked training columns of n >= 1 rows: features X (n, d) and the
     target columns the loss needs; len() is n.  Errors name row i `names[i]`.
 
-    `hard` and `soft` are each ((n, c) targets, (n,) row weights, boolean (n,)
-    mask of the rows that have the target).  An absent row reads as zero and
-    must weigh 0; weights are finite and >= 0, and every row has a present
-    target.  Features must be finite, present classification targets
-    probability vectors and present regression targets finite.
-    Classification combines them into Y = hw * hard + sw * soft and
-    w_tot = hw * sum(hard) + sw * sum(soft) for the loss; regression keeps
-    (hard, soft, hw, sw).
+    `hard` and `soft` are each ((n, c) targets, (n,) row weights).  Weights
+    are finite and >= 0, and a target is read only where its weight is > 0:
+    there it must be a probability vector (classification) or finite
+    (regression), and everywhere else it reads as zero, whatever is stored.
+    Features must be finite.  Classification combines the targets into
+    Y = hw * hard + sw * soft and w_tot = hw * sum(hard) + sw * sum(soft) for
+    the loss; regression keeps (hard, soft, hw, sw).
     """
 
     def __init__(self, X, task: str, hard, soft, names):
@@ -251,28 +250,21 @@ class Packed:
         if np.ndim(hard[0]) != 2:
             raise ValueError(f"hard targets: shape {np.shape(hard[0])}, expected (n, c)")
         c = np.shape(hard[0])[1]
-        cols, has_target = [], np.zeros(n, dtype=bool)
-        for kind, (rows, weights, present) in (("hard", hard), ("soft", soft)):
+        cols = []
+        for kind, (rows, weights) in (("hard", hard), ("soft", soft)):
             rows, weights = np.asarray(rows, np.float64), np.asarray(weights, np.float64)
-            present = np.asarray(present)
-            for arg, a, shape in (("targets", rows, (n, c)), ("weights", weights, (n,)),
-                                  ("mask", present, (n,))):
+            for arg, a, shape in (("targets", rows, (n, c)), ("weights", weights, (n,))):
                 if a.shape != shape:
                     raise ValueError(f"{kind} {arg}: shape {a.shape}, expected {shape}")
-            if present.dtype != bool:
-                raise ValueError(f"{kind} mask: dtype {present.dtype}, expected bool")
             ok = np.isfinite(weights) & (weights >= 0)
             check_rows(ok, names, f"{kind} weight is not finite and >= 0")
-            absent_ok = present | (weights == 0)
-            check_rows(absent_ok, names, f"absent {kind} target has a nonzero weight")
-            rows = np.where(present[:, None], rows, 0.0)
+            read = weights > 0
+            rows = np.where(read[:, None], rows, 0.0)
             if task == CLASSIFICATION:
-                check_simplex_rows(rows, present, names, f"{kind} target: ")
+                check_simplex_rows(rows, read, names, f"{kind} target: ")
             else:
                 check_rows(np.isfinite(rows).all(axis=1), names, f"{kind} target is not finite")
             cols += [rows, weights]
-            has_target |= present
-        check_rows(has_target, names, "no hard or soft target")
         check_rows(np.isfinite(X).all(axis=1), names, "features are not finite")
         hard, hw, soft, sw = cols
         if task == REGRESSION:
@@ -441,7 +433,10 @@ def model_from_text(text: str) -> Model:
         return rest
 
     kind, task = value(1, "kind"), value(2, "task")
-    sizes = [int(s) for s in value(3, "sizes").split()]
+    sizes = value(3, "sizes").split()
+    if len(sizes) < 2 or not all(s.isascii() and s.isdigit() and int(s) > 0 for s in sizes):
+        raise ValueError(f"line 4: expected 'sizes d h1 ... c' of ASCII digits >= 1: {lines[3]!r}")
+    sizes = [int(s) for s in sizes]
     pos = 4
     weights, biases = [], []
     for i, (fi, fo) in enumerate(zip(sizes, sizes[1:])):
@@ -460,6 +455,8 @@ def model_from_text(text: str) -> Model:
         pos += 1
         weights.append(w)
         biases.append(b)
+    if pos < len(lines):
+        raise ValueError(f"line {pos + 1}: unexpected text after the last layer")
     m = Model(task, weights, biases)
     if kind != m.kind:
         raise ValueError(f"kind {kind!r} at line 2 contradicts the {len(weights)} layer(s)")

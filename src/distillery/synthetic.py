@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import RngStream, check_count
+from .core import RngStream, check_count, parse_number
 from .distill import Dataset, DatasetHeader, Triplet
 from .models import CLASSIFICATION
 
@@ -265,7 +265,7 @@ def load_dataset(path, delimiter: str = ",", task: str = CLASSIFICATION) -> Data
         if not first.isascii():
             raise ValueError("line 1: not ASCII text")
         try:
-            d, d_star, c, n = (int(v) for v in first.rstrip("\n").split(delimiter))
+            d, d_star, c, n = (parse_number(v, int) for v in first.rstrip("\n").split(delimiter))
             sizes, n = DatasetHeader(d, d_star, c), check_count("n", n, 0)
         except ValueError as e:
             raise ValueError(f"line 1: expected d, d_star, c, n: {e}") from None

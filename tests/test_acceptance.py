@@ -317,8 +317,7 @@ class TestOracleEquivalence:
         rows = [(rng.normal(size=2), one_hot(rng.integers(2), 2)) for _ in range(20)]
         X = np.array([x for x, _ in rows])
         Y = np.array([y for _, y in rows])
-        hard = (Y, np.ones(20), np.ones(20, bool))
-        no_soft = (np.zeros_like(Y), np.zeros(20), np.zeros(20, bool))
+        hard, no_soft = (Y, np.ones(20)), (np.zeros_like(Y), np.zeros(20))
         data = Packed(X, "classification", hard, no_soft, range(20))
 
         def objective(theta):
@@ -340,12 +339,10 @@ class TestOracleEquivalence:
 
 
 def _mixed(rows, task, hard_weight, soft_weight):
-    """Packed of (x, hard, soft) rows, both targets present at the given weights."""
+    """Packed of (x, hard, soft) rows, both targets at the given weights."""
     X, H, S = (np.array(col) for col in zip(*rows))
     n = len(rows)
-    present = np.ones(n, dtype=bool)
-    hard, soft = (H, np.full(n, hard_weight), present), (S, np.full(n, soft_weight), present)
-    return Packed(X, task, hard, soft, range(n))
+    return Packed(X, task, (H, np.full(n, hard_weight)), (S, np.full(n, soft_weight)), range(n))
 
 
 def _kink_distance(m, batch):

@@ -15,6 +15,7 @@ from distillery.core import (
     log_softmax,
     log_sum_exp,
     one_hot,
+    parse_number,
     sample_standard_normal,
     softmax,
 )
@@ -273,6 +274,21 @@ class TestCheckReal:
         assert check_real("k", 5e-324, low_open=True) == 5e-324
         with pytest.raises(ValueError, match="^k must be a finite real number > 0, got -0.0$"):
             check_real("k", -0.0, low_open=True)
+
+
+class TestParseNumber:
+    @pytest.mark.parametrize("text", ["1_0", "\u0662", "\u0661.\u0665", " 1", "1 ", "1\n"])
+    def test_what_float_and_int_take_beyond_ascii_numbers_is_rejected(self, text):
+        for parse in (float, int):
+            with pytest.raises(ValueError) as e:
+                parse_number(text, parse)
+            assert str(e.value) == f"{text!r} is not a number"
+
+    def test_ascii_numbers_parse(self):
+        assert parse_number("-1.5e3") == -1500.0 and math.isnan(parse_number("nan"))
+        assert parse_number("12", int) == 12 and type(parse_number("12", int)) is int
+        with pytest.raises(ValueError, match="could not convert string to float: 'x'"):
+            parse_number("x")
 
 
 class TestSampleStandardNormal:

@@ -91,6 +91,9 @@ class TestCleanSubset:
         assert clean_subset(rows, (0, 1)) == [(1, 2, 3)]
 
 
+NO_TEACHER_ROWS = "no examples with both privileged features and a label"
+
+
 class TestTrainTeacher:
     def test_learns_privileged_view(self):
         data = toy_dataset(n=60)
@@ -103,7 +106,15 @@ class TestTrainTeacher:
     def test_all_privileged_missing_is_an_error(self):
         data = toy_dataset(n=10)
         data = Dataset(data.header, [Triplet(t.x, None, t.y) for t in data.examples])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{NO_TEACHER_ROWS}$"):
+            train_teacher(data, small_cfg())
+
+    def test_rows_with_privileged_features_but_no_label_are_an_error(self):
+        # every row has x_star, and the labeled ones lack it
+        header, cols = toy_columns(10)
+        present = {"x_star": np.arange(10) >= 5, "y": np.arange(10) < 5}
+        data = Dataset.from_arrays(header, **cols, present=present)
+        with pytest.raises(ValueError, match=f"^{NO_TEACHER_ROWS}$"):
             train_teacher(data, small_cfg())
 
     def test_sequential_steps_leave_teacher_untouched(self):
@@ -160,6 +171,22 @@ class TestSoftLabels:
 
 
 class TestDistillStudent:
+    @pytest.mark.parametrize(
+        "lam,soft,present",
+        [
+            (0.0, "teacher", {"y": np.zeros(10, bool)}),  # imitation 0 reads labels only
+            (1.0, "none", {}),  # imitation 1 weighs every label by 0
+            (0.5, "teacher", {"x": np.zeros(10, bool)}),  # no row has x
+        ],
+        ids=["no-label", "no-soft-label", "no-x"],
+    )
+    def test_no_usable_row_is_an_error(self, lam, soft, present):
+        header, cols = toy_columns(10)
+        data = Dataset.from_arrays(header, **cols, present=present)
+        column = soft_labels(train_teacher(toy_dataset(n=10), small_cfg()), data, 1.0)
+        with pytest.raises(ValueError, match="^no usable examples to distill into the student$"):
+            distill_student(data, column if soft == "teacher" else [], small_cfg(imitation=lam))
+
     def test_lambda_zero_reduces_to_plain_student(self):
         # also with soft-only (unlabeled) rows, any unlabeled_weight and any T; the two
         # students train on two datasets of the same arrays, so each is trained
@@ -593,12 +620,12 @@ def pack_rows(rows, c, task):
     n = len(rows)
     cols = []
     for k in (1, 2):
-        targets, weights, present = np.zeros((n, c)), np.zeros(n), np.zeros(n, dtype=bool)
+        targets, weights = np.zeros((n, c)), np.zeros(n)
         for i, row in enumerate(rows):
             if row[k] is not None:
-                targets[i], present[i] = row[k], True
+                targets[i] = row[k]
             weights[i] = row[k + 2]
-        cols.append((targets, weights, present))
+        cols.append((targets, weights))
     return Packed(np.array([row[0] for row in rows]), task, *cols, range(n))
 
 

@@ -231,6 +231,10 @@ class TestReportSerialization:
             (2, edit_cell(lines[1], 5, "0_0"), "'0_0' is not a number"),
             (3, edit_cell(lines[2], 6, "1_2"), "'1_2' is not a number"),
             (3, edit_cell(lines[2], 6, " 2"), "' 2' is not a number"),
+            (2, edit_cell(lines[1], 6, "\u0663"), "'\u0663' is not a number"),
+            (4, edit_cell(lines[3], 2, "\u0661.\u0665"), "'\u0661.\u0665' is not a number"),
+            (3, edit_cell(lines[2], 3, "\u0660"), "'\u0660' is not a number"),
+            (4, edit_cell(lines[3], 4, "\uff10.5"), "'\uff10.5' is not a number"),
         ]:
             path.write_text("\n".join(lines[: k - 1] + [line] + lines[k:]) + "\n")
             with pytest.raises(ValueError, match=f"^line {k}: {message}"):
@@ -389,6 +393,14 @@ class TestSyntheticRun:
     def test_replay_from_config_snapshot(self):
         report = tiny_synthetic()
         assert run_from_config(report.config) == report
+
+    def test_imitation_zero_computes_no_soft_label(self, monkeypatch):
+        calls = recorded(monkeypatch, "soft_labels")
+        report = tiny_synthetic(imitation=0.0)
+        assert calls == []
+        assert report.arm("distilled", 1.0, 0.0).values == report.arm("regular").values
+        tiny_synthetic(imitation=0.5)
+        assert len(calls) == 2  # one per repetition
 
     def test_largest_seed_reloads_and_replays_equal(self, tmp_path):
         report = tiny_synthetic(reps=1, seed=2**53)
@@ -549,6 +561,17 @@ class TestMnistMachinery:
     def test_replay_from_config(self, mnist_dir):
         report = run_mnist(**mnist_kwargs(mnist_dir))
         assert run_from_config(report.config) == report
+
+    def test_a_grid_of_lambda_zero_computes_no_soft_label(self, mnist_dir, monkeypatch):
+        full = run_mnist(**mnist_kwargs(mnist_dir))
+        calls = recorded(monkeypatch, "soft_labels")
+        alone = run_mnist(**mnist_kwargs(mnist_dir, lambda_grid=(0.0,)))
+        assert calls == []
+        for T in (1.0, 2.0):
+            cell = alone.arm("distilled", T, 0.0)
+            assert cell.values == alone.arm("regular").values == full.arm("distilled", T, 0.0).values
+        run_mnist(**mnist_kwargs(mnist_dir, reps=1))
+        assert len(calls) == 2  # one per T once a lambda is not 0
 
     @pytest.mark.parametrize(
         "arch,message",
@@ -1095,6 +1118,12 @@ class TestCli:
     def test_bad_grid_rejected(self, capsys):
         with pytest.raises(SystemExit):
             cli_main(["mnist", "--T", "1,x"])
+
+    @pytest.mark.parametrize("text", ["1_0,\u0662", "1_0", "1,\u0662", "1, 2", " 1", "1.5\t"])
+    def test_grid_number_with_a_separator_non_ascii_or_whitespace_rejected(self, text):
+        with pytest.raises(argparse.ArgumentTypeError) as e:
+            _grid(text)
+        assert str(e.value) == f"not a comma-separated float list: {text!r}"
 
     @pytest.mark.parametrize("text", ["", ",", " "])
     def test_empty_grid_is_not_a_float_list(self, text):

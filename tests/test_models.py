@@ -46,12 +46,12 @@ def pack(rows, task="classification", names=None):
     n, c = len(rows), next(len(v) for row in rows for v in row[1:3] if v is not None)
     cols = []
     for k in (1, 2):
-        targets, weights, present = np.zeros((n, c)), np.zeros(n), np.zeros(n, dtype=bool)
+        targets, weights = np.zeros((n, c)), np.zeros(n)
         for i, row in enumerate(rows):
             if row[k] is not None:
-                targets[i], present[i] = row[k], True
+                targets[i] = row[k]
             weights[i] = row[k + 2]
-        cols.append((targets, weights, present))
+        cols.append((targets, weights))
     X = np.array([row[0] for row in rows], dtype=np.float64)
     return Packed(X, task, *cols, range(n) if names is None else names)
 
@@ -181,7 +181,7 @@ class TestLoss:
 
     def test_empty_batch(self):
         with pytest.raises(ValueError, match="n >= 1"):
-            Packed(np.zeros((0, 2)), "classification", *2 * [(np.zeros((0, 2)), [], [])], [])
+            Packed(np.zeros((0, 2)), "classification", *2 * [(np.zeros((0, 2)), [])], [])
 
     def test_only_a_packed_is_accepted(self):
         m = zero_model("linear", 2, 2)
@@ -495,26 +495,23 @@ def columns(task="classification"):
     targets, named 0, 10, 20, 30: [X, task, hard, soft, names], as lists."""
     rng = np.random.default_rng(4)
     H = np.eye(2)[[0, 1, 1, 0]] if task == "classification" else rng.normal(size=(4, 2))
-    hard = [H, np.ones(4), np.ones(4, bool)]
-    soft = [np.zeros((4, 2)), np.zeros(4), np.zeros(4, bool)]
+    hard = [H, np.ones(4)]
+    soft = [np.zeros((4, 2)), np.zeros(4)]
     return [rng.normal(size=(4, 3)), task, hard, soft, 10 * np.arange(4)]
+
+
+def weighted_columns(task, n=12, seed=5):
+    """(X, hard targets, soft targets) of n rows with 3 features and c = 2."""
+    rng = np.random.default_rng(seed)
+    if task == "classification":
+        H, S = np.eye(2)[rng.integers(2, size=n)], rng.dirichlet(np.ones(2), size=n)
+    else:
+        H, S = rng.normal(size=(n, 2)), rng.normal(size=(n, 2))
+    return rng.normal(size=(n, 3)), H, S
 
 
 class TestPacked:
     """Each malformed input raises ValueError naming the row by `names`, or the argument."""
-
-    def test_requires_some_target(self):
-        args = columns()
-        args[2][1][1], args[2][2][1] = 0.0, False
-        with pytest.raises(ValueError, match="^example 10: no hard or soft target"):
-            Packed(*args)
-
-    @pytest.mark.parametrize("task", ["classification", "regression"])
-    def test_absent_target_must_be_unweighted(self, task):
-        args = columns(task)
-        args[3][1][2] = 0.5
-        with pytest.raises(ValueError, match="^example 20: absent soft target has a nonzero"):
-            Packed(*args)
 
     @pytest.mark.parametrize("weight", [-0.1, np.nan, np.inf])
     def test_weight_must_be_finite_and_non_negative(self, weight):
@@ -534,14 +531,12 @@ class TestPacked:
             ((2, 0), np.eye(2)[:1], r"^hard targets: shape \(1, 2\), expected \(4, 2\)"),
             ((2, 1), np.ones(1), r"^hard weights: shape \(1,\), expected \(4,\)"),
             ((3, 0), np.zeros((4, 3)), r"^soft targets: shape \(4, 3\), expected \(4, 2\)"),
-            ((3, 2), np.zeros(1, bool), r"^soft mask: shape \(1,\), expected \(4,\)"),
-            ((2, 2), np.ones(4), "^hard mask: dtype float64, expected bool"),
             ((2, 0), np.ones(4), r"^hard targets: shape \(4,\), expected \(n, c\)"),
             ((0,), np.ones(4), r"^X: shape \(4,\), expected \(n, d\)"),
             ((4,), range(3), "^names has 3 entries for 4 rows"),
         ],
-        ids=["targets-of-one-row", "weights-of-one-row", "soft-width", "mask-of-one-row",
-             "mask-not-bool", "targets-1d", "X-1d", "names-short"],
+        ids=["targets-of-one-row", "weights-of-one-row", "soft-width", "targets-1d", "X-1d",
+             "names-short"],
     )
     def test_shapes_are_not_broadcast(self, where, value, message):
         args = columns()
@@ -551,11 +546,51 @@ class TestPacked:
 
     def test_regression_target_must_be_finite_where_present(self):
         args = columns("regression")
-        args[3][0][:] = np.nan  # absent soft targets: never read
+        args[3][0][:] = np.nan  # soft targets of weight 0: never read
         assert np.array_equal(Packed(*args).targets[1], np.zeros((4, 2)))
         args[2][0][1, 0] = np.inf
         with pytest.raises(ValueError, match="^example 10: hard target is not finite"):
             Packed(*args)
+
+    @pytest.mark.parametrize("kind", ["hard", "soft"])
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_nan_target_at_weight_zero_trains_like_zero(self, task, kind):
+        X, H, S = weighted_columns(task)
+        weights = {"hard": np.full(12, 0.7), "soft": np.full(12, 0.3)}
+        weights[kind][::3] = 0.0
+
+        def trained(fill):
+            targets = {"hard": H.copy(), "soft": S.copy()}
+            targets[kind][::3] = fill
+            data = Packed(X, task, *((targets[k], weights[k]) for k in ("hard", "soft")), range(12))
+            m0 = init_model(Arch.mlp(4), 3, 2, task, RngStream(1))
+            return train(m0, data, TrainConfig(epochs=3, batch_size=4, rng=RngStream(2)))
+
+        zero, nan = trained(0.0), trained(np.nan)
+        assert zero.params.tobytes() == nan.params.tobytes()
+        assert zero.loss_history == nan.loss_history
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_a_row_of_weight_zero_is_inert(self, task):
+        # its features and targets change nothing; it only counts in the mean's n
+        X, H, S = weighted_columns(task)
+        hw, sw = np.full(12, 0.7), np.full(12, 0.3)
+        hw[5] = sw[5] = 0.0
+        m = init_model(Arch.mlp(4), 3, 2, task, RngStream(3))
+
+        def packed(X, H, S):
+            return Packed(X, task, (H, hw), (S, sw), range(12))
+
+        base = packed(X, H, S)
+        X2, H2, S2 = X.copy(), H.copy(), S.copy()
+        X2[5], H2[5], S2[5] = 10.0, np.nan, np.nan
+        other = packed(X2, H2, S2)
+        assert loss(m, base) == loss(m, other)
+        assert gradient(m, base).tobytes() == gradient(m, other).tobytes()
+        rest = np.arange(12) != 5
+        alone = Packed(X[rest], task, (H[rest], hw[rest]), (S[rest], sw[rest]), range(11))
+        assert 12 * loss(m, base) == pytest.approx(11 * loss(m, alone), rel=1e-12)
+        np.testing.assert_allclose(12 * gradient(m, base), 11 * gradient(m, alone), rtol=1e-12)
 
     def test_length_and_fit_to_the_model(self):
         packed = Packed(*columns())
@@ -611,6 +646,24 @@ class TestSerialization:
     def test_misnamed_field_rejected(self):
         text = model_to_text(init_model("linear", 2, 2)).replace("task ", "tusk ")
         with pytest.raises(ValueError, match="'task' at line 3"):
+            model_from_text(text)
+
+    @pytest.mark.parametrize(
+        "sizes",
+        ["\u0662 2", "0_2 2", "+2 2", "x 2", " 2", "2", "0 2", "2 2 -1"],
+        ids=["arabic-indic", "separator", "plus", "letter", "one-size", "one-size-spaced",
+             "zero", "negative"],
+    )
+    def test_sizes_must_be_ascii_digits(self, sizes):
+        text = model_to_text(init_model("linear", 2, 2)).replace("sizes 2 2\n", f"sizes {sizes}\n")
+        with pytest.raises(ValueError, match=r"^line 4: expected 'sizes d h1 \.\.\. c' of ASCII"):
+            model_from_text(text)
+
+    @pytest.mark.parametrize("extra", ["b0", "0x1p+0", "W1"])
+    def test_a_line_after_the_last_layer_rejected(self, extra):
+        lines = model_to_text(init_model(Arch.mlp(3), 2, 2, rng=RngStream(5))).splitlines()
+        text = "\n".join([*lines, extra, "more"]) + "\n"
+        with pytest.raises(ValueError, match=f"^line {len(lines) + 1}: unexpected text after"):
             model_from_text(text)
 
     @pytest.mark.parametrize(

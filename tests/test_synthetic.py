@@ -267,6 +267,15 @@ class TestDumpFormat:
         with pytest.raises(ValueError, match="^line 1: "):
             load_dataset(path)
 
+    @pytest.mark.parametrize("first", ["1_0,0,2,0", " 1,0,2,0", "1,0,2,0 ", "1,0 ,2,0"])
+    def test_header_number_with_a_separator_or_whitespace_is_named(self, tmp_path, first):
+        path = tmp_path / "dump.txt"
+        path.write_text(first + "\n")
+        bad = next(v for v in first.split(",") if "_" in v or v != v.strip())
+        with pytest.raises(ValueError) as e:
+            load_dataset(path)
+        assert str(e.value) == f"line 1: expected d, d_star, c, n: {bad!r} is not a number"
+
     def test_non_ascii_header_is_named(self, tmp_path):
         path = tmp_path / "dump.txt"
         path.write_text("2,0,2,\xe9\n1,2,,0,1\n", encoding="utf-8")
