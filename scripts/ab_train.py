@@ -8,10 +8,15 @@ three training shapes, each of `ROUNDS` rounds times one `train` call
 from each tree, alternating which goes first; the script prints the
 median NEW/OLD time ratio with its min and max, the median microseconds
 per SGD step of each tree, and whether the two trees trained
-bit-identical weights.  It exits 1 when any shape's weights differ.
+bit-identical weights.  The group row then times the MNIST grid's 25
+students (the regular one and 6 T x 4 lambda > 0 cells, on the same
+rows) as one NEW `train` call of a stacked `Packed` against 25 OLD
+calls, and compares each model and its loss history.  It exits 1 when
+any weights differ.
 The data is given to each tree as its own `models.Packed` of
 `(targets, weights)` hard and soft targets; a tree without `Packed` is
-refused, and one whose `Packed` takes another form fails to build it.
+refused, and one whose `Packed` takes another form fails to build it
+(the NEW tree's must take `(R, n)` weights and `(R, n, c)` soft targets).
 Timing both trees in one process, interleaved, cancels the host's speed
 drift over minutes that separate benchmark runs cannot.
 
@@ -46,7 +51,10 @@ SHAPES = [
 ]
 IMITATION = 0.5
 BATCH_SIZE = 32
-ROUNDS = 11  # timed rounds per shape
+ROUNDS = 21  # timed rounds per shape
+# the group row: mlp 49->20->20->10 on 300 rows, 100 epochs, the benchmark's grid
+GROUP_T = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0)
+GROUP_LAMBDA = (0.25, 0.5, 0.75, 1.0)
 
 
 def load_models(tree: Path, name: str):
@@ -78,10 +86,40 @@ def problem(models, hidden, d, c, n, labeled, epochs):
     return m0, data, cfg
 
 
+def group_problem(models, stacked: bool):
+    """(m0, datas, cfg) of the group row: one stacked Packed of the 25 target
+    sets, or 25 single ones, built with the tree's own classes."""
+    d, c, n = 49, 10, 300
+    m0, _, cfg = problem(models, (20, 20), d, c, n, n, 100)
+    rng = np.random.default_rng([d, c, n, 25])
+    X, hard = rng.normal(size=(n, d)), np.eye(c)[rng.integers(c, size=n)]
+    logits = rng.normal(size=(n, c))
+    soft, hw, sw = [hard], [1.0], [0.0]  # the regular student reads no soft target
+    for T in GROUP_T:
+        p = np.exp(logits / T)
+        soft += [p / p.sum(axis=1, keepdims=True)] * len(GROUP_LAMBDA)
+        hw, sw = hw + [1.0 - lam for lam in GROUP_LAMBDA], sw + list(GROUP_LAMBDA)
+    S = np.stack(soft)
+    HW, SW = (np.repeat(np.array(w)[:, None], n, axis=1) for w in (hw, sw))
+    if stacked:
+        return m0, [models.Packed(X, "classification", (hard, HW), (S, SW), range(n))], cfg
+    return m0, [models.Packed(X, "classification", (hard, a), (s, b), range(n))
+                for a, s, b in zip(HW, S, SW)], cfg
+
+
 def timed(models, args):
     start = time.perf_counter()
     m = models.train(*args)
     return time.perf_counter() - start, m
+
+
+def timed_group(models, problem):
+    """(seconds, models) of training every Packed of a `group_problem`."""
+    m0, datas, cfg = problem
+    start = time.perf_counter()
+    out = [models.train(m0, data, cfg) for data in datas]
+    seconds = time.perf_counter() - start
+    return seconds, out[0] if len(out) == 1 else out
 
 
 def main(argv=None) -> int:
@@ -117,6 +155,24 @@ def main(argv=None) -> int:
             f"weights identical: {'yes' if same else 'NO'}"
         )
         all_same &= same
+    problems = {k: group_problem(m, stacked=k == "new") for k, m in trees.items()}
+    results = {k: timed_group(m, problems[k])[1] for k, m in trees.items()}  # warm-up
+    same = all(
+        a.params.tobytes() == b.params.tobytes() and a.loss_history == b.loss_history
+        for a, b in zip(results["old"], results["new"], strict=True)
+    )
+    times = {"old": [], "new": []}
+    for r in range(ROUNDS):
+        for k in ("old", "new") if r % 2 == 0 else ("new", "old"):
+            times[k].append(timed_group(trees[k], problems[k])[0])
+    ratios = [b / a for a, b in zip(times["old"], times["new"])]
+    print(
+        f"group of {len(results['new'])}, mlp 49->20->20->10, n=300: one new call / "
+        f"{len(results['old'])} old calls median {statistics.median(ratios):.3f} "
+        f"(min {min(ratios):.3f}, max {max(ratios):.3f}); "
+        f"models and loss histories identical: {'yes' if same else 'NO'}"
+    )
+    all_same &= same
     return 0 if all_same else 1
 
 

@@ -16,6 +16,7 @@ from .distill import (
     Triplet,
     clean_subset,
     distill_student,
+    distill_students,
     soft_labels,
     train_teacher,
 )
@@ -36,6 +37,7 @@ __all__ = [
     "train_teacher",
     "soft_labels",
     "distill_student",
+    "distill_students",
     "Arch",
     "Model",
     "Packed",

@@ -19,6 +19,20 @@ from .experiments import RUNNERS, emit_report
 from .synthetic import SyntheticSpec
 
 
+def _number(parse):
+    """An argparse type reading `parse` (int or float) through parse_number,
+    so that `٠`, `4_0` and ` 1` are refused: `argument --reps: invalid int
+    value: '4_0'`."""
+    def number(text: str):
+        return parse_number(text, parse)
+
+    number.__name__ = parse.__name__  # argparse names the type by it
+    return number
+
+
+INT, FLOAT = _number(int), _number(float)
+
+
 def _grid(text: str) -> tuple[float, ...]:
     try:
         values = tuple(parse_number(v) for v in text.split(","))
@@ -36,33 +50,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, help="master seed")
+        p.add_argument("--seed", type=INT, help="master seed")
         p.add_argument("--out", help="report file to write")
         p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="report format (default csv)")
 
     p = sub.add_parser("synthetic", help="synthetic setups 1-4, three arms")
-    p.add_argument("--experiment", type=int, choices=(1, 2, 3, 4), required=True)
-    p.add_argument("--reps", type=int, help="repetitions")
-    p.add_argument("--T", dest="temperature", type=float, help="soft-label temperature")
-    p.add_argument("--lambda", dest="imitation", type=float, help="imitation weight in [0,1]")
-    p.add_argument("--n-train", type=int)
-    p.add_argument("--n-test", type=int)
+    p.add_argument("--experiment", type=INT, choices=(1, 2, 3, 4), required=True)
+    p.add_argument("--reps", type=INT, help="repetitions")
+    p.add_argument("--T", dest="temperature", type=FLOAT, help="soft-label temperature")
+    p.add_argument("--lambda", dest="imitation", type=FLOAT, help="imitation weight in [0,1]")
+    p.add_argument("--n-train", type=INT)
+    p.add_argument("--n-test", type=INT)
     common(p)
 
     p = sub.add_parser("mnist", help="28x28 teacher distilled into a 7x7 student")
-    p.add_argument("--n-train", type=int, help="training samples")
-    p.add_argument("--reps", type=int)
+    p.add_argument("--n-train", type=INT, help="training samples")
+    p.add_argument("--reps", type=INT)
     p.add_argument("--T", dest="T_grid", type=_grid, help="temperature grid, e.g. 1,2,5")
     p.add_argument("--lambda", dest="lambda_grid", type=_grid, help="imitation grid, e.g. 0,0.5,1")
     p.add_argument("--data-dir", help="directory holding the IDX files")
     common(p)
 
     p = sub.add_parser("cifar", help="semi-supervised distillation on noisy images")
-    p.add_argument("--n-labeled", type=int)
-    p.add_argument("--sigma", type=float, help="pixel noise std")
-    p.add_argument("--max-unlabeled", type=int, help="subsample the soft-labeled pool")
-    p.add_argument("--reps", type=int)
+    p.add_argument("--n-labeled", type=INT)
+    p.add_argument("--sigma", type=FLOAT, help="pixel noise std")
+    p.add_argument("--max-unlabeled", type=INT, help="subsample the soft-labeled pool")
+    p.add_argument("--reps", type=INT)
     p.add_argument("--T", dest="T_grid", type=_grid)
     p.add_argument("--lambda", dest="lambda_grid", type=_grid)
     p.add_argument("--data-dir", help="directory holding the CIFAR-10 binary batches")
@@ -70,8 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("multitask", help="per-task teachers over a 21+7 column table")
     p.add_argument("--path", required=True, help="delimiter-separated table file")
-    p.add_argument("--n-train", type=int)
-    p.add_argument("--test-cap", type=int)
+    p.add_argument("--n-train", type=INT)
+    p.add_argument("--test-cap", type=INT)
     p.add_argument("--delimiter", help="cell delimiter")
     p.add_argument("--T", dest="T_grid", type=_grid)
     p.add_argument("--lambda", dest="lambda_grid", type=_grid)

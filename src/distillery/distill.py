@@ -21,11 +21,12 @@ examples, and per-task views of multi-output regression data.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import check_count, check_real, check_rows, check_simplex_rows, softmax
+from .core import check_count, check_real, check_rows, check_simplex_rows, finite_rows, softmax
 # check_simplex is looked up here by perfbench/tracing.py, which counts its calls
 from .core import check_simplex  # noqa: F401
 from .models import (
@@ -49,6 +50,7 @@ __all__ = [
     "train_teacher",
     "soft_labels",
     "distill_student",
+    "distill_students",
     "universum_soft_labels",
     "restrict_simplex",
     "multitask_views",
@@ -83,6 +85,11 @@ class DatasetHeader:
 
 
 _VIEWS = ("x", "x_star", "y")
+# A lockstep group holds several stacks of R x rows x c target floats, so
+# `distill_students` trains a group in chunks of about this many bytes of
+# soft targets (4 whole-pool CIFAR students, while a grid on a few hundred
+# rows stays one chunk).
+GROUP_BYTES = 16 << 20
 
 
 class Dataset:
@@ -90,8 +97,8 @@ class Dataset:
 
     Each field ("x", "x_star", "y") is one 2-D float array, a row per
     example (the row index is its id), with a mask of the rows that have it.
-    Both are read-only, so `distill_student` may keep the imitation-0
-    student trained on a dataset with it.
+    Both are read-only, so `distill_students` may keep the students trained
+    on a dataset with it.
     """
 
     def __init__(self, header: DatasetHeader, examples, meta=None):
@@ -132,8 +139,9 @@ class Dataset:
 
     def _store(self, header: DatasetHeader, cols: dict, masks: dict, meta) -> None:
         """Check `cols` and keep read-only views of them and read-only copies of
-        `masks`; a field not in `cols` is missing.  Present labels must be
-        probability vectors (classification) or finite (regression)."""
+        `masks`; a field not in `cols` is missing.  Present features must be
+        finite, and present labels probability vectors (classification) or
+        finite (regression)."""
         n = len(next(iter(cols.values())))
         for view, width in zip(_VIEWS, (header.d, header.d_star, header.c)):
             col = cols[view] if view in cols else np.zeros((n, width))
@@ -148,9 +156,12 @@ class Dataset:
         if header.task == CLASSIFICATION:
             check_simplex_rows(y, labeled, range(n))
         else:
-            check_rows(np.isfinite(y).all(axis=1) | ~labeled, range(n), "label is not finite")
+            check_rows(finite_rows(y) | ~labeled, range(n), "label is not finite")
+        for view in ("x", "x_star"):
+            check_rows(finite_rows(cols[view]) | ~masks[view], range(n),
+                       f"features are not finite in {view}")
         self.header, self.meta, self._cols, self._masks = header, meta or {}, cols, masks
-        self._plain = None  # (key, model): the imitation-0 student, see distill_student
+        self._students = {}  # memo key -> trained student, see distill_students
 
     def __len__(self) -> int:
         return len(self._masks["x"])
@@ -222,8 +233,10 @@ def _rows(col: np.ndarray, ids: np.ndarray) -> np.ndarray:
 def train_teacher(data: Dataset, cfg: DistillConfig) -> Model:
     """Step 1: fit the teacher on (x_star, y) pairs with hard labels only."""
     hw = data._masks["y"].astype(np.float64)
-    return _fit(data, "x_star", hw, None, cfg.teacher_arch, cfg.teacher_train,
-                "no examples with both privileged features and a label")
+    ids = np.flatnonzero(data._masks["x_star"] & (hw > 0))
+    if not ids.size:
+        raise ValueError("no examples with both privileged features and a label")
+    return _fit(data, "x_star", ids, hw[ids], None, cfg.teacher_arch, cfg.teacher_train)
 
 
 def soft_labels(teacher: Model, data: Dataset, T: float) -> np.ndarray:
@@ -253,44 +266,83 @@ def distill_student(data: Dataset, soft, cfg: DistillConfig) -> Model:
     (e.g. unlabeled ones under imitation = 0), drop out.
 
     Imitation 0 weighs every soft label by zero, so it trains the plain
-    student and reads neither `soft` nor unlabeled_weight.  `data` keeps
-    that student for the last (student_arch, student_train) it was trained
-    with, and each call returns a copy of it.
+    student and reads neither `soft` nor unlabeled_weight.  A student that
+    `distill_students` has trained on `data` is not trained again: each call
+    returns a copy of it.
     """
-    given = len(soft) > 0
-    S = np.asarray(soft, dtype=np.float64) if given else None
-    if given and S.shape != (len(data), data.header.c):
-        raise ValueError(f"soft labels: shape {S.shape}, expected ({len(data)}, {data.header.c})")
-    if cfg.imitation != 0.0:
-        return _train_student(data, S, cfg)
-    key = (cfg.student_arch, cfg.student_train)
-    if data._plain is None or data._plain[0] != key:
-        data._plain = key, _train_student(data, None, cfg)
-    plain = data._plain[1]
-    return Model(plain.task, plain.weights, plain.biases, list(plain.loss_history))
+    [student] = distill_students(data, [(soft, cfg)])
+    if isinstance(student, Exception):
+        raise student
+    return student
 
 
-def _train_student(data: Dataset, S: np.ndarray | None, cfg: DistillConfig) -> Model:
-    """`distill_student` on a checked soft column `S`, None for none."""
-    lam, labeled = cfg.imitation, data._masks["y"]
-    hw = np.where(labeled, 1.0 - lam, 0.0)
-    sw = np.where(labeled, lam, lam * cfg.unlabeled_weight) * data._masks["x_star"]
-    soft = None if S is None else (S, sw)
-    return _fit(data, "x", hw, soft, cfg.student_arch, cfg.student_train,
-                "no usable examples to distill into the student")
+def distill_students(data: Dataset, requests) -> list:
+    """`distill_student` for each (soft, cfg) of `requests`, in one pass: per
+    request, a copy of its student, or the error that `distill_student`
+    raises for it (a TrainingDivergence, or ValueError when no row is usable).
+
+    `data` keeps every student trained on it, keyed by what the student
+    depends on: (student_arch, student_train) at imitation 0, and also
+    imitation, unlabeled_weight and a digest of the soft column otherwise.  A
+    kept student, or one asked for twice, trains once; a failed one is not
+    kept.  The students left to train share `train` calls per
+    (student_arch, student_train, rows trained on), one per GROUP_BYTES of
+    their soft targets: from one initial model and one shuffle stream, each
+    step multiplies one batch of X against all of their first layers, and
+    each comes out bit for bit as it would alone.
+    """
+    keyed, todo, failed, groups, shape = [], {}, {}, {}, (len(data), data.header.c)
+    for soft, cfg in requests:
+        S = np.asarray(soft, dtype=np.float64) if len(soft) > 0 else None
+        if S is not None and S.shape != shape:
+            raise ValueError(f"soft labels: shape {S.shape}, expected {shape}")
+        key = (cfg.student_arch, cfg.student_train)
+        if cfg.imitation != 0.0:
+            digest = None if S is None else hashlib.blake2b(np.ascontiguousarray(S)).digest()
+            key += (cfg.imitation, cfg.unlabeled_weight, digest)
+        keyed.append(key)
+        if key not in data._students:
+            todo.setdefault(key, (S, cfg))
+    for key, (S, cfg) in todo.items():
+        lam, labeled = cfg.imitation, data._masks["y"]
+        hw = np.where(labeled, 1.0 - lam, 0.0)
+        sw = np.where(labeled, lam, lam * cfg.unlabeled_weight) * data._masks["x_star"]
+        if S is None:  # no soft column: weight 0, never read
+            S, sw = data._cols["y"], np.zeros(len(data))
+        ids = np.flatnonzero(data._masks["x"] & ((hw > 0) | (sw > 0)))
+        if not ids.size:
+            failed[key] = ValueError("no usable examples to distill into the student")
+            continue
+        group = groups.setdefault((cfg.student_arch, cfg.student_train, ids.tobytes()), [])
+        group.append((key, hw, S, sw))
+    for (arch, train_cfg, ids), members in groups.items():
+        ids = np.frombuffer(ids, dtype=np.intp)
+        size = max(1, GROUP_BYTES // (8 * ids.size * data.header.c))
+        for start in range(0, len(members), size):
+            chunk = members[start : start + size]
+            hw, S, sw = (np.stack([m[k][ids] for m in chunk]) for k in (1, 2, 3))
+            trained = _fit(data, "x", ids, hw, (S, sw), arch, train_cfg)
+            for (key, *_), student in zip(chunk, trained):
+                if isinstance(student, Model):
+                    data._students[key] = student
+                else:
+                    failed[key] = student
+    return [failed[key] if key in failed else _copy(data._students[key]) for key in keyed]
 
 
-def _fit(data: Dataset, view: str, hw, soft, arch: Arch, train_cfg: TrainConfig, empty: str):
-    """A fresh `arch` model trained with `train_cfg` on features `view` against
-    the labels weighted by `hw` and `soft` = (an (n, c) soft column, its
-    weights), None for none.  Only the rows with `view` and a weight > 0 are
-    trained on; ValueError `empty` when there is none."""
-    S, sw = soft or (data._cols["y"], np.zeros(len(data)))  # no soft column: weight 0, never read
-    ids = np.flatnonzero(data._masks[view] & ((hw > 0) | (sw > 0)))
-    if not ids.size:
-        raise ValueError(empty)
+def _copy(m: Model) -> Model:
+    return Model(m.task, m.weights, m.biases, list(m.loss_history))
+
+
+def _fit(data: Dataset, view: str, ids: np.ndarray, hw, soft, arch: Arch, train_cfg: TrainConfig):
+    """A fresh `arch` model trained with `train_cfg` on rows `ids` of
+    features `view` against their labels weighted by `hw` and `soft` = (soft
+    targets, their weights) of those rows, None for none.  Weights of shape
+    (R, len(ids)) make a stack of R target sets: one `train` call fits R
+    models and returns a list (see `models.train`)."""
     X, h = _rows(data._cols[view], ids), data.header
-    batch = Packed(X, h.task, (data._cols["y"][ids], hw[ids]), (S[ids], sw[ids]), ids)
+    hard = data._cols["y"][ids]
+    batch = Packed(X, h.task, (hard, hw), soft or (hard, np.zeros(len(ids))), ids)
     m0 = init_model(arch, X.shape[1], h.c, h.task, train_cfg.rng.fork("init"))
     return train(m0, batch, replace(train_cfg, rng=train_cfg.rng.fork("shuffle")))
 

@@ -11,8 +11,10 @@ preparation and a generator of per-repetition problems.
 Randomness is a tree of forked streams keyed by purpose ("rep", r,
 "teacher", ...).  Grid cells reuse one per-repetition student stream, so
 a cell run alone equals its value inside a full-grid run, and an
-imitation = 0 cell is the regular student itself: `distill_student`
-trains it once per training set and hands it back to every such cell.
+imitation = 0 cell is the regular student itself.  A problem's students
+train in one `distill_students` call, which trains each distinct student
+once, in lockstep with those on the same rows, and `distill_student` then
+hands each cell a copy of its own.
 Arms within a repetition train on identical data draws, isolating the
 effect of the soft labels.
 
@@ -43,6 +45,7 @@ from .distill import (
     DatasetHeader,
     DistillConfig,
     distill_student,
+    distill_students,
     multitask_views,
     soft_labels,
     train_teacher,
@@ -215,17 +218,19 @@ def _repeat(problems, T_grid, lambda_grid, metric="accuracy", arms=None, per_tas
     """Generalized distillation over a stream of problems: (results, errors).
 
     A problem is (label, train set, test set, base DistillConfig).  For
-    each one the teacher and the regular student (imitation 0, no soft
-    labels) are trained and scored, then one soft-label column is computed
-    per T, unless every lambda is 0, and one student per lambda is trained
-    on it for every distilled arm (at lambda = 0, `distill_student` reads no
-    soft label and hands back the regular student without training it
-    again).  `arms` maps a distilled arm to its
+    each one the teacher is trained and one soft-label column is computed
+    per T, unless every lambda is 0.  One `distill_students` call then trains
+    the regular student (imitation 0, no soft labels) and one student per
+    (T, lambda) for every distilled arm, as few times and in as few groups
+    as it can (at lambda = 0 it reads no soft label, so that cell is the
+    regular student).  Each one is then taken, and scored, through its own
+    `distill_student` call.  `arms` maps a distilled arm to its
     DistillConfig overrides, e.g. {"unlabeled_weight": 0.0} to train on the
-    labeled rows alone (the default is one arm, "distilled", with none).  A diverging teacher
-    or regular student drops the problem; a diverging distilled student
-    drops only its cell; an aggregate is complete with one value per
-    problem.  `per_task` adds one row per value, named after its problem.
+    labeled rows alone (the default is one arm, "distilled", with none).  A
+    diverging teacher or regular student drops the problem; a diverging
+    distilled student drops only its cell; an aggregate is complete with one
+    value per problem.  `per_task` adds one row per value, named after its
+    problem.
     """
     score = accuracy if metric == "accuracy" else mse
     arms = arms or {"distilled": {}}
@@ -234,22 +239,31 @@ def _repeat(problems, T_grid, lambda_grid, metric="accuracy", arms=None, per_tas
     errors, n_problems = [], 0
     for label, train_ds, test_ds, base in problems:
         n_problems += 1
+        plain = replace(base, imitation=0.0)
         try:
             teacher = train_teacher(train_ds, base)
-            regular = distill_student(train_ds, [], replace(base, imitation=0.0))
+        except TrainingDivergence as e:
+            errors.append(f"{label}: {e}")
+            continue
+        softs = {T: soft_labels(teacher, train_ds, T) if any(lambda_grid) else [] for T in T_grid}
+        cells = {
+            (a, T, lam): replace(base, imitation=lam, **over)
+            for T in T_grid for lam in lambda_grid for a, over in arms.items()
+        }
+        cell_requests = [(softs[T], c) for (_, T, _), c in cells.items()]
+        distill_students(train_ds, [([], plain), *cell_requests])
+        try:
+            regular = distill_student(train_ds, [], plain)
         except TrainingDivergence as e:
             errors.append(f"{label}: {e}")
             continue
         values["privileged", None, None].append((label, score(teacher, test_ds, "x_star")))
         values["regular", None, None].append((label, score(regular, test_ds, "x")))
         for T in T_grid:
-            soft = soft_labels(teacher, train_ds, T) if any(lambda_grid) else []
             for lam in lambda_grid:
-                cfg = replace(base, imitation=lam)
                 try:
                     students = {
-                        a: distill_student(train_ds, soft, replace(cfg, **over))
-                        for a, over in arms.items()
+                        a: distill_student(train_ds, softs[T], cells[a, T, lam]) for a in arms
                     }
                 except TrainingDivergence as e:
                     errors.append(f"{label} cell T={T} lambda={lam}: {e}")

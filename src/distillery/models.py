@@ -16,12 +16,11 @@ biases are not regularized.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngStream, check_count, check_real, check_rows, check_simplex_rows
+from .core import RngStream, check_count, check_real, check_rows, check_simplex_rows, finite_rows
 # check_simplex is looked up here by perfbench/tracing.py, which counts its calls
 from .core import check_simplex  # noqa: F401
 
@@ -110,10 +109,8 @@ class Model:
                 raise ValueError(f"layer {i} has non-finite parameters")
         arrays = (*self.weights, *self.biases)
         self.params = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
-        chunks = np.split(self.params, np.cumsum([a.size for a in arrays])[:-1])
-        views = [chunk.reshape(a.shape) for chunk, a in zip(chunks, arrays)]
-        self.weights, self.biases = views[: len(self.weights)], views[len(self.weights) :]
-        self.w_flat = self.params[: sum(w.size for w in self.weights)]
+        shapes = [w.shape for w in self.weights]
+        self.weights, self.biases, self.w_flat = _views(self.params, shapes)
 
     def __eq__(self, other):
         # same task, layer shapes and parameter bits; loss_history records the training only
@@ -237,7 +234,12 @@ class Packed:
     (regression), and everywhere else it reads as zero, whatever is stored.
     Features must be finite.  Classification combines the targets into
     Y = hw * hard + sw * soft and w_tot = hw * sum(hard) + sw * sum(soft) for
-    the loss; regression keeps (hard, soft, hw, sw).
+    the loss; regression keeps (hard, soft, hw, sw).  Every target column
+    has the rows on its second-to-last axis.
+
+    A stack of R target sets on the same rows takes (R, n) weights, and soft
+    targets may then be (R, n, c) (hard targets stay one (n, c) column);
+    `lead` is (R,), and () for one set.  `train` fits one model per set.
     """
 
     def __init__(self, X, task: str, hard, soft, names):
@@ -250,73 +252,108 @@ class Packed:
         if np.ndim(hard[0]) != 2:
             raise ValueError(f"hard targets: shape {np.shape(hard[0])}, expected (n, c)")
         c = np.shape(hard[0])[1]
+        self.lead = next((np.shape(w)[:1] for _, w in (hard, soft) if np.ndim(w) == 2), ())
         cols = []
         for kind, (rows, weights) in (("hard", hard), ("soft", soft)):
             rows, weights = np.asarray(rows, np.float64), np.asarray(weights, np.float64)
             for arg, a, shape in (("targets", rows, (n, c)), ("weights", weights, (n,))):
-                if a.shape != shape:
-                    raise ValueError(f"{kind} {arg}: shape {a.shape}, expected {shape}")
+                expected = (*self.lead, *shape)
+                if a.shape not in (shape, expected):
+                    raise ValueError(f"{kind} {arg}: shape {a.shape}, expected {expected}")
             ok = np.isfinite(weights) & (weights >= 0)
-            check_rows(ok, names, f"{kind} weight is not finite and >= 0")
+            check_rows(_every_set(ok, n), names, f"{kind} weight is not finite and >= 0")
             read = weights > 0
-            rows = np.where(read[:, None], rows, 0.0)
+            rows = np.where(read[..., None], rows, 0.0)
             if task == CLASSIFICATION:
-                check_simplex_rows(rows, read, names, f"{kind} target: ")
+                read = np.broadcast_to(read, rows.shape[:-1])
+                for r in np.ndindex(rows.shape[:-2]):
+                    check_simplex_rows(rows[r], read[r], names, f"{kind} target: ")
             else:
-                check_rows(np.isfinite(rows).all(axis=1), names, f"{kind} target is not finite")
+                finite = _every_set(np.isfinite(rows).all(axis=-1), n)
+                check_rows(finite, names, f"{kind} target is not finite")
             cols += [rows, weights]
-        check_rows(np.isfinite(X).all(axis=1), names, "features are not finite")
+        check_rows(finite_rows(X), names, "features are not finite")
         hard, hw, soft, sw = cols
         if task == REGRESSION:
-            self.X, self.targets = X, (hard, soft, hw, sw)
+            self.X, self.targets = X, (hard, soft, hw[..., None], sw[..., None])
         else:
-            w_tot = hw * np.sum(hard, axis=1) + sw * np.sum(soft, axis=1)
-            self.X, self.targets = X, (hw[:, None] * hard + sw[:, None] * soft, w_tot[:, None])
+            w_tot = hw * np.sum(hard, axis=-1) + sw * np.sum(soft, axis=-1)
+            Y = hw[..., None] * hard + sw[..., None] * soft
+            self.X, self.targets = X, (Y, w_tot[..., None])
 
     def __len__(self) -> int:
         return len(self.X)
 
 
-def _loss_grad(p: Model, X: np.ndarray, tgt: tuple, l2: float, grad: Model | None = None):
-    """Mean weighted loss of the model `p` on rows X, plus the L2 penalty;
-    given a model `grad` of the same layout, also writes the exact
-    gradient into its parameters.
+def _every_set(ok: np.ndarray, n: int) -> np.ndarray:
+    """(n,) mask of the rows that pass in every target set of the (..., n) mask `ok`."""
+    return ok.reshape(-1, n).all(axis=0)
+
+
+def _views(params: np.ndarray, shapes) -> tuple[list, list, np.ndarray]:
+    """Views of a (..., P) buffer in the `Model.params` layout for layers of
+    `shapes` (fan_in, fan_out): the weight matrices (..., fan_in, fan_out),
+    the biases (..., fan_out), and the span of the weights (..., W)."""
+    lead, weights, at = params.shape[:-1], [], 0
+    for fan_in, fan_out in shapes:
+        weights.append(params[..., at : at + fan_in * fan_out].reshape(*lead, fan_in, fan_out))
+        at += fan_in * fan_out
+    w_flat, biases = params[..., :at], []
+    for _, fan_out in shapes:
+        biases.append(params[..., at : at + fan_out])
+        at += fan_out
+    return weights, biases, w_flat
+
+
+def _loss_grad(task: str, layers, X: np.ndarray, tgt, l2: float, grads=None):
+    """Mean weighted loss on rows X, plus the L2 penalty, of the models whose
+    `_views` are `layers`: a number for one model, one per model for a stack
+    (..., P).  Given `_views` `grads` of a buffer of the same shape, also
+    writes the exact gradients there.
 
     `tgt` holds the target columns of a `Packed`, restricted to the rows of X.
     Every layer's gradient is formed from the weights as they are on
-    entry, so the caller may update all of them afterwards at once.
+    entry, so the caller may update all of them afterwards at once.  The
+    models share X; each one's loss and gradient get the bits they would
+    get alone.
     """
-    acts = _forward_cached(p.weights, p.biases, X)
+    weights, biases, w_flat = layers
+    acts = _forward_cached(weights, biases, X)
     out, n = acts[-1], X.shape[0]
-    if p.task == CLASSIFICATION:
+    if task == CLASSIFICATION:
         Y, w_tot = tgt
-        m = out.max(axis=1, keepdims=True)
-        lse = m + np.log(np.exp(out - m).sum(axis=1, keepdims=True))
+        m = out.max(axis=-1, keepdims=True)
+        lse = m + np.log(np.exp(out - m).sum(axis=-1, keepdims=True))
         logp = out - lse
-        value = -float(np.vdot(Y, logp)) / n
-        if grad is not None:
+        # one dot over each model's whole batch, with np.vdot's bits
+        Y_flat, logp_flat = Y.reshape(Y.shape[:-2] + (-1,)), logp.reshape(logp.shape[:-2] + (-1,))
+        value = -np.vecdot(Y_flat, logp_flat) / n
+        if grads is not None:
             # d/dz of -sum_k y_k logp_k is sigma * sum(y) - y
             g = np.exp(logp) * w_tot - Y
     else:  # 0.5 * ||out - y||^2 per target
         hard, soft, hw, sw = tgt
         dh = out - hard
         ds = out - soft
-        value = float(np.mean(0.5 * (hw * np.sum(dh * dh, axis=1) + sw * np.sum(ds * ds, axis=1))))
-        if grad is not None:
-            g = hw[:, None] * dh + sw[:, None] * ds
+        sq_h = np.sum(dh * dh, axis=-1, keepdims=True)
+        sq_s = np.sum(ds * ds, axis=-1, keepdims=True)
+        value = np.mean((0.5 * (hw * sq_h + sw * sq_s))[..., 0], axis=-1)
+        if grads is not None:
+            g = hw * dh + sw * ds
     if l2 != 0.0:
-        value += 0.5 * l2 * float(np.vdot(p.w_flat, p.w_flat))
-    if grad is None:
+        value = value + 0.5 * l2 * np.vecdot(w_flat, w_flat)
+    if grads is None:
         return value
+    grad_w, grad_b, grad_flat = grads
     g /= n
-    for i in range(len(p.weights) - 1, -1, -1):
-        np.matmul(acts[i].T, g, out=grad.weights[i])
-        np.add.reduce(g, axis=0, out=grad.biases[i])
+    for i in range(len(weights) - 1, -1, -1):
+        np.matmul(acts[i].mT, g, out=grad_w[i])
+        np.add.reduce(g, axis=-2, out=grad_b[i])
         if i > 0:
-            g = g @ p.weights[i].T
+            g = g @ weights[i].mT
             np.multiply(g, acts[i] > 0.0, out=g)  # ReLU mask; `g *= mask` is slower
     if l2 != 0.0:
-        grad.w_flat += l2 * p.w_flat
+        grad_flat += l2 * w_flat
     return value
 
 
@@ -324,28 +361,35 @@ def _checked(m: Model, data: Packed) -> Packed:
     """`data`, checked to be a Packed that fits m."""
     if not isinstance(data, Packed):
         raise TypeError(f"expected training data as a Packed, got {type(data).__name__}")
-    got = (data.X.shape[1], data.targets[0].shape[1])
+    got = (data.X.shape[1], data.targets[0].shape[-1])
     if got != (m.input_dim, m.output_dim):
         raise ValueError(f"expected (d, c) = {(m.input_dim, m.output_dim)}, got {got}")
     return data
 
 
-def loss(m: Model, batch: Packed, *, l2: float = 0.0) -> float:
-    """Mean weighted hard/soft loss over the batch plus the L2 penalty."""
+def loss(m: Model, batch: Packed, *, l2: float = 0.0):
+    """Mean weighted hard/soft loss over the batch plus the L2 penalty; for
+    a stacked batch, an (R,) array with one loss per target set."""
     data = _checked(m, batch)
-    return _loss_grad(m, data.X, data.targets, l2)
+    value = _loss_grad(m.task, _views(m.params, _shapes(m)), data.X, data.targets, l2)
+    return value if data.lead else float(value)
 
 
 def gradient(m: Model, batch: Packed, *, l2: float = 0.0) -> np.ndarray:
     """Exact gradient of loss() with respect to every parameter, as a (P,)
-    array in the order of `m.params`."""
+    array in the order of `m.params`; (R, P) for a stacked batch."""
     data = _checked(m, batch)
-    grad = m.copy()  # same layout, overwritten
-    _loss_grad(m, data.X, data.targets, l2, grad)
-    return grad.params
+    grad = np.empty((*data.lead, m.params.size))
+    _loss_grad(m.task, _views(m.params, _shapes(m)), data.X, data.targets, l2,
+               _views(grad, _shapes(m)))
+    return grad
 
 
-def train(m0: Model, data: Packed, cfg: TrainConfig) -> Model:
+def _shapes(m: Model) -> list[tuple[int, int]]:
+    return [w.shape for w in m.weights]
+
+
+def train(m0: Model, data: Packed, cfg: TrainConfig):
     """Mini-batch SGD from m0 on `data`; returns the final model.
 
     Batches are drawn by a seeded shuffle each epoch.  The returned model
@@ -355,34 +399,64 @@ def train(m0: Model, data: Packed, cfg: TrainConfig) -> Model:
     Raises ValueError if `data` does not fit m0 or has fewer rows than a
     batch, and TrainingDivergence (with the epoch index) if the loss ever
     becomes non-finite.
+
+    A stacked `data` of R target sets trains R models from m0 in one loop:
+    all of them draw the same shuffles, so every step multiplies one batch
+    of X against the stack of first layers.  It returns a list with, per
+    target set, the model, or the TrainingDivergence that training on that
+    set alone would raise; each model is bit for bit the one it would be
+    alone, and a diverged model does not disturb the others.
     """
     data = _checked(m0, data)
     n = len(data)
     if cfg.batch_size > n:
         raise ValueError(f"batch_size {cfg.batch_size} exceeds data size {n}")
-    X, tgt = data.X, data.targets
-    params = m0.copy()
-    grad = m0.copy()  # same layout; every step overwrites it
+    X, tgt, lead = data.X, data.targets, data.lead
+    params = np.empty((*lead, m0.params.size))
+    params[...] = m0.params
+    grad = np.empty_like(params)  # every step overwrites it
+    weights, biases, w_flat = _views(params, _shapes(m0))
+    layers = weights, [b[..., None, :] for b in biases], w_flat  # bias rows add to a stack
+    grads = _views(grad, _shapes(m0))
     shuffle = cfg.rng.generator()
     lr, l2, size = cfg.learning_rate, cfg.l2, cfg.batch_size
-    history = []
+    starts = range(0, n, size)
+    losses = np.empty((len(starts), *lead))  # one epoch's batch losses
+    history = np.empty((cfg.epochs, *lead))
+    diverged = {}  # stack index -> TrainingDivergence
     # overflow here is not an error: it is how divergence is detected
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             perm = shuffle.permutation(n)
-            cols = [col[perm] for col in tgt]
-            epoch_losses = []
-            for start in range(0, n, size):
+            cols = [col[..., perm, :] for col in tgt]
+            for k, start in enumerate(starts):
                 rows = slice(start, start + size)
-                batch_tgt = [col[rows] for col in cols]
-                value = _loss_grad(params, X[perm[rows]], batch_tgt, l2, grad)
-                if not math.isfinite(value):
-                    raise TrainingDivergence(epoch, value)
-                grad.params *= lr
-                params.params -= grad.params
-                epoch_losses.append(value)
-            history.append(float(np.mean(epoch_losses)))
-    return Model(m0.task, params.weights, params.biases, loss_history=history)
+                batch_tgt = [col[..., rows, :] for col in cols]
+                losses[k] = _loss_grad(m0.task, layers, X[perm[rows]], batch_tgt, l2, grads)
+                grad *= lr
+                params -= grad
+            # a contiguous row per model: np.mean sums it as it sums one model's list
+            by_model = np.ascontiguousarray(losses.T)
+            history[epoch] = np.mean(by_model, axis=-1)
+            finite = np.isfinite(by_model)
+            if not finite.all():
+                # a diverged model trains on; its own numbers reach no other model
+                for r in np.ndindex(lead):
+                    if r not in diverged and not finite[r].all():
+                        value = float(by_model[r][np.argmin(finite[r])])
+                        diverged[r] = TrainingDivergence(epoch, value)
+                if not lead:
+                    raise diverged[()]
+                if len(diverged) == len(by_model):
+                    break
+
+    def result(r):
+        if r in diverged:
+            return diverged[r]
+        layers = [w[r] for w in weights], [b[r] for b in biases]
+        return Model(m0.task, *layers, loss_history=history[(slice(None), *r)].tolist())
+
+    return [result(r) for r in np.ndindex(lead)] if lead else result(())
 
 
 # --- serialization ---------------------------------------------------------

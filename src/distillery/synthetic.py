@@ -240,9 +240,11 @@ def _parse_record(line: str, sizes, delimiter: str):
             values = tokens[pos : pos + size]
             if len(values) < size:
                 raise ValueError(f"short record: {len(tokens)} tokens")
-            if any("_" in v for v in values):  # float() takes digit separators, as in 1_0
-                k = next(k for k, v in enumerate(values) if "_" in v)
-                raise ValueError(f"token {pos + k + 1}: {values[k]!r} is not a number")
+            for k, v in enumerate(values, pos + 1):
+                try:
+                    parse_number(v, str)  # float() also takes ' 1' and '1_0'
+                except ValueError as e:
+                    raise ValueError(f"token {k}: {e}") from None
             groups.append(np.array([float(v) for v in values]))
             pos += size
     if pos != len(tokens):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from distillery.core import (
     RngStream,
@@ -12,6 +13,7 @@ from distillery.core import (
     check_real,
     check_simplex,
     cross_entropy,
+    finite_rows,
     log_softmax,
     log_sum_exp,
     one_hot,
@@ -289,6 +291,19 @@ class TestParseNumber:
         assert parse_number("12", int) == 12 and type(parse_number("12", int)) is int
         with pytest.raises(ValueError, match="could not convert string to float: 'x'"):
             parse_number("x")
+
+
+class TestFiniteRows:
+    @given(arrays(np.float64, st.tuples(st.integers(0, 6), st.integers(0, 4))))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_isfinite_all(self, A):
+        with np.errstate(over="raise", invalid="raise"):  # finite_rows warns of nothing
+            ok = finite_rows(A)
+        assert ok.dtype == bool and np.array_equal(ok, np.isfinite(A).all(axis=1))
+
+    def test_a_sum_that_overflows_is_not_a_bad_row(self):
+        A = np.array([[1e308, 1e308], [-1e308, -1e308], [np.inf, -np.inf], [1.0, np.nan]])
+        assert finite_rows(A).tolist() == [True, True, False, False]
 
 
 class TestSampleStandardNormal:

@@ -15,6 +15,7 @@ from distillery.distill import (
     Triplet,
     clean_subset,
     distill_student,
+    distill_students,
     multitask_views,
     restrict_simplex,
     soft_labels,
@@ -496,6 +497,37 @@ class TestDatasetValidation:
             else:
                 Dataset.from_arrays(header, x=np.zeros((10, 2)), y=y)
 
+    @pytest.mark.parametrize("view", ["x", "x_star"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("build", ["rows", "from_arrays"])
+    def test_features_must_be_finite_where_present(self, build, bad, view):
+        header, cols = toy_columns(10)
+        cols[view][3, 1] = cols[view][6, 0] = bad
+        with pytest.raises(ValueError, match=f"^example 3: features are not finite in {view}$"):
+            if build == "rows":
+                rows = zip(cols["x"], cols["x_star"], cols["y"])
+                Dataset(header, [Triplet(*row) for row in rows])
+            else:
+                Dataset.from_arrays(header, **cols)
+
+    def test_absent_and_width_0_features_are_not_checked(self):
+        header, cols = toy_columns(10)
+        cols["x"][3] = np.nan
+        present = {"x": np.arange(10) != 3}
+        assert len(Dataset.from_arrays(header, **cols, present=present)) == 10
+        no_x = Dataset.from_arrays(DatasetHeader(0, 2, 2), x=np.empty((10, 0)), y=cols["y"])
+        assert len(no_x) == 10
+
+    def test_finite_features_whose_sum_overflows_pass(self):
+        header, cols = toy_columns(10)
+        cols["x"][4] = [1e308, 1e308, -1e308, -1e308]
+        cols["x_star"][7] = [1e308, 1e308]
+        data = Dataset.from_arrays(header, **cols)
+        assert data.column("x_star")[7, 0] == 1e308
+        cols["x_star"][8] = [1e308, np.inf]
+        with pytest.raises(ValueError, match="^example 8: features are not finite in x_star"):
+            Dataset.from_arrays(header, **cols)
+
     def test_label_within_tolerance_accepted(self):
         Dataset(DatasetHeader(2, 1, 2), [Triplet(y=np.array([0.5, 0.5 + 5e-10]))])
         Dataset(DatasetHeader(2, 1, 2, "regression"), [Triplet(y=np.array([0.7, 0.7]))])
@@ -828,3 +860,84 @@ class TestPlainStudentKept:
             with pytest.raises(TrainingDivergence):
                 distill_student(data, [], cfg)
         assert len(calls) == 2
+
+
+class TestStudentGroups:
+    """`distill_students` trains the students of many requests in as few
+    `train` calls as it can; each equals the lone `distill_student`."""
+
+    @staticmethod
+    def requests(data, cfg):
+        teacher = train_teacher(data, cfg)
+        soft = {T: soft_labels(teacher, data, T) for T in (1.0, 4.0)}
+        cells = [
+            (soft[T], replace(cfg, imitation=lam, unlabeled_weight=uw))
+            for T in (1.0, 4.0) for lam in (0.0, 0.5, 1.0) for uw in (1.0, 0.0)
+        ]
+        return [([], replace(cfg, imitation=0.0)), *cells]
+
+    def test_one_train_call_per_row_set(self, monkeypatch):
+        data, cfg = toy_dataset(n=40, unlabeled_from=24), small_cfg()
+        requests = self.requests(data, cfg)
+        calls = recorded(monkeypatch, "train")
+        students = distill_students(data, requests)
+        # labeled rows (lambda = 0, unlabeled_weight = 0) and every row: two calls
+        assert [len(c[1]) for c in calls] == [24, 40]
+        assert [c[1].lead for c in calls] == [(5,), (4,)]
+        for (soft, c), student in zip(requests, students):
+            fresh = toy_dataset(n=40, unlabeled_from=24)
+            assert_same_bits(student, distill_student(fresh, soft, c))
+            assert_same_bits(distill_student(data, soft, c), student)
+        assert len(calls) == 2 + len(requests)  # the lone calls above; `data` trains no more
+
+    def test_a_group_beyond_group_bytes_trains_in_chunks(self, monkeypatch):
+        data, cfg = toy_dataset(n=40, unlabeled_from=24), small_cfg()
+        requests = self.requests(data, cfg)
+        grouped = distill_students(toy_dataset(n=40, unlabeled_from=24), requests)
+        # two students' soft targets on 24 rows of c = 2 per chunk
+        monkeypatch.setattr(distill, "GROUP_BYTES", 2 * 8 * 24 * 2)
+        calls = recorded(monkeypatch, "train")
+        chunked = distill_students(data, requests)
+        assert [c[1].lead for c in calls] == [(2,), (2,), (1,), (1,), (1,), (1,), (1,)]
+        for a, b in zip(grouped, chunked):
+            assert_same_bits(a, b)
+
+    def test_a_request_asked_twice_trains_once_and_each_gets_a_copy(self, monkeypatch):
+        data, cfg = toy_dataset(n=30), small_cfg(imitation=0.5)
+        soft = soft_labels(train_teacher(data, cfg), data, 2.0)
+        calls = recorded(monkeypatch, "train")
+        first, second = distill_students(data, [(soft, cfg), (soft.copy(), cfg)])
+        assert len(calls) == 1 and calls[0][1].lead == (1,)
+        assert_same_bits(first, second)
+        assert not np.shares_memory(first.params, second.params)
+        other = soft.copy()
+        other[0] = other[0][::-1]  # another soft column is another student
+        distill_students(data, [(other, cfg)])
+        assert len(calls) == 2
+
+    def test_a_diverging_student_fails_alone_and_is_not_kept(self, monkeypatch):
+        # huge soft targets make the lambda = 1 student diverge; the plain
+        # student trains on the same rows in the same call
+        header, cols = toy_columns(30)
+        header = DatasetHeader(4, 2, 2, "regression")
+        data = Dataset.from_arrays(header, **cols)
+        cfg = small_cfg()
+        soft = np.full((30, 2), 1e200)
+        requests = [([], replace(cfg, imitation=0.0)), (soft, cfg)]
+        calls = recorded(monkeypatch, "train")
+        plain, failed = distill_students(data, requests)
+        assert len(calls) == 1 and isinstance(failed, TrainingDivergence)
+        assert_same_bits(plain, distill_student(Dataset.from_arrays(header, **cols), *requests[0]))
+        with pytest.raises(TrainingDivergence) as alone:
+            distill_student(data, soft, cfg)
+        assert (alone.value.epoch, str(alone.value)) == (failed.epoch, str(failed))
+        assert len(calls) == 3  # the failed student was trained again, the plain one was not
+
+    def test_a_request_without_usable_rows_fails_alone(self):
+        data = toy_dataset(n=30, unlabeled_from=0)  # no labels
+        cfg = small_cfg(imitation=0.0)
+        [failed] = distill_students(data, [([], cfg)])
+        assert isinstance(failed, ValueError)
+        assert str(failed) == "no usable examples to distill into the student"
+        with pytest.raises(ValueError, match="^no usable examples to distill into the student$"):
+            distill_student(data, [], cfg)

@@ -937,6 +937,15 @@ class TestCifarMachinery:
         for arm in ("distilled", "distilled-labeled"):
             assert alone.arm(arm, 5.0, 0.0).values == full.arm(arm, 5.0, 0.0).values
 
+    def test_lambda_one_alone_equals_full_grid(self, cifar_dir):
+        # alone, the lambda = 1 students train in other groups than in the full grid
+        full = run_cifar_semisup(**self.cifar_kwargs(cifar_dir))
+        alone = run_cifar_semisup(**self.cifar_kwargs(cifar_dir, lambda_grid=(1.0,)))
+        for arm in ("distilled", "distilled-labeled"):
+            for T in (1.0, 5.0):
+                assert alone.arm(arm, T, 1.0).values == full.arm(arm, T, 1.0).values
+        assert alone.arm("regular") == full.arm("regular")
+
     def test_deterministic(self, cifar_dir):
         a = run_cifar_semisup(**self.cifar_kwargs(cifar_dir))
         b = run_cifar_semisup(**self.cifar_kwargs(cifar_dir))
@@ -1011,6 +1020,18 @@ class TestMultitaskMachinery:
     def test_lambda_zero_cell_equals_regular(self, multitask_path):
         report = run_multitask(multitask_path, **self.mt_kwargs(multitask_path))
         assert report.arm("distilled", 1.0, 0.0).values == report.arm("regular").values
+
+    def test_one_cell_alone_equals_full_grid_on_every_task(self, multitask_path):
+        full = run_multitask(multitask_path, **self.mt_kwargs(multitask_path,
+                                                                 lambda_grid=(0.0, 0.5, 1.0)))
+        alone = run_multitask(multitask_path, **self.mt_kwargs(multitask_path, lambda_grid=(0.5,)))
+        cells = [r for r in alone.results if r.temperature is not None]
+        assert len(cells) == 1 + 7  # the aggregate and one row per task
+        for r in cells:
+            assert r == full.arm(r.arm, 1.0, 0.5)
+        for j in range(7):
+            regular = full.arm(f"regular/task{j}")
+            assert full.arm(f"distilled/task{j}", 1.0, 0.0).values == regular.values
 
     def test_replay_from_config(self, multitask_path):
         report = run_multitask(multitask_path, **self.mt_kwargs(multitask_path))
@@ -1114,6 +1135,28 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == "error: ValueError: reps must be an integer >= 0, got -2\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synthetic", "--experiment", "1", "--reps", "\u0660"],
+            ["synthetic", "--experiment", "\u0663"],
+            ["synthetic", "--experiment", "1", "--n-train", "4_0"],
+            ["synthetic", "--experiment", "1", "--T", " 1"],
+            ["synthetic", "--experiment", "1", "--lambda", "0.5 "],
+            ["mnist", "--seed", "1_000"],
+            ["cifar", "--sigma", "0_5"],
+            ["cifar", "--max-unlabeled", "\u0661\u0660"],
+            ["multitask", "--path", "t.csv", "--test-cap", " 5"],
+        ],
+    )
+    def test_number_with_a_separator_non_ascii_or_whitespace_is_refused(self, capsys, argv):
+        option, text = argv[-2:]
+        kind = "float" if option in ("--T", "--lambda", "--sigma") else "int"
+        with pytest.raises(SystemExit) as e:
+            cli_main(argv)
+        assert e.value.code == 2
+        assert f"argument {option}: invalid {kind} value: {text!r}" in capsys.readouterr().err
 
     def test_bad_grid_rejected(self, capsys):
         with pytest.raises(SystemExit):

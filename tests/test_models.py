@@ -600,6 +600,85 @@ class TestPacked:
             train(init_model("linear", 3, 3), packed, cfg)
 
 
+def stacked_sets(task, R, n=45, d=6, c=3):
+    """X and R target sets on its rows, as Packed's (hard, soft) arguments:
+    shared hard targets, per-set soft targets, and imitation weights from
+    0 (set 0) to 1 (set R - 1); every fourth row has no hard weight."""
+    rng = np.random.default_rng([R, task == "regression"])
+    X = rng.normal(size=(n, d))
+    if task == "classification":
+        H, S = np.eye(c)[rng.integers(c, size=n)], rng.dirichlet(np.ones(c), size=(R, n))
+    else:
+        H, S = rng.normal(size=(n, c)), rng.normal(size=(R, n, c))
+    lam = np.linspace(0.0, 1.0, R)[:, None]
+    hw, sw = np.repeat(1.0 - lam, n, axis=1), np.repeat(lam, n, axis=1)
+    hw[:, ::4] = 0.0
+    return X, (H, hw), (S, sw)
+
+
+class TestStackedTrain:
+    """R target sets on the same rows, trained in one call, give the models
+    and loss histories of R calls bit for bit."""
+
+    @pytest.mark.parametrize("R", [1, 2, 25])
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    @pytest.mark.parametrize("arch", [Arch("linear"), Arch.mlp(5, 4)], ids=["linear", "mlp"])
+    def test_one_call_equals_a_call_per_set(self, arch, task, R):
+        X, (H, hw), (S, sw) = stacked_sets(task, R)
+        m0 = init_model(arch, 6, 3, task, RngStream(1))
+        # 45 rows in batches of 5: nine batches, so the epoch mean sums pairwise
+        cfg = TrainConfig(learning_rate=0.1, epochs=6, batch_size=5, l2=1e-2, rng=RngStream(7))
+        stack = Packed(X, task, (H, hw), (S, sw), range(45))
+        assert stack.lead == (R,)
+        group = train(m0, stack, cfg)
+        assert len(group) == R
+        for r, got in enumerate(group):
+            alone = train(m0, Packed(X, task, (H, hw[r]), (S[r], sw[r]), range(45)), cfg)
+            assert got.params.tobytes() == alone.params.tobytes()
+            assert got.loss_history == alone.loss_history
+
+    def test_loss_and_gradient_per_set(self):
+        X, (H, hw), (S, sw) = stacked_sets("classification", 3)
+        m = init_model(Arch.mlp(4), 6, 3, rng=RngStream(2))
+        stack = Packed(X, "classification", (H, hw), (S, sw), range(45))
+        values, grads = loss(m, stack, l2=0.1), gradient(m, stack, l2=0.1)
+        assert values.shape == (3,) and grads.shape == (3, m.params.size)
+        for r in range(3):
+            alone = Packed(X, "classification", (H, hw[r]), (S[r], sw[r]), range(45))
+            assert values[r] == loss(m, alone, l2=0.1)
+            assert grads[r].tobytes() == gradient(m, alone, l2=0.1).tobytes()
+
+    def test_a_diverging_set_fails_as_it_would_alone(self):
+        # set 1's soft weight of 80 makes its steps grow until the loss overflows
+        X, (H, hw), (S, sw) = stacked_sets("regression", 3)
+        sw[1] *= 80.0
+        m0 = init_model("linear", 6, 3, "regression", RngStream(1))
+        cfg = TrainConfig(learning_rate=0.1, epochs=40, batch_size=5, l2=1e-2, rng=RngStream(7))
+        group = train(m0, Packed(X, "regression", (H, hw), (S, sw), range(45)), cfg)
+        assert isinstance(group[1], TrainingDivergence) and group[1].epoch > 0
+        with pytest.raises(TrainingDivergence) as alone:
+            train(m0, Packed(X, "regression", (H, hw[1]), (S[1], sw[1]), range(45)), cfg)
+        assert (group[1].epoch, str(group[1])) == (alone.value.epoch, str(alone.value))
+        for r in (0, 2):
+            other = train(m0, Packed(X, "regression", (H, hw[r]), (S[r], sw[r]), range(45)), cfg)
+            assert group[r].params.tobytes() == other.params.tobytes()
+            assert group[r].loss_history == other.loss_history
+
+    @pytest.mark.parametrize(
+        "hard_w,soft,message",
+        [
+            ((2, 45), ((45, 3), (3, 45)), r"^soft weights: shape \(3, 45\), expected \(2, 45\)"),
+            ((45,), ((2, 45, 3), (45,)), r"^soft targets: shape \(2, 45, 3\), expected \(45, 3\)"),
+        ],
+        ids=["two-stack-sizes", "stacked-targets-without-stacked-weights"],
+    )
+    def test_a_stack_has_one_size(self, hard_w, soft, message):
+        X, (H, _), _ = stacked_sets("classification", 1)
+        soft = (np.full(soft[0], 1.0 / 3), np.ones(soft[1]))
+        with pytest.raises(ValueError, match=message):
+            Packed(X, "classification", (H, np.ones(hard_w)), soft, range(45))
+
+
 class TestSerialization:
     def test_round_trip_bitwise(self, tmp_path):
         m = init_model(Arch.mlp(5, 4), 7, 3, rng=RngStream(77))

@@ -197,16 +197,16 @@ class TestDump:
 
 @st.composite
 def datasets(draw):
-    """Regression datasets (any features, any finite y) with d, d_star in
+    """Regression datasets (any finite features and y) with d, d_star in
     0..3, c in 1..3 and random missing fields."""
     sizes = [draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(1, 3))]
-    features, labels = st.floats(allow_nan=False), st.floats(allow_nan=False, allow_infinity=False)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
     examples = []
     for _ in range(draw(st.integers(0, 5))):
         present = draw(st.lists(st.booleans(), min_size=3, max_size=3).filter(any))
         examples.append(Triplet(*(
-            np.array(draw(st.lists(values, min_size=k, max_size=k)), float) if p else None
-            for k, p, values in zip(sizes, present, (features, features, labels))
+            np.array(draw(st.lists(finite, min_size=k, max_size=k)), float) if p else None
+            for k, p in zip(sizes, present)
         )))
     return Dataset(DatasetHeader(*sizes, "regression"), examples)
 
@@ -275,6 +275,21 @@ class TestDumpFormat:
         with pytest.raises(ValueError) as e:
             load_dataset(path)
         assert str(e.value) == f"line 1: expected d, d_star, c, n: {bad!r} is not a number"
+
+    @pytest.mark.parametrize("token", [" 1.5", "1.5 ", "1_5", " "])
+    def test_record_number_with_whitespace_or_a_separator_is_named(self, tmp_path, token):
+        path = tmp_path / "dump.txt"
+        path.write_text(f"2,0,2,1\n1,{token},,0,1\n")
+        with pytest.raises(ValueError) as e:
+            load_dataset(path)
+        assert str(e.value) == f"record 1: token 2: {token!r} is not a number"
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+    def test_non_finite_feature_is_named(self, tmp_path, token):
+        path = tmp_path / "dump.txt"
+        path.write_text(f"2,1,2,2\n1,2,3,0,1\n1,2,{token},0,1\n")
+        with pytest.raises(ValueError, match="^example 1: features are not finite in x_star$"):
+            load_dataset(path)
 
     def test_non_ascii_header_is_named(self, tmp_path):
         path = tmp_path / "dump.txt"
