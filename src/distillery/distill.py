@@ -22,6 +22,7 @@ examples, and per-task views of multi-output regression data.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -88,7 +89,8 @@ _VIEWS = ("x", "x_star", "y")
 # A lockstep group holds several stacks of R x rows x c target floats, so
 # `distill_students` trains a group in chunks of about this many bytes of
 # soft targets (4 whole-pool CIFAR students, while a grid on a few hundred
-# rows stays one chunk).
+# rows stays one chunk).  Chunks train concurrently, so up to one chunk per
+# worker (see `_workers`) is live at once.
 GROUP_BYTES = 16 << 20
 
 
@@ -289,7 +291,11 @@ def distill_students(data: Dataset, requests) -> list:
     (student_arch, student_train, rows trained on), one per GROUP_BYTES of
     their soft targets: from one initial model and one shuffle stream, each
     step multiplies one batch of X against all of their first layers, and
-    each comes out bit for bit as it would alone.
+    each comes out bit for bit as it would alone.  Independent calls run at
+    the same time on up to one thread per usable CPU (numpy releases the
+    interpreter lock in its products); what they return is kept in call
+    order, so no result depends on the CPU count.  Any other error of a call
+    is raised, the first in call order.
     """
     keyed, todo, failed, groups, shape = [], {}, {}, {}, (len(data), data.header.c)
     for soft, cfg in requests:
@@ -315,19 +321,48 @@ def distill_students(data: Dataset, requests) -> list:
             continue
         group = groups.setdefault((cfg.student_arch, cfg.student_train, ids.tobytes()), [])
         group.append((key, hw, S, sw))
+    jobs = []  # per train call: (its members, rows, student_arch, student_train)
     for (arch, train_cfg, ids), members in groups.items():
         ids = np.frombuffer(ids, dtype=np.intp)
         size = max(1, GROUP_BYTES // (8 * ids.size * data.header.c))
-        for start in range(0, len(members), size):
-            chunk = members[start : start + size]
-            hw, S, sw = (np.stack([m[k][ids] for m in chunk]) for k in (1, 2, 3))
-            trained = _fit(data, "x", ids, hw, (S, sw), arch, train_cfg)
-            for (key, *_), student in zip(chunk, trained):
-                if isinstance(student, Model):
-                    data._students[key] = student
-                else:
-                    failed[key] = student
+        jobs += [(members[i : i + size], ids, arch, train_cfg) for i in range(0, len(members), size)]
+    for trained, (chunk, *_) in zip(_run(data, jobs), jobs):
+        for (key, *_), student in zip(chunk, trained):
+            if isinstance(student, Model):
+                data._students[key] = student
+            else:
+                failed[key] = student
     return [failed[key] if key in failed else _copy(data._students[key]) for key in keyed]
+
+
+def _workers() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _run(data: Dataset, jobs):
+    """The `train` results of `distill_students`' jobs, in job order; the
+    stacked targets of a job are built when it starts, so at most one job's
+    are live per thread.  One job, or one CPU, runs them here, one by one."""
+
+    def fit(job):
+        chunk, ids, arch, train_cfg = job
+        hw, S, sw = (np.stack([m[k][ids] for m in chunk]) for k in (1, 2, 3))
+        return _fit(data, "x", ids, hw, (S, sw), arch, train_cfg)
+
+    workers = min(len(jobs), _workers())
+    if workers <= 1:
+        yield from map(fit, jobs)
+        return
+    # imported here, so that a process that never trains two calls at once
+    # does not load it (about 0.75 MB)
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        yield from pool.map(fit, jobs)
 
 
 def _copy(m: Model) -> Model:

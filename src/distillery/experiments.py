@@ -214,6 +214,22 @@ def _grids(T_grid, lambda_grid) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return _grid("T_grid", T_grid, low_open=True), _grid("lambda_grid", lambda_grid, 1.0)
 
 
+def _score_once(score, test_ds):
+    """`score(model, test_ds, view)` that scores each distinct (model, view)
+    once: a model equal to one already scored (the same parameter bits, as a
+    lambda=0 cell is the regular student) gets that score back."""
+    scored = []  # (model, view, score)
+
+    def scored_once(model, view):
+        for m, v, value in scored:
+            if v == view and m == model:
+                return value
+        scored.append((model, view, score(model, test_ds, view)))
+        return scored[-1][2]
+
+    return scored_once
+
+
 def _repeat(problems, T_grid, lambda_grid, metric="accuracy", arms=None, per_task=False):
     """Generalized distillation over a stream of problems: (results, errors).
 
@@ -223,10 +239,11 @@ def _repeat(problems, T_grid, lambda_grid, metric="accuracy", arms=None, per_tas
     the regular student (imitation 0, no soft labels) and one student per
     (T, lambda) for every distilled arm, as few times and in as few groups
     as it can (at lambda = 0 it reads no soft label, so that cell is the
-    regular student).  Each one is then taken, and scored, through its own
-    `distill_student` call.  `arms` maps a distilled arm to its
-    DistillConfig overrides, e.g. {"unlabeled_weight": 0.0} to train on the
-    labeled rows alone (the default is one arm, "distilled", with none).  A
+    regular student).  Each one is then taken through its own
+    `distill_student` call, and each distinct model is scored once.  `arms`
+    maps a distilled arm to its DistillConfig overrides, e.g.
+    {"unlabeled_weight": 0.0} to train on the labeled rows alone (the
+    default is one arm, "distilled", with none).  A
     diverging teacher or regular student drops the problem; a diverging
     distilled student drops only its cell; an aggregate is complete with one
     value per problem.  `per_task` adds one row per value, named after its
@@ -257,8 +274,9 @@ def _repeat(problems, T_grid, lambda_grid, metric="accuracy", arms=None, per_tas
         except TrainingDivergence as e:
             errors.append(f"{label}: {e}")
             continue
-        values["privileged", None, None].append((label, score(teacher, test_ds, "x_star")))
-        values["regular", None, None].append((label, score(regular, test_ds, "x")))
+        scored_once = _score_once(score, test_ds)
+        values["privileged", None, None].append((label, scored_once(teacher, "x_star")))
+        values["regular", None, None].append((label, scored_once(regular, "x")))
         for T in T_grid:
             for lam in lambda_grid:
                 try:
@@ -269,7 +287,7 @@ def _repeat(problems, T_grid, lambda_grid, metric="accuracy", arms=None, per_tas
                     errors.append(f"{label} cell T={T} lambda={lam}: {e}")
                     continue
                 for a, student in students.items():
-                    values[a, T, lam].append((label, score(student, test_ds, "x")))
+                    values[a, T, lam].append((label, scored_once(student, "x")))
     results = []
     for (arm, T, lam), scored in values.items():
         results.append(_aggregate(arm, metric, [v for _, v in scored], n_problems, T, lam))

@@ -1,6 +1,9 @@
+import concurrent.futures
 import itertools
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -881,9 +884,9 @@ class TestStudentGroups:
         requests = self.requests(data, cfg)
         calls = recorded(monkeypatch, "train")
         students = distill_students(data, requests)
-        # labeled rows (lambda = 0, unlabeled_weight = 0) and every row: two calls
-        assert [len(c[1]) for c in calls] == [24, 40]
-        assert [c[1].lead for c in calls] == [(5,), (4,)]
+        # labeled rows (lambda = 0, unlabeled_weight = 0) and every row: two
+        # calls, which may start in either order on two threads
+        assert sorted((len(c[1]), c[1].lead) for c in calls) == [(24, (5,)), (40, (4,))]
         for (soft, c), student in zip(requests, students):
             fresh = toy_dataset(n=40, unlabeled_from=24)
             assert_same_bits(student, distill_student(fresh, soft, c))
@@ -898,7 +901,8 @@ class TestStudentGroups:
         monkeypatch.setattr(distill, "GROUP_BYTES", 2 * 8 * 24 * 2)
         calls = recorded(monkeypatch, "train")
         chunked = distill_students(data, requests)
-        assert [c[1].lead for c in calls] == [(2,), (2,), (1,), (1,), (1,), (1,), (1,)]
+        chunks = sorted((len(c[1]), c[1].lead) for c in calls)
+        assert chunks == [(24, (1,)), (24, (2,)), (24, (2,)), *[(40, (1,))] * 4]
         for a, b in zip(grouped, chunked):
             assert_same_bits(a, b)
 
@@ -941,3 +945,70 @@ class TestStudentGroups:
         assert str(failed) == "no usable examples to distill into the student"
         with pytest.raises(ValueError, match="^no usable examples to distill into the student$"):
             distill_student(data, [], cfg)
+
+
+def outcome(result):
+    """A `distill_students` result as comparable values: a model's bits and
+    loss_history, or an error's type, text and epoch."""
+    if isinstance(result, Exception):
+        return type(result), str(result), getattr(result, "epoch", None)
+    return [w.tobytes() for w in params(result)], result.loss_history
+
+
+@pytest.fixture
+def short_switches():
+    # switch threads often, so that an order the results depend on would show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    yield
+    sys.setswitchinterval(interval)
+
+
+@pytest.mark.usefixtures("short_switches")
+class TestConcurrentGroups:
+    """`distill_students` runs its `train` calls on up to `_workers()` threads;
+    what it returns, keeps and raises does not depend on their number."""
+
+    @staticmethod
+    def trained(monkeypatch, workers):
+        """(results, memo items, thread counts of the pools built) of 8 train
+        calls: the 24-row group in chunks of 2, 2 and 1 and the 40-row group
+        one student per call, the last of them diverging."""
+        monkeypatch.setattr(distill, "_workers", lambda: workers)
+        monkeypatch.setattr(distill, "GROUP_BYTES", 2 * 8 * 24 * 2)
+        pools = []
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            lambda n: pools.append(n) or ThreadPoolExecutor(n))
+        data, cfg = toy_dataset(n=40, unlabeled_from=24), small_cfg()
+        requests = TestStudentGroups.requests(data, cfg)
+        requests.append((requests[1][0], replace(cfg, unlabeled_weight=1e300)))
+        calls = recorded(monkeypatch, "train")
+        results = [outcome(r) for r in distill_students(data, requests)]
+        assert len(calls) == 8 and results[-1][0] is TrainingDivergence
+        return results, [(k, outcome(m)) for k, m in data._students.items()], pools
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_results_and_memo_do_not_depend_on_the_worker_count(self, monkeypatch, workers):
+        *alone, serial = self.trained(monkeypatch, 1)
+        *threaded, pools = self.trained(monkeypatch, workers)
+        assert serial == [] and pools == [workers]
+        assert threaded == alone
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_the_first_failing_call_in_order_raises(self, monkeypatch, workers):
+        # three groups: 5 labeled rows at batch size 2 (trains), 8 rows with
+        # x_star and 5 labeled rows at batch size 10 (both fail)
+        monkeypatch.setattr(distill, "_workers", lambda: workers)
+        header, cols = toy_columns(40)
+        present = {"y": np.arange(40) < 5, "x_star": np.arange(40) < 8}
+        data = Dataset.from_arrays(header, **cols, present=present)
+        cfg = small_cfg()
+        small_batch = replace(cfg.student_train, batch_size=2)
+        requests = [
+            ([], replace(cfg, imitation=0.0, student_train=small_batch)),
+            (np.full((40, 2), 0.5), replace(cfg, imitation=0.5)),
+            ([], replace(cfg, imitation=0.0)),
+        ]
+        with pytest.raises(ValueError, match="^batch_size 10 exceeds data size 8$"):
+            distill_students(data, requests)
+        assert list(data._students) == [(cfg.student_arch, small_batch)]

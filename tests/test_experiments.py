@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import dataclasses
 import functools
 import gc
@@ -11,13 +12,14 @@ import re
 import struct
 import sys
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from distillery import __version__, experiments
+from distillery import __version__, distill, experiments
 from distillery.cli import _dispatch, _grid, build_parser
 from distillery.cli import main as cli_main
 from distillery.experiments import (
@@ -540,10 +542,27 @@ class TestMnistMachinery:
     def test_accuracy_equals_stacked_rows(self, mnist_dir, monkeypatch):
         calls = recorded(monkeypatch, "accuracy")
         run_mnist(**mnist_kwargs(mnist_dir, reps=1))
-        assert len(calls) == 2 + 4
+        assert len(calls) == 2 + 2  # the two lambda=0 cells reuse the regular student's score
         for (model, ds, view), value in calls:
             predicted = np.argmax(forward(model, stacked(ds, view)), axis=1)
             assert value == np.mean(predicted == np.argmax(stacked(ds, "y"), axis=1))
+
+    def test_a_lambda_zero_student_that_differs_is_scored(self, mnist_dir, monkeypatch):
+        # scores are reused by model, not by lambda, so a wrong lambda=0 cell shows
+        real = experiments.distill_student
+
+        def zeroed_cells(data, soft, cfg):
+            student = real(data, soft, cfg)
+            if cfg.imitation == 0.0 and len(soft) > 0:
+                student.params[:] = 0.0
+            return student
+
+        monkeypatch.setattr(experiments, "distill_student", zeroed_cells)
+        calls = recorded(monkeypatch, "accuracy")
+        run_mnist(**mnist_kwargs(mnist_dir, reps=1))
+        assert len(calls) == 2 + 1 + 2  # the two zeroed cells are one model
+        # teacher, regular, then per T the lambda=0 and the lambda=1 cell
+        assert [not model.params.any() for (model, *_), _ in calls] == [0, 0, 1, 0, 0]
 
     def test_single_cell_equals_full_grid(self, mnist_dir):
         full = run_mnist(**mnist_kwargs(mnist_dir))
@@ -857,6 +876,19 @@ def test_configs_of_an_earlier_import_accepted(mnist_dir, monkeypatch):
     assert list(map(dataclasses.astuple, a.results)) == list(map(dataclasses.astuple, b.results))
 
 
+@pytest.mark.parametrize("runner", ["synthetic", "mnist"])
+def test_one_train_call_per_problem_builds_no_thread_pool(runner, mnist_dir, monkeypatch):
+    # a synthetic problem's students, and a grid on one row set, train in one call
+    def refuse(n):
+        raise AssertionError("a thread pool was built")
+
+    monkeypatch.setattr(distill, "_workers", lambda: 4)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    calls = {"synthetic": tiny_synthetic,
+             "mnist": lambda: run_mnist(**mnist_kwargs(mnist_dir, lambda_grid=(0.0, 0.5, 1.0)))}
+    assert calls[runner]().status == "complete"
+
+
 class TestCifarMachinery:
     def cifar_kwargs(self, cifar_dir, **over):
         kw = dict(
@@ -946,6 +978,18 @@ class TestCifarMachinery:
                 assert alone.arm(arm, T, 1.0).values == full.arm(arm, T, 1.0).values
         assert alone.arm("regular") == full.arm("regular")
 
+    def test_report_does_not_depend_on_the_worker_count(self, cifar_dir, monkeypatch):
+        # two train calls per repetition: the labeled rows and the whole pool
+        pools = []
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            lambda n: pools.append(n) or ThreadPoolExecutor(n))
+        reports = []
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(distill, "_workers", lambda: workers)
+            reports.append(run_cifar_semisup(**self.cifar_kwargs(cifar_dir, reps=2)))
+        assert reports[0] == reports[1] == reports[2]
+        assert pools == [2] * 4
+
     def test_deterministic(self, cifar_dir):
         a = run_cifar_semisup(**self.cifar_kwargs(cifar_dir))
         b = run_cifar_semisup(**self.cifar_kwargs(cifar_dir))
@@ -1013,7 +1057,7 @@ class TestMultitaskMachinery:
     def test_mse_equals_stacked_rows(self, multitask_path, monkeypatch):
         calls = recorded(monkeypatch, "mse")
         run_multitask(multitask_path, **self.mt_kwargs(multitask_path))
-        assert len(calls) == 7 * (2 + 2)
+        assert len(calls) == 7 * (2 + 1)  # the lambda=0 cell reuses the regular student's score
         for (model, ds, view), value in calls:
             assert value == np.mean((forward(model, stacked(ds, view)) - stacked(ds, "y")) ** 2)
 
