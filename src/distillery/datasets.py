@@ -10,6 +10,12 @@ before any partially built set escapes):
   * Delimiter-separated numeric text with 21 input columns and 7 output
     columns for multitask regression tables.
 
+Both image containers are fixed-size records behind one on-disk reader,
+`ImageRecords`: opening checks every header, size and label byte and
+keeps only the labels (CIFAR batches are scanned SCAN_BYTES at a time),
+and `take` reads the pixels of the records drawn.  `load_idx` and
+`load_cifar` open a set and take every record.
+
 Pixels stay uint8 in the containers and are scaled to [0, 1] when
 converted to feature vectors.
 """
@@ -32,7 +38,10 @@ __all__ = [
     "CountMismatchError",
     "TableFormatError",
     "ImageSet",
+    "ImageRecords",
     "MultitaskTable",
+    "open_idx",
+    "open_cifar",
     "load_idx",
     "write_idx",
     "load_cifar",
@@ -44,6 +53,8 @@ __all__ = [
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 CIFAR_RECORD_BYTES = 3073
+# records are scanned and read at most about this many bytes at a time
+SCAN_BYTES = 1 << 20
 
 
 class ParseError(ValueError):
@@ -98,6 +109,72 @@ class ImageSet:
         return self.images.reshape(self.n, -1).astype(np.float64) / 255.0
 
 
+class ImageRecords:
+    """Labeled uint8 images left on disk: fixed-size records in one or more
+    files, of which only the labels are held.  Made by `open_idx` and
+    `open_cifar`.  The files must not change while the set is in use; one
+    found shorter raises TruncatedFileError at the `take` that reads past
+    its end."""
+
+    def __init__(self, files, shape: tuple, header: int, skip: int):
+        """`files` holds (path, size in bytes, label bytes) per file, in record order."""
+        self.labels = np.concatenate([np.empty(0, dtype=np.int64), *(lab for *_, lab in files)])
+        self.shape = shape  # one image's
+        self._files = [(path, size) for path, size, _ in files]
+        self._ends = np.cumsum([len(lab) for *_, lab in files], dtype=np.int64)
+        self._header = header  # bytes before the first record
+        self._skip = skip  # bytes before the pixels within a record
+        self._record = skip + math.prod(shape)
+
+    @property
+    def n(self) -> int:
+        return len(self.labels)
+
+    def take(self, indices) -> np.ndarray:
+        """The images at `indices` (any order, repeats allowed), shaped
+        (len(indices), *shape): the rows that indexing the whole set gives.
+        One read per run of consecutive records in a file (per SCAN_BYTES
+        of a longer run)."""
+        idx = np.asarray(indices)
+        if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+            raise IndexError(f"indices must be a 1-D integer array, got {idx.dtype} {idx.shape}")
+        idx = idx.astype(np.int64, copy=False)
+        if len(idx) and (idx.min() < 0 or idx.max() >= self.n):
+            raise IndexError(f"indices must be in [0, {self.n}), got {idx.min()}..{idx.max()}")
+        if np.any(idx[1:] <= idx[:-1]):
+            unique, inverse = np.unique(idx, return_inverse=True)
+            return self.take(unique)[inverse]
+        out = np.empty((len(idx), *self.shape), dtype=np.uint8)
+        rows = out.reshape(len(idx), self._record - self._skip)
+        ends = np.searchsorted(idx, self._ends)
+        for (path, size), first, lo, hi in zip(self._files, [0, *self._ends], [0, *ends], ends):
+            if lo == hi:
+                continue
+            local = idx[lo:hi] - first
+            runs = [0, *(np.flatnonzero(np.diff(local) != 1) + 1), hi - lo]
+            with open(path, "rb") as f:
+                for a, b in zip(runs, runs[1:]):
+                    offset = self._header + int(local[a]) * self._record
+                    for k, block in _blocks(f, path, size, offset, self._record, b - a):
+                        rows[lo + a + k : lo + a + k + len(block)] = block[:, self._skip :]
+        return out
+
+
+def _blocks(f, path, size: int, offset: int, record: int, count: int):
+    """Read `count` records of `record` bytes from byte `offset` of the open
+    file `f`, at most SCAN_BYTES at a time: yields (first record, block of
+    shape (k, record)), one buffer reused.  A short read raises
+    TruncatedFileError naming `path`, whose size was `size`."""
+    step = max(1, SCAN_BYTES // max(record, 1))
+    buf = np.empty((min(count, step), record), dtype=np.uint8)
+    f.seek(offset)
+    for first in range(0, count, step):
+        block = buf[: min(step, count - first)]
+        if f.readinto(block) != block.nbytes:
+            raise TruncatedFileError(f"{path}: shorter than its {size} bytes")
+        yield first, block
+
+
 def _read_be32(data: bytes, offset: int, path) -> int:
     if offset + 4 > len(data):
         raise TruncatedFileError(f"{path}: header truncated at byte {len(data)}")
@@ -112,27 +189,27 @@ def _check_labels(labels: np.ndarray, path) -> None:
         raise ParseError(f"{path}: record {k}: label {labels[k]} out of range for 10 classes")
 
 
-def load_idx(images_path, labels_path) -> ImageSet:
-    """Parse an IDX image/label file pair; the counts must agree.  Raises a
-    ParseError naming the file that is malformed."""
+def open_idx(images_path, labels_path) -> ImageRecords:
+    """Open an IDX image/label file pair; the counts must agree.  Reads the
+    image header and every label; raises a ParseError naming the file that
+    is malformed."""
     with open(images_path, "rb") as f:
-        img_data = f.read()
-    magic = _read_be32(img_data, 0, images_path)
+        head, size = f.read(16), os.fstat(f.fileno()).st_size
+    magic = _read_be32(head, 0, images_path)
     if magic != IDX_IMAGE_MAGIC:
         raise BadMagicError(
             f"{images_path}: magic {magic:#010x}, expected {IDX_IMAGE_MAGIC:#010x}"
         )
-    n = _read_be32(img_data, 4, images_path)
-    h = _read_be32(img_data, 8, images_path)
-    w = _read_be32(img_data, 12, images_path)
+    n = _read_be32(head, 4, images_path)
+    h = _read_be32(head, 8, images_path)
+    w = _read_be32(head, 12, images_path)
     if min(n, h, w) < 0:
         raise ParseError(f"{images_path}: negative dimension in {n}x{h}x{w}")
     expected = 16 + n * h * w
-    if len(img_data) != expected:
+    if size != expected:
         raise TruncatedFileError(
-            f"{images_path}: expected {expected} bytes ({n}x{h}x{w} payload), got {len(img_data)}"
+            f"{images_path}: expected {expected} bytes ({n}x{h}x{w} payload), got {size}"
         )
-    images = np.frombuffer(img_data, dtype=np.uint8, offset=16).reshape(n, h, w, 1)
 
     with open(labels_path, "rb") as f:
         lab_data = f.read()
@@ -152,7 +229,13 @@ def load_idx(images_path, labels_path) -> ImageSet:
         )
     labels = np.frombuffer(lab_data, dtype=np.uint8, offset=8)
     _check_labels(labels, labels_path)
-    return ImageSet(images, labels.astype(np.int64), n_classes=10)
+    return ImageRecords([(images_path, size, labels)], (h, w, 1), header=16, skip=0)
+
+
+def load_idx(images_path, labels_path) -> ImageSet:
+    """Parse an IDX image/label file pair whole (`open_idx`, then every record)."""
+    records = open_idx(images_path, labels_path)
+    return ImageSet(records.take(np.arange(records.n)), records.labels, n_classes=10)
 
 
 def write_idx(imgset: ImageSet, images_path, labels_path) -> None:
@@ -168,27 +251,34 @@ def write_idx(imgset: ImageSet, images_path, labels_path) -> None:
         f.write(imgset.labels.astype(np.uint8).tobytes())
 
 
-def load_cifar(batch_paths) -> ImageSet:
-    """Concatenate CIFAR-10 binary batches (label byte + 3072 pixel bytes),
-    read straight into one buffer.
-
-    Pixels are kept channel-planar: shape (n, 3, 32, 32).  Raises a
-    ParseError naming the file that is malformed.
-    """
+def open_cifar(batch_paths) -> ImageRecords:
+    """Open CIFAR-10 binary batches (label byte + 3072 pixel bytes) as one
+    set, in order.  Scans every label in chunks of about SCAN_BYTES;
+    raises a ParseError naming the file that is malformed.  Pixels are
+    channel-planar: an image has shape (3, 32, 32)."""
     sizes = [os.path.getsize(p) for p in batch_paths]
-    records, start = np.empty(sum(sizes), dtype=np.uint8), 0
-    for path, size in zip(batch_paths, sizes):
-        if size % CIFAR_RECORD_BYTES != 0:
-            raise TruncatedFileError(f"{path}: size {size} not a multiple of {CIFAR_RECORD_BYTES}")
-        with open(path, "rb") as f:
-            if f.readinto(records[start : start + size]) != size:
-                raise TruncatedFileError(f"{path}: shorter than its {size} bytes")
-        _check_labels(records[start : start + size : CIFAR_RECORD_BYTES], path)
-        start += size
-    records = records.reshape(-1, CIFAR_RECORD_BYTES)
-    labels = records[:, 0].astype(np.int64)
-    images = records[:, 1:].reshape(-1, 3, 32, 32)
-    return ImageSet(images, labels, n_classes=10, channel_first=True)
+    files = [(path, size, _cifar_labels(path, size)) for path, size in zip(batch_paths, sizes)]
+    return ImageRecords(files, (3, 32, 32), header=0, skip=1)
+
+
+def _cifar_labels(path, size: int) -> np.ndarray:
+    """The checked label bytes of the CIFAR batch at `path`, of `size` bytes."""
+    if size % CIFAR_RECORD_BYTES != 0:
+        raise TruncatedFileError(f"{path}: size {size} not a multiple of {CIFAR_RECORD_BYTES}")
+    labels = np.empty(size // CIFAR_RECORD_BYTES, dtype=np.uint8)
+    with open(path, "rb") as f:
+        for k, block in _blocks(f, path, size, 0, CIFAR_RECORD_BYTES, len(labels)):
+            labels[k : k + len(block)] = block[:, 0]
+    _check_labels(labels, path)
+    return labels
+
+
+def load_cifar(batch_paths) -> ImageSet:
+    """Parse CIFAR-10 binary batches whole (`open_cifar`, then every record);
+    pixels are kept channel-planar: shape (n, 3, 32, 32)."""
+    records = open_cifar(batch_paths)
+    images = records.take(np.arange(records.n))
+    return ImageSet(images, records.labels, n_classes=10, channel_first=True)
 
 
 def downscale(img) -> np.ndarray:

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import __version__
 from .core import RngStream, check_count, check_real, parse_number
-from .datasets import downscale, load_cifar, load_idx, load_multitask_csv, pollute
+from .datasets import downscale, load_cifar, load_idx, load_multitask_csv, open_cifar, open_idx, pollute
 from .distill import (
     Dataset,
     DatasetHeader,
@@ -489,21 +489,17 @@ def run_mnist(
     _check_kind("arch", arch, Arch, "an Arch")
     data_dir = data_dir_from_env(data_dir)
     paths = _locate(data_dir, MNIST_FILES, "mnist")
-    train_set = load_idx(paths[0], paths[1])
-    test_set = load_idx(paths[2], paths[3])
+    train_set = open_idx(paths[0], paths[1])
+    header = DatasetHeader(49, 784, 10)
+    ds_te = _mnist_test_set(paths[2], paths[3], header)
     n_train = check_count("n_train", n_train, 1, train_set.n)
     _check_batch("n_train", n_train, train_config)
-
-    header = DatasetHeader(49, 784, 10)
-    full_te = test_set.to_features()
-    small_te = downscale(test_set.images).reshape(test_set.n, -1)
-    ds_te = Dataset.from_arrays(header, x=small_te, x_star=full_te, y=np.eye(10)[test_set.labels])
 
     def problems():
         for r in range(reps):
             rep = master.fork("rep", r)
             idx = rep.fork("sample").generator().choice(train_set.n, size=n_train, replace=False)
-            picked = train_set.images[idx]
+            picked = train_set.take(idx)
             full_tr = picked.reshape(n_train, -1).astype(np.float64) / 255.0
             small_tr = downscale(picked).reshape(n_train, -1)
             y = np.eye(10)[train_set.labels[idx]]
@@ -513,6 +509,15 @@ def run_mnist(
     config = _snapshot("mnist", locals())
     results, errors = _repeat(problems(), T_grid, lambda_grid)
     return ExperimentReport(f"mnist-{n_train}", master.seed, __version__, config, results, errors)
+
+
+def _mnist_test_set(images_path, labels_path, header: DatasetHeader) -> Dataset:
+    """The test images as a Dataset of downscaled (x) and full (x_star)
+    pixels; the parsed bytes are not kept."""
+    images = load_idx(images_path, labels_path)
+    full = images.to_features()
+    small = downscale(images.images).reshape(images.n, -1)
+    return Dataset.from_arrays(header, x=small, x_star=full, y=np.eye(10)[images.labels])
 
 
 CIFAR_TRAIN_FILES = tuple(f"data_batch_{i}.bin" for i in range(1, 6))
@@ -559,13 +564,13 @@ def run_cifar_semisup(
     _check_kind("arch", arch, Arch, "an Arch")
     data_dir = data_dir_from_env(data_dir)
     paths = _locate(data_dir, CIFAR_TRAIN_FILES + (CIFAR_TEST_FILE,), "cifar-10-batches-bin")
-    train_set = load_cifar(paths[:-1])
+    train_set = open_cifar(paths[:-1])
     n_labeled = check_count("n_labeled", n_labeled, 1, train_set.n)
     _check_batch("n_labeled", n_labeled, train_config)
     if max_unlabeled is not None:
         max_unlabeled = check_count("max_unlabeled", max_unlabeled, 0)
 
-    d = train_set.images[0].size
+    d = math.prod(train_set.shape)
     header = DatasetHeader(d, d, 10)
     ds_te = _cifar_test_set(paths[-1], header, sigma, master.fork("pollute-test"))
 
@@ -579,7 +584,7 @@ def run_cifar_semisup(
                 g = rep.fork("pool").generator()
                 rest = np.sort(g.choice(rest, size=max_unlabeled, replace=False))
             pool_idx = np.concatenate([labeled_idx, rest])
-            clean = train_set.images[pool_idx].reshape(len(pool_idx), -1).astype(np.float64) / 255.0
+            clean = train_set.take(pool_idx).reshape(len(pool_idx), -1).astype(np.float64) / 255.0
             noisy = pollute(clean, sigma, rep.fork("pollute-train"))
             y = np.eye(10)[train_set.labels[pool_idx]]
             labeled = {"y": np.arange(len(pool_idx)) < n_labeled}

@@ -1,11 +1,13 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from distillery import datasets
 from distillery.core import RngStream
 from distillery.datasets import (
     BadMagicError,
@@ -18,6 +20,8 @@ from distillery.datasets import (
     load_cifar,
     load_idx,
     load_multitask_csv,
+    open_cifar,
+    open_idx,
     pollute,
     write_idx,
 )
@@ -248,6 +252,92 @@ class TestCifar:
         feats = load_cifar([p]).to_features()
         assert feats.shape == (1, 3072)
         assert np.all(feats == 1.0)
+
+
+def cifar_batches(tmp_path, counts, seed=0):
+    """CIFAR batches of `counts` records each; returns the paths and the
+    records as one (n, 3073) array."""
+    rng = np.random.default_rng(seed)
+    records = rng.integers(0, 256, size=(sum(counts), CIFAR_RECORD), dtype=np.uint8)
+    records[:, 0] %= 10
+    paths, start = [], 0
+    for b, count in enumerate(counts):
+        paths.append(tmp_path / f"data_batch_{b}.bin")
+        paths[-1].write_bytes(records[start : start + count].tobytes())
+        start += count
+    return paths, records
+
+
+class TestImageRecords:
+    """Records read on demand equal the rows of the whole files."""
+
+    @given(st.data())
+    @IO_FUZZ
+    def test_idx_take_equals_whole_file_rows(self, tmp_path, data):
+        n = data.draw(st.integers(1, 12))
+        ip, lp, images, labels = make_idx_pair(tmp_path, n=n, h=3, w=2, seed=n)
+        idx = data.draw(st.one_of(st.lists(st.integers(0, n - 1), max_size=20),
+                                  st.just(list(range(n)))))
+        records = open_idx(ip, lp)
+        taken = records.take(np.array(idx, dtype=np.int64))
+        assert taken.shape == (len(idx), 3, 2, 1) and taken.dtype == np.uint8
+        assert taken.tobytes() == images[idx].tobytes()
+        assert np.array_equal(records.labels, labels)
+        assert load_idx(ip, lp).images.tobytes() == images.tobytes()
+
+    @given(st.data())
+    @IO_FUZZ
+    def test_cifar_take_equals_whole_file_rows(self, tmp_path, data):
+        counts = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+        paths, records = cifar_batches(tmp_path, counts, seed=sum(counts))
+        n = len(records)
+        idx = data.draw(st.one_of(st.lists(st.integers(0, max(n - 1, 0)), max_size=20 if n else 0),
+                                  st.just(list(range(n)))))
+        images = records[:, 1:].reshape(-1, 3, 32, 32)
+        opened = open_cifar(paths)
+        assert opened.take(np.array(idx, dtype=np.int64)).tobytes() == images[idx].tobytes()
+        assert np.array_equal(opened.labels, records[:, 0])
+        assert load_cifar(paths).images.tobytes() == images.tobytes()
+
+    def test_a_long_run_reads_in_scan_sized_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(datasets, "SCAN_BYTES", 2 * CIFAR_RECORD)
+        paths, records = cifar_batches(tmp_path, [5, 4])
+        idx = np.array([0, 1, 2, 3, 4, 5, 6, 8, 7, 2])
+        expected = records[idx, 1:].reshape(-1, 3, 32, 32)
+        assert open_cifar(paths).take(idx).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("indices", [[6], [-1], [0.0], [[0]], np.array([2**64 - 1], np.uint64)])
+    def test_index_outside_the_set_raises(self, tmp_path, indices):
+        ip, lp, *_ = make_idx_pair(tmp_path, n=6)
+        with pytest.raises(IndexError):
+            open_idx(ip, lp).take(indices)
+
+    def test_idx_truncated_after_open_names_the_file(self, tmp_path):
+        ip, lp, images, _ = make_idx_pair(tmp_path, n=6)
+        records = open_idx(ip, lp)
+        ip.write_bytes(ip.read_bytes()[: 16 + 4 * 28 * 28])
+        assert records.take([0, 3]).tobytes() == images[[0, 3]].tobytes()
+        with pytest.raises(TruncatedFileError, match=f"^{ip}: shorter than its {16 + 6 * 784} bytes"):
+            records.take([3, 4])
+
+    def test_cifar_truncated_after_open_names_the_file(self, tmp_path):
+        paths, _ = cifar_batches(tmp_path, [3, 3])
+        records = open_cifar(paths)
+        paths[1].write_bytes(b"")
+        records.take([0, 1, 2])
+        with pytest.raises(TruncatedFileError, match=f"^{paths[1]}: shorter than its {3 * CIFAR_RECORD} bytes"):
+            records.take([1, 5])
+
+    def test_opening_cifar_batches_allocates_less_than_one_batch(self, tmp_path):
+        # each batch is larger than the SCAN_BYTES chunk in which its labels are scanned
+        paths, records = cifar_batches(tmp_path, [700, 700])
+        tracemalloc.start()
+        try:
+            opened = open_cifar(paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert opened.n == 1400 and peak < paths[0].stat().st_size
 
 
 class TestPollute:

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from distillery import __version__, distill, experiments
 from distillery.cli import _dispatch, _grid, build_parser
 from distillery.cli import main as cli_main
+from distillery.datasets import ParseError
 from distillery.experiments import (
     RUNNERS,
     ArmResult,
@@ -503,6 +504,51 @@ class TestSyntheticRun:
             assert r.values == c.values[1:] and r.status == "incomplete"
 
 
+class WholeFile:
+    """A training set held in memory whole: the reference for one whose
+    records are read from disk."""
+
+    def __init__(self, images, labels):
+        self.images, self.labels = images, labels.astype(np.int64)
+        self.n, self.shape = len(images), images.shape[1:]
+
+    def take(self, indices):
+        return self.images[indices]
+
+
+def resident_at_repeat(monkeypatch, kind, run):
+    """At `_repeat` entry of `run()`: whether each image set the runner of
+    `kind` parsed whole is alive, and per training set it opened, the
+    arrays it holds that are as large as one image."""
+    load, open_ = {"mnist": ("load_idx", "open_idx"), "cifar": ("load_cifar", "open_cifar")}[kind]
+    real_load, real_open, real_repeat = (getattr(experiments, n) for n in (load, open_, "_repeat"))
+    loaded, opened, seen = [], [], []
+
+    def parse(*args):
+        images = real_load(*args)
+        loaded.append(weakref.ref(images))
+        return images
+
+    def open_records(*args):
+        opened.append(real_open(*args))
+        return opened[-1]
+
+    def repeat(*args, **kwargs):
+        gc.collect()
+        image_bytes = [np.prod(records.shape) for records in opened]
+        held = [[a for a in vars(records).values() if isinstance(a, np.ndarray) and a.nbytes >= size]
+                for records, size in zip(opened, image_bytes)]
+        seen.append(([ref() is not None for ref in loaded], held))
+        return real_repeat(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, load, parse)
+    monkeypatch.setattr(experiments, open_, open_records)
+    monkeypatch.setattr(experiments, "_repeat", repeat)
+    run()
+    (result,) = seen
+    return result
+
+
 class TestMnistMachinery:
     def test_missing_files_error_before_training(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -538,6 +584,30 @@ class TestMnistMachinery:
 
     def test_every_training_image_may_be_drawn(self, mnist_dir):
         assert run_mnist(**mnist_kwargs(mnist_dir, reps=0, n_train=80)).status == "complete"
+
+    def test_parsed_test_images_are_not_held_through_the_repetitions(self, mnist_dir,
+                                                                      monkeypatch):
+        run = lambda: run_mnist(**mnist_kwargs(mnist_dir, reps=0))  # noqa: E731
+        # the test images go; the training images stay on disk
+        assert resident_at_repeat(monkeypatch, "mnist", run) == ([False], [[]])
+
+    def test_a_bad_label_no_repetition_draws_is_rejected_at_set_up(self, mnist_dir):
+        path = mnist_dir / "train-labels-idx1-ubyte"
+        labels = bytearray(path.read_bytes())
+        labels[8 + 79] = 200  # the label of the last record
+        path.write_bytes(labels)
+        message = f"{path}: record 79: label 200 out of range for 10 classes"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            run_mnist(**mnist_kwargs(mnist_dir, reps=0))
+
+    def test_report_equals_a_run_on_whole_files(self, mnist_dir, monkeypatch):
+        report = run_mnist(**mnist_kwargs(mnist_dir, reps=2))
+        images = (mnist_dir / "train-images-idx3-ubyte").read_bytes()
+        labels = (mnist_dir / "train-labels-idx1-ubyte").read_bytes()
+        whole = WholeFile(np.frombuffer(images, np.uint8, offset=16).reshape(-1, 28, 28, 1),
+                          np.frombuffer(labels, np.uint8, offset=8))
+        monkeypatch.setattr(experiments, "open_idx", lambda *paths: whole)
+        assert run_mnist(**mnist_kwargs(mnist_dir, reps=2)) == report
 
     def test_accuracy_equals_stacked_rows(self, mnist_dir, monkeypatch):
         calls = recorded(monkeypatch, "accuracy")
@@ -653,7 +723,7 @@ def test_bad_reps_rejected_before_reading_or_training(runner, reps, tmp_path, mo
         "cifar": lambda: run_cifar_semisup(data_dir=nowhere, reps=reps),
     }
     touched = []
-    for name in ("generate", "load_idx", "load_cifar", "train_teacher"):
+    for name in ("generate", "open_idx", "load_idx", "open_cifar", "load_cifar", "train_teacher"):
         monkeypatch.setattr(experiments, name, lambda *args, **kw: touched.append(args))
     with pytest.raises(ValueError, match="^reps must be"):
         calls[runner]()
@@ -672,7 +742,8 @@ def test_bad_seed_rejected_before_reading_or_training(runner, seed, tmp_path, mo
         "multitask": lambda reps: run_multitask(nowhere, seed=seed),
     }
     touched = []
-    for name in ("generate", "load_idx", "load_cifar", "load_multitask_csv", "train_teacher"):
+    for name in ("generate", "open_idx", "load_idx", "open_cifar", "load_cifar", "load_multitask_csv",
+                 "train_teacher"):
         monkeypatch.setattr(experiments, name, lambda *args, **kw: touched.append(args))
     for reps in (0, 1):
         with pytest.raises(ValueError, match=rf"^seed must be an integer in \[0, {2**53}\], got "):
@@ -857,7 +928,8 @@ def test_config_argument_of_wrong_kind_rejected_before_reading(runner, argument,
     }
     kind, other = ("an Arch", TrainConfig()) if argument == "arch" else ("a TrainConfig", Arch())
     touched = []
-    for name in ("generate", "load_idx", "load_cifar", "load_multitask_csv", "train_teacher"):
+    for name in ("generate", "open_idx", "load_idx", "open_cifar", "load_cifar", "load_multitask_csv",
+                 "train_teacher"):
         monkeypatch.setattr(experiments, name, lambda *args, **kw: touched.append(args))
     for value in (5, None, "mlp:4", other):
         message = f"{argument} must be {kind}, got {value!r}"
@@ -926,22 +998,26 @@ class TestCifarMachinery:
 
     def test_parsed_test_images_are_not_held_through_the_repetitions(self, cifar_dir,
                                                                       monkeypatch):
-        loaded, alive, real_load, real_repeat = [], [], experiments.load_cifar, experiments._repeat
+        run = lambda: run_cifar_semisup(**self.cifar_kwargs(cifar_dir, reps=0))  # noqa: E731
+        # the test batch goes; the training batches stay on disk
+        assert resident_at_repeat(monkeypatch, "cifar", run) == ([False], [[]])
 
-        def load(paths):
-            images = real_load(paths)
-            loaded.append(weakref.ref(images))
-            return images
+    def test_a_bad_label_no_repetition_draws_is_rejected_at_set_up(self, cifar_dir):
+        path = cifar_dir / "data_batch_5.bin"
+        records = bytearray(path.read_bytes())
+        records[9 * 3073] = 10  # the label of the last record
+        path.write_bytes(records)
+        message = f"{path}: record 9: label 10 out of range for 10 classes"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            run_cifar_semisup(**self.cifar_kwargs(cifar_dir, reps=0))
 
-        def repeat(*args, **kwargs):
-            gc.collect()
-            alive.append([ref() is not None for ref in loaded])
-            return real_repeat(*args, **kwargs)
-
-        monkeypatch.setattr(experiments, "load_cifar", load)
-        monkeypatch.setattr(experiments, "_repeat", repeat)
-        run_cifar_semisup(**self.cifar_kwargs(cifar_dir, reps=0))
-        assert alive == [[True, False]]  # the training batches stay, the test batch goes
+    def test_report_equals_a_run_on_whole_files(self, cifar_dir, monkeypatch):
+        report = run_cifar_semisup(**self.cifar_kwargs(cifar_dir, reps=2))
+        records = np.frombuffer(b"".join(p.read_bytes() for p in sorted(cifar_dir.glob("data_*"))),
+                                dtype=np.uint8).reshape(-1, 3073)
+        whole = WholeFile(records[:, 1:].reshape(-1, 3, 32, 32), records[:, 0])
+        monkeypatch.setattr(experiments, "open_cifar", lambda paths: whole)
+        assert run_cifar_semisup(**self.cifar_kwargs(cifar_dir, reps=2)) == report
 
     def test_bad_sigma_rejected_before_training(self, cifar_dir, monkeypatch):
         trained = []
