@@ -21,6 +21,7 @@ examples, and per-task views of multi-output regression data.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import os
 from dataclasses import dataclass, replace
@@ -99,8 +100,8 @@ class Dataset:
 
     Each field ("x", "x_star", "y") is one 2-D float array, a row per
     example (the row index is its id), with a mask of the rows that have it.
-    Both are read-only, so `distill_students` may keep the students trained
-    on a dataset with it.
+    Both are read-only, so `distill_students` may keep the outcome of each
+    student trained on a dataset with it: the model, or the error it failed with.
     """
 
     def __init__(self, header: DatasetHeader, examples, meta=None):
@@ -127,13 +128,17 @@ class Dataset:
     ) -> "Dataset":
         """Build from column arrays; a None column is missing everywhere.  A
         float64 column is kept as given, not copied, so do not write to it
-        afterwards.  `present` may map a column's name to a boolean mask of
-        the rows that have it (other rows are ignored); the mask is copied."""
+        afterwards.  `present` may map a given column's name to a boolean mask
+        of the rows that have it (other rows are ignored; any other key raises
+        ValueError); the mask is copied."""
         arrays = zip(_VIEWS, (x, x_star, y))
         given = {v: np.asarray(a, dtype=np.float64) for v, a in arrays if a is not None}
         if len({len(a) for a in given.values()}) != 1:
             raise ValueError("from_arrays needs at least one column, all of one length")
         present = present or {}
+        for view in present:
+            if view not in given:
+                raise ValueError(f"present: {view!r} names no column given")
         masks = {v: present.get(v, np.ones(len(a), bool)) for v, a in given.items()}
         ds = cls.__new__(cls)
         ds._store(header, given, masks, meta)
@@ -163,7 +168,7 @@ class Dataset:
             check_rows(finite_rows(cols[view]) | ~masks[view], range(n),
                        f"features are not finite in {view}")
         self.header, self.meta, self._cols, self._masks = header, meta or {}, cols, masks
-        self._students = {}  # memo key -> trained student, see distill_students
+        self._students = {}  # memo key -> trained student or its error, see distill_students
 
     def __len__(self) -> int:
         return len(self._masks["x"])
@@ -270,7 +275,7 @@ def distill_student(data: Dataset, soft, cfg: DistillConfig) -> Model:
     Imitation 0 weighs every soft label by zero, so it trains the plain
     student and reads neither `soft` nor unlabeled_weight.  A student that
     `distill_students` has trained on `data` is not trained again: each call
-    returns a copy of it.
+    returns a copy of it, or raises a copy of the error it failed with.
     """
     [student] = distill_students(data, [(soft, cfg)])
     if isinstance(student, Exception):
@@ -280,24 +285,23 @@ def distill_student(data: Dataset, soft, cfg: DistillConfig) -> Model:
 
 def distill_students(data: Dataset, requests) -> list:
     """`distill_student` for each (soft, cfg) of `requests`, in one pass: per
-    request, a copy of its student, or the error that `distill_student`
-    raises for it (a TrainingDivergence, or ValueError when no row is usable).
+    request, a deep copy of its student or of the error it failed with (a
+    TrainingDivergence, or ValueError when no row is usable).
 
-    `data` keeps every student trained on it, keyed by what the student
-    depends on: (student_arch, student_train) at imitation 0, and also
-    imitation, unlabeled_weight and a digest of the soft column otherwise.  A
-    kept student, or one asked for twice, trains once; a failed one is not
-    kept.  The students left to train share `train` calls per
-    (student_arch, student_train, rows trained on), one per GROUP_BYTES of
-    their soft targets: from one initial model and one shuffle stream, each
-    step multiplies one batch of X against all of their first layers, and
-    each comes out bit for bit as it would alone.  Independent calls run at
-    the same time on up to one thread per usable CPU (numpy releases the
-    interpreter lock in its products); what they return is kept in call
-    order, so no result depends on the CPU count.  Any other error of a call
-    is raised, the first in call order.
+    `data` keeps the outcome of each student trained on it, keyed by what the
+    student depends on: (student_arch, student_train) at imitation 0, and
+    also imitation, unlabeled_weight and a digest of the soft column
+    otherwise; so no student trains twice, failed or not.  The students left
+    to train share `train` calls per (student_arch, student_train, rows
+    trained on), one per GROUP_BYTES of their soft targets: from one initial
+    model and one shuffle stream, each step multiplies one batch of X
+    against all of their first layers, and each comes out bit for bit as it
+    would alone.  Independent calls run at the same time on up to one thread
+    per usable CPU (numpy releases the interpreter lock in its products);
+    what they return is kept in call order, so no result depends on the CPU
+    count.  Any other error of a call is raised, the first in call order.
     """
-    keyed, todo, failed, groups, shape = [], {}, {}, {}, (len(data), data.header.c)
+    keyed, groups, shape = [], {}, (len(data), data.header.c)
     for soft, cfg in requests:
         S = np.asarray(soft, dtype=np.float64) if len(soft) > 0 else None
         if S is not None and S.shape != shape:
@@ -307,9 +311,8 @@ def distill_students(data: Dataset, requests) -> list:
             digest = None if S is None else hashlib.blake2b(np.ascontiguousarray(S)).digest()
             key += (cfg.imitation, cfg.unlabeled_weight, digest)
         keyed.append(key)
-        if key not in data._students:
-            todo.setdefault(key, (S, cfg))
-    for key, (S, cfg) in todo.items():
+        if key in data._students or keyed.count(key) > 1:  # kept, or asked for earlier
+            continue
         lam, labeled = cfg.imitation, data._masks["y"]
         hw = np.where(labeled, 1.0 - lam, 0.0)
         sw = np.where(labeled, lam, lam * cfg.unlabeled_weight) * data._masks["x_star"]
@@ -317,7 +320,7 @@ def distill_students(data: Dataset, requests) -> list:
             S, sw = data._cols["y"], np.zeros(len(data))
         ids = np.flatnonzero(data._masks["x"] & ((hw > 0) | (sw > 0)))
         if not ids.size:
-            failed[key] = ValueError("no usable examples to distill into the student")
+            data._students[key] = ValueError("no usable examples to distill into the student")
             continue
         group = groups.setdefault((cfg.student_arch, cfg.student_train, ids.tobytes()), [])
         group.append((key, hw, S, sw))
@@ -328,11 +331,8 @@ def distill_students(data: Dataset, requests) -> list:
         jobs += [(members[i : i + size], ids, arch, train_cfg) for i in range(0, len(members), size)]
     for trained, (chunk, *_) in zip(_run(data, jobs), jobs):
         for (key, *_), student in zip(chunk, trained):
-            if isinstance(student, Model):
-                data._students[key] = student
-            else:
-                failed[key] = student
-    return [failed[key] if key in failed else _copy(data._students[key]) for key in keyed]
+            data._students[key] = student
+    return [copy.deepcopy(data._students[key]) for key in keyed]
 
 
 def _workers() -> int:
@@ -363,10 +363,6 @@ def _run(data: Dataset, jobs):
 
     with ThreadPoolExecutor(workers) as pool:
         yield from pool.map(fit, jobs)
-
-
-def _copy(m: Model) -> Model:
-    return Model(m.task, m.weights, m.biases, list(m.loss_history))
 
 
 def _fit(data: Dataset, view: str, ids: np.ndarray, hw, soft, arch: Arch, train_cfg: TrainConfig):

@@ -490,6 +490,7 @@ def run_mnist(
     data_dir = data_dir_from_env(data_dir)
     paths = _locate(data_dir, MNIST_FILES, "mnist")
     train_set = open_idx(paths[0], paths[1])
+    _check_mnist_shape(paths[0], train_set.shape)
     header = DatasetHeader(49, 784, 10)
     ds_te = _mnist_test_set(paths[2], paths[3], header)
     n_train = check_count("n_train", n_train, 1, train_set.n)
@@ -511,10 +512,17 @@ def run_mnist(
     return ExperimentReport(f"mnist-{n_train}", master.seed, __version__, config, results, errors)
 
 
+def _check_mnist_shape(path, shape) -> None:
+    """Reject an IDX image file whose images (shape h, w, 1) are not 28x28."""
+    if shape != (28, 28, 1):
+        raise ValueError(f"{path}: expected 28x28 images, got {shape[0]}x{shape[1]}")
+
+
 def _mnist_test_set(images_path, labels_path, header: DatasetHeader) -> Dataset:
     """The test images as a Dataset of downscaled (x) and full (x_star)
     pixels; the parsed bytes are not kept."""
     images = load_idx(images_path, labels_path)
+    _check_mnist_shape(images_path, images.images.shape[1:])
     full = images.to_features()
     small = downscale(images.images).reshape(images.n, -1)
     return Dataset.from_arrays(header, x=small, x_star=full, y=np.eye(10)[images.labels])

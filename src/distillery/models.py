@@ -69,11 +69,14 @@ class Arch:
 
 
 class TrainingDivergence(RuntimeError):
-    """Raised when the training loss becomes non-finite. Carries the epoch."""
+    """Raised when the training loss becomes non-finite. Carries the epoch and value."""
 
     def __init__(self, epoch: int, value: float):
         super().__init__(f"non-finite training loss {value!r} at epoch {epoch}")
-        self.epoch = epoch
+        self.epoch, self.value = epoch, value
+
+    def __reduce__(self):  # copy and pickle rebuild it from its arguments
+        return type(self), (self.epoch, self.value)
 
 
 @dataclass

@@ -1,7 +1,9 @@
 import concurrent.futures
 import itertools
 import math
+import re
 import sys
+import traceback
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -636,6 +638,15 @@ class TestColumns:
         with pytest.raises(ValueError, match=r"mask of y has shape \(2,\)"):
             Dataset.from_arrays(header, x=X, y=Y, present={"y": np.ones(2, dtype=bool)})
 
+    @pytest.mark.parametrize("key", ["Y", "x_star", 0])
+    def test_from_arrays_rejects_a_mask_of_no_given_column(self, key):
+        # "x_star" is a column name, but that column is passed as None
+        header, X = DatasetHeader(2, 1, 2), np.zeros((3, 2))
+        mask = np.array([True, False, True])
+        message = f"present: {key!r} names no column given"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Dataset.from_arrays(header, x=X, y=np.eye(2)[[0, 1, 0]], present={"y": mask, key: mask})
+
     def test_from_arrays_rejects_a_width_off_the_header(self):
         header, X = DatasetHeader(3, 2, 2), np.zeros((4, 3))
         with pytest.raises(ValueError, match=r"x_star has shape \(4, 3\), header says \(4, 2\)"):
@@ -855,14 +866,29 @@ class TestPlainStudentKept:
         assert len(calls) == 1
         assert_same_bits(other, distill_student(toy_dataset(n=30), [], change(cfg)))
 
-    def test_a_diverging_student_is_not_kept(self, monkeypatch):
+    def test_a_diverging_student_is_kept_as_its_error(self, monkeypatch):
         data, cfg = toy_dataset(n=30), small_cfg(imitation=0.0)
         cfg = replace(cfg, student_train=replace(cfg.student_train, learning_rate=1e12))
         calls = recorded(monkeypatch, "train")
         for _ in range(2):
             with pytest.raises(TrainingDivergence):
                 distill_student(data, [], cfg)
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+    def test_each_lookup_of_a_failed_student_raises_a_fresh_error(self, monkeypatch):
+        data, cfg = toy_dataset(n=30), small_cfg(imitation=0.0)
+        cfg = replace(cfg, student_train=replace(cfg.student_train, learning_rate=1e12))
+        calls, raised = recorded(monkeypatch, "train"), []
+        for _ in range(3):
+            with pytest.raises(TrainingDivergence) as error:
+                distill_student(data, [], cfg)
+            raised.append(error.value)
+        assert len(calls) == 1 and len({id(e) for e in raised}) == 3
+        kept = [*data._students.values()]
+        assert len(kept) == 1 and all(e is not kept[0] for e in raised)
+        assert len({(type(e), str(e), e.epoch) for e in raised}) == 1
+        # raising one object again would grow its traceback at each raise
+        assert len({len(traceback.extract_tb(e.__traceback__)) for e in raised}) == 1
 
 
 class TestStudentGroups:
@@ -919,7 +945,7 @@ class TestStudentGroups:
         distill_students(data, [(other, cfg)])
         assert len(calls) == 2
 
-    def test_a_diverging_student_fails_alone_and_is_not_kept(self, monkeypatch):
+    def test_a_diverging_student_fails_alone_and_is_kept_as_its_error(self, monkeypatch):
         # huge soft targets make the lambda = 1 student diverge; the plain
         # student trains on the same rows in the same call
         header, cols = toy_columns(30)
@@ -935,7 +961,7 @@ class TestStudentGroups:
         with pytest.raises(TrainingDivergence) as alone:
             distill_student(data, soft, cfg)
         assert (alone.value.epoch, str(alone.value)) == (failed.epoch, str(failed))
-        assert len(calls) == 3  # the failed student was trained again, the plain one was not
+        assert len(calls) == 2  # the lone plain student above; neither student trains again
 
     def test_a_request_without_usable_rows_fails_alone(self):
         data = toy_dataset(n=30, unlabeled_from=0)  # no labels

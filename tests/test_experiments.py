@@ -600,6 +600,20 @@ class TestMnistMachinery:
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             run_mnist(**mnist_kwargs(mnist_dir, reps=0))
 
+    @pytest.mark.parametrize("prefix", ["train", "t10k"])
+    def test_images_not_28x28_rejected_at_set_up_naming_the_file(self, mnist_dir, monkeypatch,
+                                                                 prefix):
+        path = mnist_dir / f"{prefix}-images-idx3-ubyte"
+        (n,) = struct.unpack(">i", path.read_bytes()[4:8])
+        path.write_bytes(struct.pack(">iiii", 0x803, n, 14, 14) + bytes(n * 14 * 14))
+        message = f"{path}: expected 28x28 images, got 14x14"
+        trained = []
+        monkeypatch.setattr(distill, "train", lambda *args: trained.append(args))
+        for reps in (0, 1):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                run_mnist(**mnist_kwargs(mnist_dir, reps=reps))
+        assert trained == []
+
     def test_report_equals_a_run_on_whole_files(self, mnist_dir, monkeypatch):
         report = run_mnist(**mnist_kwargs(mnist_dir, reps=2))
         images = (mnist_dir / "train-images-idx3-ubyte").read_bytes()
@@ -1074,6 +1088,22 @@ class TestCifarMachinery:
     def test_replay_from_config(self, cifar_dir):
         report = run_cifar_semisup(**self.cifar_kwargs(cifar_dir, unlabeled_weight=0.5, reps=2))
         assert run_from_config(report.config) == report
+
+    def test_a_diverged_student_trains_once(self, cifar_dir, monkeypatch):
+        # the distilled arm's lambda = 1 students diverge under their huge soft
+        # weight; per repetition the teacher, the labeled rows' students and
+        # the pool's students train in one call each, and no student again
+        real, calls = distill.train, []
+        monkeypatch.setattr(distill, "train", lambda *args: calls.append(args) or real(*args))
+        report = run_cifar_semisup(**self.cifar_kwargs(
+            cifar_dir, unlabeled_weight=1e300, T_grid=(1.0, 2.0), lambda_grid=(0.0, 1.0), reps=2))
+        assert len(calls) == 3 * 2
+        diverged = "non-finite training loss inf at epoch 0"
+        assert report.errors == [f"rep {r} cell T={T} lambda=1.0: {diverged}"
+                                 for r in (0, 1) for T in (1.0, 2.0)]
+        for r in report.results:
+            empty = r.imitation == 1.0
+            assert (r.status, len(r.values)) == (("incomplete", 0) if empty else ("complete", 2))
 
     def test_diverged_cell_drops_both_distilled_arms(self, cifar_dir, tmp_path, monkeypatch):
         clean = run_cifar_semisup(**self.cifar_kwargs(cifar_dir))

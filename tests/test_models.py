@@ -337,6 +337,17 @@ class TestTrain:
             train(m0, pack(rows, "regression"), cfg)
         assert isinstance(exc.value.epoch, int)
 
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda e: pickle.loads(pickle.dumps(e))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_divergence_copies_and_pickles(self, clone):
+        for value in (math.nan, -math.inf):
+            error = TrainingDivergence(3, value)
+            twin = clone(error)
+            assert twin is not error and type(twin) is TrainingDivergence
+            assert str(twin) == str(error) == f"non-finite training loss {value!r} at epoch 3"
+            assert twin.epoch == 3 and repr(twin.value) == repr(value)
+
     def test_non_finite_features_name_the_example(self):
         # a NaN feature is bad input, not a divergence at epoch 0
         rows = separable_rows()
