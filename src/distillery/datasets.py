@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, check_real
+from .core import RngStream, check_real, parse_number
 
 __all__ = [
     "ParseError",
@@ -342,11 +342,12 @@ class MultitaskTable:
 
 
 def load_multitask_csv(path, delimiter: str = ",") -> MultitaskTable:
-    """Parse a 28-numeric-column text table; errors carry the row number.
+    """Parse a text table of MultitaskTable's 21 + 7 columns of finite numbers,
+    each cell read by `core.parse_number`; errors name the row (and column).
 
     Pass delimiter=None to split on arbitrary whitespace.
     """
-    arity = 28
+    arity = MultitaskTable.n_inputs + MultitaskTable.n_outputs
     rows = []
     # a byte that is not ASCII reads as a lone surrogate, so that its row can be named
     with open(path, "r", encoding="ascii", errors="surrogateescape") as f:
@@ -359,17 +360,15 @@ def load_multitask_csv(path, delimiter: str = ",") -> MultitaskTable:
             cells = line.split(delimiter) if delimiter is not None else line.split()
             if len(cells) != arity:
                 raise TableFormatError(f"row {row_no}: expected {arity} columns, got {len(cells)}")
-            if any("_" in c for c in cells):  # float() takes digit separators, as in 1_0
-                k = next(k for k, c in enumerate(cells) if "_" in c)
-                where = f"row {row_no}, column {k + 1}"
-                raise TableFormatError(f"{where}: {cells[k]!r} is not a number")
-            try:
-                values = [float(c) for c in cells]
-            except ValueError as e:
-                raise TableFormatError(f"row {row_no}: {e}") from None
-            if not all(map(math.isfinite, values)):
-                k = next(k for k, v in enumerate(values) if not math.isfinite(v))
-                raise TableFormatError(f"row {row_no}, column {k + 1}: {cells[k]!r} is not finite")
+            values = []
+            for k, cell in enumerate(cells, start=1):
+                where = f"row {row_no}, column {k}: {cell!r}"
+                try:
+                    values.append(parse_number(cell))
+                except ValueError:
+                    raise TableFormatError(f"{where} is not a number") from None
+                if not math.isfinite(values[-1]):
+                    raise TableFormatError(f"{where} is not finite")
             rows.append(values)
     if not rows:
         raise TableFormatError(f"{path}: no data rows")

@@ -129,16 +129,19 @@ class Dataset:
         """Build from column arrays; a None column is missing everywhere.  A
         float64 column is kept as given, not copied, so do not write to it
         afterwards.  `present` may map a given column's name to a boolean mask
-        of the rows that have it (other rows are ignored; any other key raises
-        ValueError); the mask is copied."""
+        of the rows that have it (other rows are ignored; any other key, or a
+        mask that is not boolean, raises ValueError); the mask is copied."""
         arrays = zip(_VIEWS, (x, x_star, y))
         given = {v: np.asarray(a, dtype=np.float64) for v, a in arrays if a is not None}
         if len({len(a) for a in given.values()}) != 1:
             raise ValueError("from_arrays needs at least one column, all of one length")
         present = present or {}
-        for view in present:
+        for view, mask in present.items():
             if view not in given:
                 raise ValueError(f"present: {view!r} names no column given")
+            dtype = np.asarray(mask).dtype
+            if dtype != bool:
+                raise ValueError(f"present: the mask of {view!r} has dtype {dtype}, not bool")
         masks = {v: present.get(v, np.ones(len(a), bool)) for v, a in given.items()}
         ds = cls.__new__(cls)
         ds._store(header, given, masks, meta)

@@ -199,55 +199,43 @@ def _check_batch(name: str, n: int, *configs: TrainConfig) -> None:
 
 def _grid(name: str, grid, high=None, low_open=False) -> tuple[float, ...]:
     """`grid`, an iterable of numbers that is not a string, as a tuple of
-    floats in [0, high] checked by `check_real`."""
+    distinct floats in [0, high] checked by `check_real`."""
     try:
         values = None if isinstance(grid, (str, bytes)) else tuple(grid)
     except TypeError:
         values = None
     if values is None:
         raise ValueError(f"{name} must be a sequence of numbers, got {grid!r}")
-    return tuple(check_real(f"{name}[{i}]", v, 0.0, high, low_open) for i, v in enumerate(values))
+    values = tuple(check_real(f"{name}[{i}]", v, 0.0, high, low_open) for i, v in enumerate(values))
+    for i, v in enumerate(values):
+        if v in values[:i]:  # a cell is keyed by its values, so a repeat would double it
+            raise ValueError(f"{name}[{i}] repeats {name}[{values.index(v)}] ({v!r})")
+    return values
 
 
 def _grids(T_grid, lambda_grid) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The grids as tuples of checked floats: every T > 0, every lambda in [0, 1]."""
+    """The grids as tuples of distinct checked floats: every T > 0, every lambda in [0, 1]."""
     return _grid("T_grid", T_grid, low_open=True), _grid("lambda_grid", lambda_grid, 1.0)
-
-
-def _score_once(score, test_ds):
-    """`score(model, test_ds, view)` that scores each distinct (model, view)
-    once: a model equal to one already scored (the same parameter bits, as a
-    lambda=0 cell is the regular student) gets that score back."""
-    scored = []  # (model, view, score)
-
-    def scored_once(model, view):
-        for m, v, value in scored:
-            if v == view and m == model:
-                return value
-        scored.append((model, view, score(model, test_ds, view)))
-        return scored[-1][2]
-
-    return scored_once
 
 
 def _repeat(problems, T_grid, lambda_grid, metric="accuracy", arms=None, per_task=False):
     """Generalized distillation over a stream of problems: (results, errors).
 
-    A problem is (label, train set, test set, base DistillConfig).  For
-    each one the teacher is trained and one soft-label column is computed
-    per T, unless every lambda is 0.  One `distill_students` call then trains
-    the regular student (imitation 0, no soft labels) and one student per
-    (T, lambda) for every distilled arm, as few times and in as few groups
-    as it can (at lambda = 0 it reads no soft label, so that cell is the
-    regular student).  Each one is then taken through its own
-    `distill_student` call, and each distinct model is scored once.  `arms`
-    maps a distilled arm to its DistillConfig overrides, e.g.
-    {"unlabeled_weight": 0.0} to train on the labeled rows alone (the
-    default is one arm, "distilled", with none).  A
-    diverging teacher or regular student drops the problem; a diverging
-    distilled student drops only its cell; an aggregate is complete with one
-    value per problem.  `per_task` adds one row per value, named after its
-    problem.
+    A problem is (label, train set, test set, base DistillConfig).  Per
+    problem the teacher trains, one soft-label column is computed per T
+    unless every lambda is 0, and a cell table maps each (T, lambda) to an
+    (arm, soft column, DistillConfig) per distilled arm of `arms` (arm ->
+    DistillConfig overrides, e.g. {"unlabeled_weight": 0.0} to train on the
+    labeled rows alone; by default one arm, "distilled", with none).  One
+    `distill_students` call trains the regular student (imitation 0) and the
+    table's; `distill_student` then takes the regular one, and cell by cell
+    the table's.  A cell whose student equals the regular one (the same
+    parameter bits, as at lambda = 0) gets its score, and any other student
+    is scored, so a lambda = 0 student that differed would show.  A
+    diverging teacher or regular student drops the problem, a diverging
+    distilled student only its cell; an aggregate is complete with one value
+    per problem.  Results are arm-major; `per_task` adds one row per value,
+    named after its problem.
     """
     score = accuracy if metric == "accuracy" else mse
     arms = arms or {"distilled": {}}
@@ -263,31 +251,29 @@ def _repeat(problems, T_grid, lambda_grid, metric="accuracy", arms=None, per_tas
             errors.append(f"{label}: {e}")
             continue
         softs = {T: soft_labels(teacher, train_ds, T) if any(lambda_grid) else [] for T in T_grid}
-        cells = {
-            (a, T, lam): replace(base, imitation=lam, **over)
-            for T in T_grid for lam in lambda_grid for a, over in arms.items()
-        }
-        cell_requests = [(softs[T], c) for (_, T, _), c in cells.items()]
-        distill_students(train_ds, [([], plain), *cell_requests])
+        cells = {}  # (T, lambda) -> [(arm, soft column, config)]: per T, per lambda, per arm
+        for a, T, lam in grid:
+            config = replace(base, imitation=lam, **arms[a])
+            cells.setdefault((T, lam), []).append((a, softs[T], config))
+        requests = [(s, c) for cell in cells.values() for _, s, c in cell]
+        distill_students(train_ds, [([], plain), *requests])
         try:
             regular = distill_student(train_ds, [], plain)
         except TrainingDivergence as e:
             errors.append(f"{label}: {e}")
             continue
-        scored_once = _score_once(score, test_ds)
-        values["privileged", None, None].append((label, scored_once(teacher, "x_star")))
-        values["regular", None, None].append((label, scored_once(regular, "x")))
-        for T in T_grid:
-            for lam in lambda_grid:
-                try:
-                    students = {
-                        a: distill_student(train_ds, softs[T], cells[a, T, lam]) for a in arms
-                    }
-                except TrainingDivergence as e:
-                    errors.append(f"{label} cell T={T} lambda={lam}: {e}")
-                    continue
-                for a, student in students.items():
-                    values[a, T, lam].append((label, scored_once(student, "x")))
+        values["privileged", None, None].append((label, score(teacher, test_ds, "x_star")))
+        regular_score = score(regular, test_ds, "x")
+        values["regular", None, None].append((label, regular_score))
+        for (T, lam), cell in cells.items():
+            try:
+                students = [(a, distill_student(train_ds, s, c)) for a, s, c in cell]
+            except TrainingDivergence as e:
+                errors.append(f"{label} cell T={T} lambda={lam}: {e}")
+                continue
+            for a, student in students:
+                value = regular_score if student == regular else score(student, test_ds, "x")
+                values[a, T, lam].append((label, value))
     results = []
     for (arm, T, lam), scored in values.items():
         results.append(_aggregate(arm, metric, [v for _, v in scored], n_problems, T, lam))
@@ -439,9 +425,9 @@ def run_synthetic(
 
 
 def data_dir_from_env(data_dir=None) -> Path:
-    """Resolve the dataset root: explicit argument or DISTILLERY_DATA_DIR."""
-    if data_dir is None:
-        data_dir = os.environ.get("DISTILLERY_DATA_DIR")
+    """Resolve the dataset root: explicit argument or DISTILLERY_DATA_DIR, an empty one unset."""
+    if data_dir is None or isinstance(data_dir, str) and not data_dir:
+        data_dir = os.environ.get("DISTILLERY_DATA_DIR") or None
     if data_dir is None:
         raise FileNotFoundError(
             "no data directory: pass data_dir or set DISTILLERY_DATA_DIR"
@@ -491,10 +477,10 @@ def run_mnist(
     paths = _locate(data_dir, MNIST_FILES, "mnist")
     train_set = open_idx(paths[0], paths[1])
     _check_mnist_shape(paths[0], train_set.shape)
-    header = DatasetHeader(49, 784, 10)
-    ds_te = _mnist_test_set(paths[2], paths[3], header)
     n_train = check_count("n_train", n_train, 1, train_set.n)
     _check_batch("n_train", n_train, train_config)
+    header = DatasetHeader(49, 784, 10)
+    ds_te = _mnist_test_set(paths[2], paths[3], header)
 
     def problems():
         for r in range(reps):
@@ -570,13 +556,13 @@ def run_cifar_semisup(
     unlabeled_weight = check_real("unlabeled_weight", unlabeled_weight)
     _check_kind("train_config", train_config, TrainConfig, "a TrainConfig")
     _check_kind("arch", arch, Arch, "an Arch")
+    if max_unlabeled is not None:
+        max_unlabeled = check_count("max_unlabeled", max_unlabeled, 0)
     data_dir = data_dir_from_env(data_dir)
     paths = _locate(data_dir, CIFAR_TRAIN_FILES + (CIFAR_TEST_FILE,), "cifar-10-batches-bin")
     train_set = open_cifar(paths[:-1])
     n_labeled = check_count("n_labeled", n_labeled, 1, train_set.n)
     _check_batch("n_labeled", n_labeled, train_config)
-    if max_unlabeled is not None:
-        max_unlabeled = check_count("max_unlabeled", max_unlabeled, 0)
 
     d = math.prod(train_set.shape)
     header = DatasetHeader(d, d, 10)
@@ -635,11 +621,11 @@ def run_multitask(
         raise ValueError(f"delimiter must be a non-empty string or None, got {delimiter!r}")
     _check_kind("train_config", train_config, TrainConfig, "a TrainConfig")
     _check_kind("arch", arch, Arch, "an Arch")
+    test_cap = check_count("test_cap", test_cap)
     table = load_multitask_csv(path, delimiter)
     n_tasks = table.n_outputs
     perm = master.fork("split").generator().permutation(table.n)
     n_train = check_count("n_train", n_train, 1, table.n - 1)
-    test_cap = check_count("test_cap", test_cap)
     _check_batch("n_train", n_train, train_config)
     train_idx = perm[:n_train]
     test_idx = perm[n_train : n_train + test_cap]

@@ -386,12 +386,13 @@ CELL_TEXT = st.characters(blacklist_categories=("Cs",), blacklist_characters=",\
 
 
 def number(cell):
-    """A table cell's value, or None where the loader must reject it."""
+    """A table cell's value, or None where the loader must reject it: a finite
+    number written without a digit separator or surrounding whitespace."""
     try:
         value = float(cell)
     except ValueError:
         return None
-    return value if "_" not in cell and math.isfinite(value) else None
+    return value if "_" not in cell and cell == cell.strip() and math.isfinite(value) else None
 
 
 class TestMultitaskCsv:
@@ -439,6 +440,12 @@ class TestMultitaskCsv:
         cells[5] = "1_0"
         p = self.write(tmp_path, [self.row(), ",".join(cells)])
         with pytest.raises(TableFormatError, match="^row 2, column 6: '1_0' is not a number"):
+            load_multitask_csv(p)
+
+    def test_padded_cell_names_row_and_column(self, tmp_path):
+        # a ", "-separated row split at "," leaves a space in front of each later cell
+        p = self.write(tmp_path, [self.row(), ", ".join(str(0.1 * i) for i in range(28))])
+        with pytest.raises(TableFormatError, match="^row 2, column 2: ' 0.1' is not a number$"):
             load_multitask_csv(p)
 
     @given(

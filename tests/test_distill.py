@@ -647,6 +647,14 @@ class TestColumns:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Dataset.from_arrays(header, x=X, y=np.eye(2)[[0, 1, 0]], present={"y": mask, key: mask})
 
+    @pytest.mark.parametrize("mask", [np.array([0, 2, 1]), np.array([1.0, 0.0, 1.0]), [1, 1, 1]])
+    def test_from_arrays_rejects_a_mask_that_is_not_boolean(self, mask):
+        # cast to bool, [0, 2, 1] would drop row 0's label without a word
+        header, X = DatasetHeader(2, 0, 2), np.zeros((3, 2))
+        message = f"present: the mask of 'y' has dtype {np.asarray(mask).dtype}, not bool"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Dataset.from_arrays(header, x=X, y=np.eye(2)[[0, 1, 0]], present={"y": mask})
+
     def test_from_arrays_rejects_a_width_off_the_header(self):
         header, X = DatasetHeader(3, 2, 2), np.zeros((4, 3))
         with pytest.raises(ValueError, match=r"x_star has shape \(4, 3\), header says \(4, 2\)"):

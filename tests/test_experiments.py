@@ -632,7 +632,7 @@ class TestMnistMachinery:
             assert value == np.mean(predicted == np.argmax(stacked(ds, "y"), axis=1))
 
     def test_a_lambda_zero_student_that_differs_is_scored(self, mnist_dir, monkeypatch):
-        # scores are reused by model, not by lambda, so a wrong lambda=0 cell shows
+        # a cell reuses the regular score by model, not by lambda, so a wrong lambda=0 cell shows
         real = experiments.distill_student
 
         def zeroed_cells(data, soft, cfg):
@@ -644,9 +644,10 @@ class TestMnistMachinery:
         monkeypatch.setattr(experiments, "distill_student", zeroed_cells)
         calls = recorded(monkeypatch, "accuracy")
         run_mnist(**mnist_kwargs(mnist_dir, reps=1))
-        assert len(calls) == 2 + 1 + 2  # the two zeroed cells are one model
+        # the two zeroed cells equal each other, not the regular student: each is scored
+        assert len(calls) == 2 + 2 + 2
         # teacher, regular, then per T the lambda=0 and the lambda=1 cell
-        assert [not model.params.any() for (model, *_), _ in calls] == [0, 0, 1, 0, 0]
+        assert [not model.params.any() for (model, *_), _ in calls] == [0, 0, 1, 0, 1, 0]
 
     def test_single_cell_equals_full_grid(self, mnist_dir):
         full = run_mnist(**mnist_kwargs(mnist_dir))
@@ -765,6 +766,53 @@ def test_bad_seed_rejected_before_reading_or_training(runner, seed, tmp_path, mo
     assert touched == []
 
 
+@pytest.mark.parametrize("runner, argument, value, message", [
+    ("mnist", "n_train", 81, "n_train must be an integer in [1, 80], got 81"),
+    ("mnist", "n_train", 9, "n_train 9 is smaller than batch_size 10"),
+    ("cifar", "max_unlabeled", -1, "max_unlabeled must be an integer >= 0, got -1"),
+    ("cifar", "max_unlabeled", 2.5, "max_unlabeled must be an integer >= 0, got 2.5"),
+    ("multitask", "test_cap", 0, "test_cap must be an integer >= 1, got 0"),
+])
+def test_size_argument_rejected_before_reading(runner, argument, value, message, mnist_dir,
+                                               tmp_path, monkeypatch):
+    # mnist's n_train needs only the opened training labels (the fixture's 80); the other
+    # arguments need no file, and nothing exists at `nowhere`
+    nowhere = tmp_path / "nowhere"
+    calls = {
+        "mnist": lambda **kw: run_mnist(**mnist_kwargs(mnist_dir, **kw)),
+        "cifar": lambda **kw: run_cifar_semisup(data_dir=nowhere, **kw),
+        "multitask": lambda **kw: run_multitask(nowhere, **kw),
+    }
+    touched = []
+    for name in ("load_idx", "open_cifar", "load_cifar", "load_multitask_csv", "train_teacher"):
+        monkeypatch.setattr(experiments, name, lambda *args, **kw: touched.append(args))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        calls[runner](**{argument: value})
+    assert touched == []
+
+
+@pytest.mark.parametrize("runner", ["mnist", "cifar"])
+def test_an_empty_data_dir_is_no_data_dir(runner, mnist_dir, cifar_dir, tmp_path, monkeypatch):
+    # an empty path would name the working directory, here one without the data
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    small = TrainConfig(learning_rate=0.05, epochs=2, batch_size=6)
+    call = {
+        "mnist": lambda data_dir: run_mnist(**mnist_kwargs(mnist_dir, data_dir=data_dir, reps=0)),
+        "cifar": lambda data_dir: run_cifar_semisup(12, data_dir, reps=0, train_config=small),
+    }[runner]
+    message = "no data directory: pass data_dir or set DISTILLERY_DATA_DIR"
+    monkeypatch.delenv("DISTILLERY_DATA_DIR", raising=False)
+    with pytest.raises(FileNotFoundError, match=f"^{message}$"):
+        call("")
+    monkeypatch.setenv("DISTILLERY_DATA_DIR", "")
+    for data_dir in (None, ""):
+        with pytest.raises(FileNotFoundError, match=f"^{message}$"):
+            call(data_dir)
+    monkeypatch.setenv("DISTILLERY_DATA_DIR", str(tmp_path))  # the fixtures' data
+    assert call("").config["data_dir"] == str(tmp_path)
+
+
 # --- the number rule: every numeric argument is checked where it enters ------
 
 # values of every kind a numeric argument may be given as: Python and numpy
@@ -804,8 +852,10 @@ def a_path(v) -> bool:
 
 
 def grid_of(rule):
-    # a grid is drawn as a tuple, or as one value of NUMBERS, which is never a grid
-    return lambda grid: isinstance(grid, tuple) and all(map(rule, grid))
+    # a grid is drawn as a tuple, or as one value of NUMBERS, which is never a grid;
+    # its values must be distinct
+    return lambda grid: (isinstance(grid, tuple) and all(map(rule, grid))
+                         and len(set(map(float, grid))) == len(grid))
 
 
 TEMPERATURE, IMITATION = real_in(0.0, low_open=True), real_in(0.0, 1.0)
@@ -909,6 +959,34 @@ def test_bad_grid_value_rejected_naming_the_grid(runner, mnist_dir, cifar_dir, m
     ]:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             calls[runner](**grid)
+
+
+@pytest.mark.parametrize("runner", ["mnist", "cifar", "multitask"])
+def test_repeated_grid_value_rejected_naming_both_indices(runner, mnist_dir, cifar_dir,
+                                                          multitask_path, monkeypatch):
+    # a cell is keyed by its (T, lambda), so a repeated value would double it
+    small = TrainConfig(learning_rate=0.05, epochs=2, batch_size=6)
+    calls = {
+        "mnist": lambda **grid: run_mnist(**mnist_kwargs(mnist_dir, reps=0, **grid)),
+        "cifar": lambda **grid: run_cifar_semisup(12, cifar_dir, reps=0, train_config=small, **grid),
+        "multitask": lambda **grid: run_multitask(multitask_path, n_train=40, **grid),
+    }
+    trained = []
+    monkeypatch.setattr(experiments, "train_teacher", lambda *args: trained.append(args))
+    with monkeypatch.context() as m:  # the snapshot of a run that trains nothing
+        m.setattr(experiments, "_repeat", lambda *args, **kw: ([], []))
+        config = calls[runner]().config
+    for grid, message in [
+        (dict(lambda_grid=(0.5, 0.0, 0.5)), "lambda_grid[2] repeats lambda_grid[0] (0.5)"),
+        (dict(T_grid=(1, 2.0, 1.0)), "T_grid[2] repeats T_grid[0] (1.0)"),
+        (dict(lambda_grid=(0.0, -0.0)), "lambda_grid[1] repeats lambda_grid[0] (-0.0)"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            calls[runner](**grid)
+        replayed = {**config, **{key: list(values) for key, values in grid.items()}}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_from_config(replayed)
+    assert trained == []
 
 
 @pytest.mark.parametrize("argument, value, message", [
@@ -1224,6 +1302,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert err.count("\n") == 1 and err.startswith("error: ")
+
+    def test_empty_data_dir_is_no_data_dir(self, capsys, monkeypatch):
+        monkeypatch.delenv("DISTILLERY_DATA_DIR", raising=False)
+        assert cli_main(["mnist", "--data-dir", ""]) == 2
+        message = "no data directory: pass data_dir or set DISTILLERY_DATA_DIR"
+        assert capsys.readouterr().err == f"error: FileNotFoundError: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["mnist", "--reps", "0", "--T", "1", "--lambda", "0,0"],
+         "lambda_grid[1] repeats lambda_grid[0] (0.0)"),
+        (["multitask", "--T", "2,1,2", "--lambda", "0"], "T_grid[2] repeats T_grid[0] (2.0)"),
+    ])
+    def test_repeated_grid_value_exits_2(self, mnist_dir, multitask_path, capsys, argv, message):
+        data = {"mnist": ["--data-dir", str(mnist_dir)], "multitask": ["--path", str(multitask_path)]}
+        code, captured = cli_main(argv + data[argv[0]]), capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: ValueError: {message}\n"
 
     def test_env_var_supplies_data_dir(self, mnist_dir, monkeypatch, tmp_path):
         monkeypatch.setenv("DISTILLERY_DATA_DIR", str(mnist_dir))
