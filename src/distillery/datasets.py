@@ -8,16 +8,17 @@ before any partially built set escapes):
   * CIFAR-10 binary batches: 3073-byte records, one label byte followed
     by 3072 channel-planar pixel bytes (R plane, G plane, B plane).
   * Delimiter-separated numeric text with 21 input columns and 7 output
-    columns for multitask regression tables.
+    columns for multitask regression tables, loaded as (inputs, outputs).
 
 Both image containers are fixed-size records behind one on-disk reader,
 `ImageRecords`: opening checks every header, size and label byte and
 keeps only the labels (CIFAR batches are scanned SCAN_BYTES at a time),
 and `take` reads the pixels of the records drawn.  `load_idx` and
-`load_cifar` open a set and take every record.
+`load_cifar` open a set and take every record.  One header reader checks
+both IDX files.
 
-Pixels stay uint8 in the containers and are scaled to [0, 1] when
-converted to feature vectors.
+Pixels stay uint8 in the containers; `pixel_features` is the one rule that
+turns them into feature rows scaled to [0, 1].
 """
 
 from __future__ import annotations
@@ -39,12 +40,12 @@ __all__ = [
     "TableFormatError",
     "ImageSet",
     "ImageRecords",
-    "MultitaskTable",
     "open_idx",
     "open_cifar",
     "load_idx",
     "write_idx",
     "load_cifar",
+    "pixel_features",
     "downscale",
     "pollute",
     "load_multitask_csv",
@@ -79,16 +80,12 @@ class TableFormatError(ParseError):
 
 @dataclass
 class ImageSet:
-    """Labeled uint8 images.
-
-    Layout is (n, H, W, C) normally, or (n, C, H, W) when channel_first
-    (CIFAR batches are kept channel-planar, as stored on disk).
-    """
+    """Labeled uint8 images: (n, H, W, C) from IDX files, (n, C, H, W) from
+    CIFAR batches, which are kept channel-planar as stored on disk."""
 
     images: np.ndarray
     labels: np.ndarray
     n_classes: int
-    channel_first: bool = False
 
     def __post_init__(self):
         if self.images.ndim != 4 or self.images.dtype != np.uint8:
@@ -105,8 +102,8 @@ class ImageSet:
         return len(self.images)
 
     def to_features(self) -> np.ndarray:
-        """Row-major flattened pixels scaled to [0, 1], one row per image."""
-        return self.images.reshape(self.n, -1).astype(np.float64) / 255.0
+        """The images as `pixel_features` rows."""
+        return pixel_features(self.images)
 
 
 class ImageRecords:
@@ -175,10 +172,24 @@ def _blocks(f, path, size: int, offset: int, record: int, count: int):
         yield first, block
 
 
-def _read_be32(data: bytes, offset: int, path) -> int:
-    if offset + 4 > len(data):
-        raise TruncatedFileError(f"{path}: header truncated at byte {len(data)}")
-    return struct.unpack_from(">i", data, offset)[0]
+def _idx_dims(f, magic: int, ndim: int) -> tuple[int, ...]:
+    """The `ndim` dimensions in the header of the IDX file `f`, open at its
+    start; leaves `f` at the first payload byte.  The file must start with
+    `magic`, no dimension may be negative, and its size must be the header
+    plus their product in bytes; a ParseError names the file otherwise."""
+    head, size = f.read(4 + 4 * ndim), os.fstat(f.fileno()).st_size
+    if len(head) < 4 + 4 * ndim:
+        raise TruncatedFileError(f"{f.name}: header truncated at byte {len(head)}")
+    found, *dims = struct.unpack(f">{1 + ndim}i", head)
+    if found != magic:
+        raise BadMagicError(f"{f.name}: magic {found:#010x}, expected {magic:#010x}")
+    shape = "x".join(map(str, dims))
+    if min(dims) < 0:
+        raise ParseError(f"{f.name}: negative dimension in {shape}")
+    expected = len(head) + math.prod(dims)
+    if size != expected:
+        raise TruncatedFileError(f"{f.name}: expected {expected} bytes ({shape} payload), got {size}")
+    return tuple(dims)
 
 
 def _check_labels(labels: np.ndarray, path) -> None:
@@ -194,42 +205,16 @@ def open_idx(images_path, labels_path) -> ImageRecords:
     image header and every label; raises a ParseError naming the file that
     is malformed."""
     with open(images_path, "rb") as f:
-        head, size = f.read(16), os.fstat(f.fileno()).st_size
-    magic = _read_be32(head, 0, images_path)
-    if magic != IDX_IMAGE_MAGIC:
-        raise BadMagicError(
-            f"{images_path}: magic {magic:#010x}, expected {IDX_IMAGE_MAGIC:#010x}"
-        )
-    n = _read_be32(head, 4, images_path)
-    h = _read_be32(head, 8, images_path)
-    w = _read_be32(head, 12, images_path)
-    if min(n, h, w) < 0:
-        raise ParseError(f"{images_path}: negative dimension in {n}x{h}x{w}")
-    expected = 16 + n * h * w
-    if size != expected:
-        raise TruncatedFileError(
-            f"{images_path}: expected {expected} bytes ({n}x{h}x{w} payload), got {size}"
-        )
-
+        n, h, w = _idx_dims(f, IDX_IMAGE_MAGIC, 3)
     with open(labels_path, "rb") as f:
-        lab_data = f.read()
-    magic = _read_be32(lab_data, 0, labels_path)
-    if magic != IDX_LABEL_MAGIC:
-        raise BadMagicError(
-            f"{labels_path}: magic {magic:#010x}, expected {IDX_LABEL_MAGIC:#010x}"
-        )
-    n_lab = _read_be32(lab_data, 4, labels_path)
-    if len(lab_data) != 8 + n_lab:
-        raise TruncatedFileError(
-            f"{labels_path}: expected {8 + n_lab} bytes, got {len(lab_data)}"
-        )
+        (n_lab,) = _idx_dims(f, IDX_LABEL_MAGIC, 1)
+        labels = np.frombuffer(f.read(n_lab), dtype=np.uint8)
     if n_lab != n:
         raise CountMismatchError(
             f"{labels_path}: {n_lab} labels for the {n} images of {images_path}"
         )
-    labels = np.frombuffer(lab_data, dtype=np.uint8, offset=8)
     _check_labels(labels, labels_path)
-    return ImageRecords([(images_path, size, labels)], (h, w, 1), header=16, skip=0)
+    return ImageRecords([(images_path, 16 + n * h * w, labels)], (h, w, 1), header=16, skip=0)
 
 
 def load_idx(images_path, labels_path) -> ImageSet:
@@ -239,9 +224,14 @@ def load_idx(images_path, labels_path) -> ImageSet:
 
 
 def write_idx(imgset: ImageSet, images_path, labels_path) -> None:
-    """Inverse of load_idx; a parsed set re-serializes bit-exactly."""
-    if imgset.channel_first or imgset.images.shape[3] != 1:
+    """Inverse of load_idx; a parsed set re-serializes bit-exactly.  A set
+    that is not (n, H, W, 1), or a label other than the integers 0-9 (which
+    one label byte would not give back), raises ValueError."""
+    if imgset.images.shape[3] != 1:
         raise ValueError("IDX writing supports single-channel (n, H, W, 1) sets only")
+    bad = np.flatnonzero(~np.isin(imgset.labels, np.arange(10)))
+    if len(bad):
+        raise ValueError(f"image {bad[0]}: label {imgset.labels[bad[0]]} is not an IDX label in 0-9")
     n, h, w, _ = imgset.images.shape
     with open(images_path, "wb") as f:
         f.write(struct.pack(">iiii", IDX_IMAGE_MAGIC, n, h, w))
@@ -278,7 +268,12 @@ def load_cifar(batch_paths) -> ImageSet:
     pixels are kept channel-planar: shape (n, 3, 32, 32)."""
     records = open_cifar(batch_paths)
     images = records.take(np.arange(records.n))
-    return ImageSet(images, records.labels, n_classes=10, channel_first=True)
+    return ImageSet(images, records.labels, n_classes=10)
+
+
+def pixel_features(images: np.ndarray) -> np.ndarray:
+    """uint8 images (n, ...) as row-major float64 rows scaled to [0, 1], one per image."""
+    return images.reshape(len(images), -1).astype(np.float64) / 255.0
 
 
 def downscale(img) -> np.ndarray:
@@ -313,41 +308,14 @@ def pollute(features, sigma: float, rng: RngStream) -> np.ndarray:
     return x + sigma * rng.generator().standard_normal(x.shape)
 
 
-@dataclass
-class MultitaskTable:
-    """Rows of 21 real inputs followed by 7 task outputs."""
-
-    rows: np.ndarray
-    n_inputs: int = 21
-    n_outputs: int = 7
-
-    def __post_init__(self):
-        arity = self.n_inputs + self.n_outputs
-        if self.rows.ndim != 2 or self.rows.shape[1] != arity:
-            raise TableFormatError(f"table must have {arity} columns, got {self.rows.shape}")
-        if not np.all(np.isfinite(self.rows)):
-            raise TableFormatError("table contains non-finite values")
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    @property
-    def inputs(self) -> np.ndarray:
-        return self.rows[:, : self.n_inputs]
-
-    @property
-    def outputs(self) -> np.ndarray:
-        return self.rows[:, self.n_inputs :]
-
-
-def load_multitask_csv(path, delimiter: str = ",") -> MultitaskTable:
-    """Parse a text table of MultitaskTable's 21 + 7 columns of finite numbers,
-    each cell read by `core.parse_number`; errors name the row (and column).
+def load_multitask_csv(path, delimiter: str = ",") -> tuple[np.ndarray, np.ndarray]:
+    """Parse a text table of 21 input and 7 output columns of finite numbers,
+    each cell read by `core.parse_number`, into (inputs, outputs) arrays of
+    one row per data row; errors name the row (and column).
 
     Pass delimiter=None to split on arbitrary whitespace.
     """
-    arity = MultitaskTable.n_inputs + MultitaskTable.n_outputs
+    n_inputs, arity = 21, 28
     rows = []
     # a byte that is not ASCII reads as a lone surrogate, so that its row can be named
     with open(path, "r", encoding="ascii", errors="surrogateescape") as f:
@@ -372,4 +340,5 @@ def load_multitask_csv(path, delimiter: str = ",") -> MultitaskTable:
             rows.append(values)
     if not rows:
         raise TableFormatError(f"{path}: no data rows")
-    return MultitaskTable(np.array(rows))
+    rows = np.array(rows)
+    return rows[:, :n_inputs], rows[:, n_inputs:]

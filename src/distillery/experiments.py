@@ -39,7 +39,16 @@ import numpy as np
 
 from . import __version__
 from .core import RngStream, check_count, check_real, parse_number
-from .datasets import downscale, load_cifar, load_idx, load_multitask_csv, open_cifar, open_idx, pollute
+from .datasets import (
+    downscale,
+    load_cifar,
+    load_idx,
+    load_multitask_csv,
+    open_cifar,
+    open_idx,
+    pixel_features,
+    pollute,
+)
 from .distill import (
     Dataset,
     DatasetHeader,
@@ -473,12 +482,12 @@ def run_mnist(
     T_grid, lambda_grid = _grids(T_grid, lambda_grid)
     _check_kind("train_config", train_config, TrainConfig, "a TrainConfig")
     _check_kind("arch", arch, Arch, "an Arch")
+    _check_batch("n_train", check_count("n_train", n_train, 1), train_config)
     data_dir = data_dir_from_env(data_dir)
     paths = _locate(data_dir, MNIST_FILES, "mnist")
     train_set = open_idx(paths[0], paths[1])
     _check_mnist_shape(paths[0], train_set.shape)
     n_train = check_count("n_train", n_train, 1, train_set.n)
-    _check_batch("n_train", n_train, train_config)
     header = DatasetHeader(49, 784, 10)
     ds_te = _mnist_test_set(paths[2], paths[3], header)
 
@@ -487,7 +496,7 @@ def run_mnist(
             rep = master.fork("rep", r)
             idx = rep.fork("sample").generator().choice(train_set.n, size=n_train, replace=False)
             picked = train_set.take(idx)
-            full_tr = picked.reshape(n_train, -1).astype(np.float64) / 255.0
+            full_tr = pixel_features(picked)
             small_tr = downscale(picked).reshape(n_train, -1)
             y = np.eye(10)[train_set.labels[idx]]
             ds_tr = Dataset.from_arrays(header, x=small_tr, x_star=full_tr, y=y)
@@ -558,11 +567,11 @@ def run_cifar_semisup(
     _check_kind("arch", arch, Arch, "an Arch")
     if max_unlabeled is not None:
         max_unlabeled = check_count("max_unlabeled", max_unlabeled, 0)
+    _check_batch("n_labeled", check_count("n_labeled", n_labeled, 1), train_config)
     data_dir = data_dir_from_env(data_dir)
     paths = _locate(data_dir, CIFAR_TRAIN_FILES + (CIFAR_TEST_FILE,), "cifar-10-batches-bin")
     train_set = open_cifar(paths[:-1])
     n_labeled = check_count("n_labeled", n_labeled, 1, train_set.n)
-    _check_batch("n_labeled", n_labeled, train_config)
 
     d = math.prod(train_set.shape)
     header = DatasetHeader(d, d, 10)
@@ -578,7 +587,7 @@ def run_cifar_semisup(
                 g = rep.fork("pool").generator()
                 rest = np.sort(g.choice(rest, size=max_unlabeled, replace=False))
             pool_idx = np.concatenate([labeled_idx, rest])
-            clean = train_set.take(pool_idx).reshape(len(pool_idx), -1).astype(np.float64) / 255.0
+            clean = pixel_features(train_set.take(pool_idx))
             noisy = pollute(clean, sigma, rep.fork("pollute-train"))
             y = np.eye(10)[train_set.labels[pool_idx]]
             labeled = {"y": np.arange(len(pool_idx)) < n_labeled}
@@ -622,15 +631,14 @@ def run_multitask(
     _check_kind("train_config", train_config, TrainConfig, "a TrainConfig")
     _check_kind("arch", arch, Arch, "an Arch")
     test_cap = check_count("test_cap", test_cap)
-    table = load_multitask_csv(path, delimiter)
-    n_tasks = table.n_outputs
-    perm = master.fork("split").generator().permutation(table.n)
-    n_train = check_count("n_train", n_train, 1, table.n - 1)
-    _check_batch("n_train", n_train, train_config)
+    _check_batch("n_train", check_count("n_train", n_train, 1), train_config)
+    X, Y = load_multitask_csv(path, delimiter)
+    n_tasks = Y.shape[1]
+    perm = master.fork("split").generator().permutation(len(X))
+    n_train = check_count("n_train", n_train, 1, len(X) - 1)
     train_idx = perm[:n_train]
     test_idx = perm[n_train : n_train + test_cap]
 
-    X, Y = table.inputs, table.outputs
     x_mean, x_std = X[train_idx].mean(axis=0), X[train_idx].std(axis=0)
     y_mean, y_std = Y[train_idx].mean(axis=0), Y[train_idx].std(axis=0)
     x_std = np.where(x_std == 0, 1.0, x_std)
@@ -638,7 +646,7 @@ def run_multitask(
     Xs = (X - x_mean) / x_std
     Ys = (Y - y_mean) / y_std
 
-    header = DatasetHeader(table.n_inputs, 0, n_tasks, "regression")
+    header = DatasetHeader(X.shape[1], 0, n_tasks, "regression")
     base_tr = Dataset.from_arrays(header, x=Xs[train_idx], y=Ys[train_idx])
     base_te = Dataset.from_arrays(header, x=Xs[test_idx], y=Ys[test_idx])
 

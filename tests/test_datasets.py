@@ -140,6 +140,23 @@ class TestIdxFuzz:
         with pytest.raises(ParseError, match=f"^{ip}: negative dimension in -1x-1x4"):
             load_idx(ip, lp)
 
+    @pytest.mark.parametrize("label_bytes, message", [
+        (be32s(0x801, -3) + bytes(3), "negative dimension in -3"),
+        (be32s(0x801) + bytes(2), "header truncated at byte 6"),
+    ])
+    def test_label_header_checked_like_the_image_header(self, tmp_path, label_bytes, message):
+        ip, lp, *_ = make_idx_pair(tmp_path, n=3)
+        lp.write_bytes(label_bytes)
+        with pytest.raises(ParseError, match=f"^{lp}: {message}$"):
+            load_idx(ip, lp)
+
+    @pytest.mark.parametrize("labels, first", [([3, 257, 299], "257"), ([3.0, 2.5, 9.9], "2.5")])
+    def test_writing_a_label_that_would_not_reload_raises(self, tmp_path, labels, first):
+        # stored as a byte, label 257 would reload as class 1 and label 2.5 as class 2
+        imgset = ImageSet(np.zeros((3, 2, 2, 1), dtype=np.uint8), np.array(labels), n_classes=300)
+        with pytest.raises(ValueError, match=f"^image 1: label {first} is not an IDX label in 0-9$"):
+            write_idx(imgset, tmp_path / "images", tmp_path / "labels")
+
 
 class TestDownscale:
     def test_constant_image(self):
@@ -198,7 +215,7 @@ class TestCifar:
         p = tmp_path / "batch.bin"
         p.write_bytes(cifar_record(7, value=9))
         s = load_cifar([p])
-        assert s.n == 1 and s.labels[0] == 7 and s.channel_first
+        assert s.n == 1 and s.labels[0] == 7
         assert s.images.shape == (1, 3, 32, 32)
         assert np.all(s.images == 9)
 
@@ -406,9 +423,8 @@ class TestMultitaskCsv:
 
     def test_three_rows(self, tmp_path):
         p = self.write(tmp_path, [self.row(i) for i in range(3)])
-        t = load_multitask_csv(p)
-        assert t.n == 3
-        assert t.inputs.shape == (3, 21) and t.outputs.shape == (3, 7)
+        inputs, outputs = load_multitask_csv(p)
+        assert inputs.shape == (3, 21) and outputs.shape == (3, 7)
 
     def test_arity_error_names_row(self, tmp_path):
         bad = ",".join(["1.0"] * 27)
@@ -419,7 +435,7 @@ class TestMultitaskCsv:
     def test_scientific_notation(self, tmp_path):
         cells = ["1e-3"] * 28
         p = self.write(tmp_path, [",".join(cells)])
-        assert load_multitask_csv(p).rows[0, 0] == 1e-3
+        assert load_multitask_csv(p)[0][0, 0] == 1e-3
 
     def test_non_numeric_cell(self, tmp_path):
         cells = ["1.0"] * 27 + ["oops"]
@@ -472,11 +488,11 @@ class TestMultitaskCsv:
             with pytest.raises(TableFormatError, match=f"^row {bad[0]}[:,]"):
                 load_multitask_csv(p)
         else:
-            assert load_multitask_csv(p).rows.tobytes() == np.array(expected).tobytes()
+            assert np.hstack(load_multitask_csv(p)).tobytes() == np.array(expected).tobytes()
 
     def test_whitespace_delimiter(self, tmp_path):
         p = self.write(tmp_path, [" ".join(["2.5"] * 28)])
-        assert load_multitask_csv(p, delimiter=None).n == 1
+        assert len(load_multitask_csv(p, delimiter=None)[0]) == 1
 
 
 class TestImageSet:

@@ -769,17 +769,24 @@ def test_bad_seed_rejected_before_reading_or_training(runner, seed, tmp_path, mo
 @pytest.mark.parametrize("runner, argument, value, message", [
     ("mnist", "n_train", 81, "n_train must be an integer in [1, 80], got 81"),
     ("mnist", "n_train", 9, "n_train 9 is smaller than batch_size 10"),
+    ("mnist, no data", "n_train", 0, "n_train must be an integer >= 1, got 0"),
+    ("mnist, no data", "n_train", 5, "n_train 5 is smaller than batch_size 10"),
+    ("cifar", "n_labeled", 0, "n_labeled must be an integer >= 1, got 0"),
+    ("cifar", "n_labeled", 5, "n_labeled 5 is smaller than batch_size 32"),
     ("cifar", "max_unlabeled", -1, "max_unlabeled must be an integer >= 0, got -1"),
     ("cifar", "max_unlabeled", 2.5, "max_unlabeled must be an integer >= 0, got 2.5"),
+    ("multitask", "n_train", 0, "n_train must be an integer >= 1, got 0"),
+    ("multitask", "n_train", 5, "n_train 5 is smaller than batch_size 32"),
     ("multitask", "test_cap", 0, "test_cap must be an integer >= 1, got 0"),
 ])
 def test_size_argument_rejected_before_reading(runner, argument, value, message, mnist_dir,
                                                tmp_path, monkeypatch):
-    # mnist's n_train needs only the opened training labels (the fixture's 80); the other
-    # arguments need no file, and nothing exists at `nowhere`
+    # mnist's upper bound on n_train needs the opened training labels (the fixture's 80);
+    # every other check needs no file, and nothing exists at `nowhere`
     nowhere = tmp_path / "nowhere"
     calls = {
         "mnist": lambda **kw: run_mnist(**mnist_kwargs(mnist_dir, **kw)),
+        "mnist, no data": lambda **kw: run_mnist(**mnist_kwargs(nowhere, **kw)),
         "cifar": lambda **kw: run_cifar_semisup(data_dir=nowhere, **kw),
         "multitask": lambda **kw: run_multitask(nowhere, **kw),
     }
