@@ -90,11 +90,14 @@ class ImageSet:
     def __post_init__(self):
         if self.images.ndim != 4 or self.images.dtype != np.uint8:
             raise ValueError("images must be uint8 with shape (n, H, W, C) or (n, C, H, W)")
-        if len(self.labels) != len(self.images):
-            raise CountMismatchError(
-                f"{len(self.images)} images but {len(self.labels)} labels"
-            )
-        if self.n and (self.labels.min() < 0 or self.labels.max() >= self.n_classes):
+        labels = self.labels
+        if not isinstance(labels, np.ndarray):
+            raise ValueError(f"labels must be a 1-D integer array, got {type(labels).__name__}")
+        if labels.ndim != 1 or labels.dtype.kind not in "iu":
+            raise ValueError(f"labels must be a 1-D integer array, got {labels.dtype} {labels.shape}")
+        if len(labels) != len(self.images):
+            raise CountMismatchError(f"{len(self.images)} images but {len(labels)} labels")
+        if self.n and (labels.min() < 0 or labels.max() >= self.n_classes):
             raise ValueError(f"labels out of range for {self.n_classes} classes")
 
     @property

@@ -40,13 +40,13 @@ import numpy as np
 from . import __version__
 from .core import RngStream, check_count, check_real, parse_number
 from .datasets import (
+    ImageSet,
     downscale,
     load_cifar,
     load_idx,
     load_multitask_csv,
     open_cifar,
     open_idx,
-    pixel_features,
     pollute,
 )
 from .distill import (
@@ -311,7 +311,7 @@ def _record(key: str, names, build):
             raise ValueError(f"config[{key!r}]: expected an object, got {type(value).__name__}")
         unknown = value.keys() - set(names)
         if unknown:
-            raise ValueError(f"config[{key!r}]: unknown key {min(unknown)!r}")
+            raise ValueError(f"config[{key!r}]: unknown key {min(unknown, key=str)!r}")
         return build(value, config)
 
     return key, lambda obj: {n: getattr(obj, n) for n in names}, decode
@@ -333,14 +333,17 @@ def _arch_from_text(text: str, config=None) -> Arch:
     return Arch(kind, tuple(map(int, tokens)))
 
 
-_TRAIN_FIELDS = ("learning_rate", "epochs", "batch_size", "l2", "init_scale")
+# a config class's fields in order, but its stream `rng` (and the spec's
+# `experiment`, a parameter of its own), so that a field added to the class is
+# snapshot and replayed too
+_TRAIN_FIELDS = tuple(f.name for f in fields(TrainConfig) if f.name != "rng")
 
 # parameter name -> (snapshot key, encode(value), decode(value, config));
 # any other parameter is stored under its own name as it is
 _CODEC = {
     "spec": _record(
         "spec",
-        ("d", "n_train", "n_test", "relevant_size"),
+        tuple(f.name for f in fields(SyntheticSpec) if f.name not in ("experiment", "rng")),
         lambda s, config: SyntheticSpec(config["experiment"], **s),
     ),
     "teacher_train": _record("teacher_train", _TRAIN_FIELDS, lambda d, config: TrainConfig(**d)),
@@ -488,18 +491,16 @@ def run_mnist(
     train_set = open_idx(paths[0], paths[1])
     _check_mnist_shape(paths[0], train_set.shape)
     n_train = check_count("n_train", n_train, 1, train_set.n)
-    header = DatasetHeader(49, 784, 10)
-    ds_te = _mnist_test_set(paths[2], paths[3], header)
+    test_set = load_idx(paths[2], paths[3])
+    _check_mnist_shape(paths[2], test_set.images.shape[1:])
+    ds_te = _mnist_set(test_set)
+    del test_set  # the parsed bytes are not kept
 
     def problems():
         for r in range(reps):
             rep = master.fork("rep", r)
             idx = rep.fork("sample").generator().choice(train_set.n, size=n_train, replace=False)
-            picked = train_set.take(idx)
-            full_tr = pixel_features(picked)
-            small_tr = downscale(picked).reshape(n_train, -1)
-            y = np.eye(10)[train_set.labels[idx]]
-            ds_tr = Dataset.from_arrays(header, x=small_tr, x_star=full_tr, y=y)
+            ds_tr = _mnist_set(ImageSet(train_set.take(idx), train_set.labels[idx], 10))
             yield f"rep {r}", ds_tr, ds_te, _base(rep, train_config, train_config, arch)
 
     config = _snapshot("mnist", locals())
@@ -513,13 +514,12 @@ def _check_mnist_shape(path, shape) -> None:
         raise ValueError(f"{path}: expected 28x28 images, got {shape[0]}x{shape[1]}")
 
 
-def _mnist_test_set(images_path, labels_path, header: DatasetHeader) -> Dataset:
-    """The test images as a Dataset of downscaled (x) and full (x_star)
-    pixels; the parsed bytes are not kept."""
-    images = load_idx(images_path, labels_path)
-    _check_mnist_shape(images_path, images.images.shape[1:])
+def _mnist_set(images: ImageSet) -> Dataset:
+    """MNIST images as a Dataset of 7x7 block means (x), the 28x28 pixels
+    (x_star) and one-hot labels (y): the training draws and the test set alike."""
     full = images.to_features()
     small = downscale(images.images).reshape(images.n, -1)
+    header = DatasetHeader(small.shape[1], full.shape[1], 10)
     return Dataset.from_arrays(header, x=small, x_star=full, y=np.eye(10)[images.labels])
 
 
@@ -527,13 +527,15 @@ CIFAR_TRAIN_FILES = tuple(f"data_batch_{i}.bin" for i in range(1, 6))
 CIFAR_TEST_FILE = "test_batch.bin"
 
 
-def _cifar_test_set(path, header: DatasetHeader, sigma: float, noise: RngStream) -> Dataset:
-    """The test batch at `path` as a Dataset of noisy (x) and clean (x_star)
-    pixels; the parsed bytes are not kept."""
-    images = load_cifar([path])
+def _cifar_set(images: ImageSet, sigma: float, noise: RngStream, present=None) -> Dataset:
+    """CIFAR images as a Dataset of pixels with N(0, sigma^2) noise from
+    `noise` (x), the clean pixels (x_star) and one-hot labels (y), whose rows
+    `present` may mask: the training draws and the test set alike."""
     clean = images.to_features()
     noisy = pollute(clean, sigma, noise)
-    return Dataset.from_arrays(header, x=noisy, x_star=clean, y=np.eye(10)[images.labels])
+    header = DatasetHeader(clean.shape[1], clean.shape[1], 10)
+    y = np.eye(10)[images.labels]
+    return Dataset.from_arrays(header, x=noisy, x_star=clean, y=y, present=present)
 
 
 def run_cifar_semisup(
@@ -572,10 +574,7 @@ def run_cifar_semisup(
     paths = _locate(data_dir, CIFAR_TRAIN_FILES + (CIFAR_TEST_FILE,), "cifar-10-batches-bin")
     train_set = open_cifar(paths[:-1])
     n_labeled = check_count("n_labeled", n_labeled, 1, train_set.n)
-
-    d = math.prod(train_set.shape)
-    header = DatasetHeader(d, d, 10)
-    ds_te = _cifar_test_set(paths[-1], header, sigma, master.fork("pollute-test"))
+    ds_te = _cifar_set(load_cifar(paths[-1:]), sigma, master.fork("pollute-test"))
 
     def problems():
         for r in range(reps):
@@ -587,11 +586,10 @@ def run_cifar_semisup(
                 g = rep.fork("pool").generator()
                 rest = np.sort(g.choice(rest, size=max_unlabeled, replace=False))
             pool_idx = np.concatenate([labeled_idx, rest])
-            clean = pixel_features(train_set.take(pool_idx))
-            noisy = pollute(clean, sigma, rep.fork("pollute-train"))
-            y = np.eye(10)[train_set.labels[pool_idx]]
-            labeled = {"y": np.arange(len(pool_idx)) < n_labeled}
-            ds_tr = Dataset.from_arrays(header, x=noisy, x_star=clean, y=y, present=labeled)
+            ds_tr = _cifar_set(
+                ImageSet(train_set.take(pool_idx), train_set.labels[pool_idx], 10),
+                sigma, rep.fork("pollute-train"), {"y": np.arange(len(pool_idx)) < n_labeled},
+            )
             base = _base(rep, train_config, train_config, arch, unlabeled_weight=unlabeled_weight)
             yield f"rep {r}", ds_tr, ds_te, base
 
@@ -675,23 +673,30 @@ def run_from_config(config: dict) -> ExperimentReport:
 
     With the same master seed this reproduces every aggregate bit for
     bit (dataset paths must still be present for the real-data runs).
-    A parameter missing from the snapshot takes the runner's default.  A
-    key that is not a parameter, a note of the kind, `kind` or `version`
-    raises ValueError naming it, and so does a malformed object value.
+    A parameter missing from the snapshot takes the runner's default.
+    Before any value is decoded, a config that is not an object, a `kind`
+    that names no runner, a key that is not a parameter, a note of the
+    kind, `kind` or `version`, and a missing parameter without a default
+    raise ValueError naming the key; so does a malformed object value.
     """
+    if not isinstance(config, dict):
+        raise ValueError(f"config: expected an object, got {type(config).__name__}")
     kind = config.get("kind")
-    runner = RUNNERS.get(kind)
-    if runner is None:
-        raise ValueError(f"unknown experiment kind {kind!r}")
-    codecs = {n: _CODEC.get(n, (n, _same, _same)) for n in inspect.signature(runner).parameters}
+    if not isinstance(kind, str) or kind not in RUNNERS:
+        raise ValueError(f"config['kind']: unknown experiment kind {kind!r}")
+    parameters = inspect.signature(RUNNERS[kind]).parameters
+    codecs = {n: _CODEC.get(n, (n, _same, _same)) for n in parameters}
     unknown = config.keys() - {"kind", "version", *_NOTES[kind], *(c[0] for c in codecs.values())}
     if unknown:
-        raise ValueError(f"config: unknown key {min(unknown)!r}")
+        raise ValueError(f"config: unknown key {min(unknown, key=str)!r}")
+    for name, p in parameters.items():
+        if p.default is p.empty and codecs[name][0] not in config:
+            raise ValueError(f"config: missing key {codecs[name][0]!r}")
     arguments = {}
     for name, (key, _, decode) in codecs.items():
         if key in config:
             arguments[name] = decode(config[key], config)
-    return runner(**arguments)
+    return RUNNERS[kind](**arguments)
 
 
 # --- report serialization ----------------------------------------------------

@@ -503,6 +503,19 @@ def model_from_text(text: str) -> Model:
             raise ValueError(f"truncated model record: line {k + 1} is missing")
         return lines[k]
 
+    def numbers(k: int, width: int) -> np.ndarray:
+        """The `width` hexadecimal floats on line k (0-based)."""
+        tokens = line(k).split()
+        if len(tokens) != width:
+            raise ValueError(f"line {k + 1}: expected {width} values, got {len(tokens)}")
+        values = []
+        for v in tokens:
+            try:
+                values.append(float.fromhex(v))
+            except (ValueError, OverflowError):
+                raise ValueError(f"line {k + 1}: {v!r} is not a hexadecimal float64") from None
+        return np.array(values)
+
     def value(k: int, key: str) -> str:
         name, _, rest = line(k).partition(" ")
         if name != key:
@@ -520,18 +533,12 @@ def model_from_text(text: str) -> Model:
         if line(pos) != f"W{i}":
             raise ValueError(f"expected W{i} at line {pos + 1}")
         pos += 1
-        rows = [[float.fromhex(v) for v in line(pos + r).split()] for r in range(fi)]
+        weights.append(np.array([numbers(pos + r, fo) for r in range(fi)]))
         pos += fi
-        w = np.array(rows)
-        if w.shape != (fi, fo):
-            raise ValueError(f"layer {i} weight shape {w.shape} != ({fi}, {fo})")
         if line(pos) != f"b{i}":
             raise ValueError(f"expected b{i} at line {pos + 1}")
-        pos += 1
-        b = np.array([float.fromhex(v) for v in line(pos).split()])
-        pos += 1
-        weights.append(w)
-        biases.append(b)
+        biases.append(numbers(pos + 1, fo))
+        pos += 2
     if pos < len(lines):
         raise ValueError(f"line {pos + 1}: unexpected text after the last layer")
     m = Model(task, weights, biases)

@@ -83,12 +83,15 @@ def draw_hyperplane(spec: SyntheticSpec, rng: RngStream) -> Hyperplane:
     return Hyperplane(alpha, relevant)
 
 
-def _labels(signs: np.ndarray) -> np.ndarray:
-    # one-hot rows: class 1 where the sign is positive
-    n = signs.shape[0]
-    y = np.zeros((n, 2))
-    y[np.arange(n), signs.astype(int)] = 1.0
-    return y
+def _generated(spec: SyntheticSpec, n: int | None, rng: RngStream | None, draw) -> Dataset:
+    """The skeleton of every setup: the two-class Dataset that `draw(g, n)`
+    gives as (x, x_star, class-1 mask, meta) for n rows (spec.n_train by
+    default) drawn from the generator of `rng` (spec.rng by default); its
+    header takes the widths of the two views."""
+    n = spec.n_train if n is None else n
+    X, Xs, positive, meta = draw((rng or spec.rng).generator(), n)
+    header = DatasetHeader(X.shape[1], Xs.shape[1], 2, CLASSIFICATION)
+    return Dataset.from_arrays(header, x=X, x_star=Xs, y=np.eye(2)[positive.astype(int)], meta=meta)
 
 
 def gen_exp1(spec: SyntheticSpec, hp: Hyperplane, n: int | None = None,
@@ -97,31 +100,25 @@ def gen_exp1(spec: SyntheticSpec, hp: Hyperplane, n: int | None = None,
 
     With noiseless=True the label noise is forced to zero (oracle mode).
     """
-    n = spec.n_train if n is None else n
-    g = (rng or spec.rng).generator()
-    X = g.standard_normal((n, spec.d))
-    margin = X @ hp.alpha
-    eps = g.standard_normal(n)
-    if noiseless:
-        eps = np.zeros(n)
-    y = _labels(margin + eps > 0)
-    meta = {"experiment": 1, "alpha": hp.alpha, "label_noise": eps, "noiseless": noiseless}
-    return Dataset.from_arrays(DatasetHeader(spec.d, 1, 2, CLASSIFICATION),
-                               x=X, x_star=margin[:, None], y=y, meta=meta)
+    def draw(g, n):
+        X = g.standard_normal((n, spec.d))
+        margin = X @ hp.alpha
+        eps = np.zeros(n) if noiseless else g.standard_normal(n)
+        meta = {"experiment": 1, "alpha": hp.alpha, "label_noise": eps, "noiseless": noiseless}
+        return X, margin[:, None], margin + eps > 0, meta
+
+    return _generated(spec, n, rng, draw)
 
 
 def gen_exp2(spec: SyntheticSpec, hp: Hyperplane, n: int | None = None,
              rng: RngStream | None = None) -> Dataset:
     """Noisy features: the label comes from the clean view x_star."""
-    n = spec.n_train if n is None else n
-    g = (rng or spec.rng).generator()
-    Xs = g.standard_normal((n, spec.d))
-    eps = g.standard_normal((n, spec.d))
-    X = Xs + eps
-    y = _labels(Xs @ hp.alpha > 0)
-    meta = {"experiment": 2, "alpha": hp.alpha}
-    return Dataset.from_arrays(DatasetHeader(spec.d, spec.d, 2, CLASSIFICATION),
-                               x=X, x_star=Xs, y=y, meta=meta)
+    def draw(g, n):
+        Xs = g.standard_normal((n, spec.d))
+        X = Xs + g.standard_normal((n, spec.d))
+        return X, Xs, Xs @ hp.alpha > 0, {"experiment": 2, "alpha": hp.alpha}
+
+    return _generated(spec, n, rng, draw)
 
 
 def gen_exp3(spec: SyntheticSpec, hp: Hyperplane, n: int | None = None,
@@ -130,14 +127,13 @@ def gen_exp3(spec: SyntheticSpec, hp: Hyperplane, n: int | None = None,
     if hp.relevant is None:
         raise ValueError("setup 3 needs a hyperplane with a relevant index set")
     J = np.asarray(hp.relevant)
-    n = spec.n_train if n is None else n
-    g = (rng or spec.rng).generator()
-    X = g.standard_normal((n, spec.d))
-    Xs = X[:, J]
-    y = _labels(Xs @ hp.alpha[J] > 0)
-    meta = {"experiment": 3, "alpha": hp.alpha, "relevant": J}
-    return Dataset.from_arrays(DatasetHeader(spec.d, len(J), 2, CLASSIFICATION),
-                               x=X, x_star=Xs, y=y, meta=meta)
+
+    def draw(g, n):
+        X = g.standard_normal((n, spec.d))
+        Xs = X[:, J]
+        return X, Xs, Xs @ hp.alpha[J] > 0, {"experiment": 3, "alpha": hp.alpha, "relevant": J}
+
+    return _generated(spec, n, rng, draw)
 
 
 def gen_exp4(spec: SyntheticSpec, hp: Hyperplane, n: int | None = None,
@@ -152,18 +148,17 @@ def gen_exp4(spec: SyntheticSpec, hp: Hyperplane, n: int | None = None,
     and they make the label linearly realizable from x_star: the label
     is simply the sign of their sum.
     """
-    n = spec.n_train if n is None else n
-    k = spec.relevant_size
-    g = (rng or spec.rng).generator()
-    X = g.standard_normal((n, spec.d))
-    # uniform k-subsets per row, without replacement
-    J = np.argpartition(g.random((n, spec.d)), k - 1, axis=1)[:, :k]
-    J.sort(axis=1)
-    Xs = np.take_along_axis(X, J, axis=1) * hp.alpha[J]
-    y = _labels(np.sum(Xs, axis=1) > 0)
-    meta = {"experiment": 4, "alpha": hp.alpha, "relevant_sets": J}
-    return Dataset.from_arrays(DatasetHeader(spec.d, k, 2, CLASSIFICATION),
-                               x=X, x_star=Xs, y=y, meta=meta)
+    def draw(g, n):
+        k = spec.relevant_size
+        X = g.standard_normal((n, spec.d))
+        # uniform k-subsets per row, without replacement
+        J = np.argpartition(g.random((n, spec.d)), k - 1, axis=1)[:, :k]
+        J.sort(axis=1)
+        Xs = np.take_along_axis(X, J, axis=1) * hp.alpha[J]
+        meta = {"experiment": 4, "alpha": hp.alpha, "relevant_sets": J}
+        return X, Xs, np.sum(Xs, axis=1) > 0, meta
+
+    return _generated(spec, n, rng, draw)
 
 
 _GENERATORS = {1: gen_exp1, 2: gen_exp2, 3: gen_exp3, 4: gen_exp4}
@@ -207,9 +202,21 @@ def replay_labels(ds: Dataset) -> np.ndarray:
 # Line 1: d <sep> d_star <sep> c <sep> n.  Then one record per example:
 # the x group, the x_star group, the y group, in that order; a present
 # group is its values, a missing group is the single token "_", and a
-# present group of width 0 (e.g. d_star = 0) is one empty token.
+# present group of width 0 (e.g. d_star = 0) is one empty token.  The
+# delimiter must be ASCII and share no character with a line end, the
+# marker "_" or a written number, so that the records split back.
+
+
+def _check_delimiter(delimiter) -> None:
+    if not (isinstance(delimiter, str) and delimiter.isascii() and delimiter):
+        raise ValueError(f"delimiter must be a non-empty ASCII string, got {delimiter!r}")
+    for c in delimiter:
+        if c in "\n\r_0123456789.+-e":
+            raise ValueError(f"delimiter {delimiter!r} holds {c!r}, which a record can hold")
+
 
 def dump_dataset(ds: Dataset, path, delimiter: str = ",") -> None:
+    _check_delimiter(delimiter)
     h = ds.header
     with open(path, "w", encoding="ascii") as f:
         f.write(delimiter.join(str(v) for v in (h.d, h.d_star, h.c, len(ds))) + "\n")
@@ -259,8 +266,10 @@ def load_dataset(path, delimiter: str = ",", task: str = CLASSIFICATION) -> Data
     a non-ASCII or non-numeric token, a header size out of range (`c` >= 1,
     the others >= 0), a record that is too short or too long or has no
     present group, or a record count that differs from the header's n;
-    the Dataset's own checks name the example (0-based).
+    the Dataset's own checks name the example (0-based).  A delimiter that
+    `dump_dataset` refuses raises ValueError before the file is opened.
     """
+    _check_delimiter(delimiter)
     # a byte that is not ASCII reads as a lone surrogate, so that its line can be named
     with open(path, "r", encoding="ascii", errors="surrogateescape") as f:
         first = f.readline()

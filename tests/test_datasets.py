@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import tracemalloc
 
@@ -150,9 +151,9 @@ class TestIdxFuzz:
         with pytest.raises(ParseError, match=f"^{lp}: {message}$"):
             load_idx(ip, lp)
 
-    @pytest.mark.parametrize("labels, first", [([3, 257, 299], "257"), ([3.0, 2.5, 9.9], "2.5")])
+    @pytest.mark.parametrize("labels, first", [([3, 257, 299], "257"), ([3, 10, 9], "10")])
     def test_writing_a_label_that_would_not_reload_raises(self, tmp_path, labels, first):
-        # stored as a byte, label 257 would reload as class 1 and label 2.5 as class 2
+        # stored as a byte, label 257 would reload as class 1; IDX has only the classes 0-9
         imgset = ImageSet(np.zeros((3, 2, 2, 1), dtype=np.uint8), np.array(labels), n_classes=300)
         with pytest.raises(ValueError, match=f"^image 1: label {first} is not an IDX label in 0-9$"):
             write_idx(imgset, tmp_path / "images", tmp_path / "labels")
@@ -503,3 +504,18 @@ class TestImageSet:
     def test_label_range_checked(self):
         with pytest.raises(ValueError):
             ImageSet(np.zeros((1, 2, 2, 1), dtype=np.uint8), np.array([11]), 10)
+
+    @pytest.mark.parametrize("labels, got", [
+        (np.array([2.5, 9.9]), "float64 (2,)"),
+        (np.array([1.0, 2.0]), "float64 (2,)"),
+        (np.array([True, False]), "bool (2,)"),
+        (np.array(["1", "2"]), "<U1 (2,)"),
+        (np.array([[1], [2]]), "int64 (2, 1)"),
+        ([1, 2], "list"),
+    ], ids=["fractional", "integral-float", "bool", "str", "2-D", "list"])
+    def test_labels_must_be_a_1d_integer_array(self, labels, got):
+        with pytest.raises(ValueError, match=f"^labels must be a 1-D integer array, got {re.escape(got)}$"):
+            ImageSet(np.zeros((2, 2, 2, 1), dtype=np.uint8), labels, 10)
+
+    def test_empty_set_with_integer_labels_builds(self):
+        assert ImageSet(np.zeros((0, 2, 2, 1), dtype=np.uint8), np.zeros(0, np.uint8), 10).n == 0

@@ -122,6 +122,24 @@ def recorded(monkeypatch, name):
     return calls
 
 
+def problems_of(monkeypatch, run):
+    """The (label, train set, test set, config) problems that `run()` hands `_repeat`."""
+    seen = []
+
+    def repeat(problems, *args, **kwargs):
+        seen.extend(problems)
+        return [], []
+
+    monkeypatch.setattr(experiments, "_repeat", repeat)
+    run()
+    return seen
+
+
+def rows_by_x_star(ds):
+    """Row index of each x_star row of `ds`, keyed by its bytes."""
+    return {row.tobytes(): i for i, row in enumerate(ds.column("x_star"))}
+
+
 def stacked(ds, view):
     return np.asarray([getattr(t, view) for t in ds.examples])
 
@@ -662,6 +680,19 @@ class TestMnistMachinery:
         alone = run_mnist(**mnist_kwargs(mnist_dir, T_grid=(2.0,), lambda_grid=(0.0,)))
         assert alone.arm("distilled", 2.0, 0.0).values == full.arm("distilled", 2.0, 0.0).values
 
+    def test_training_and_test_rows_share_one_builder(self, mnist_dir, monkeypatch):
+        # the test files are the training files, so every drawn record is also a test row
+        for kind in ("images-idx3", "labels-idx1"):
+            train_file = mnist_dir / f"train-{kind}-ubyte"
+            (mnist_dir / f"t10k-{kind}-ubyte").write_bytes(train_file.read_bytes())
+        run = lambda: run_mnist(**mnist_kwargs(mnist_dir, reps=1))
+        [(_, train, test, _)] = problems_of(monkeypatch, run)
+        at = rows_by_x_star(test)
+        idx = [at[row.tobytes()] for row in train.column("x_star")]
+        assert len(set(idx)) == len(train) == 30
+        for view in ("x", "x_star", "y"):
+            assert train.column(view).tobytes() == test.column(view)[idx].tobytes()
+
     def test_replay_from_config(self, mnist_dir):
         report = run_mnist(**mnist_kwargs(mnist_dir))
         assert run_from_config(report.config) == report
@@ -949,6 +980,36 @@ def test_bad_snapshot_temperature_fails_on_replay_as_in_the_call(temperature):
     assert str(direct.value).startswith("temperature must be a finite real number > 0, got ")
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"kind": "synthetic", "spec": {"d": 5}}, "config: missing key 'experiment'"),
+    ({"kind": "synthetic"}, "config: missing key 'experiment'"),
+    ({"kind": "multitask"}, "config: missing key 'path'"),
+    ([], "config: expected an object, got list"),
+    ("synthetic", "config: expected an object, got str"),
+    (None, "config: expected an object, got NoneType"),
+    ({"kind": ["synthetic"]}, "config['kind']: unknown experiment kind ['synthetic']"),
+    ({"experiment": 1}, "config['kind']: unknown experiment kind None"),
+    ({"kind": "synthetic", "experiment": 1, 1: 2, "x": 3}, "config: unknown key 1"),
+    ({"kind": "synthetic", "experiment": 1, "spec": {"d": 5, 1: 2}}, "config['spec']: unknown key 1"),
+], ids=["spec-without-experiment", "no-experiment", "no-path", "list", "str", "none",
+        "unhashable-kind", "no-kind", "keys-of-two-types", "spec-keys-of-two-types"])
+def test_malformed_config_rejected_naming_the_key(config, message, monkeypatch):
+    trained = []
+    monkeypatch.setattr(experiments, "train_teacher", lambda *args: trained.append(args))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_from_config(config)
+    assert trained == []
+
+
+def test_snapshot_records_every_config_field_but_the_stream():
+    # a field added to TrainConfig or SyntheticSpec reaches the snapshot, and so the replay
+    config = tiny_synthetic(reps=0).config
+    train = [f.name for f in dataclasses.fields(TrainConfig) if f.name != "rng"]
+    spec = [f.name for f in dataclasses.fields(SyntheticSpec) if f.name not in ("experiment", "rng")]
+    assert list(config["teacher_train"]) == list(config["student_train"]) == train
+    assert list(config["spec"]) == spec
+
+
 @pytest.mark.parametrize("runner", ["mnist", "cifar", "multitask"])
 def test_bad_grid_value_rejected_naming_the_grid(runner, mnist_dir, cifar_dir, multitask_path):
     # _snapshot writes the grids as they are, so a grid must be checked before it
@@ -1169,6 +1230,19 @@ class TestCifarMachinery:
         a = run_cifar_semisup(**self.cifar_kwargs(cifar_dir))
         b = run_cifar_semisup(**self.cifar_kwargs(cifar_dir))
         assert a == b
+
+    def test_training_and_test_rows_share_one_builder(self, cifar_dir, monkeypatch):
+        # the test batch is training batch 3, so its ten records are also training rows;
+        # the noise differs (another stream), the clean pixels and labels may not
+        (cifar_dir / "test_batch.bin").write_bytes((cifar_dir / "data_batch_3.bin").read_bytes())
+        kw = self.cifar_kwargs(cifar_dir, n_labeled=50, max_unlabeled=None, reps=1)
+        [(_, train, test, _)] = problems_of(monkeypatch, lambda: run_cifar_semisup(**kw))
+        at = rows_by_x_star(test)
+        rows = [(i, at[r.tobytes()]) for i, r in enumerate(train.column("x_star")) if r.tobytes() in at]
+        i, j = np.array(rows).T
+        assert sorted(j) == list(range(10))
+        for view in ("x_star", "y"):
+            assert train.column(view)[i].tobytes() == test.column(view)[j].tobytes()
 
     def test_replay_from_config(self, cifar_dir):
         report = run_cifar_semisup(**self.cifar_kwargs(cifar_dir, unlabeled_weight=0.5, reps=2))

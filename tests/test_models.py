@@ -2,6 +2,7 @@ import copy
 import itertools
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -755,6 +756,24 @@ class TestSerialization:
         text = "\n".join([*lines, extra, "more"]) + "\n"
         with pytest.raises(ValueError, match=f"^line {len(lines) + 1}: unexpected text after"):
             model_from_text(text)
+
+    @pytest.mark.parametrize(
+        "line, edit, message",
+        [
+            (6, lambda row: row + " 0x1p+0", "expected 3 values, got 4"),
+            (7, lambda row: row.rsplit(" ", 1)[0], "expected 3 values, got 2"),
+            (9, lambda row: row.rsplit(" ", 1)[0], "expected 3 values, got 2"),
+            (11, lambda row: "zz " + row.split(" ", 1)[1], "'zz' is not a hexadecimal float64"),
+            (15, lambda row: row.split(" ", 1)[0] + " 0x1p+9999", "'0x1p+9999' is not a hexadecimal float64"),
+        ],
+        ids=["long-weight-row", "short-weight-row", "short-bias-row", "not-hex", "overflow"],
+    )
+    def test_a_malformed_value_row_is_named(self, line, edit, message):
+        # lines 5-9 hold layer 0 (W0, two rows of 3, b0, its row), lines 10-15 layer 1
+        lines = model_to_text(init_model(Arch.mlp(3), 2, 2, rng=RngStream(5))).splitlines()
+        lines[line - 1] = edit(lines[line - 1])
+        with pytest.raises(ValueError, match=f"^line {line}: {re.escape(message)}$"):
+            model_from_text("\n".join(lines) + "\n")
 
     @pytest.mark.parametrize(
         "arch,kind",

@@ -217,6 +217,12 @@ def same_bits(a, b):
     )
 
 
+# any ASCII text that shares no character with a line end, the missing-group
+# marker or a written number
+DELIMITERS = st.text(
+    st.characters(max_codepoint=127, exclude_characters="\n\r_0123456789.+-e"), min_size=1, max_size=3
+)
+
 FUZZ_SETTINGS = settings(
     max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
@@ -297,7 +303,22 @@ class TestDumpFormat:
         with pytest.raises(ValueError, match="^line 1: not ASCII text"):
             load_dataset(path)
 
-    @given(datasets(), st.sampled_from([",", ";", " ", "\t"]))
+    @pytest.mark.parametrize(
+        "delimiter",
+        ["", "-", ".", "+", "e", "0", "7", "_", "\n", "\r", ";-", ",\n", "\xe9", None, 0],
+    )
+    def test_a_delimiter_a_record_can_hold_is_refused_before_any_file_access(self, tmp_path,
+                                                                             delimiter):
+        spec = spec_for(2, n_train=3)
+        ds = gen_exp2(spec, draw_hyperplane(spec, RngStream(32)))
+        path = tmp_path / "dump.txt"
+        with pytest.raises(ValueError, match="^delimiter "):
+            dump_dataset(ds, path, delimiter)
+        assert not path.exists()
+        with pytest.raises(ValueError, match="^delimiter "):  # not FileNotFoundError
+            load_dataset(path, delimiter)
+
+    @given(datasets(), st.sampled_from([",", ";", " ", "\t"]) | DELIMITERS)
     @FUZZ_SETTINGS
     def test_round_trip(self, tmp_path, ds, delimiter):
         path = tmp_path / "dump.txt"
