@@ -52,8 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=INT, help="master seed")
         p.add_argument("--out", help="report file to write")
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="report format (default csv)")
+        p.add_argument("--format", choices=("csv", "json"),
+                       help="report format (default csv); needs --out")
 
     p = sub.add_parser("synthetic", help="synthetic setups 1-4, three arms")
     p.add_argument("--experiment", type=INT, choices=(1, 2, 3, 4), required=True)
@@ -118,11 +118,14 @@ def _summarize(report) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.format and not args.out:
+        parser.error("argument --format: not allowed without argument --out")
     try:
         report = _dispatch(args)
         if args.out:
-            emit_report(report, args.format, args.out)
+            emit_report(report, args.format or "csv", args.out)
         print(_summarize(report))
         if report.errors:
             for e in report.errors:

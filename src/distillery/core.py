@@ -34,6 +34,9 @@ __all__ = [
     "parse_number",
 ]
 
+# check_simplex_rows explains a row simplex_rows fails by check_simplex: both use this tolerance
+_SIMPLEX_TOL = 1e-9
+
 
 def _mix_key(parts) -> int:
     """Stable 64-bit hash of a tuple of ints/floats/strings (blake2b based)."""
@@ -131,25 +134,28 @@ def log_softmax(z, T: float = 1.0) -> np.ndarray:
     return zt - m - np.log(np.sum(np.exp(zt - m), axis=-1, keepdims=True))
 
 
-def check_simplex(p, tol: float = 1e-9) -> np.ndarray:
-    """Validate a probability vector: entries >= 0, sum == 1 within tol."""
+def check_simplex(p) -> np.ndarray:
+    """Validate a probability vector: entries >= 0, sum == 1 within _SIMPLEX_TOL."""
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("probability vector must be 1-d and non-empty")
     if not np.all(np.isfinite(p)) or np.any(p < 0):
         raise ValueError("probability vector entries must be finite and >= 0")
-    s = float(np.sum(p))
-    if abs(s - 1.0) > tol:
+    with np.errstate(over="ignore"):  # a sum past 1.8e308 is inf, and fails below
+        s = float(np.sum(p))
+    if abs(s - 1.0) > _SIMPLEX_TOL:
         raise ValueError(f"probability vector sums to {s!r}, not 1")
     return p
 
 
-def simplex_rows(P, tol: float = 1e-9) -> np.ndarray:
+def simplex_rows(P) -> np.ndarray:
     """check_simplex's test on every row of an (n, c) array at once: a mask
-    of the rows with entries >= 0 summing to 1 within tol (NaN and +-inf
+    of the rows with entries >= 0 summing to 1 within _SIMPLEX_TOL (NaN and +-inf
     fail it)."""
     P = np.asarray(P, dtype=np.float64)
-    return np.all(P >= 0, axis=1) & (np.abs(P.sum(axis=1) - 1.0) <= tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf + -inf, or a sum past 1.8e308
+        sums = P.sum(axis=1)
+    return np.all(P >= 0, axis=1) & (np.abs(sums - 1.0) <= _SIMPLEX_TOL)
 
 
 def check_count(name: str, value, low: int = 1, high: int | None = None) -> int:

@@ -316,8 +316,12 @@ def load_multitask_csv(path, delimiter: str = ",") -> tuple[np.ndarray, np.ndarr
     each cell read by `core.parse_number`, into (inputs, outputs) arrays of
     one row per data row; errors name the row (and column).
 
-    Pass delimiter=None to split on arbitrary whitespace.
+    Pass delimiter=None to split on arbitrary whitespace; any other
+    delimiter that is not a non-empty string raises ValueError before the
+    file is opened.
     """
+    if delimiter == "" or not isinstance(delimiter, (str, type(None))):
+        raise ValueError(f"delimiter must be a non-empty string or None, got {delimiter!r}")
     n_inputs, arity = 21, 28
     rows = []
     # a byte that is not ASCII reads as a lone surrogate, so that its row can be named

@@ -255,8 +255,10 @@ def soft_labels(teacher: Model, data: Dataset, T: float) -> np.ndarray:
     Classification: sigma(f_t(x_star) / T), a valid probability vector.
     Regression: the teacher's raw prediction (temperature does not act).
     Labels are not required, so unlabeled examples are covered too; rows
-    without x_star hold NaN.
+    without x_star hold NaN.  For either task, and whether or not a row has
+    x_star, T must be a finite real > 0 (ValueError, as from softmax).
     """
+    T = check_real("temperature", T, 0.0, low_open=True)
     ids = np.flatnonzero(data._masks["x_star"])
     soft = np.full((len(data), teacher.output_dim), np.nan)
     if ids.size:

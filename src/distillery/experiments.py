@@ -343,7 +343,7 @@ _TRAIN_FIELDS = tuple(f.name for f in fields(TrainConfig) if f.name != "rng")
 _CODEC = {
     "spec": _record(
         "spec",
-        tuple(f.name for f in fields(SyntheticSpec) if f.name not in ("experiment", "rng")),
+        tuple(f.name for f in fields(SyntheticSpec) if f.name != "experiment"),
         lambda s, config: SyntheticSpec(config["experiment"], **s),
     ),
     "teacher_train": _record("teacher_train", _TRAIN_FIELDS, lambda d, config: TrainConfig(**d)),
@@ -624,8 +624,6 @@ def run_multitask(
     seed = master.seed
     T_grid, lambda_grid = _grids(T_grid, lambda_grid)
     _check_kind("path", path, (str, os.PathLike), "a str or os.PathLike")
-    if delimiter == "" or not isinstance(delimiter, (str, type(None))):
-        raise ValueError(f"delimiter must be a non-empty string or None, got {delimiter!r}")
     _check_kind("train_config", train_config, TrainConfig, "a TrainConfig")
     _check_kind("arch", arch, Arch, "an Arch")
     test_cap = check_count("test_cap", test_cap)

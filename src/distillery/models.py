@@ -150,7 +150,6 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 32
     l2: float = 1e-4
-    init_scale: str = "fan_in_normal"
     rng: RngStream = RngStream(0)
 
     def __post_init__(self):
@@ -159,8 +158,6 @@ class TrainConfig:
         for name in ("epochs", "batch_size"):
             object.__setattr__(self, name, check_count(name, getattr(self, name)))
         object.__setattr__(self, "l2", check_real("l2", self.l2))
-        if self.init_scale != "fan_in_normal":
-            raise ValueError(f"unknown init scheme {self.init_scale!r}")
 
 
 def init_model(
@@ -494,56 +491,62 @@ def model_to_text(m: Model) -> str:
 
 
 def model_from_text(text: str) -> Model:
-    lines = text.strip().split("\n")
+    body = text.lstrip()
+    lines = body.rstrip().split("\n")
+    skipped = text[: len(text) - len(body)].count("\n")  # blank lines before the record
     if lines[0] != _MAGIC:
         raise ValueError(f"not a model record (expected {_MAGIC!r})")
 
+    def at(k: int) -> str:
+        """Line k (0-based) of the record, numbered as a line of `text`."""
+        return f"line {skipped + k + 1}"
+
     def line(k: int) -> str:
         if k >= len(lines):
-            raise ValueError(f"truncated model record: line {k + 1} is missing")
+            raise ValueError(f"truncated model record: {at(k)} is missing")
         return lines[k]
 
     def numbers(k: int, width: int) -> np.ndarray:
         """The `width` hexadecimal floats on line k (0-based)."""
         tokens = line(k).split()
         if len(tokens) != width:
-            raise ValueError(f"line {k + 1}: expected {width} values, got {len(tokens)}")
+            raise ValueError(f"{at(k)}: expected {width} values, got {len(tokens)}")
         values = []
         for v in tokens:
             try:
                 values.append(float.fromhex(v))
             except (ValueError, OverflowError):
-                raise ValueError(f"line {k + 1}: {v!r} is not a hexadecimal float64") from None
+                raise ValueError(f"{at(k)}: {v!r} is not a hexadecimal float64") from None
         return np.array(values)
 
     def value(k: int, key: str) -> str:
         name, _, rest = line(k).partition(" ")
         if name != key:
-            raise ValueError(f"expected {key!r} at line {k + 1}")
+            raise ValueError(f"expected {key!r} at {at(k)}")
         return rest
 
     kind, task = value(1, "kind"), value(2, "task")
     sizes = value(3, "sizes").split()
     if len(sizes) < 2 or not all(s.isascii() and s.isdigit() and int(s) > 0 for s in sizes):
-        raise ValueError(f"line 4: expected 'sizes d h1 ... c' of ASCII digits >= 1: {lines[3]!r}")
+        raise ValueError(f"{at(3)}: expected 'sizes d h1 ... c' of ASCII digits >= 1: {lines[3]!r}")
     sizes = [int(s) for s in sizes]
     pos = 4
     weights, biases = [], []
     for i, (fi, fo) in enumerate(zip(sizes, sizes[1:])):
         if line(pos) != f"W{i}":
-            raise ValueError(f"expected W{i} at line {pos + 1}")
+            raise ValueError(f"expected W{i} at {at(pos)}")
         pos += 1
         weights.append(np.array([numbers(pos + r, fo) for r in range(fi)]))
         pos += fi
         if line(pos) != f"b{i}":
-            raise ValueError(f"expected b{i} at line {pos + 1}")
+            raise ValueError(f"expected b{i} at {at(pos)}")
         biases.append(numbers(pos + 1, fo))
         pos += 2
     if pos < len(lines):
-        raise ValueError(f"line {pos + 1}: unexpected text after the last layer")
+        raise ValueError(f"{at(pos)}: unexpected text after the last layer")
     m = Model(task, weights, biases)
     if kind != m.kind:
-        raise ValueError(f"kind {kind!r} at line 2 contradicts the {len(weights)} layer(s)")
+        raise ValueError(f"kind {kind!r} at {at(1)} contradicts the {len(weights)} layer(s)")
     return m
 
 

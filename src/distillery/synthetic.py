@@ -54,7 +54,6 @@ class SyntheticSpec:
     n_train: int = 200
     n_test: int = 10_000
     relevant_size: int = 3
-    rng: RngStream = RngStream(0)
 
     def __post_init__(self):
         object.__setattr__(self, "experiment", check_count("experiment", self.experiment, 1, 4))
@@ -83,19 +82,19 @@ def draw_hyperplane(spec: SyntheticSpec, rng: RngStream) -> Hyperplane:
     return Hyperplane(alpha, relevant)
 
 
-def _generated(spec: SyntheticSpec, n: int | None, rng: RngStream | None, draw) -> Dataset:
+def _generated(spec: SyntheticSpec, n: int | None, rng: RngStream, draw) -> Dataset:
     """The skeleton of every setup: the two-class Dataset that `draw(g, n)`
     gives as (x, x_star, class-1 mask, meta) for n rows (spec.n_train by
-    default) drawn from the generator of `rng` (spec.rng by default); its
-    header takes the widths of the two views."""
+    default) drawn from the generator of `rng`; its header takes the widths
+    of the two views."""
     n = spec.n_train if n is None else n
-    X, Xs, positive, meta = draw((rng or spec.rng).generator(), n)
+    X, Xs, positive, meta = draw(rng.generator(), n)
     header = DatasetHeader(X.shape[1], Xs.shape[1], 2, CLASSIFICATION)
     return Dataset.from_arrays(header, x=X, x_star=Xs, y=np.eye(2)[positive.astype(int)], meta=meta)
 
 
 def gen_exp1(spec: SyntheticSpec, hp: Hyperplane, n: int | None = None,
-             rng: RngStream | None = None, noiseless: bool = False) -> Dataset:
+             rng: RngStream = RngStream(0), noiseless: bool = False) -> Dataset:
     """Noisy labels: x_star is the exact margin, y flips near the boundary.
 
     With noiseless=True the label noise is forced to zero (oracle mode).
@@ -111,7 +110,7 @@ def gen_exp1(spec: SyntheticSpec, hp: Hyperplane, n: int | None = None,
 
 
 def gen_exp2(spec: SyntheticSpec, hp: Hyperplane, n: int | None = None,
-             rng: RngStream | None = None) -> Dataset:
+             rng: RngStream = RngStream(0)) -> Dataset:
     """Noisy features: the label comes from the clean view x_star."""
     def draw(g, n):
         Xs = g.standard_normal((n, spec.d))
@@ -122,7 +121,7 @@ def gen_exp2(spec: SyntheticSpec, hp: Hyperplane, n: int | None = None,
 
 
 def gen_exp3(spec: SyntheticSpec, hp: Hyperplane, n: int | None = None,
-             rng: RngStream | None = None) -> Dataset:
+             rng: RngStream = RngStream(0)) -> Dataset:
     """Shared relevant subset: x_star = x_J for one J common to all samples."""
     if hp.relevant is None:
         raise ValueError("setup 3 needs a hyperplane with a relevant index set")
@@ -137,7 +136,7 @@ def gen_exp3(spec: SyntheticSpec, hp: Hyperplane, n: int | None = None,
 
 
 def gen_exp4(spec: SyntheticSpec, hp: Hyperplane, n: int | None = None,
-             rng: RngStream | None = None) -> Dataset:
+             rng: RngStream = RngStream(0)) -> Dataset:
     """Per-sample relevant subset, J_i redrawn for each sample.
 
     The privileged view reports each relevant variable's signed
@@ -165,7 +164,7 @@ _GENERATORS = {1: gen_exp1, 2: gen_exp2, 3: gen_exp3, 4: gen_exp4}
 
 
 def generate(spec: SyntheticSpec, hp: Hyperplane, n: int | None = None,
-             rng: RngStream | None = None) -> Dataset:
+             rng: RngStream = RngStream(0)) -> Dataset:
     """Dispatch to the generator named by spec.experiment."""
     return _GENERATORS[spec.experiment](spec, hp, n=n, rng=rng)
 

@@ -495,6 +495,13 @@ class TestMultitaskCsv:
         p = self.write(tmp_path, [" ".join(["2.5"] * 28)])
         assert len(load_multitask_csv(p, delimiter=None)[0]) == 1
 
+    @pytest.mark.parametrize("delimiter", ["", 5, b","])
+    def test_bad_delimiter_rejected_before_the_file_is_opened(self, tmp_path, delimiter):
+        # nothing exists at `nowhere`, so opening it first would raise FileNotFoundError
+        message = f"delimiter must be a non-empty string or None, got {delimiter!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_multitask_csv(tmp_path / "nowhere", delimiter)
+
 
 class TestImageSet:
     def test_label_count_checked(self):

@@ -175,6 +175,18 @@ class TestSoftLabels:
         for s in soft_labels(teacher, data, 5.0):
             assert abs(s.sum() - 1.0) <= 1e-9 and np.all(s >= 0)
 
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    @pytest.mark.parametrize("T", ["x", math.nan, -3.0, 0.0, math.inf, True])
+    def test_bad_temperature_rejected_for_either_task(self, task, T):
+        # no row has x_star, so softmax, which checks T too, is never reached
+        header = DatasetHeader(4, 2, 2, task)
+        data = Dataset.from_arrays(header, x=np.zeros((3, 4)), x_star=np.zeros((3, 2)),
+                                   y=np.eye(2)[[0, 1, 0]], present={"x_star": np.zeros(3, bool)})
+        teacher = init_model("linear", 2, 2, task=task)
+        message = f"temperature must be a finite real number > 0, got {T!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            soft_labels(teacher, data, T)
+
 
 class TestDistillStudent:
     @pytest.mark.parametrize(
@@ -487,6 +499,8 @@ class TestDatasetValidation:
             ([np.nan, 1.0], "finite and >= 0"),
             ([np.inf, 0.0], "finite and >= 0"),
             ([0.5, 0.5 + 2e-9], "not 1"),
+            ([np.inf, -np.inf], "finite and >= 0"),  # their sum warned, as inf + -inf
+            ([1e308, 1e308], "sums to inf"),  # their sum warned, as an overflow
         ]:
             ys = [one_hot(0, 2), None, one_hot(1, 2), np.array(bad), np.array(bad)]
             with pytest.raises(ValueError, match=f"^example 3: .*{message}"):

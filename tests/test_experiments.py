@@ -481,8 +481,7 @@ class TestSyntheticRun:
         assert cell.metric == "accuracy" and len(cell.values) == 2
 
     def test_config_snapshot_format(self):
-        train = {"learning_rate": 0.1, "epochs": 5, "batch_size": 20, "l2": 1e-4,
-                 "init_scale": "fan_in_normal"}
+        train = {"learning_rate": 0.1, "epochs": 5, "batch_size": 20, "l2": 1e-4}
         assert tiny_synthetic().config == {
             "kind": "synthetic",
             "experiment": 1,
@@ -511,6 +510,17 @@ class TestSyntheticRun:
         cell = report.arm("distilled", 1.0, 1.0)
         assert cell.values == clean.arm("distilled", 1.0, 1.0).values[:1]
         assert cell.status == "incomplete"
+
+    def test_diverged_regular_student_drops_the_repetition(self, monkeypatch):
+        # distill_student calls per rep: regular, then distilled; rep 1's regular
+        # student fails, so its teacher's score is dropped and its cell not tried
+        clean = tiny_synthetic()
+        diverge_on(monkeypatch, "distill_student", lambda k, *args: k == 2)
+        report = tiny_synthetic()
+        assert report.errors == [f"rep 1: {DIVERGED}"]
+        assert report.status == "incomplete"
+        for r, c in zip(report.results, clean.results):
+            assert r.values == c.values[:1] and r.status == "incomplete"
 
     def test_diverged_teacher_drops_the_repetition(self, monkeypatch):
         clean = tiny_synthetic()
@@ -1374,8 +1384,28 @@ class TestCli:
             "synthetic", "--experiment", "1", "--reps", "1",
             "--n-train", "40", "--n-test", "50", "--out", str(out),
         ])
-        assert code == 0 and out.exists()
+        assert code == 0 and load_report_csv(out)[0]["arm"] == "privileged"  # csv by default
         assert "privileged" in capsys.readouterr().out
+
+    def test_format_without_out_exits_2_before_running(self, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setitem(RUNNERS, "synthetic", lambda **kw: ran.append(kw))
+        with pytest.raises(SystemExit) as e:
+            cli_main(["synthetic", "--experiment", "1", "--reps", "1", "--format", "json"])
+        assert e.value.code == 2 and ran == []
+        assert "argument --format: not allowed without argument --out" in capsys.readouterr().err
+
+    def test_report_errors_warn_and_per_task_rows_stay_out_of_the_summary(
+            self, multitask_path, capsys, monkeypatch):
+        diverge_on(monkeypatch, "train_teacher", lambda k, *args: k in (2, 5))
+        code = cli_main(["multitask", "--path", str(multitask_path), "--n-train", "40",
+                         "--test-cap", "20", "--T", "1", "--lambda", "0,1"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == f"warning: task 2: {DIVERGED}\nwarning: task 5: {DIVERGED}\n"
+        summary = [line.split(":")[0] for line in captured.out.splitlines()]
+        assert summary == ["multitask", "  privileged", "  regular",
+                           "  distilled T=1 lambda=0", "  distilled T=1 lambda=1"]
 
     def test_missing_data_is_single_line_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("DISTILLERY_DATA_DIR", raising=False)

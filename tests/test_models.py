@@ -776,6 +776,32 @@ class TestSerialization:
             model_from_text("\n".join(lines) + "\n")
 
     @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda lines: lines[:6] + ["zz " + lines[6].split(" ", 1)[1]] + lines[7:],
+             "line 9: 'zz' is not a hexadecimal float64"),
+            (lambda lines: lines[:8] + [lines[8].rsplit(" ", 1)[0]] + lines[9:],
+             "line 11: expected 3 values, got 2"),
+            (lambda lines: lines[:9], "truncated model record: line 12 is missing"),
+        ],
+        ids=["not-hex", "short-bias-row", "truncated"],
+    )
+    def test_lines_are_numbered_as_given_after_leading_blank_lines(self, edit, message):
+        # two blank lines put the record's line k on line k + 2 of the text
+        lines = model_to_text(init_model(Arch.mlp(3), 2, 2, rng=RngStream(5))).splitlines()
+        assert model_from_text("\n\n" + "\n".join(lines) + "\n") == model_from_text("\n".join(lines))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            model_from_text("\n\n" + "\n".join(edit(lines)) + "\n")
+
+    @pytest.mark.parametrize("line, name", [(5, "W0"), (8, "b0"), (10, "W1"), (14, "b1")])
+    def test_a_misplaced_layer_marker_is_named(self, line, name):
+        lines = model_to_text(init_model(Arch.mlp(3), 2, 2, rng=RngStream(5))).splitlines()
+        assert lines[line - 1] == name
+        lines[line - 1] = "W9"
+        with pytest.raises(ValueError, match=f"^expected {name} at line {line}$"):
+            model_from_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize(
         "arch,kind",
         [(Arch("linear"), "mlp"), (Arch.mlp(3), "linear"), (Arch.mlp(3, 2), "banana")],
         ids=["linear-as-mlp", "mlp-as-linear", "unknown"],
@@ -848,7 +874,6 @@ class TestTrainConfigValidation:
             dict(l2=-1e-4),
             dict(l2=math.nan),
             dict(l2=math.inf),
-            dict(init_scale="uniform"),
             dict(epochs=2.5),
             dict(epochs="3"),
             dict(batch_size=2.5),
