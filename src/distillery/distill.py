@@ -383,11 +383,26 @@ def _fit(data: Dataset, view: str, ids: np.ndarray, hw, soft, arch: Arch, train_
     return train(m0, batch, replace(train_cfg, rng=train_cfg.rng.fork("shuffle")))
 
 
+def _classes_of_interest(classes, c: int) -> list[int]:
+    """`classes`, any iterable, as a list of distinct class ids in [0, c);
+    raises ValueError naming the first id out of range, an empty set or a
+    repeated id."""
+    requested = [check_count("class of interest", k, 0, c - 1) for k in classes]
+    if not requested:
+        raise ValueError("classes_of_interest must be non-empty")
+    if len(set(requested)) != len(requested):
+        raise ValueError("classes_of_interest contains duplicates")
+    return requested
+
+
 def restrict_simplex(p: np.ndarray, classes) -> np.ndarray:
     """Renormalize probability vectors (along the last axis) onto a subset of
-    their classes; a NaN row stays NaN.  Raises ValueError, naming the
-    first row of a 2-D `p`, where the mass on the subset is numerically zero."""
-    q = np.asarray(p, dtype=np.float64)[..., classes]
+    their classes, in the order given; a NaN row stays NaN.  Raises
+    ValueError for a class set that is empty, repeats a class or names one
+    out of range, and one naming the first row of a 2-D `p` where the mass
+    on the subset is numerically zero."""
+    p = np.asarray(p, dtype=np.float64)
+    q = p[..., _classes_of_interest(classes, p.shape[-1])]
     mass = q.sum(axis=-1, keepdims=True)
     zero = np.flatnonzero(mass < 1e-300)
     if zero.size:
@@ -402,18 +417,12 @@ def universum_soft_labels(teacher: Model, data: Dataset, T: float, classes_of_in
 
     The teacher may have been trained on extra out-of-task classes; the
     restriction preserves the ratios between retained class
-    probabilities.  Columns are indexed by ascending class id.
+    probabilities.  Columns are indexed by ascending class id.  The class
+    set is checked before the teacher runs.
     """
     if teacher.task != CLASSIFICATION:
         raise ValueError("universum soft labels require a classification teacher")
-    requested = list(classes_of_interest)
-    for k in requested:
-        check_count("class of interest", k, 0, teacher.output_dim - 1)
-    classes = sorted(set(requested))
-    if not classes:
-        raise ValueError("classes_of_interest must be non-empty")
-    if len(classes) != len(requested):
-        raise ValueError("classes_of_interest contains duplicates")
+    classes = sorted(_classes_of_interest(classes_of_interest, teacher.output_dim))
     return restrict_simplex(soft_labels(teacher, data, T), classes)
 
 

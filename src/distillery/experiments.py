@@ -20,8 +20,9 @@ effect of the soft labels.
 
 Reports serialize to JSON (full nested structure, lossless round-trip)
 and CSV (one aggregate row per experiment/arm/T/lambda).  A report's
-config snapshot holds the run's own arguments, encoded by parameter name
-(`_CODEC`), so `run_from_config` can call the runner again.
+config snapshot holds its kind, the run's arguments under their parameter
+names (encoded by `_CODEC`) and the library version, so `run_from_config`
+can call the runner again.
 """
 
 from __future__ import annotations
@@ -302,9 +303,9 @@ def _same(value, config=None):
 
 
 def _record(key: str, names, build):
-    """Codec of a dataclass argument stored under `key` as an object of its
-    fields `names`; decoding rejects anything else with a ValueError naming
-    `key`, then calls `build(fields, config)`."""
+    """Codec of dataclass argument `key`, stored as an object of its fields
+    `names`; decoding rejects anything else with a ValueError naming `key`,
+    then calls `build(fields, config)`."""
 
     def decode(value, config):
         if not isinstance(value, dict):
@@ -314,7 +315,7 @@ def _record(key: str, names, build):
             raise ValueError(f"config[{key!r}]: unknown key {min(unknown, key=str)!r}")
         return build(value, config)
 
-    return key, lambda obj: {n: getattr(obj, n) for n in names}, decode
+    return lambda obj: {n: getattr(obj, n) for n in names}, decode
 
 
 def _arch_text(arch: Arch) -> str:
@@ -338,8 +339,8 @@ def _arch_from_text(text: str, config=None) -> Arch:
 # snapshot and replayed too
 _TRAIN_FIELDS = tuple(f.name for f in fields(TrainConfig) if f.name != "rng")
 
-# parameter name -> (snapshot key, encode(value), decode(value, config));
-# any other parameter is stored under its own name as it is
+# parameter name -> (encode(value), decode(value, config)); any other
+# parameter is stored as it is
 _CODEC = {
     "spec": _record(
         "spec",
@@ -348,42 +349,24 @@ _CODEC = {
     ),
     "teacher_train": _record("teacher_train", _TRAIN_FIELDS, lambda d, config: TrainConfig(**d)),
     "student_train": _record("student_train", _TRAIN_FIELDS, lambda d, config: TrainConfig(**d)),
-    "train_config": _record("train", _TRAIN_FIELDS, lambda d, config: TrainConfig(**d)),
-    "arch": ("arch", _arch_text, _arch_from_text),
-    "T_grid": ("T_grid", list, _same),
-    "lambda_grid": ("lambda_grid", list, _same),
-    "data_dir": ("data_dir", str, _same),
-    "path": ("path", str, _same),
+    "train_config": _record("train_config", _TRAIN_FIELDS, lambda d, config: TrainConfig(**d)),
+    "arch": (_arch_text, _arch_from_text),
+    "T_grid": (list, _same),
+    "lambda_grid": (list, _same),
+    "data_dir": (str, _same),
+    "path": (str, _same),
 }
-
-
-# fixed notes that each kind of run records after its arguments
-_NOTES = {
-    "synthetic": {
-        "teacher_arch": "linear",
-        "student_arch": "linear",
-        "alpha_policy": "fresh hyperplane per repetition",
-    },
-    "mnist": {
-        "teacher_features": "28x28 pixels scaled to [0,1]",
-        "student_features": "7x7 block means",
-    },
-    "cifar": {"noise": "additive N(0, sigma^2) on [0,1] pixels, train and test, no clipping"},
-    "multitask": {
-        "standardization": "inputs and each task output, train-split statistics",
-        "temperature_note": "temperature is a no-op for regression soft targets",
-    },
-}
+_PLAIN = (_same, _same)
 
 
 def _snapshot(kind: str, arguments: dict) -> dict:
-    """Config of a run: its checked arguments (a superset, e.g. `locals()`),
-    then its kind's notes and the library version."""
+    """Config of a run: its kind, each parameter's checked argument (taken
+    from a superset, e.g. `locals()`) under the parameter's name, and the
+    library version."""
     config = {"kind": kind}
     for name in inspect.signature(RUNNERS[kind]).parameters:
-        key, encode, _ = _CODEC.get(name, (name, _same, _same))
-        config[key] = encode(arguments[name])
-    return {**config, **_NOTES[kind], "version": __version__}
+        config[name] = _CODEC.get(name, _PLAIN)[0](arguments[name])
+    return {**config, "version": __version__}
 
 
 # --- synthetic experiments ---------------------------------------------------
@@ -402,7 +385,8 @@ def run_synthetic(
     """Three-arm run of one synthetic setup over fresh repetitions.
 
     Each repetition draws a fresh problem instance (hyperplane), a fresh
-    train set and a fresh test set; all three arms share them.
+    train set and a fresh test set; all three arms share them.  The
+    teacher and the students are linear models.
     """
     master = RngStream(seed)
     seed, reps = master.seed, check_count("reps", reps, 0)
@@ -673,9 +657,9 @@ def run_from_config(config: dict) -> ExperimentReport:
     bit (dataset paths must still be present for the real-data runs).
     A parameter missing from the snapshot takes the runner's default.
     Before any value is decoded, a config that is not an object, a `kind`
-    that names no runner, a key that is not a parameter, a note of the
-    kind, `kind` or `version`, and a missing parameter without a default
-    raise ValueError naming the key; so does a malformed object value.
+    that names no runner, a key other than `kind`, `version` and the
+    runner's parameters, and a missing parameter without a default raise
+    ValueError naming the key; so does a malformed object value.
     """
     if not isinstance(config, dict):
         raise ValueError(f"config: expected an object, got {type(config).__name__}")
@@ -683,17 +667,13 @@ def run_from_config(config: dict) -> ExperimentReport:
     if not isinstance(kind, str) or kind not in RUNNERS:
         raise ValueError(f"config['kind']: unknown experiment kind {kind!r}")
     parameters = inspect.signature(RUNNERS[kind]).parameters
-    codecs = {n: _CODEC.get(n, (n, _same, _same)) for n in parameters}
-    unknown = config.keys() - {"kind", "version", *_NOTES[kind], *(c[0] for c in codecs.values())}
+    unknown = config.keys() - {"kind", "version", *parameters}
     if unknown:
         raise ValueError(f"config: unknown key {min(unknown, key=str)!r}")
     for name, p in parameters.items():
-        if p.default is p.empty and codecs[name][0] not in config:
-            raise ValueError(f"config: missing key {codecs[name][0]!r}")
-    arguments = {}
-    for name, (key, _, decode) in codecs.items():
-        if key in config:
-            arguments[name] = decode(config[key], config)
+        if p.default is p.empty and name not in config:
+            raise ValueError(f"config: missing key {name!r}")
+    arguments = {n: _CODEC.get(n, _PLAIN)[1](config[n], config) for n in parameters if n in config}
     return RUNNERS[kind](**arguments)
 
 
@@ -805,7 +785,10 @@ def load_report_json(path) -> ExperimentReport:
 def load_report_csv(path) -> list[dict]:
     """Rows of an emitted CSV, with numeric fields parsed back.
 
-    Raises ValueError naming the line of a malformed row (the header is line 1).
+    Raises ValueError naming the line of a malformed row (the header is line
+    1): a wrong field count, a field that is not a number, `reps` below 0,
+    only one of T and lambda given, or a status other than complete and
+    incomplete.
     """
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as f:
@@ -820,7 +803,12 @@ def load_report_csv(path) -> list[dict]:
                     raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
                 experiment, arm, T, lam, mean, std, reps, status = row
                 numbers = [parse_number(v) if v else None for v in (T, lam)]
-                numbers += [parse_number(v) for v in (mean, std)] + [parse_number(reps, int)]
+                numbers += [parse_number(v) for v in (mean, std)]
+                numbers.append(check_count("reps", parse_number(reps, int), 0))
+                if (T == "") != (lam == ""):
+                    raise ValueError("T and lambda must be both empty or both numbers")
+                if status not in ("complete", "incomplete"):
+                    raise ValueError(f"status must be complete or incomplete, got {status!r}")
                 rows.append(dict(zip(CSV_HEADER, (experiment, arm, *numbers, status))))
         except (ValueError, csv.Error) as e:
             raise ValueError(f"line {max(reader.line_num, 1)}: {e}") from None

@@ -16,6 +16,7 @@ biases are not regularized.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -471,6 +472,8 @@ def train(m0: Model, data: Packed, cfg: TrainConfig):
 # Hex floats round-trip bit-exactly across platforms.
 
 _MAGIC = "distillery-model 1"
+# a byte that `load_model` cannot decode as ASCII reads as a lone surrogate
+_UNDECODED = re.compile("[\udc80-\udcff]")
 
 
 def model_to_text(m: Model) -> str:
@@ -491,6 +494,13 @@ def model_to_text(m: Model) -> str:
 
 
 def model_from_text(text: str) -> Model:
+    """Inverse of `model_to_text`; a malformed record raises ValueError.  A
+    byte that `load_model` could not decode as ASCII raises `line k: not
+    ASCII text`, k counting the lines of `text` (blank ones included)."""
+    undecoded = _UNDECODED.search(text)
+    if undecoded:
+        k = text.count("\n", 0, undecoded.start()) + 1
+        raise ValueError(f"line {k}: not ASCII text")
     body = text.lstrip()
     lines = body.rstrip().split("\n")
     skipped = text[: len(text) - len(body)].count("\n")  # blank lines before the record
@@ -556,5 +566,5 @@ def save_model(m: Model, path) -> None:
 
 
 def load_model(path) -> Model:
-    with open(path, "r", encoding="ascii") as f:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as f:
         return model_from_text(f.read())

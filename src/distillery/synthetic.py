@@ -59,7 +59,7 @@ class SyntheticSpec:
         object.__setattr__(self, "experiment", check_count("experiment", self.experiment, 1, 4))
         for name in ("d", "n_train", "n_test", "relevant_size"):
             object.__setattr__(self, name, check_count(name, getattr(self, name)))
-        if self.relevant_size > self.d:
+        if self.experiment in (3, 4) and self.relevant_size > self.d:  # 1 and 2 draw no subset
             raise ValueError("need d >= relevant_size >= 1")
 
 

@@ -389,6 +389,34 @@ class TestUniversum:
         with pytest.raises(ValueError, match=r"^class of interest must be an integer in \[0, 2\]"):
             universum_soft_labels(teacher, data, 1.0, [0.5, 1.7])
 
+    @pytest.mark.parametrize(
+        "classes, message",
+        [
+            ([-1], r"class of interest must be an integer in \[0, 2\], got -1"),
+            ([5], r"class of interest must be an integer in \[0, 2\], got 5"),
+            ([0.0], r"class of interest must be an integer in \[0, 2\], got 0.0"),
+            ([0, 0], "classes_of_interest contains duplicates"),
+            ([], "classes_of_interest must be non-empty"),
+        ],
+        ids=["negative", "too-large", "float", "duplicate", "empty"],
+    )
+    def test_restrict_simplex_checks_the_class_set(self, classes, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            restrict_simplex(np.array([[0.2, 0.3, 0.5]]), classes)
+
+    @pytest.mark.parametrize("classes", [[1, 1], [3], []])
+    def test_class_set_checked_before_the_teacher_runs(self, monkeypatch, classes):
+        teacher = init_model("linear", 1, 3)
+        data = Dataset(DatasetHeader(1, 1, 3), [Triplet(x_star=np.zeros(1))])
+        ran = []
+        monkeypatch.setattr(distill, "soft_labels", lambda *args: ran.append(args))
+        with pytest.raises(ValueError, match="^class"):
+            universum_soft_labels(teacher, data, 1.0, classes)
+        assert ran == []
+
+    def test_restrict_simplex_keeps_the_given_order(self):
+        np.testing.assert_allclose(restrict_simplex([[0.2, 0.3, 0.5]], [2, 0]), [[5 / 7, 2 / 7]])
+
     def test_class_set_accepts_any_iterable(self):
         teacher = init_model("linear", 1, 3)
         data = Dataset(DatasetHeader(1, 1, 3), [Triplet(x_star=np.zeros(1))])

@@ -265,6 +265,21 @@ class TestReportSerialization:
         row = load_report_csv(path)[2]
         assert row["T"] == math.inf and math.isnan(row["mean"]) and row["std"] == -math.inf
 
+    def test_csv_row_that_emit_report_cannot_write_names_the_line(self, tmp_path):
+        path = tmp_path / "r.csv"
+        emit_report(tiny_synthetic(), "csv", path)
+        lines = path.read_text().splitlines()  # header, privileged, regular, distilled (T=1, lambda=1)
+        for k, line, message in [
+            (2, "x,regular,,,nan,-1.0,-5,bogus", "reps must be an integer >= 0, got -5"),
+            (3, edit_cell(lines[2], 7, "bogus"), "status must be complete or incomplete, got 'bogus'"),
+            (2, edit_cell(lines[1], 7, ""), "status must be complete or incomplete, got ''"),
+            (4, edit_cell(lines[3], 3, ""), "T and lambda must be both empty or both numbers"),
+            (3, edit_cell(lines[2], 2, "1.0"), "T and lambda must be both empty or both numbers"),
+        ]:
+            path.write_text("\n".join(lines[: k - 1] + [line] + lines[k:]) + "\n")
+            with pytest.raises(ValueError, match=f"^line {k}: {re.escape(message)}$"):
+                load_report_csv(path)
+
     @pytest.mark.parametrize(
         "edit,message",
         [
@@ -448,6 +463,7 @@ class TestSyntheticRun:
             (dict(student_train="fast"), "config['student_train']: expected an object, got str"),
             (dict(spec=5), "config['spec']: expected an object, got int"),
             (dict(spec={"experiment": 2}), "config['spec']: unknown key 'experiment'"),
+            (dict(teacher_arch="mlp:64,64"), "config: unknown key 'teacher_arch'"),
         ],
     )
     def test_snapshot_edit_rejected_naming_the_key(self, monkeypatch, edit, message):
@@ -490,11 +506,8 @@ class TestSyntheticRun:
             "temperature": 1.0,
             "imitation": 1.0,
             "spec": {"d": 50, "n_train": 40, "n_test": 100, "relevant_size": 3},
-            "teacher_arch": "linear",
-            "student_arch": "linear",
             "teacher_train": train,
             "student_train": train,
-            "alpha_policy": "fresh hyperplane per repetition",
             "version": __version__,
         }
 
@@ -738,9 +751,28 @@ class TestMnistMachinery:
 
     def test_snapshot_with_an_unknown_train_key_rejected_before_reading(self, mnist_dir, tmp_path):
         config = run_mnist(**mnist_kwargs(mnist_dir, reps=0)).config
-        config.update(train={"bogus": 1}, data_dir=str(tmp_path / "nowhere"))
-        with pytest.raises(ValueError, match=r"^config\['train'\]: unknown key 'bogus'$"):
+        config.update(train_config={"bogus": 1}, data_dir=str(tmp_path / "nowhere"))
+        with pytest.raises(ValueError, match=r"^config\['train_config'\]: unknown key 'bogus'$"):
             run_from_config(config)
+
+
+@pytest.mark.parametrize("runner", ["synthetic", "mnist", "cifar", "multitask"])
+def test_config_is_the_kind_the_runners_arguments_and_the_version(
+    runner, mnist_dir, cifar_dir, multitask_path
+):
+    # reps=0 trains nothing; multitask has no reps, so it trains its seven tasks on a tiny setting
+    small = dict(train_config=TINY_TRAIN, arch=Arch.mlp(4))
+    calls = {
+        "synthetic": lambda: tiny_synthetic(reps=0),
+        "mnist": lambda: run_mnist(**mnist_kwargs(mnist_dir, reps=0)),
+        "cifar": lambda: run_cifar_semisup(20, cifar_dir, reps=0, **small),
+        "multitask": lambda: run_multitask(multitask_path, n_train=20, lambda_grid=(0.0,), **small),
+    }
+    report = calls[runner]()
+    parameters = inspect.signature(RUNNERS[runner]).parameters
+    assert report.config.keys() == {"kind", "version", *parameters}
+    assert report.config["kind"] == runner and report.config["version"] == __version__
+    assert run_from_config(report.config) == report
 
 
 @pytest.mark.parametrize("reps", [0, 1])

@@ -793,6 +793,19 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             model_from_text("\n\n" + "\n".join(edit(lines)) + "\n")
 
+    @pytest.mark.parametrize("blank", [0, 2])
+    def test_a_byte_that_is_not_ascii_names_its_line(self, tmp_path, blank):
+        # line 6 is a row of W0; two blank lines before the record make it line 8
+        lines = model_to_text(init_model(Arch.mlp(3), 2, 2, rng=RngStream(5))).encode().splitlines()
+        lines[5] = lines[5].replace(b" ", b" \xc3\xa9", 1)
+        path = tmp_path / "model.txt"
+        path.write_bytes(b"\n" * blank + b"\n".join(lines) + b"\n")
+        with pytest.raises(ValueError, match=f"^line {6 + blank}: not ASCII text$"):
+            load_model(path)
+        text = path.read_bytes().decode("ascii", errors="surrogateescape")
+        with pytest.raises(ValueError, match=f"^line {6 + blank}: not ASCII text$"):
+            model_from_text(text)
+
     @pytest.mark.parametrize("line, name", [(5, "W0"), (8, "b0"), (10, "W1"), (14, "b1")])
     def test_a_misplaced_layer_marker_is_named(self, line, name):
         lines = model_to_text(init_model(Arch.mlp(3), 2, 2, rng=RngStream(5))).splitlines()

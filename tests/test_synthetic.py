@@ -375,6 +375,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SyntheticSpec(experiment=3, d=2, relevant_size=3)
 
+    @pytest.mark.parametrize("experiment", [1, 2])
+    def test_relevant_size_unbounded_where_no_subset_is_drawn(self, experiment):
+        spec = SyntheticSpec(experiment, d=2, n_train=5)
+        ds = generate(spec, draw_hyperplane(spec, RngStream(1)), rng=RngStream(2))
+        assert ds.column("x").shape == (5, 2)
+
     @pytest.mark.parametrize("bad", [0, -1, 2.5, "3"])
     @pytest.mark.parametrize("field", ["d", "n_train", "n_test", "relevant_size"])
     def test_size_must_be_an_integer_at_least_one(self, field, bad):
