@@ -275,8 +275,9 @@ def load_cifar(batch_paths) -> ImageSet:
 
 
 def pixel_features(images: np.ndarray) -> np.ndarray:
-    """uint8 images (n, ...) as row-major float64 rows scaled to [0, 1], one per image."""
-    return images.reshape(len(images), -1).astype(np.float64) / 255.0
+    """uint8 images (n, ...) as row-major float64 rows scaled to [0, 1], one per
+    image; zero images give shape (0, H*W*C)."""
+    return images.reshape(len(images), math.prod(images.shape[1:])).astype(np.float64) / 255.0
 
 
 def downscale(img) -> np.ndarray:

@@ -96,9 +96,21 @@ MLP_ARCH = Arch.mlp(20, 20)
 CSV_HEADER = ["experiment", "arm", "T", "lambda", "mean", "std", "reps", "status"]
 
 
+def _cell_key(T, lam) -> tuple[float | None, float | None]:
+    """A result row's (T, lambda): both None, or T a finite real > 0 and lambda
+    in [0, 1], as floats; else ValueError."""
+    if (T is None) != (lam is None):
+        raise ValueError("T and lambda must be both empty or both numbers")
+    if T is None:
+        return None, None
+    return check_real("T", T, 0.0, low_open=True), check_real("lambda", lam, 0.0, 1.0)
+
+
 @dataclass
 class ArmResult:
-    """Aggregate for one arm (or one grid cell of the distilled arm)."""
+    """Aggregate for one arm (or one grid cell of the distilled arm).  The
+    metric, status, reps and (T, lambda) are checked when it is built; mean
+    and std are not (an arm without values has NaN for both)."""
 
     arm: str
     metric: str  # "accuracy" | "mse"
@@ -109,6 +121,14 @@ class ArmResult:
     imitation: float | None = None
     values: list[float] = field(default_factory=list)
     status: str = "complete"
+
+    def __post_init__(self):
+        if self.metric not in ("accuracy", "mse"):
+            raise ValueError(f"metric must be accuracy or mse, got {self.metric!r}")
+        if self.status not in ("complete", "incomplete"):
+            raise ValueError(f"status must be complete or incomplete, got {self.status!r}")
+        self.reps = check_count("reps", self.reps, 0)
+        self.temperature, self.imitation = _cell_key(self.temperature, self.imitation)
 
     def __eq__(self, other):
         # An arm without values has mean = std = NaN by definition; those
@@ -302,10 +322,17 @@ def _same(value, config=None):
     return value
 
 
-def _record(key: str, names, build):
-    """Codec of dataclass argument `key`, stored as an object of its fields
-    `names`; decoding rejects anything else with a ValueError naming `key`,
-    then calls `build(fields, config)`."""
+def _record(key: str, cls, shared=()):
+    """Codec of config-class argument `key`, stored as an object of the fields
+    of `cls` in order (tuples as lists), but its stream `rng` and the `shared`
+    ones, parameters of their own; so a field added to the class is snapshot
+    and replayed too.  Decoding rejects anything but an object of those fields
+    with a ValueError naming `key`, then calls `cls`, which checks the values."""
+    names = [f.name for f in fields(cls) if f.name != "rng" and f.name not in shared]
+
+    def encode(obj):
+        values = {n: getattr(obj, n) for n in names}
+        return {n: list(v) if isinstance(v, tuple) else v for n, v in values.items()}
 
     def decode(value, config):
         if not isinstance(value, dict):
@@ -313,44 +340,19 @@ def _record(key: str, names, build):
         unknown = value.keys() - set(names)
         if unknown:
             raise ValueError(f"config[{key!r}]: unknown key {min(unknown, key=str)!r}")
-        return build(value, config)
+        return cls(**value, **{n: config[n] for n in shared})
 
-    return lambda obj: {n: getattr(obj, n) for n in names}, decode
+    return encode, decode
 
-
-def _arch_text(arch: Arch) -> str:
-    return f"{arch.kind}:{','.join(map(str, arch.hidden))}" if arch.hidden else arch.kind
-
-
-def _arch_from_text(text: str, config=None) -> Arch:
-    """Inverse of `_arch_text`: `kind` or `kind:h1,h2,...`, each hidden size
-    ASCII digits; anything else raises a ValueError naming `arch`."""
-    if not isinstance(text, str):
-        raise ValueError(f"config['arch']: expected a string, got {type(text).__name__}")
-    kind, colon, hidden = text.partition(":")
-    tokens = hidden.split(",") if colon else []
-    if not all(t.isascii() and t.isdigit() for t in tokens):
-        raise ValueError(f"config['arch']: expected kind or kind:h1,h2,..., got {text!r}")
-    return Arch(kind, tuple(map(int, tokens)))
-
-
-# a config class's fields in order, but its stream `rng` (and the spec's
-# `experiment`, a parameter of its own), so that a field added to the class is
-# snapshot and replayed too
-_TRAIN_FIELDS = tuple(f.name for f in fields(TrainConfig) if f.name != "rng")
 
 # parameter name -> (encode(value), decode(value, config)); any other
 # parameter is stored as it is
 _CODEC = {
-    "spec": _record(
-        "spec",
-        tuple(f.name for f in fields(SyntheticSpec) if f.name != "experiment"),
-        lambda s, config: SyntheticSpec(config["experiment"], **s),
-    ),
-    "teacher_train": _record("teacher_train", _TRAIN_FIELDS, lambda d, config: TrainConfig(**d)),
-    "student_train": _record("student_train", _TRAIN_FIELDS, lambda d, config: TrainConfig(**d)),
-    "train_config": _record("train_config", _TRAIN_FIELDS, lambda d, config: TrainConfig(**d)),
-    "arch": (_arch_text, _arch_from_text),
+    "spec": _record("spec", SyntheticSpec, ("experiment",)),
+    "teacher_train": _record("teacher_train", TrainConfig),
+    "student_train": _record("student_train", TrainConfig),
+    "train_config": _record("train_config", TrainConfig),
+    "arch": _record("arch", Arch),
     "T_grid": (list, _same),
     "lambda_grid": (list, _same),
     "data_dir": (str, _same),
@@ -475,7 +477,7 @@ def run_mnist(
     train_set = open_idx(paths[0], paths[1])
     _check_mnist_shape(paths[0], train_set.shape)
     n_train = check_count("n_train", n_train, 1, train_set.n)
-    test_set = load_idx(paths[2], paths[3])
+    test_set = _nonempty(paths[2], load_idx(paths[2], paths[3]))
     _check_mnist_shape(paths[2], test_set.images.shape[1:])
     ds_te = _mnist_set(test_set)
     del test_set  # the parsed bytes are not kept
@@ -490,6 +492,14 @@ def run_mnist(
     config = _snapshot("mnist", locals())
     results, errors = _repeat(problems(), T_grid, lambda_grid)
     return ExperimentReport(f"mnist-{n_train}", master.seed, __version__, config, results, errors)
+
+
+def _nonempty(path, test_set: ImageSet) -> ImageSet:
+    """`test_set`, or a ValueError naming `path` if it holds no image: an
+    accuracy over zero rows would be NaN."""
+    if test_set.n == 0:
+        raise ValueError(f"{path}: no test images")
+    return test_set
 
 
 def _check_mnist_shape(path, shape) -> None:
@@ -558,7 +568,9 @@ def run_cifar_semisup(
     paths = _locate(data_dir, CIFAR_TRAIN_FILES + (CIFAR_TEST_FILE,), "cifar-10-batches-bin")
     train_set = open_cifar(paths[:-1])
     n_labeled = check_count("n_labeled", n_labeled, 1, train_set.n)
-    ds_te = _cifar_set(load_cifar(paths[-1:]), sigma, master.fork("pollute-test"))
+    test_set = _nonempty(paths[-1], load_cifar(paths[-1:]))
+    ds_te = _cifar_set(test_set, sigma, master.fork("pollute-test"))
+    del test_set  # the parsed bytes are not kept
 
     def problems():
         for r in range(reps):
@@ -759,9 +771,10 @@ def _json_fields(cls, obj, where: str) -> dict:
 def load_report_json(path) -> ExperimentReport:
     """Read an `emit_report` JSON file.  Raises ValueError naming the key, or
     the result index and its key, that is missing, unknown or malformed, a
-    result whose `reps`, `mean` or `std` differs by more than 1e-9 (relative,
-    for another numpy's summation order) from what its `values` give, or a
-    `status` that its errors and results do not give.  A NaN mean or std is
+    result that `ArmResult` refuses (naming its index), a result whose `reps`,
+    `mean` or `std` differs by more than 1e-9 (relative, for another numpy's
+    summation order) from what its `values` give, or a `status` that its
+    errors and results do not give.  A NaN mean or std is
     not checked: next to values it never compares equal (`ArmResult.__eq__`)."""
     with open(path, "r", encoding="utf-8") as f:
         payload = json.load(f)
@@ -769,7 +782,11 @@ def load_report_json(path) -> ExperimentReport:
     payload = _json_fields(ExperimentReport, payload, "report")
     results = []
     for i, r in enumerate(payload.pop("results")):
-        result = ArmResult(**_json_fields(ArmResult, r, f"results[{i}]"))
+        r = _json_fields(ArmResult, r, f"results[{i}]")
+        try:
+            result = ArmResult(**r)
+        except ValueError as e:
+            raise ValueError(f"results[{i}]: {e}") from None
         given = _aggregate(result.arm, result.metric, result.values, result.reps)
         for key in ("reps", "mean", "std"):
             a, b = getattr(result, key), getattr(given, key)
@@ -787,8 +804,9 @@ def load_report_csv(path) -> list[dict]:
 
     Raises ValueError naming the line of a malformed row (the header is line
     1): a wrong field count, a field that is not a number, `reps` below 0,
-    only one of T and lambda given, or a status other than complete and
-    incomplete.
+    only one of T and lambda given, a T that is not a finite real > 0 or a
+    lambda outside [0, 1] (the rule `ArmResult` keeps), or a status other
+    than complete and incomplete.
     """
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as f:
@@ -802,14 +820,13 @@ def load_report_csv(path) -> list[dict]:
                 if len(row) != len(CSV_HEADER):
                     raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
                 experiment, arm, T, lam, mean, std, reps, status = row
-                numbers = [parse_number(v) if v else None for v in (T, lam)]
-                numbers += [parse_number(v) for v in (mean, std)]
-                numbers.append(check_count("reps", parse_number(reps, int), 0))
-                if (T == "") != (lam == ""):
-                    raise ValueError("T and lambda must be both empty or both numbers")
+                T, lam = (parse_number(v) if v else None for v in (T, lam))
+                mean, std = parse_number(mean), parse_number(std)
+                reps = check_count("reps", parse_number(reps, int), 0)
+                T, lam = _cell_key(T, lam)
                 if status not in ("complete", "incomplete"):
                     raise ValueError(f"status must be complete or incomplete, got {status!r}")
-                rows.append(dict(zip(CSV_HEADER, (experiment, arm, *numbers, status))))
+                rows.append(dict(zip(CSV_HEADER, (experiment, arm, T, lam, mean, std, reps, status))))
         except (ValueError, csv.Error) as e:
             raise ValueError(f"line {max(reader.line_num, 1)}: {e}") from None
     return rows

@@ -17,6 +17,7 @@ biases are not regularized.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +58,8 @@ class Arch:
     def __post_init__(self):
         if self.kind not in ("linear", "mlp"):
             raise ValueError(f"unknown architecture kind {self.kind!r}")
+        if isinstance(self.hidden, (str, bytes)) or not isinstance(self.hidden, Iterable):
+            raise ValueError(f"hidden must be a sequence of sizes, got {self.hidden!r}")
         if self.kind == "linear" and self.hidden:
             raise ValueError("linear architecture takes no hidden sizes")
         if self.kind == "mlp" and not self.hidden:

@@ -271,6 +271,12 @@ class TestCifar:
         assert feats.shape == (1, 3072)
         assert np.all(feats == 1.0)
 
+    @pytest.mark.parametrize("shape", [(0, 3, 32, 32), (0, 28, 28, 1)])
+    def test_features_of_no_images_keep_the_row_width(self, shape):
+        # reshape(0, -1) raised: cannot reshape array of size 0 into shape (0,newaxis)
+        feats = datasets.pixel_features(np.zeros(shape, np.uint8))
+        assert feats.shape == (0, math.prod(shape[1:])) and feats.dtype == np.float64
+
 
 def cifar_batches(tmp_path, counts, seed=0):
     """CIFAR batches of `counts` records each; returns the paths and the

@@ -260,10 +260,10 @@ class TestReportSerialization:
             path.write_text("\n".join(lines[: k - 1] + [line] + lines[k:]) + "\n")
             with pytest.raises(ValueError, match=f"^line {k}: {message}"):
                 load_report_csv(path)
-        spelled = edit_cell(edit_cell(edit_cell(lines[3], 2, "inf"), 4, "nan"), 5, "-inf")
+        spelled = edit_cell(edit_cell(lines[3], 4, "nan"), 5, "-inf")
         path.write_text("\n".join(lines[:3] + [spelled]) + "\n")
         row = load_report_csv(path)[2]
-        assert row["T"] == math.inf and math.isnan(row["mean"]) and row["std"] == -math.inf
+        assert math.isnan(row["mean"]) and row["std"] == -math.inf
 
     def test_csv_row_that_emit_report_cannot_write_names_the_line(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -275,10 +275,40 @@ class TestReportSerialization:
             (2, edit_cell(lines[1], 7, ""), "status must be complete or incomplete, got ''"),
             (4, edit_cell(lines[3], 3, ""), "T and lambda must be both empty or both numbers"),
             (3, edit_cell(lines[2], 2, "1.0"), "T and lambda must be both empty or both numbers"),
+            (4, edit_cell(edit_cell(lines[3], 2, "-3"), 3, "7"),
+             "T must be a finite real number > 0, got -3.0"),
+            (4, edit_cell(edit_cell(lines[3], 2, "nan"), 3, "inf"),
+             "T must be a finite real number > 0, got nan"),
+            (4, edit_cell(lines[3], 2, "inf"), "T must be a finite real number > 0, got inf"),
+            (4, edit_cell(lines[3], 3, "7"), "lambda must be a finite real number in [0, 1], got 7.0"),
         ]:
             path.write_text("\n".join(lines[: k - 1] + [line] + lines[k:]) + "\n")
             with pytest.raises(ValueError, match=f"^line {k}: {re.escape(message)}$"):
                 load_report_csv(path)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (dict(temperature=None, imitation=0.5), "T and lambda must be both empty or both numbers"),
+            (dict(temperature=1.0, imitation=None), "T and lambda must be both empty or both numbers"),
+            (dict(temperature=0.0, imitation=0.5), "T must be a finite real number > 0, got 0.0"),
+            (dict(temperature=math.nan, imitation=math.inf), "T must be a finite real number > 0"),
+            (dict(temperature=1.0, imitation=-0.5), "lambda must be a finite real number in [0, 1]"),
+            (dict(reps=-1), "reps must be an integer >= 0, got -1"),
+            (dict(metric="auc"), "metric must be accuracy or mse, got 'auc'"),
+            (dict(status="done"), "status must be complete or incomplete, got 'done'"),
+        ],
+        ids=["T-none", "lambda-none", "T-zero", "T-nan", "lambda-negative", "reps", "metric", "status"],
+    )
+    def test_result_row_checked_where_it_is_built(self, tmp_path, edit, message):
+        # such a row once wrote a CSV that load_report_csv refused, while its JSON reloaded equal
+        row = dict(arm="distilled", metric="accuracy", mean=0.5, std=0.0, reps=1, values=[0.5])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            ArmResult(**{**row, **edit})
+        built = ArmResult(**row, temperature=np.float64(2), imitation=1)
+        assert (type(built.temperature), type(built.imitation)) == (float, float)
+        emit_report(ExperimentReport("demo", 0, "0.1.0", {}, [built]), "csv", tmp_path / "r.csv")
+        assert load_report_csv(tmp_path / "r.csv")[0]["T"] == 2.0
 
     @pytest.mark.parametrize(
         "edit,message",
@@ -323,9 +353,21 @@ class TestReportSerialization:
             (lambda p: p["results"][1].pop("mean"), r"^results\[1\]: missing key 'mean'"),
             (lambda p: p["results"][2].update(reps="2"), r"^results\[2\]: key 'reps' holds"),
             (lambda p: p["results"].append([]), r"^results\[3\]: expected a JSON object, got list"),
+            # results[2] is the distilled cell T=1, lambda=1
+            (lambda p: p["results"][2].update(temperature=-3),
+             r"^results\[2\]: T must be a finite real number > 0, got -3$"),
+            (lambda p: p["results"][2].update(imitation=7),
+             r"^results\[2\]: lambda must be a finite real number in \[0, 1\], got 7$"),
+            (lambda p: p["results"][2].update(imitation=None),
+             r"^results\[2\]: T and lambda must be both empty or both numbers$"),
+            (lambda p: p["results"][2].update(metric="bogus"),
+             r"^results\[2\]: metric must be accuracy or mse, got 'bogus'$"),
+            (lambda p: p["results"][2].update(status="weird"),
+             r"^results\[2\]: status must be complete or incomplete, got 'weird'$"),
         ],
         ids=["no-results", "results-not-a-list", "unknown-key", "result-without-mean",
-             "reps-a-string", "result-a-list"],
+             "reps-a-string", "result-a-list", "T", "lambda", "lambda-only-null", "metric",
+             "status"],
     )
     def test_malformed_json_names_the_key(self, tmp_path, edit, message):
         path = tmp_path / "r.json"
@@ -343,6 +385,9 @@ class TestReportSerialization:
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 VALUES = st.floats(-1e6, 1e6)
+# the (T, lambda) a run writes: T in (0, 1e6], lambda in [0, 1]
+TEMPERATURES = st.floats(0.0, 1e6, exclude_min=True)
+IMITATIONS = st.floats(0.0, 1.0)
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | VALUES | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3)
@@ -359,7 +404,7 @@ def reports(draw):
     for _ in range(draw(st.integers(0, 5))):
         names = st.sampled_from(["privileged", "regular", "distilled", "regular/task3"])
         arm = draw(names | st.text())
-        T, lam = draw(st.sampled_from([(None, None), (draw(VALUES), draw(VALUES))]))
+        T, lam = draw(st.sampled_from([(None, None), (draw(TEMPERATURES), draw(IMITATIONS))]))
         values = draw(st.lists(VALUES, max_size=3))
         results.append(experiments._aggregate(arm, metric, values, draw(st.integers(0, 3)), T, lam))
     return ExperimentReport(
@@ -655,6 +700,17 @@ class TestMnistMachinery:
                 run_mnist(**mnist_kwargs(mnist_dir, reps=reps))
         assert trained == []
 
+    def test_an_empty_test_set_rejected_at_set_up_naming_the_file(self, mnist_dir, monkeypatch):
+        path = mnist_dir / "t10k-images-idx3-ubyte"
+        path.write_bytes(struct.pack(">iiii", 0x803, 0, 28, 28))
+        (mnist_dir / "t10k-labels-idx1-ubyte").write_bytes(struct.pack(">ii", 0x801, 0))
+        trained = []
+        monkeypatch.setattr(distill, "train", lambda *args: trained.append(args))
+        for reps in (0, 1):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: no test images')}$"):
+                run_mnist(**mnist_kwargs(mnist_dir, reps=reps))
+        assert trained == []
+
     def test_report_equals_a_run_on_whole_files(self, mnist_dir, monkeypatch):
         report = run_mnist(**mnist_kwargs(mnist_dir, reps=2))
         images = (mnist_dir / "train-images-idx3-ubyte").read_bytes()
@@ -734,13 +790,13 @@ class TestMnistMachinery:
     @pytest.mark.parametrize(
         "arch,message",
         [
-            ("mlp:0", "hidden size must be an integer >= 1, got 0"),
-            (5, "config['arch']: expected a string, got int"),
-            ("mlp:3_0", "config['arch']: expected kind or kind:h1,h2,..., got 'mlp:3_0'"),
-            ("mlp: 3", "config['arch']: expected kind or kind:h1,h2,..., got 'mlp: 3'"),
-            ("mlp:+3", "config['arch']: expected kind or kind:h1,h2,..., got 'mlp:+3'"),
+            (5, "config['arch']: expected an object, got int"),
+            ("mlp:20,20", "config['arch']: expected an object, got str"),
+            ({"kind": "mlp", "width": 3}, "config['arch']: unknown key 'width'"),
+            ({"kind": "mlp", "hidden": [0]}, "hidden size must be an integer >= 1, got 0"),
+            ({"kind": "mlp", "hidden": 5}, "hidden must be a sequence of sizes, got 5"),
         ],
-        ids=["zero", "int", "underscore", "space", "plus"],
+        ids=["int", "old-text", "unknown-key", "zero", "hidden-int"],
     )
     def test_snapshot_with_a_bad_arch_rejected(self, mnist_dir, tmp_path, arch, message):
         # nothing exists at `nowhere`, so reading it first would raise FileNotFoundError
@@ -754,6 +810,34 @@ class TestMnistMachinery:
         config.update(train_config={"bogus": 1}, data_dir=str(tmp_path / "nowhere"))
         with pytest.raises(ValueError, match=r"^config\['train_config'\]: unknown key 'bogus'$"):
             run_from_config(config)
+
+
+@st.composite
+def specs(draw):
+    experiment, d = draw(st.integers(1, 4)), draw(st.integers(1, 200))
+    sizes = [draw(st.integers(1, 10**5)) for _ in range(2)]
+    return SyntheticSpec(experiment, d, *sizes, relevant_size=draw(st.integers(1, d)))
+
+
+@given(
+    arch=st.just(Arch("linear"))
+    | st.lists(st.integers(1, 10**4), min_size=1, max_size=3).map(lambda h: Arch.mlp(*h)),
+    train=st.builds(TrainConfig, learning_rate=st.floats(0.0, 1e3, exclude_min=True),
+                    epochs=st.integers(1, 10**6), batch_size=st.integers(1, 10**4),
+                    l2=st.floats(0.0, 1e3)),
+    spec=specs(),
+)
+@FUZZ
+def test_config_classes_round_trip_through_json(arch, train, spec):
+    config = {"experiment": spec.experiment}  # the spec's experiment is a parameter of its own
+    arguments = [("arch", arch), ("spec", spec)]
+    arguments += [(name, train) for name in ("teacher_train", "student_train", "train_config")]
+    for name, value in arguments:
+        encode, decode = experiments._CODEC[name]
+        encoded = encode(value)
+        reloaded = json.loads(json.dumps(encoded))
+        assert reloaded == encoded  # no tuple, which JSON would give back as a list
+        assert decode(reloaded, config) == value
 
 
 @pytest.mark.parametrize("runner", ["synthetic", "mnist", "cifar", "multitask"])
@@ -1203,6 +1287,16 @@ class TestCifarMachinery:
         run = lambda: run_cifar_semisup(**self.cifar_kwargs(cifar_dir, reps=0))  # noqa: E731
         # the test batch goes; the training batches stay on disk
         assert resident_at_repeat(monkeypatch, "cifar", run) == ([False], [[]])
+
+    def test_an_empty_test_batch_rejected_at_set_up_naming_the_file(self, cifar_dir, monkeypatch):
+        path = cifar_dir / "test_batch.bin"
+        path.write_bytes(b"")
+        trained = []
+        monkeypatch.setattr(distill, "train", lambda *args: trained.append(args))
+        for reps in (0, 1):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: no test images')}$"):
+                run_cifar_semisup(**self.cifar_kwargs(cifar_dir, reps=reps))
+        assert trained == []
 
     def test_a_bad_label_no_repetition_draws_is_rejected_at_set_up(self, cifar_dir):
         path = cifar_dir / "data_batch_5.bin"

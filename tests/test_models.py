@@ -927,6 +927,13 @@ class TestArchValidation:
         with pytest.raises(ValueError, match="^hidden size must be an integer >= 1"):
             Arch("mlp", hidden)
 
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    @pytest.mark.parametrize("hidden", [5, None, "20"])
+    def test_hidden_that_is_not_a_sequence_rejected(self, kind, hidden):
+        # an int, or None for linear, raised TypeError: the object is not iterable
+        with pytest.raises(ValueError, match=f"^hidden must be a sequence of sizes, got {hidden!r}$"):
+            Arch(kind, hidden)
+
     def test_mlp_shorthand_does_not_truncate(self):
         with pytest.raises(ValueError, match="^hidden size must be an integer >= 1, got 2.5"):
             Arch.mlp(2.5)
