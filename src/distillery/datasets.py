@@ -18,7 +18,10 @@ and `take` reads the pixels of the records drawn.  `load_idx` and
 both IDX files.
 
 Pixels stay uint8 in the containers; `pixel_features` is the one rule that
-turns them into feature rows scaled to [0, 1].
+turns them into feature rows scaled to [0, 1].  A whole set's pixels are
+turned into features PIXEL_ROWS rows at a time (`row_blocks`), by
+`pollute` and by `models.forward`, so that no float64 copy of its clean
+pixels is held.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ __all__ = [
     "write_idx",
     "load_cifar",
     "pixel_features",
+    "row_blocks",
     "downscale",
     "pollute",
     "load_multitask_csv",
@@ -56,6 +60,9 @@ IDX_LABEL_MAGIC = 0x00000801
 CIFAR_RECORD_BYTES = 3073
 # records are scanned and read at most about this many bytes at a time
 SCAN_BYTES = 1 << 20
+# pixel rows are turned into float64 features in blocks of this many rows
+# (see `row_blocks`)
+PIXEL_ROWS = 1000
 
 
 class ParseError(ValueError):
@@ -277,7 +284,21 @@ def load_cifar(batch_paths) -> ImageSet:
 def pixel_features(images: np.ndarray) -> np.ndarray:
     """uint8 images (n, ...) as row-major float64 rows scaled to [0, 1], one per
     image; zero images give shape (0, H*W*C)."""
-    return images.reshape(len(images), math.prod(images.shape[1:])).astype(np.float64) / 255.0
+    features = images.reshape(len(images), math.prod(images.shape[1:])).astype(np.float64)
+    features /= 255.0
+    return features
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Slices that cover rows 0 to n in order: PIXEL_ROWS rows each, but the
+    last, which also takes the rest; one slice of all n rows when n is below
+    2 * PIXEL_ROWS.  No block is shorter than PIXEL_ROWS rows, because on
+    OpenBLAS a product of fewer than about 10^6 multiply-adds takes a
+    kernel that rounds otherwise: a 784-wide product with 10 columns taken
+    in blocks of 1,000 rows gives the bits of the whole product, but not
+    with a last block of 100 rows."""
+    k = max(n // PIXEL_ROWS, 1)
+    return [slice(i * PIXEL_ROWS, n if i == k - 1 else (i + 1) * PIXEL_ROWS) for i in range(k)]
 
 
 def downscale(img) -> np.ndarray:
@@ -304,12 +325,23 @@ def pollute(features, sigma: float, rng: RngStream) -> np.ndarray:
     """Add i.i.d. N(0, sigma^2) noise per component; no clipping.
 
     Values may leave [0, 1]; the draw is fully determined by the stream.
+    uint8 images (n, ...) stand for their `pixel_features` rows: the noise
+    is drawn whole and scaled in place, and the rows are added into it in
+    `row_blocks`, so only one block of features is held at a time.  The
+    sums are the bits of `pollute(pixel_features(images), sigma, rng)`.
     """
     sigma = check_real("sigma", sigma)
-    x = np.asarray(features, dtype=np.float64)
+    x = np.asarray(features)
+    if x.dtype != np.uint8:
+        x = x.astype(np.float64, copy=False)
+        return x.copy() if sigma == 0 else x + sigma * rng.generator().standard_normal(x.shape)
     if sigma == 0:
-        return x.copy()
-    return x + sigma * rng.generator().standard_normal(x.shape)
+        return pixel_features(x)
+    noisy = rng.generator().standard_normal((len(x), math.prod(x.shape[1:])))
+    noisy *= sigma
+    for rows in row_blocks(len(x)):
+        noisy[rows] += pixel_features(x[rows])
+    return noisy
 
 
 def load_multitask_csv(path, delimiter: str = ",") -> tuple[np.ndarray, np.ndarray]:

@@ -99,7 +99,9 @@ class Dataset:
     """Header plus columns; `meta` records how the data was generated.
 
     Each field ("x", "x_star", "y") is one 2-D float array, a row per
-    example (the row index is its id), with a mask of the rows that have it.
+    example (the row index is its id), with a mask of the rows that have it;
+    a feature field may instead hold uint8 pixels, which stand for their
+    `pixel_features` (see `from_arrays`).
     Both are read-only, so `distill_students` may keep the outcome of each
     student trained on a dataset with it: the model, or the error it failed with.
     """
@@ -128,11 +130,18 @@ class Dataset:
     ) -> "Dataset":
         """Build from column arrays; a None column is missing everywhere.  A
         float64 column is kept as given, not copied, so do not write to it
-        afterwards.  `present` may map a given column's name to a boolean mask
-        of the rows that have it (other rows are ignored; any other key, or a
-        mask that is not boolean, raises ValueError); the mask is copied."""
+        afterwards.  So is a uint8 `x` or `x_star`: pixels, one image per row,
+        at an eighth of the size of their float64 `pixel_features`, which the
+        models read them as (see `models.forward`); `column` and `examples`
+        give them as stored.  `present` may map a given column's name to a
+        boolean mask of the rows that have it (other rows are ignored; any
+        other key, or a mask that is not boolean, raises ValueError); the mask
+        is copied."""
         arrays = zip(_VIEWS, (x, x_star, y))
-        given = {v: np.asarray(a, dtype=np.float64) for v, a in arrays if a is not None}
+        given = {v: np.asarray(a) for v, a in arrays if a is not None}
+        for v, a in given.items():
+            if a.dtype != np.uint8 or v == "y":
+                given[v] = a.astype(np.float64, copy=False)
         if len({len(a) for a in given.values()}) != 1:
             raise ValueError("from_arrays needs at least one column, all of one length")
         present = present or {}
@@ -168,8 +177,9 @@ class Dataset:
         else:
             check_rows(finite_rows(y) | ~labeled, range(n), "label is not finite")
         for view in ("x", "x_star"):
-            check_rows(finite_rows(cols[view]) | ~masks[view], range(n),
-                       f"features are not finite in {view}")
+            if cols[view].dtype != np.uint8:  # pixels are finite
+                check_rows(finite_rows(cols[view]) | ~masks[view], range(n),
+                           f"features are not finite in {view}")
         self.header, self.meta, self._cols, self._masks = header, meta or {}, cols, masks
         self._students = {}  # memo key -> trained student or its error, see distill_students
 
@@ -183,7 +193,8 @@ class Dataset:
         return tuple(Triplet(*(c[i] if m[i] else None for c, m in cols)) for i in range(len(self)))
 
     def column(self, view: str) -> np.ndarray:
-        """Field `view` of every example, one row each: the stored array, read-only.
+        """Field `view` of every example, one row each: the stored array, read-only
+        (uint8 for pixels).
         Raises ValueError naming the first example without the field."""
         if view not in _VIEWS:
             raise ValueError(f"unknown view {view!r}")

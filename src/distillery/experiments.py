@@ -480,7 +480,7 @@ def run_mnist(
     test_set = _nonempty(paths[2], load_idx(paths[2], paths[3]))
     _check_mnist_shape(paths[2], test_set.images.shape[1:])
     ds_te = _mnist_set(test_set)
-    del test_set  # the parsed bytes are not kept
+    del test_set  # its pixels are kept as the test set's x_star alone
 
     def problems():
         for r in range(reps):
@@ -509,12 +509,13 @@ def _check_mnist_shape(path, shape) -> None:
 
 
 def _mnist_set(images: ImageSet) -> Dataset:
-    """MNIST images as a Dataset of 7x7 block means (x), the 28x28 pixels
-    (x_star) and one-hot labels (y): the training draws and the test set alike."""
-    full = images.to_features()
+    """MNIST images as a Dataset of 7x7 block means (x), the 28x28 uint8
+    pixels as stored (x_star, which the models read as `pixel_features`) and
+    one-hot labels (y): the training draws and the test set alike."""
+    pixels = images.images.reshape(images.n, -1)
     small = downscale(images.images).reshape(images.n, -1)
-    header = DatasetHeader(small.shape[1], full.shape[1], 10)
-    return Dataset.from_arrays(header, x=small, x_star=full, y=np.eye(10)[images.labels])
+    header = DatasetHeader(small.shape[1], pixels.shape[1], 10)
+    return Dataset.from_arrays(header, x=small, x_star=pixels, y=np.eye(10)[images.labels])
 
 
 CIFAR_TRAIN_FILES = tuple(f"data_batch_{i}.bin" for i in range(1, 6))
@@ -522,14 +523,16 @@ CIFAR_TEST_FILE = "test_batch.bin"
 
 
 def _cifar_set(images: ImageSet, sigma: float, noise: RngStream, present=None) -> Dataset:
-    """CIFAR images as a Dataset of pixels with N(0, sigma^2) noise from
-    `noise` (x), the clean pixels (x_star) and one-hot labels (y), whose rows
-    `present` may mask: the training draws and the test set alike."""
-    clean = images.to_features()
-    noisy = pollute(clean, sigma, noise)
-    header = DatasetHeader(clean.shape[1], clean.shape[1], 10)
+    """CIFAR images as a Dataset of `pixel_features` with N(0, sigma^2) noise
+    from `noise` (x, built from the pixels block by block), the clean uint8
+    pixels as stored (x_star, which the models read as `pixel_features`) and
+    one-hot labels (y), whose rows `present` may mask: the training draws and
+    the test set alike."""
+    pixels = images.images.reshape(images.n, -1)
+    noisy = pollute(pixels, sigma, noise)
+    header = DatasetHeader(pixels.shape[1], pixels.shape[1], 10)
     y = np.eye(10)[images.labels]
-    return Dataset.from_arrays(header, x=noisy, x_star=clean, y=y, present=present)
+    return Dataset.from_arrays(header, x=noisy, x_star=pixels, y=y, present=present)
 
 
 def run_cifar_semisup(
@@ -570,7 +573,7 @@ def run_cifar_semisup(
     n_labeled = check_count("n_labeled", n_labeled, 1, train_set.n)
     test_set = _nonempty(paths[-1], load_cifar(paths[-1:]))
     ds_te = _cifar_set(test_set, sigma, master.fork("pollute-test"))
-    del test_set  # the parsed bytes are not kept
+    del test_set  # its pixels are kept as the test set's x_star alone
 
     def problems():
         for r in range(reps):

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import RngStream, check_count, check_real, check_rows, check_simplex_rows, finite_rows
+from .datasets import pixel_features, row_blocks
 # check_simplex is looked up here by perfbench/tracing.py, which counts its calls
 from .core import check_simplex  # noqa: F401
 
@@ -190,7 +191,9 @@ def init_model(
 
 
 def _as_batch(m: Model, x) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
+    if x.dtype != np.uint8:
+        x = x.astype(np.float64, copy=False)
     single = x.ndim == 1
     if single:
         x = x[None, :]
@@ -213,10 +216,21 @@ def _forward_cached(weights, biases, X: np.ndarray) -> list[np.ndarray]:
 def forward(m: Model, x) -> np.ndarray:
     """Logits (classification) or raw outputs (regression) for x.
 
-    Accepts a single feature vector or an (n, d) batch.
+    Accepts a single feature vector or an (n, d) batch, of floats or of
+    uint8 pixels, which stand for their `pixel_features`.  The first layer
+    takes pixels in `row_blocks`, so that no float64 copy of them is held
+    whole, and the later layers take every row at once: in blocks, they
+    too would round otherwise.
     """
     X, single = _as_batch(m, x)
-    out = _forward_cached(m.weights, m.biases, X)[-1]
+    weights, biases = m.weights, m.biases
+    if X.dtype == np.uint8:
+        X = np.concatenate([pixel_features(X[rows]) @ weights[0] for rows in row_blocks(len(X))])
+        X += biases[0]
+        weights, biases = weights[1:], biases[1:]
+        if weights:  # X is a hidden layer
+            np.maximum(X, 0.0, out=X)
+    out = _forward_cached(weights, biases, X)[-1]
     return out[0] if single else out
 
 
@@ -231,6 +245,7 @@ def predict_class(m: Model, x):
 class Packed:
     """Checked training columns of n >= 1 rows: features X (n, d) and the
     target columns the loss needs; len() is n.  Errors name row i `names[i]`.
+    uint8 pixels X are held as their `pixel_features`, as `forward` reads them.
 
     `hard` and `soft` are each ((n, c) targets, (n,) row weights).  Weights
     are finite and >= 0, and a target is read only where its weight is > 0:
@@ -247,9 +262,10 @@ class Packed:
     """
 
     def __init__(self, X, task: str, hard, soft, names):
-        X = np.asarray(X, dtype=np.float64)
+        X = np.asarray(X)
         if X.ndim != 2 or not len(X):
             raise ValueError(f"X: shape {X.shape}, expected (n, d) with n >= 1")
+        X = pixel_features(X) if X.dtype == np.uint8 else X.astype(np.float64, copy=False)
         n = len(X)
         if len(names) != n:
             raise ValueError(f"names has {len(names)} entries for {n} rows")

@@ -404,6 +404,31 @@ class TestPollute:
             pollute(np.zeros(3), sigma, RngStream(0))
 
 
+class TestPixelBlocks:
+    B = datasets.PIXEL_ROWS
+
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, 2 * B - 1, 2 * B, 10 * B + 100])
+    def test_row_blocks_cover_the_rows_in_order_and_none_is_short(self, n):
+        blocks = datasets.row_blocks(n)
+        assert [i for rows in blocks for i in range(n)[rows]] == list(range(n))
+        sizes = [rows.stop - rows.start for rows in blocks]
+        if n < 2 * self.B:
+            assert sizes == [n]
+        else:
+            assert set(sizes[:-1]) == {self.B} and self.B <= sizes[-1] < 2 * self.B
+
+    # a multiple of the block, a ragged count and one below a block
+    @pytest.mark.parametrize("n", [2 * B, 2 * B + 100, B // 3])
+    @pytest.mark.parametrize("shape", [(28, 28, 1), (3, 32, 32)])
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_blockwise_noisy_view_equals_the_noisy_features(self, n, shape, sigma):
+        images = np.random.default_rng(n).integers(0, 256, (n, *shape), dtype=np.uint8)
+        noisy = pollute(images, sigma, RngStream(9).fork("noise"))
+        whole = pollute(datasets.pixel_features(images), sigma, RngStream(9).fork("noise"))
+        assert noisy.dtype == np.float64 and noisy.shape == whole.shape == (n, math.prod(shape))
+        assert noisy.tobytes() == whole.tobytes()
+
+
 # any text but the delimiter and line breaks, which would move a cell to
 # another column or row
 CELL_TEXT = st.characters(blacklist_categories=("Cs",), blacklist_characters=",\r\n")

@@ -11,6 +11,7 @@ import os
 import re
 import struct
 import sys
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -22,7 +23,9 @@ from hypothesis import strategies as st
 from distillery import __version__, distill, experiments
 from distillery.cli import _dispatch, _grid, build_parser
 from distillery.cli import main as cli_main
-from distillery.datasets import ParseError
+from distillery.core import RngStream
+from distillery.datasets import PIXEL_ROWS, ParseError, pixel_features
+from distillery.distill import Dataset, DatasetHeader, DistillConfig, soft_labels, train_teacher
 from distillery.experiments import (
     RUNNERS,
     ArmResult,
@@ -36,7 +39,7 @@ from distillery.experiments import (
     run_multitask,
     run_synthetic,
 )
-from distillery.models import Arch, TrainConfig, TrainingDivergence, forward
+from distillery.models import Arch, TrainConfig, TrainingDivergence, forward, init_model
 from distillery.synthetic import SyntheticSpec
 
 TINY_TRAIN = TrainConfig(learning_rate=0.05, epochs=3, batch_size=10, l2=1e-4)
@@ -674,7 +677,8 @@ class TestMnistMachinery:
     def test_parsed_test_images_are_not_held_through_the_repetitions(self, mnist_dir,
                                                                       monkeypatch):
         run = lambda: run_mnist(**mnist_kwargs(mnist_dir, reps=0))  # noqa: E731
-        # the test images go; the training images stay on disk
+        # the parsed set goes (its pixels stay only as the test set's x_star);
+        # the training images stay on disk
         assert resident_at_repeat(monkeypatch, "mnist", run) == ([False], [[]])
 
     def test_a_bad_label_no_repetition_draws_is_rejected_at_set_up(self, mnist_dir):
@@ -1285,7 +1289,8 @@ class TestCifarMachinery:
     def test_parsed_test_images_are_not_held_through_the_repetitions(self, cifar_dir,
                                                                       monkeypatch):
         run = lambda: run_cifar_semisup(**self.cifar_kwargs(cifar_dir, reps=0))  # noqa: E731
-        # the test batch goes; the training batches stay on disk
+        # the parsed batch goes (its pixels stay only as the test set's x_star);
+        # the training batches stay on disk
         assert resident_at_repeat(monkeypatch, "cifar", run) == ([False], [[]])
 
     def test_an_empty_test_batch_rejected_at_set_up_naming_the_file(self, cifar_dir, monkeypatch):
@@ -1419,6 +1424,73 @@ class TestCifarMachinery:
         path = tmp_path / "diverged.json"
         emit_report(report, "json", path)
         assert load_report_json(path) == report
+
+
+class TestPixelBackedImageSets:
+    """The image runners hold the clean view (x_star) as uint8 pixels and
+    the models read it as its `pixel_features`, the first layer in row blocks."""
+
+    N = 2 * PIXEL_ROWS + 100  # a ragged count of rows
+
+    def pixel_and_float_sets(self, c=10, task="classification"):
+        rng = np.random.default_rng(c)
+        pixels = rng.integers(0, 256, (self.N, 784), dtype=np.uint8)
+        if task == "classification":
+            y = np.eye(c)[rng.integers(0, c, self.N)]
+        else:
+            y = rng.normal(size=(self.N, c))
+        header = DatasetHeader(0, 784, c, task)
+        return [Dataset.from_arrays(header, x_star=x, y=y) for x in (pixels, pixel_features(pixels))]
+
+    @pytest.mark.parametrize("hidden", [(), (20,), (20, 20)], ids=["linear", "mlp20", "mlp20-20"])
+    def test_accuracy_on_pixels_equals_accuracy_on_their_features(self, hidden):
+        pixel_set, float_set = self.pixel_and_float_sets()
+        assert pixel_set.column("x_star").dtype == np.uint8
+        m = init_model(Arch("mlp", hidden) if hidden else Arch("linear"), 784, 10, rng=RngStream(7))
+        value = experiments.accuracy(m, pixel_set, "x_star")
+        assert 0 < value < 1 and value == experiments.accuracy(m, float_set, "x_star")
+
+    def test_mse_on_pixels_equals_mse_on_their_features(self):
+        pixel_set, float_set = self.pixel_and_float_sets(c=3, task="regression")
+        m = init_model(Arch("linear"), 784, 3, "regression", RngStream(8))
+        assert experiments.mse(m, pixel_set, "x_star") == experiments.mse(m, float_set, "x_star")
+
+    def test_teacher_and_soft_labels_from_pixels_equal_those_from_their_features(self):
+        fast = TrainConfig(learning_rate=0.05, epochs=1, batch_size=100)
+        cfg = DistillConfig(teacher_arch=Arch.mlp(20), teacher_train=fast)
+        teachers = [train_teacher(ds, cfg) for ds in self.pixel_and_float_sets()]
+        assert teachers[0] == teachers[1]
+        soft = [soft_labels(teachers[0], ds, 2.0) for ds in self.pixel_and_float_sets()]
+        assert soft[0].tobytes() == soft[1].tobytes()
+
+    @pytest.mark.parametrize("kind", ["mnist", "cifar"])
+    def test_set_up_holds_no_float64_copy_of_the_clean_test_view(self, kind, tmp_path):
+        # five blocks of test images, so that one block is a fifth of the set
+        n, rng = 5 * PIXEL_ROWS, np.random.default_rng(4)
+        if kind == "mnist":
+            for prefix, count in (("train", 40), ("t10k", n)):
+                images = rng.integers(0, 256, size=(count, 28, 28), dtype=np.uint8)
+                (tmp_path / f"{prefix}-images-idx3-ubyte").write_bytes(
+                    struct.pack(">iiii", 0x803, count, 28, 28) + images.tobytes())
+                (tmp_path / f"{prefix}-labels-idx1-ubyte").write_bytes(
+                    struct.pack(">ii", 0x801, count) + bytes(count))
+            run, d, d_regular = functools.partial(run_mnist, n_train=32), 784, 49
+        else:
+            names = [(f"data_batch_{i}.bin", 10) for i in range(1, 6)] + [("test_batch.bin", n)]
+            for name, count in names:
+                records = rng.integers(0, 256, size=(count, 3073), dtype=np.uint8)
+                records[:, 0] %= 10
+                (tmp_path / name).write_bytes(records.tobytes())
+            run, d, d_regular = functools.partial(run_cifar_semisup, n_labeled=32), 3072, 3072
+        tracemalloc.start()
+        try:
+            run(data_dir=tmp_path, reps=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the float64 regular view (x) and half a float64 clean view: a whole
+        # float64 clean view, or a whole-size temporary of the noise, exceeds it
+        assert peak < 8 * n * (d_regular + d / 2)
 
 
 class TestMultitaskMachinery:

@@ -13,6 +13,7 @@ from scipy.optimize import minimize
 from scipy.special import logsumexp
 
 from distillery.core import RngStream, one_hot, softmax
+from distillery.datasets import PIXEL_ROWS, pixel_features
 from distillery.models import (
     Arch,
     Model,
@@ -107,6 +108,42 @@ class TestForward:
         for i in range(7):
             # single-row and batched BLAS paths may differ in the last ulp
             np.testing.assert_allclose(batched[i], forward(m, X[i]), rtol=1e-12)
+
+
+class TestForwardOnPixels:
+    """uint8 pixels are read as their `pixel_features`, the first layer in
+    `row_blocks`: the bits are those of the features taken whole."""
+
+    B = PIXEL_ROWS
+
+    # a multiple of the block, a ragged count and one below a block; at 10,000
+    # rows the later layers round otherwise when they too are taken in blocks
+    @pytest.mark.parametrize("n", [2 * B, 10 * B + 100, B // 3])
+    @pytest.mark.parametrize("d", [784, 3072])
+    @pytest.mark.parametrize("hidden", [(), (20,), (20, 20)], ids=["linear", "mlp20", "mlp20-20"])
+    def test_blocked_first_layer_keeps_the_bits(self, n, d, hidden):
+        pixels = np.random.default_rng(n).integers(0, 256, (n, d), dtype=np.uint8)
+        m = init_model(Arch("mlp", hidden) if hidden else Arch("linear"), d, 10, rng=RngStream(d))
+        for b in m.biases:
+            b[:] = np.random.default_rng(1).normal(size=b.shape)
+        features = pixel_features(pixels)
+        assert forward(m, pixels).tobytes() == forward(m, features).tobytes()
+        if not hidden:  # the output is the first layer's product plus the bias
+            product = features @ m.weights[0]
+            product += m.biases[0]
+            assert forward(m, pixels).tobytes() == product.tobytes()
+
+    def test_one_image_and_no_images(self):
+        m = init_model(Arch.mlp(5), 12, 3, rng=RngStream(2))
+        pixels = np.arange(24, dtype=np.uint8).reshape(2, 12) * 10
+        assert forward(m, pixels[0]).tobytes() == forward(m, pixel_features(pixels[:1])[0]).tobytes()
+        assert forward(m, pixels[:0]).shape == (0, 3)
+
+    def test_packed_holds_pixels_as_their_features(self):
+        pixels = np.arange(8, dtype=np.uint8).reshape(4, 2) * 30
+        batch = Packed(pixels, "classification", (np.eye(2)[[0, 1, 0, 1]], np.ones(4)),
+                       (np.zeros((4, 2)), np.zeros(4)), range(4))
+        assert batch.X.tobytes() == pixel_features(pixels).tobytes()
 
 
 class TestPredictClass:
