@@ -3,16 +3,19 @@
     python3 scripts/ab_train.py OLD_TREE NEW_TREE
 
 Each tree's `src/distillery` is imported under its own package name, so
-both run in one process on the same data.  For each of the benchmark's
-three training shapes, each of `ROUNDS` rounds times one `train` call
-from each tree, alternating which goes first; the script prints the
-median NEW/OLD time ratio with its min and max, the median microseconds
-per SGD step of each tree, and whether the two trees trained
-bit-identical weights.  The group row then times the MNIST grid's 25
-students (the regular one and 6 T x 4 lambda > 0 cells, on the same
-rows) as one NEW `train` call of a stacked `Packed` against 25 OLD
-calls, and compares each model and its loss history.  It exits 1 when
-any weights differ.
+both run in one process on the same data.  Each row is timed over
+`ROUNDS` rounds, each of which times the row's `train` calls from each
+tree, alternating which goes first; the script prints the median NEW/OLD
+time ratio with its min and max.  The first rows are the benchmark's
+three training shapes, one model per call, and the synthetic workload's
+student call: its regular and lambda = 1 students, a stack of 2 linear
+50->2 models, as one stacked call on both trees.  They also print the
+median microseconds per SGD step of each tree.  The group row then times
+the MNIST grid's 25 students (the regular one and 6 T x 4 lambda > 0
+cells, on the same rows) as one NEW `train` call of a stacked `Packed`
+against 25 OLD calls.  Every row compares each model's parameter and
+loss-history bits across the trees, and the script exits 1 when any of
+them differ.
 The data is given to each tree as its own `models.Packed` of
 `(targets, weights)` hard and soft targets; a tree without `Packed` is
 refused, and one whose `Packed` takes another form fails to build it
@@ -42,12 +45,12 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-# name, hidden sizes, (d, c), rows, labeled rows, epochs; the rows past
+# name, hidden sizes, d, c, rows, labeled rows, epochs; the rows past
 # `labeled` carry a soft target only, as CIFAR's unlabeled pool does
 SHAPES = [
-    ("linear 50->2, n=200", (), (50, 2), 200, 200, 400),
-    ("mlp 49->20->20->10, n=300", (20, 20), (49, 10), 300, 300, 100),
-    ("mlp 3072->20->20->10, n=800", (20, 20), (3072, 10), 800, 300, 10),
+    ("linear 50->2, n=200", (), 50, 2, 200, 200, 400),
+    ("mlp 49->20->20->10, n=300", (20, 20), 49, 10, 300, 300, 100),
+    ("mlp 3072->20->20->10, n=800", (20, 20), 3072, 10, 800, 300, 10),
 ]
 IMITATION = 0.5
 BATCH_SIZE = 32
@@ -72,7 +75,7 @@ def load_models(tree: Path, name: str):
 
 
 def problem(models, hidden, d, c, n, labeled, epochs):
-    """(m0, data, cfg) for one shape, built with the tree's own classes."""
+    """(m0, [data], cfg) for one shape, built with the tree's own classes."""
     rng = np.random.default_rng([d, c, n])
     X = rng.normal(size=(n, d))
     labels = rng.integers(c, size=n)
@@ -83,7 +86,7 @@ def problem(models, hidden, d, c, n, labeled, epochs):
     m0 = models.init_model(arch, d, c, rng=models.RngStream(1))
     cfg = models.TrainConfig(learning_rate=0.01, epochs=epochs, batch_size=BATCH_SIZE, l2=1e-4,
                              rng=models.RngStream(2))
-    return m0, data, cfg
+    return m0, [data], cfg
 
 
 def group_problem(models, stacked: bool):
@@ -107,19 +110,57 @@ def group_problem(models, stacked: bool):
                 for a, s, b in zip(HW, S, SW)], cfg
 
 
-def timed(models, args):
-    start = time.perf_counter()
-    m = models.train(*args)
-    return time.perf_counter() - start, m
+def synthetic_problem(models):
+    """(m0, [data], cfg) of the synthetic row: the regular and the lambda = 1
+    student of one setup, a stack of 2 linear 50->2 models on 200 rows, with
+    the synthetic runner's student settings."""
+    d, c, n = 50, 2, 200
+    rng = np.random.default_rng([d, c, n, 2])
+    X, hard = rng.normal(size=(n, d)), np.eye(c)[rng.integers(c, size=n)]
+    p = np.exp(rng.normal(size=(n, c)))
+    soft = np.stack([p / p.sum(axis=1, keepdims=True)] * 2)
+    hw, sw = (np.repeat(np.array(w)[:, None], n, axis=1) for w in ([1.0, 0.0], [0.0, 1.0]))
+    m0 = models.init_model(models.Arch("linear"), d, c, rng=models.RngStream(1))
+    cfg = models.TrainConfig(learning_rate=0.2, epochs=800, batch_size=BATCH_SIZE, l2=1e-4,
+                             rng=models.RngStream(2))
+    return m0, [models.Packed(X, "classification", (hard, hw), (soft, sw), range(n))], cfg
 
 
-def timed_group(models, problem):
-    """(seconds, models) of training every Packed of a `group_problem`."""
+def timed(models, problem):
+    """(seconds, [models]) of training every Packed of a problem (m0, datas,
+    cfg), the models in order, those of a stacked call in its place."""
     m0, datas, cfg = problem
     start = time.perf_counter()
     out = [models.train(m0, data, cfg) for data in datas]
     seconds = time.perf_counter() - start
-    return seconds, out[0] if len(out) == 1 else out
+    return seconds, [m for r in out for m in (r if isinstance(r, list) else [r])]
+
+
+def identical(a, b) -> bool:
+    """Whether two lists of models hold the same parameter and loss-history bits."""
+    return len(a) == len(b) and all(
+        x.params.tobytes() == y.params.tobytes()
+        and np.array(x.loss_history).tobytes() == np.array(y.loss_history).tobytes()
+        for x, y in zip(a, b)
+    )
+
+
+def race(trees, problems):
+    """(NEW/OLD time ratios, median seconds per tree, identical results?) of
+    `ROUNDS` interleaved rounds after one warm-up call per tree."""
+    results = {k: timed(m, problems[k])[1] for k, m in trees.items()}
+    same = identical(results["old"], results["new"])
+    times = {"old": [], "new": []}
+    for r in range(ROUNDS):
+        for k in ("old", "new") if r % 2 == 0 else ("new", "old"):
+            times[k].append(timed(trees[k], problems[k])[0])
+    ratios = [b / a for a, b in zip(times["old"], times["new"])]
+    return ratios, {k: statistics.median(t) for k, t in times.items()}, same
+
+
+def spread(ratios) -> str:
+    return (f"median {statistics.median(ratios):.3f} "
+            f"(min {min(ratios):.3f}, max {max(ratios):.3f})")
 
 
 def main(argv=None) -> int:
@@ -132,46 +173,24 @@ def main(argv=None) -> int:
         if not hasattr(models, "Packed"):
             raise SystemExit(f"{getattr(args, k)}: distillery.models has no Packed training input")
     print(f"numpy {np.__version__}, nproc {os.cpu_count()}, {ROUNDS} rounds per shape")
+    verdict = {True: "yes", False: "NO"}
+    rows = [(name, lambda m, shape=shape: problem(m, *shape)) for name, *shape in SHAPES]
+    rows.append(("synthetic students, stack of 2 linear 50->2, n=200", synthetic_problem))
     all_same = True
-    for name, hidden, (d, c), n, labeled, epochs in SHAPES:
-        problems = {k: problem(m, hidden, d, c, n, labeled, epochs) for k, m in trees.items()}
-        steps = epochs * math.ceil(n / BATCH_SIZE)
-        results = {k: timed(m, problems[k])[1] for k, m in trees.items()}  # warm-up
-        same = all(
-            np.array_equal(a, b)
-            for a, b in zip(results["old"].weights + results["old"].biases,
-                            results["new"].weights + results["new"].biases)
-        )
-        times = {"old": [], "new": []}
-        for r in range(ROUNDS):
-            for k in ("old", "new") if r % 2 == 0 else ("new", "old"):
-                times[k].append(timed(trees[k], problems[k])[0])
-        ratios = [b / a for a, b in zip(times["old"], times["new"])]
-        us = {k: 1e6 * statistics.median(t) / steps for k, t in times.items()}
-        print(
-            f"{name}: new/old median {statistics.median(ratios):.3f} "
-            f"(min {min(ratios):.3f}, max {max(ratios):.3f}); "
-            f"us/step old {us['old']:.1f}, new {us['new']:.1f}; "
-            f"weights identical: {'yes' if same else 'NO'}"
-        )
+    for name, build in rows:
+        problems = {k: build(m) for k, m in trees.items()}
+        _, datas, cfg = problems["new"]
+        steps = cfg.epochs * math.ceil(len(datas[0]) / cfg.batch_size)
+        ratios, seconds, same = race(trees, problems)
+        us = {k: 1e6 * t / steps for k, t in seconds.items()}
+        print(f"{name}: new/old {spread(ratios)}; us/step old {us['old']:.1f}, "
+              f"new {us['new']:.1f}; weights and loss histories identical: {verdict[same]}")
         all_same &= same
     problems = {k: group_problem(m, stacked=k == "new") for k, m in trees.items()}
-    results = {k: timed_group(m, problems[k])[1] for k, m in trees.items()}  # warm-up
-    same = all(
-        a.params.tobytes() == b.params.tobytes() and a.loss_history == b.loss_history
-        for a, b in zip(results["old"], results["new"], strict=True)
-    )
-    times = {"old": [], "new": []}
-    for r in range(ROUNDS):
-        for k in ("old", "new") if r % 2 == 0 else ("new", "old"):
-            times[k].append(timed_group(trees[k], problems[k])[0])
-    ratios = [b / a for a, b in zip(times["old"], times["new"])]
-    print(
-        f"group of {len(results['new'])}, mlp 49->20->20->10, n=300: one new call / "
-        f"{len(results['old'])} old calls median {statistics.median(ratios):.3f} "
-        f"(min {min(ratios):.3f}, max {max(ratios):.3f}); "
-        f"models and loss histories identical: {'yes' if same else 'NO'}"
-    )
+    ratios, _, same = race(trees, problems)
+    calls = len(problems["old"][1])
+    print(f"group of {calls}, mlp 49->20->20->10, n=300: one new call / {calls} old calls "
+          f"{spread(ratios)}; models and loss histories identical: {verdict[same]}")
     all_same &= same
     return 0 if all_same else 1
 

@@ -325,11 +325,13 @@ def _views(params: np.ndarray, shapes) -> tuple[list, list, np.ndarray]:
     return weights, biases, w_flat
 
 
-def _loss_grad(task: str, layers, X: np.ndarray, tgt, l2: float, grads=None):
-    """Mean weighted loss on rows X, plus the L2 penalty, of the models whose
-    `_views` are `layers`: a number for one model, one per model for a stack
-    (..., P).  Given `_views` `grads` of a buffer of the same shape, also
-    writes the exact gradients there.
+def _loss_grad(task: str, layers, X: np.ndarray, tgt, l2: float, terms, grads=None):
+    """Writes to the (2, ...) array `terms` the parts of the mean weighted
+    loss on rows X, plus the L2 penalty, of the models whose `_views` are
+    `layers`: per model, the data term summed over the rows, and w·w if
+    l2 != 0.  `_mean_loss` assembles the loss from them.  Given `_views`
+    `grads` of a buffer of the same shape and, last, a scratch buffer of
+    the shape of its weight span, also writes the exact gradients there.
 
     `tgt` holds the target columns of a `Packed`, restricted to the rows of X.
     Every layer's gradient is formed from the weights as they are on
@@ -342,29 +344,33 @@ def _loss_grad(task: str, layers, X: np.ndarray, tgt, l2: float, grads=None):
     out, n = acts[-1], X.shape[0]
     if task == CLASSIFICATION:
         Y, w_tot = tgt
-        m = out.max(axis=-1, keepdims=True)
-        lse = m + np.log(np.exp(out - m).sum(axis=-1, keepdims=True))
-        logp = out - lse
+        # max rounds nothing, so reducing the rows of a (..., c, n) copy gives out.max's bits
+        m = np.maximum.reduce(np.ascontiguousarray(out.mT), axis=-2, keepdims=True).mT
+        logp = np.subtract(out, m)
+        lse = np.add.reduce(np.exp(logp, out=logp), axis=-1, keepdims=True)
+        np.add(m, np.log(lse, out=lse), out=lse)
+        np.subtract(out, lse, out=logp)
         # one dot over each model's whole batch, with np.vdot's bits
         Y_flat, logp_flat = Y.reshape(Y.shape[:-2] + (-1,)), logp.reshape(logp.shape[:-2] + (-1,))
-        value = -np.vecdot(Y_flat, logp_flat) / n
+        np.vecdot(Y_flat, logp_flat, out=terms[0, ...])
         if grads is not None:
             # d/dz of -sum_k y_k logp_k is sigma * sum(y) - y
-            g = np.exp(logp) * w_tot - Y
+            g = np.multiply(np.exp(logp, out=out), w_tot, out=out)
+            g -= Y
     else:  # 0.5 * ||out - y||^2 per target
         hard, soft, hw, sw = tgt
         dh = out - hard
         ds = out - soft
         sq_h = np.sum(dh * dh, axis=-1, keepdims=True)
         sq_s = np.sum(ds * ds, axis=-1, keepdims=True)
-        value = np.mean((0.5 * (hw * sq_h + sw * sq_s))[..., 0], axis=-1)
+        np.add.reduce((0.5 * (hw * sq_h + sw * sq_s))[..., 0], axis=-1, out=terms[0, ...])
         if grads is not None:
             g = hw * dh + sw * ds
     if l2 != 0.0:
-        value = value + 0.5 * l2 * np.vecdot(w_flat, w_flat)
+        np.vecdot(w_flat, w_flat, out=terms[1, ...])
     if grads is None:
-        return value
-    grad_w, grad_b, grad_flat = grads
+        return
+    grad_w, grad_b, grad_flat, l2_grad = grads
     g /= n
     for i in range(len(weights) - 1, -1, -1):
         np.matmul(acts[i].mT, g, out=grad_w[i])
@@ -373,8 +379,14 @@ def _loss_grad(task: str, layers, X: np.ndarray, tgt, l2: float, grads=None):
             g = g @ weights[i].mT
             np.multiply(g, acts[i] > 0.0, out=g)  # ReLU mask; `g *= mask` is slower
     if l2 != 0.0:
-        grad_flat += l2 * w_flat
-    return value
+        grad_flat += np.multiply(w_flat, l2, out=l2_grad)
+
+
+def _mean_loss(task: str, terms, n, l2: float):
+    """The loss of `_loss_grad`'s `terms` on n rows; every argument broadcasts."""
+    data, ww = terms
+    value = (np.negative(data) if task == CLASSIFICATION else data) / n
+    return value + 0.5 * l2 * ww if l2 != 0.0 else value
 
 
 def _checked(m: Model, data: Packed) -> Packed:
@@ -391,7 +403,10 @@ def loss(m: Model, batch: Packed, *, l2: float = 0.0):
     """Mean weighted hard/soft loss over the batch plus the L2 penalty; for
     a stacked batch, an (R,) array with one loss per target set."""
     data = _checked(m, batch)
-    value = _loss_grad(m.task, _views(m.params, _shapes(m)), data.X, data.targets, l2)
+    params = np.broadcast_to(m.params, (*data.lead, m.params.size))  # a model per target set
+    terms = np.empty((2, *data.lead))
+    _loss_grad(m.task, _layers(params, _shapes(m)), data.X, data.targets, l2, terms)
+    value = _mean_loss(m.task, terms, len(data), l2)
     return value if data.lead else float(value)
 
 
@@ -400,13 +415,22 @@ def gradient(m: Model, batch: Packed, *, l2: float = 0.0) -> np.ndarray:
     array in the order of `m.params`; (R, P) for a stacked batch."""
     data = _checked(m, batch)
     grad = np.empty((*data.lead, m.params.size))
-    _loss_grad(m.task, _views(m.params, _shapes(m)), data.X, data.targets, l2,
-               _views(grad, _shapes(m)))
+    grads = _views(grad, _shapes(m))
+    params = np.broadcast_to(m.params, grad.shape)
+    _loss_grad(m.task, _layers(params, _shapes(m)), data.X, data.targets, l2,
+               np.empty((2, *data.lead)), (*grads, np.empty_like(grads[2])))
     return grad
 
 
 def _shapes(m: Model) -> list[tuple[int, int]]:
     return [w.shape for w in m.weights]
+
+
+def _layers(params: np.ndarray, shapes) -> tuple[list, list, np.ndarray]:
+    """The `_views` of a (..., P) buffer that `_loss_grad` takes: each bias
+    as a row, which adds to the batch of its model in a stack."""
+    weights, biases, w_flat = _views(params, shapes)
+    return weights, [b[..., None, :] for b in biases], w_flat
 
 
 def train(m0: Model, data: Packed, cfg: TrainConfig):
@@ -435,29 +459,31 @@ def train(m0: Model, data: Packed, cfg: TrainConfig):
     params = np.empty((*lead, m0.params.size))
     params[...] = m0.params
     grad = np.empty_like(params)  # every step overwrites it
-    weights, biases, w_flat = _views(params, _shapes(m0))
-    layers = weights, [b[..., None, :] for b in biases], w_flat  # bias rows add to a stack
-    grads = _views(grad, _shapes(m0))
+    layers = _layers(params, _shapes(m0))
+    grads = *_views(grad, _shapes(m0)), np.empty_like(layers[2])
     shuffle = cfg.rng.generator()
     lr, l2, size = cfg.learning_rate, cfg.l2, cfg.batch_size
     starts = range(0, n, size)
-    losses = np.empty((len(starts), *lead))  # one epoch's batch losses
+    terms = np.empty((2, len(starts), *lead))  # one epoch's batch loss terms
+    # the rows of each batch, on the axis of `terms` that lists the batches
+    counts = np.minimum(size, n - np.array(starts)).reshape(-1, *(1,) * len(lead))
     history = np.empty((cfg.epochs, *lead))
     diverged = {}  # stack index -> TrainingDivergence
     # overflow here is not an error: it is how divergence is detected
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             perm = shuffle.permutation(n)
-            cols = [col[..., perm, :] for col in tgt]
+            cols = [col.take(perm, axis=-2) for col in tgt]
             for k, start in enumerate(starts):
                 rows = slice(start, start + size)
                 batch_tgt = [col[..., rows, :] for col in cols]
-                losses[k] = _loss_grad(m0.task, layers, X[perm[rows]], batch_tgt, l2, grads)
+                _loss_grad(m0.task, layers, X.take(perm[rows], axis=0), batch_tgt, l2,
+                           terms[:, k], grads)
                 grad *= lr
                 params -= grad
-            # a contiguous row per model: np.mean sums it as it sums one model's list
-            by_model = np.ascontiguousarray(losses.T)
-            history[epoch] = np.mean(by_model, axis=-1)
+            # a contiguous row per model, which np.add.reduce sums as np.mean sums one model's list
+            by_model = np.ascontiguousarray(_mean_loss(m0.task, terms, counts, l2).T)
+            history[epoch] = np.add.reduce(by_model, axis=-1) / len(starts)
             finite = np.isfinite(by_model)
             if not finite.all():
                 # a diverged model trains on; its own numbers reach no other model
@@ -473,8 +499,8 @@ def train(m0: Model, data: Packed, cfg: TrainConfig):
     def result(r):
         if r in diverged:
             return diverged[r]
-        layers = [w[r] for w in weights], [b[r] for b in biases]
-        return Model(m0.task, *layers, loss_history=history[(slice(None), *r)].tolist())
+        weights, biases, _ = _views(params[r], _shapes(m0))
+        return Model(m0.task, weights, biases, loss_history=history[(slice(None), *r)].tolist())
 
     return [result(r) for r in np.ndindex(lead)] if lead else result(())
 
