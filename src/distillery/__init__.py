@@ -8,7 +8,7 @@ regression).
 
 __version__ = "0.1.0"
 
-from .core import RngStream, cross_entropy, log_sum_exp, one_hot, softmax
+from .core import RngStream, cross_entropy, one_hot, softmax
 from .distill import (
     Dataset,
     DatasetHeader,
@@ -27,7 +27,6 @@ __all__ = [
     "RngStream",
     "softmax",
     "cross_entropy",
-    "log_sum_exp",
     "one_hot",
     "Triplet",
     "Dataset",

@@ -19,10 +19,8 @@ import numpy as np
 
 __all__ = [
     "RngStream",
-    "log_sum_exp",
     "softmax",
     "cross_entropy",
-    "sample_standard_normal",
     "one_hot",
     "check_simplex",
     "simplex_rows",
@@ -90,15 +88,6 @@ class RngStream:
         if not key:
             raise ValueError("fork requires at least one key component")
         return RngStream(self.seed, _mix_key((self.stream, *key)))
-
-
-def log_sum_exp(z) -> float:
-    """log(sum(exp(z))) computed as m + log(sum(exp(z - m))), m = max(z)."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.size == 0:
-        raise ValueError("log_sum_exp of an empty vector")
-    m = np.max(z)
-    return float(m + np.log(np.sum(np.exp(z - m))))
 
 
 def _check_logits(z) -> np.ndarray:
@@ -249,7 +238,3 @@ def one_hot(index: int, c: int) -> np.ndarray:
     v[check_count("class index", index, 0, c - 1)] = 1.0
     return v
 
-
-def sample_standard_normal(rng: RngStream, n: int) -> np.ndarray:
-    """n i.i.d. N(0, 1) draws, fully determined by (rng.seed, rng.stream)."""
-    return rng.generator().standard_normal(check_count("n", n))

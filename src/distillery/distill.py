@@ -14,9 +14,8 @@ without them is never read and no filtering can misalign a feature
 vector with another example's soft label.  The student always trains
 at T = 1 on soft labels taken at the teacher's temperature.
 
-Extensions: clean-subset routing for semi-supervised data, soft-label
-restriction to the classes of interest for out-of-task (Universum)
-examples, and per-task views of multi-output regression data.
+Extensions: clean-subset routing for semi-supervised data and per-task
+views of multi-output regression data.
 """
 
 from __future__ import annotations
@@ -53,8 +52,6 @@ __all__ = [
     "soft_labels",
     "distill_student",
     "distill_students",
-    "universum_soft_labels",
-    "restrict_simplex",
     "multitask_views",
 ]
 
@@ -301,8 +298,9 @@ def distill_student(data: Dataset, soft, cfg: DistillConfig) -> Model:
 
 def distill_students(data: Dataset, requests) -> list:
     """`distill_student` for each (soft, cfg) of `requests`, in one pass: per
-    request, a deep copy of its student or of the error it failed with (a
-    TrainingDivergence, or ValueError when no row is usable).
+    request, a copy of its student (its own `params` and `loss_history`) or of
+    the error it failed with (a TrainingDivergence, or ValueError when no row
+    is usable).
 
     `data` keeps the outcome of each student trained on it, keyed by what the
     student depends on: (student_arch, student_train) at imitation 0, and
@@ -348,7 +346,7 @@ def distill_students(data: Dataset, requests) -> list:
     for trained, (chunk, *_) in zip(_run(data, jobs), jobs):
         for (key, *_), student in zip(chunk, trained):
             data._students[key] = student
-    return [copy.deepcopy(data._students[key]) for key in keyed]
+    return [copy.copy(data._students[key]) for key in keyed]
 
 
 def _workers() -> int:
@@ -392,49 +390,6 @@ def _fit(data: Dataset, view: str, ids: np.ndarray, hw, soft, arch: Arch, train_
     batch = Packed(X, h.task, (hard, hw), soft or (hard, np.zeros(len(ids))), ids)
     m0 = init_model(arch, X.shape[1], h.c, h.task, train_cfg.rng.fork("init"))
     return train(m0, batch, replace(train_cfg, rng=train_cfg.rng.fork("shuffle")))
-
-
-def _classes_of_interest(classes, c: int) -> list[int]:
-    """`classes`, any iterable, as a list of distinct class ids in [0, c);
-    raises ValueError naming the first id out of range, an empty set or a
-    repeated id."""
-    requested = [check_count("class of interest", k, 0, c - 1) for k in classes]
-    if not requested:
-        raise ValueError("classes_of_interest must be non-empty")
-    if len(set(requested)) != len(requested):
-        raise ValueError("classes_of_interest contains duplicates")
-    return requested
-
-
-def restrict_simplex(p: np.ndarray, classes) -> np.ndarray:
-    """Renormalize probability vectors (along the last axis) onto a subset of
-    their classes, in the order given; a NaN row stays NaN.  Raises
-    ValueError for a class set that is empty, repeats a class or names one
-    out of range, and one naming the first row of a 2-D `p` where the mass
-    on the subset is numerically zero."""
-    p = np.asarray(p, dtype=np.float64)
-    q = p[..., _classes_of_interest(classes, p.shape[-1])]
-    mass = q.sum(axis=-1, keepdims=True)
-    zero = np.flatnonzero(mass < 1e-300)
-    if zero.size:
-        row = f"row {zero[0]}: " if q.ndim == 2 else ""
-        raise ValueError(f"{row}probability mass on the classes of interest is numerically zero")
-    return q / mass
-
-
-def universum_soft_labels(teacher: Model, data: Dataset, T: float, classes_of_interest):
-    """`soft_labels` of an all-classes teacher, kept only for the classes of
-    interest and renormalized row by row (rows without x_star stay NaN).
-
-    The teacher may have been trained on extra out-of-task classes; the
-    restriction preserves the ratios between retained class
-    probabilities.  Columns are indexed by ascending class id.  The class
-    set is checked before the teacher runs.
-    """
-    if teacher.task != CLASSIFICATION:
-        raise ValueError("universum soft labels require a classification teacher")
-    classes = sorted(_classes_of_interest(classes_of_interest, teacher.output_dim))
-    return restrict_simplex(soft_labels(teacher, data, T), classes)
 
 
 def multitask_views(data: Dataset, target_task: int) -> Dataset:

@@ -16,7 +16,6 @@ biases are not regularized.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -38,11 +37,6 @@ __all__ = [
     "loss",
     "gradient",
     "train",
-    "predict_class",
-    "save_model",
-    "load_model",
-    "model_to_text",
-    "model_from_text",
 ]
 
 CLASSIFICATION = "classification"
@@ -143,8 +137,10 @@ class Model:
         return Model(self.task, self.weights, self.biases)
 
     def __reduce__(self):
-        # pickle and deepcopy rebuild the model, so the layer views stay views into params
-        return Model, (self.task, self.weights, self.biases, self.loss_history)
+        # pickle and copy rebuild the model, so the layer views stay views into params;
+        # a copy gets a history list of its own (the floats in it are immutable)
+        history = None if self.loss_history is None else list(self.loss_history)
+        return Model, (self.task, self.weights, self.biases, history)
 
 
 @dataclass(frozen=True)
@@ -232,14 +228,6 @@ def forward(m: Model, x) -> np.ndarray:
             np.maximum(X, 0.0, out=X)
     out = _forward_cached(weights, biases, X)[-1]
     return out[0] if single else out
-
-
-def predict_class(m: Model, x):
-    """Argmax class of forward(m, x); ties go to the lowest index."""
-    if m.task != CLASSIFICATION:
-        raise ValueError("predict_class requires a classification model")
-    out = forward(m, x)
-    return int(np.argmax(out)) if out.ndim == 1 else np.argmax(out, axis=1)
 
 
 class Packed:
@@ -504,112 +492,3 @@ def train(m0: Model, data: Packed, cfg: TrainConfig):
 
     return [result(r) for r in np.ndindex(lead)] if lead else result(())
 
-
-# --- serialization ---------------------------------------------------------
-#
-# Flat text record, version 1:
-#   line 1: "distillery-model 1"
-#   line 2: "kind <linear|mlp>" (linear for one layer, mlp for more)
-#   line 3: "task <classification|regression>"
-#   line 4: "sizes d h1 ... c"
-#   then per layer i: a line "W<i>" followed by fan_in rows of fan_out
-#   hexadecimal float64 values, and a line "b<i>" followed by one row.
-# Hex floats round-trip bit-exactly across platforms.
-
-_MAGIC = "distillery-model 1"
-# a byte that `load_model` cannot decode as ASCII reads as a lone surrogate
-_UNDECODED = re.compile("[\udc80-\udcff]")
-
-
-def model_to_text(m: Model) -> str:
-    sizes = [m.input_dim] + [w.shape[1] for w in m.weights]
-    lines = [
-        _MAGIC,
-        f"kind {m.kind}",
-        f"task {m.task}",
-        "sizes " + " ".join(str(s) for s in sizes),
-    ]
-    for i, (w, b) in enumerate(zip(m.weights, m.biases)):
-        lines.append(f"W{i}")
-        for row in w:
-            lines.append(" ".join(v.hex() for v in row.tolist()))
-        lines.append(f"b{i}")
-        lines.append(" ".join(v.hex() for v in b.tolist()))
-    return "\n".join(lines) + "\n"
-
-
-def model_from_text(text: str) -> Model:
-    """Inverse of `model_to_text`; a malformed record raises ValueError.  A
-    byte that `load_model` could not decode as ASCII raises `line k: not
-    ASCII text`, k counting the lines of `text` (blank ones included)."""
-    undecoded = _UNDECODED.search(text)
-    if undecoded:
-        k = text.count("\n", 0, undecoded.start()) + 1
-        raise ValueError(f"line {k}: not ASCII text")
-    body = text.lstrip()
-    lines = body.rstrip().split("\n")
-    skipped = text[: len(text) - len(body)].count("\n")  # blank lines before the record
-    if lines[0] != _MAGIC:
-        raise ValueError(f"not a model record (expected {_MAGIC!r})")
-
-    def at(k: int) -> str:
-        """Line k (0-based) of the record, numbered as a line of `text`."""
-        return f"line {skipped + k + 1}"
-
-    def line(k: int) -> str:
-        if k >= len(lines):
-            raise ValueError(f"truncated model record: {at(k)} is missing")
-        return lines[k]
-
-    def numbers(k: int, width: int) -> np.ndarray:
-        """The `width` hexadecimal floats on line k (0-based)."""
-        tokens = line(k).split()
-        if len(tokens) != width:
-            raise ValueError(f"{at(k)}: expected {width} values, got {len(tokens)}")
-        values = []
-        for v in tokens:
-            try:
-                values.append(float.fromhex(v))
-            except (ValueError, OverflowError):
-                raise ValueError(f"{at(k)}: {v!r} is not a hexadecimal float64") from None
-        return np.array(values)
-
-    def value(k: int, key: str) -> str:
-        name, _, rest = line(k).partition(" ")
-        if name != key:
-            raise ValueError(f"expected {key!r} at {at(k)}")
-        return rest
-
-    kind, task = value(1, "kind"), value(2, "task")
-    sizes = value(3, "sizes").split()
-    if len(sizes) < 2 or not all(s.isascii() and s.isdigit() and int(s) > 0 for s in sizes):
-        raise ValueError(f"{at(3)}: expected 'sizes d h1 ... c' of ASCII digits >= 1: {lines[3]!r}")
-    sizes = [int(s) for s in sizes]
-    pos = 4
-    weights, biases = [], []
-    for i, (fi, fo) in enumerate(zip(sizes, sizes[1:])):
-        if line(pos) != f"W{i}":
-            raise ValueError(f"expected W{i} at {at(pos)}")
-        pos += 1
-        weights.append(np.array([numbers(pos + r, fo) for r in range(fi)]))
-        pos += fi
-        if line(pos) != f"b{i}":
-            raise ValueError(f"expected b{i} at {at(pos)}")
-        biases.append(numbers(pos + 1, fo))
-        pos += 2
-    if pos < len(lines):
-        raise ValueError(f"{at(pos)}: unexpected text after the last layer")
-    m = Model(task, weights, biases)
-    if kind != m.kind:
-        raise ValueError(f"kind {kind!r} at {at(1)} contradicts the {len(weights)} layer(s)")
-    return m
-
-
-def save_model(m: Model, path) -> None:
-    with open(path, "w", encoding="ascii") as f:
-        f.write(model_to_text(m))
-
-
-def load_model(path) -> Model:
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as f:
-        return model_from_text(f.read())

@@ -24,12 +24,12 @@ separately, so train and test sets of one repetition share them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, check_count, parse_number
-from .distill import Dataset, DatasetHeader, Triplet
+from .core import RngStream, check_count
+from .distill import Dataset, DatasetHeader
 from .models import CLASSIFICATION
 
 __all__ = [
@@ -42,8 +42,6 @@ __all__ = [
     "gen_exp4",
     "generate",
     "replay_labels",
-    "dump_dataset",
-    "load_dataset",
 ]
 
 
@@ -195,101 +193,3 @@ def replay_labels(ds: Dataset) -> np.ndarray:
         return (np.sum(contrib, axis=1) > 0).astype(int)
     raise ValueError(f"unknown experiment {exp}")
 
-
-# --- text dump -------------------------------------------------------------
-#
-# Line 1: d <sep> d_star <sep> c <sep> n.  Then one record per example:
-# the x group, the x_star group, the y group, in that order; a present
-# group is its values, a missing group is the single token "_", and a
-# present group of width 0 (e.g. d_star = 0) is one empty token.  The
-# delimiter must be ASCII and share no character with a line end, the
-# marker "_" or a written number, so that the records split back.
-
-
-def _check_delimiter(delimiter) -> None:
-    if not (isinstance(delimiter, str) and delimiter.isascii() and delimiter):
-        raise ValueError(f"delimiter must be a non-empty ASCII string, got {delimiter!r}")
-    for c in delimiter:
-        if c in "\n\r_0123456789.+-e":
-            raise ValueError(f"delimiter {delimiter!r} holds {c!r}, which a record can hold")
-
-
-def dump_dataset(ds: Dataset, path, delimiter: str = ",") -> None:
-    _check_delimiter(delimiter)
-    h = ds.header
-    with open(path, "w", encoding="ascii") as f:
-        f.write(delimiter.join(str(v) for v in (h.d, h.d_star, h.c, len(ds))) + "\n")
-        for t in ds.examples:
-            groups = []
-            for v in (t.x, t.x_star, t.y):
-                groups.append("_" if v is None else delimiter.join(repr(float(u)) for u in v))
-            f.write(delimiter.join(groups) + "\n")
-
-
-def _parse_record(line: str, sizes, delimiter: str):
-    """(x, x_star, y) of one record line; a missing group is None."""
-    if not line.isascii():
-        raise ValueError("not ASCII text")
-    tokens = line.split(delimiter)
-    groups, pos = [], 0
-    for size in sizes:
-        token = tokens[pos] if pos < len(tokens) else None
-        if token == "_":
-            groups.append(None)
-            pos += 1
-        elif size == 0:
-            if token != "":
-                raise ValueError(f"token {pos + 1}: a width-0 group is '' (present) or '_'")
-            groups.append(np.empty(0))
-            pos += 1
-        else:
-            values = tokens[pos : pos + size]
-            if len(values) < size:
-                raise ValueError(f"short record: {len(tokens)} tokens")
-            for k, v in enumerate(values, pos + 1):
-                try:
-                    parse_number(v, str)  # float() also takes ' 1' and '1_0'
-                except ValueError as e:
-                    raise ValueError(f"token {k}: {e}") from None
-            groups.append(np.array([float(v) for v in values]))
-            pos += size
-    if pos != len(tokens):
-        raise ValueError(f"expected {pos} tokens, got {len(tokens)}")
-    return groups
-
-
-def load_dataset(path, delimiter: str = ",", task: str = CLASSIFICATION) -> Dataset:
-    """Read a `dump_dataset` file.
-
-    Raises ValueError naming the header line or the record (1-based) for
-    a non-ASCII or non-numeric token, a header size out of range (`c` >= 1,
-    the others >= 0), a record that is too short or too long or has no
-    present group, or a record count that differs from the header's n;
-    the Dataset's own checks name the example (0-based).  A delimiter that
-    `dump_dataset` refuses raises ValueError before the file is opened.
-    """
-    _check_delimiter(delimiter)
-    # a byte that is not ASCII reads as a lone surrogate, so that its line can be named
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as f:
-        first = f.readline()
-        if not first.isascii():
-            raise ValueError("line 1: not ASCII text")
-        try:
-            d, d_star, c, n = (parse_number(v, int) for v in first.rstrip("\n").split(delimiter))
-            sizes, n = DatasetHeader(d, d_star, c), check_count("n", n, 0)
-        except ValueError as e:
-            raise ValueError(f"line 1: expected d, d_star, c, n: {e}") from None
-        header = replace(sizes, task=task)  # a bad task is the caller's, not line 1's
-        examples = []
-        for k in range(1, n + 1):
-            line = f.readline()
-            if not line:
-                raise ValueError(f"record {k}: missing, the header says {n} records")
-            try:
-                groups = _parse_record(line.rstrip("\n"), (d, d_star, c), delimiter)
-                examples.append(Triplet(*groups))
-            except ValueError as e:
-                raise ValueError(f"record {k}: {e}") from None
-        if f.read().strip():
-            raise ValueError(f"more than the header's {n} records")
-    return Dataset(header, examples)

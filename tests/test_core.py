@@ -15,10 +15,8 @@ from distillery.core import (
     cross_entropy,
     finite_rows,
     log_softmax,
-    log_sum_exp,
     one_hot,
     parse_number,
-    sample_standard_normal,
     softmax,
 )
 
@@ -27,21 +25,6 @@ finite_logits = st.lists(
     min_size=1,
     max_size=8,
 ).map(np.array)
-
-
-class TestLogSumExp:
-    def test_single_zero(self):
-        assert log_sum_exp([0.0]) == 0.0
-
-    def test_two_zeros(self):
-        assert log_sum_exp([0.0, 0.0]) == pytest.approx(math.log(2), abs=1e-15)
-
-    def test_shift_invariance_no_overflow(self):
-        assert log_sum_exp([1000.0, 1000.0]) == pytest.approx(1000 + math.log(2), abs=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            log_sum_exp([])
 
 
 class TestSoftmax:
@@ -168,14 +151,19 @@ class TestLogSoftmax:
 
 class TestRngStream:
     def test_repeatable(self):
-        a = sample_standard_normal(RngStream(42, 7), 1000)
-        b = sample_standard_normal(RngStream(42, 7), 1000)
+        a = RngStream(42, 7).generator().standard_normal(1000)
+        b = RngStream(42, 7).generator().standard_normal(1000)
         assert np.array_equal(a, b)
 
     def test_streams_differ(self):
-        a = sample_standard_normal(RngStream(42, 0), 100)
-        b = sample_standard_normal(RngStream(42, 1), 100)
+        a = RngStream(42, 0).generator().standard_normal(100)
+        b = RngStream(42, 1).generator().standard_normal(100)
         assert not np.array_equal(a, b)
+
+    def test_moments(self):
+        x = RngStream(123, 1).generator().standard_normal(1_000_000)
+        assert abs(x.mean()) < 0.01  # 4 sigma / sqrt(n) = 0.004
+        assert abs(x.var() - 1.0) < 0.01
 
     def test_fork_is_deterministic(self):
         s = RngStream(9)
@@ -304,19 +292,3 @@ class TestFiniteRows:
     def test_a_sum_that_overflows_is_not_a_bad_row(self):
         A = np.array([[1e308, 1e308], [-1e308, -1e308], [np.inf, -np.inf], [1.0, np.nan]])
         assert finite_rows(A).tolist() == [True, True, False, False]
-
-
-class TestSampleStandardNormal:
-    def test_moments(self):
-        x = sample_standard_normal(RngStream(123, 1), 1_000_000)
-        assert abs(x.mean()) < 0.01  # 4 sigma / sqrt(n) = 0.004
-        assert abs(x.var() - 1.0) < 0.01
-
-    def test_n_validation(self):
-        with pytest.raises(ValueError):
-            sample_standard_normal(RngStream(0), 0)
-
-    @pytest.mark.parametrize("n", [0, 2.5, True, "3"])
-    def test_n_must_be_an_integer(self, n):
-        with pytest.raises(ValueError, match="^n must be an integer >= 1, got "):
-            sample_standard_normal(RngStream(0), n)

@@ -10,6 +10,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distillery import distill
 from distillery.core import RngStream, one_hot, softmax
@@ -22,10 +24,8 @@ from distillery.distill import (
     distill_student,
     distill_students,
     multitask_views,
-    restrict_simplex,
     soft_labels,
     train_teacher,
-    universum_soft_labels,
 )
 from distillery.models import (
     Arch,
@@ -328,101 +328,6 @@ class TestDistillStudent:
         assert acc >= 0.8
 
 
-class TestUniversum:
-    def test_hand_renormalization(self):
-        # teacher emitting exactly (0.5, 0.3, 0.2): keep {0, 1} -> (0.625, 0.375)
-        teacher = init_model("linear", 1, 3)
-        teacher.weights[0][:] = 0.0
-        teacher.biases[0][:] = np.log([0.5, 0.3, 0.2])
-        data = Dataset(DatasetHeader(1, 1, 3), [Triplet(x_star=np.zeros(1))])
-        [q] = universum_soft_labels(teacher, data, 1.0, [0, 1])
-        np.testing.assert_allclose(q, [0.625, 0.375], rtol=1e-12)
-
-    def test_full_class_set_is_identity(self):
-        p = np.array([0.2, 0.5, 0.3])
-        np.testing.assert_allclose(restrict_simplex(p, [0, 1, 2]), p, rtol=1e-15)
-
-    def test_uniform_stays_uniform(self):
-        p = np.full(5, 0.2)
-        np.testing.assert_allclose(restrict_simplex(p, [1, 3, 4]), [1 / 3] * 3, rtol=1e-15)
-
-    def test_ratios_preserved(self):
-        rng = np.random.default_rng(2)
-        for _ in range(200):
-            p = rng.dirichlet(np.ones(6))
-            keep = sorted(rng.choice(6, size=3, replace=False))
-            q = restrict_simplex(p, keep)
-            for a in range(3):
-                for b in range(3):
-                    assert q[a] * p[keep[b]] == pytest.approx(q[b] * p[keep[a]], rel=1e-12)
-
-    def test_vanishing_mass_is_an_error(self):
-        p = np.array([1.0, 0.0, 0.0])
-        with pytest.raises(ValueError, match="^probability mass"):
-            restrict_simplex(p, [1, 2])
-
-    def test_rows_are_restricted_one_by_one(self):
-        P = np.array([[0.2, 0.5, 0.3], [np.nan] * 3, [0.5, 0.25, 0.25]])
-        Q = restrict_simplex(P, [1, 2])
-        for p, q in zip(P[[0, 2]], Q[[0, 2]]):
-            np.testing.assert_array_equal(q, restrict_simplex(p, [1, 2]))
-        assert np.isnan(Q[1]).all()
-
-    def test_first_row_without_mass_is_named(self):
-        # logits (1000 x, 0, 0): x = 1 puts all the mass on class 0 (e^-1000 is 0.0)
-        teacher = init_model("linear", 1, 3)
-        teacher.weights[0][:] = [[1000.0, 0.0, 0.0]]
-        data = Dataset.from_arrays(DatasetHeader(1, 1, 3), x_star=[[0.0], [0.5], [1.0], [1.0]])
-        with pytest.raises(ValueError, match="^row 2: probability mass on the classes of interest"):
-            universum_soft_labels(teacher, data, 1.0, [1, 2])
-        np.testing.assert_allclose(universum_soft_labels(teacher, data, 1.0, [0, 1])[2], [1, 0])
-
-    def test_class_set_validation(self):
-        teacher = init_model("linear", 1, 3)
-        data = Dataset(DatasetHeader(1, 1, 3), [Triplet(x_star=np.zeros(1))])
-        with pytest.raises(ValueError):
-            universum_soft_labels(teacher, data, 1.0, [])
-        with pytest.raises(ValueError):
-            universum_soft_labels(teacher, data, 1.0, [0, 3])
-        with pytest.raises(ValueError):
-            universum_soft_labels(teacher, data, 1.0, [0, 0])
-        with pytest.raises(ValueError, match=r"^class of interest must be an integer in \[0, 2\]"):
-            universum_soft_labels(teacher, data, 1.0, [0.5, 1.7])
-
-    @pytest.mark.parametrize(
-        "classes, message",
-        [
-            ([-1], r"class of interest must be an integer in \[0, 2\], got -1"),
-            ([5], r"class of interest must be an integer in \[0, 2\], got 5"),
-            ([0.0], r"class of interest must be an integer in \[0, 2\], got 0.0"),
-            ([0, 0], "classes_of_interest contains duplicates"),
-            ([], "classes_of_interest must be non-empty"),
-        ],
-        ids=["negative", "too-large", "float", "duplicate", "empty"],
-    )
-    def test_restrict_simplex_checks_the_class_set(self, classes, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            restrict_simplex(np.array([[0.2, 0.3, 0.5]]), classes)
-
-    @pytest.mark.parametrize("classes", [[1, 1], [3], []])
-    def test_class_set_checked_before_the_teacher_runs(self, monkeypatch, classes):
-        teacher = init_model("linear", 1, 3)
-        data = Dataset(DatasetHeader(1, 1, 3), [Triplet(x_star=np.zeros(1))])
-        ran = []
-        monkeypatch.setattr(distill, "soft_labels", lambda *args: ran.append(args))
-        with pytest.raises(ValueError, match="^class"):
-            universum_soft_labels(teacher, data, 1.0, classes)
-        assert ran == []
-
-    def test_restrict_simplex_keeps_the_given_order(self):
-        np.testing.assert_allclose(restrict_simplex([[0.2, 0.3, 0.5]], [2, 0]), [[5 / 7, 2 / 7]])
-
-    def test_class_set_accepts_any_iterable(self):
-        teacher = init_model("linear", 1, 3)
-        data = Dataset(DatasetHeader(1, 1, 3), [Triplet(x_star=np.zeros(1))])
-        assert universum_soft_labels(teacher, data, 1.0, (k for k in (0, 2))).shape == (1, 2)
-
-
 def multitask_data(n=10, tasks=7, d=21, seed=3):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, d))
@@ -584,6 +489,24 @@ class TestDatasetValidation:
             Triplet()
 
 
+@st.composite
+def datasets(draw):
+    """Regression datasets built from columns and masks: any finite values,
+    d and d_star in 0..3, c in 1..3, and random missing fields, at least one
+    present per row.  An absent cell holds 0, as the row adapter stores it."""
+    sizes = [draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(1, 3))]
+    n = draw(st.integers(0, 5))
+    rows = st.lists(st.booleans(), min_size=3, max_size=3).filter(any)
+    present = np.array([draw(rows) for _ in range(n)], dtype=bool).reshape(n, 3)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    cols = {}
+    for j, (view, k) in enumerate(zip(("x", "x_star", "y"), sizes)):
+        values = np.array(draw(st.lists(finite, min_size=n * k, max_size=n * k)), float)
+        cols[view] = np.where(present[:, [j]], values.reshape(n, k), 0.0)
+    masks = {view: present[:, j] for j, view in enumerate(cols)}
+    return Dataset.from_arrays(DatasetHeader(*sizes, "regression"), **cols, present=masks)
+
+
 class TestColumns:
     def test_from_arrays_columns_are_the_inputs(self):
         rng = np.random.default_rng(4)
@@ -608,6 +531,15 @@ class TestColumns:
             rows = np.asarray([getattr(t, view) for t in data.examples])
             assert np.array_equal(data.column(view), rows)
             assert not np.shares_memory(data.column(view), getattr(triplets[0], view))
+
+    @given(datasets())
+    @settings(max_examples=200, deadline=None)
+    def test_the_row_adapter_rebuilds_every_column_and_mask(self, ds):
+        back = Dataset(ds.header, ds.examples)
+        assert back.header == ds.header and len(back) == len(ds)
+        for view in ("x", "x_star", "y"):
+            assert back._cols[view].tobytes() == ds._cols[view].tobytes()
+            assert back._masks[view].tolist() == ds._masks[view].tolist()
 
     def test_columns_are_read_only(self):
         X = np.arange(6.0).reshape(3, 2)
@@ -889,12 +821,15 @@ class TestPlainStudentKept:
     def test_each_call_returns_an_independent_copy(self):
         data, cfg = toy_dataset(n=30), small_cfg(imitation=0.0)
         first, second = distill_student(data, [], cfg), distill_student(data, [], cfg)
+        fresh = distill_student(toy_dataset(n=30), [], cfg)
         assert_same_bits(first, second)
-        assert_same_bits(second, distill_student(toy_dataset(n=30), [], cfg))
+        assert_same_bits(second, fresh)
         assert not np.shares_memory(first.params, second.params)
+        assert first.loss_history is not second.loss_history
         first.params[:] = 0.0
         first.loss_history.clear()
-        assert_same_bits(distill_student(data, [], cfg), second)
+        second.loss_history.append(1.0)
+        assert_same_bits(distill_student(data, [], cfg), fresh)
 
     @pytest.mark.parametrize(
         "change",
@@ -990,6 +925,11 @@ class TestStudentGroups:
         assert len(calls) == 1 and calls[0][1].lead == (1,)
         assert_same_bits(first, second)
         assert not np.shares_memory(first.params, second.params)
+        assert first.loss_history is not second.loss_history
+        first.params[:] = 0.0
+        first.loss_history.clear()
+        [third] = distill_students(data, [(soft, cfg)])
+        assert_same_bits(third, second)
         other = soft.copy()
         other[0] = other[0][::-1]  # another soft column is another student
         distill_students(data, [(other, cfg)])

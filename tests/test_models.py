@@ -2,7 +2,6 @@ import copy
 import itertools
 import math
 import pickle
-import re
 
 import numpy as np
 import pytest
@@ -23,12 +22,7 @@ from distillery.models import (
     forward,
     gradient,
     init_model,
-    load_model,
     loss,
-    model_from_text,
-    model_to_text,
-    predict_class,
-    save_model,
     train,
 )
 
@@ -144,30 +138,6 @@ class TestForwardOnPixels:
         batch = Packed(pixels, "classification", (np.eye(2)[[0, 1, 0, 1]], np.ones(4)),
                        (np.zeros((4, 2)), np.zeros(4)), range(4))
         assert batch.X.tobytes() == pixel_features(pixels).tobytes()
-
-
-class TestPredictClass:
-    def test_argmax(self):
-        m = zero_model("linear", 1, 3)
-        m.biases[0][:] = [0.1, 0.9, 0.3]
-        assert predict_class(m, np.zeros(1)) == 1
-
-    def test_tie_goes_low(self):
-        m = zero_model("linear", 1, 2)
-        m.biases[0][:] = [0.5, 0.5]
-        assert predict_class(m, np.zeros(1)) == 0
-
-    def test_identity_map(self):
-        m = zero_model("linear", 3, 3)
-        m.weights[0][:] = np.eye(3)
-        x = np.zeros(3)
-        x[2] = 1.0
-        assert predict_class(m, x) == 2
-
-    def test_regression_rejected(self):
-        m = zero_model("linear", 2, 1, task="regression")
-        with pytest.raises(ValueError):
-            predict_class(m, np.zeros(2))
 
 
 class TestLoss:
@@ -318,7 +288,7 @@ class TestTrain:
         rows = separable_rows()
         cfg = TrainConfig(learning_rate=0.5, epochs=300, batch_size=10, l2=0.0, rng=RngStream(0))
         m = train(init_model("linear", 2, 2, rng=RngStream(1)), pack(rows), cfg)
-        correct = sum(predict_class(m, x) == int(np.argmax(y)) for x, y, *_ in rows)
+        correct = sum(int(np.argmax(forward(m, x))) == int(np.argmax(y)) for x, y, *_ in rows)
         assert correct == 20
 
     def test_convex_problem_reaches_stationarity(self):
@@ -728,141 +698,28 @@ class TestStackedTrain:
             Packed(X, "classification", (H, np.ones(hard_w)), soft, range(45))
 
 
-class TestSerialization:
-    def test_round_trip_bitwise(self, tmp_path):
-        m = init_model(Arch.mlp(5, 4), 7, 3, rng=RngStream(77))
-        m.weights[0][0, 0] = math.pi  # irrational value must survive exactly
-        path = tmp_path / "model.txt"
-        save_model(m, path)
-        back = load_model(path)
-        assert back.kind == m.kind and back.task == m.task
-        for a, b in zip(m.weights + m.biases, back.weights + back.biases):
-            assert np.array_equal(a, b)
-
-    def test_text_round_trip(self):
-        m = init_model("linear", 2, 2, task="regression", rng=RngStream(78))
-        back = model_from_text(model_to_text(m))
-        assert (back.kind, back.task) == (m.kind, m.task)
-        for a, b in zip(m.weights + m.biases, back.weights + back.biases):
-            assert np.array_equal(a, b)
-
+class TestCopies:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
-    def test_text_round_trips_any_finite_model_bit_for_bit(self, data):
+    def test_pickle_and_copies_keep_every_bit(self, data):
         sizes = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
         finite = st.floats(allow_nan=False, allow_infinity=False)
         shapes = list(zip(sizes, sizes[1:]))
         weights = [data.draw(arrays(np.float64, shape, elements=finite)) for shape in shapes]
         biases = [data.draw(arrays(np.float64, (c,), elements=finite)) for c in sizes[1:]]
         task = data.draw(st.sampled_from(["classification", "regression"]))
-        m = Model(task, weights, biases)
-        back = model_from_text(model_to_text(m))
-        assert (back.kind, back.task) == (m.kind, m.task)
-        for a, b in zip(m.weights + m.biases, back.weights + back.biases):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
-
-    def test_bad_magic(self):
-        with pytest.raises(ValueError):
-            model_from_text("something else\n")
-
-    def test_truncated_record_names_missing_line(self):
-        lines = model_to_text(init_model(Arch.mlp(3), 2, 2, rng=RngStream(5))).splitlines()
-        for k in range(1, len(lines)):
-            with pytest.raises(ValueError, match=f"line {k + 1} is missing"):
-                model_from_text("\n".join(lines[:k]) + "\n")
-
-    def test_misnamed_field_rejected(self):
-        text = model_to_text(init_model("linear", 2, 2)).replace("task ", "tusk ")
-        with pytest.raises(ValueError, match="'task' at line 3"):
-            model_from_text(text)
-
-    @pytest.mark.parametrize(
-        "sizes",
-        ["\u0662 2", "0_2 2", "+2 2", "x 2", " 2", "2", "0 2", "2 2 -1"],
-        ids=["arabic-indic", "separator", "plus", "letter", "one-size", "one-size-spaced",
-             "zero", "negative"],
-    )
-    def test_sizes_must_be_ascii_digits(self, sizes):
-        text = model_to_text(init_model("linear", 2, 2)).replace("sizes 2 2\n", f"sizes {sizes}\n")
-        with pytest.raises(ValueError, match=r"^line 4: expected 'sizes d h1 \.\.\. c' of ASCII"):
-            model_from_text(text)
-
-    @pytest.mark.parametrize("extra", ["b0", "0x1p+0", "W1"])
-    def test_a_line_after_the_last_layer_rejected(self, extra):
-        lines = model_to_text(init_model(Arch.mlp(3), 2, 2, rng=RngStream(5))).splitlines()
-        text = "\n".join([*lines, extra, "more"]) + "\n"
-        with pytest.raises(ValueError, match=f"^line {len(lines) + 1}: unexpected text after"):
-            model_from_text(text)
-
-    @pytest.mark.parametrize(
-        "line, edit, message",
-        [
-            (6, lambda row: row + " 0x1p+0", "expected 3 values, got 4"),
-            (7, lambda row: row.rsplit(" ", 1)[0], "expected 3 values, got 2"),
-            (9, lambda row: row.rsplit(" ", 1)[0], "expected 3 values, got 2"),
-            (11, lambda row: "zz " + row.split(" ", 1)[1], "'zz' is not a hexadecimal float64"),
-            (15, lambda row: row.split(" ", 1)[0] + " 0x1p+9999", "'0x1p+9999' is not a hexadecimal float64"),
-        ],
-        ids=["long-weight-row", "short-weight-row", "short-bias-row", "not-hex", "overflow"],
-    )
-    def test_a_malformed_value_row_is_named(self, line, edit, message):
-        # lines 5-9 hold layer 0 (W0, two rows of 3, b0, its row), lines 10-15 layer 1
-        lines = model_to_text(init_model(Arch.mlp(3), 2, 2, rng=RngStream(5))).splitlines()
-        lines[line - 1] = edit(lines[line - 1])
-        with pytest.raises(ValueError, match=f"^line {line}: {re.escape(message)}$"):
-            model_from_text("\n".join(lines) + "\n")
-
-    @pytest.mark.parametrize(
-        "edit, message",
-        [
-            (lambda lines: lines[:6] + ["zz " + lines[6].split(" ", 1)[1]] + lines[7:],
-             "line 9: 'zz' is not a hexadecimal float64"),
-            (lambda lines: lines[:8] + [lines[8].rsplit(" ", 1)[0]] + lines[9:],
-             "line 11: expected 3 values, got 2"),
-            (lambda lines: lines[:9], "truncated model record: line 12 is missing"),
-        ],
-        ids=["not-hex", "short-bias-row", "truncated"],
-    )
-    def test_lines_are_numbered_as_given_after_leading_blank_lines(self, edit, message):
-        # two blank lines put the record's line k on line k + 2 of the text
-        lines = model_to_text(init_model(Arch.mlp(3), 2, 2, rng=RngStream(5))).splitlines()
-        assert model_from_text("\n\n" + "\n".join(lines) + "\n") == model_from_text("\n".join(lines))
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            model_from_text("\n\n" + "\n".join(edit(lines)) + "\n")
-
-    @pytest.mark.parametrize("blank", [0, 2])
-    def test_a_byte_that_is_not_ascii_names_its_line(self, tmp_path, blank):
-        # line 6 is a row of W0; two blank lines before the record make it line 8
-        lines = model_to_text(init_model(Arch.mlp(3), 2, 2, rng=RngStream(5))).encode().splitlines()
-        lines[5] = lines[5].replace(b" ", b" \xc3\xa9", 1)
-        path = tmp_path / "model.txt"
-        path.write_bytes(b"\n" * blank + b"\n".join(lines) + b"\n")
-        with pytest.raises(ValueError, match=f"^line {6 + blank}: not ASCII text$"):
-            load_model(path)
-        text = path.read_bytes().decode("ascii", errors="surrogateescape")
-        with pytest.raises(ValueError, match=f"^line {6 + blank}: not ASCII text$"):
-            model_from_text(text)
-
-    @pytest.mark.parametrize("line, name", [(5, "W0"), (8, "b0"), (10, "W1"), (14, "b1")])
-    def test_a_misplaced_layer_marker_is_named(self, line, name):
-        lines = model_to_text(init_model(Arch.mlp(3), 2, 2, rng=RngStream(5))).splitlines()
-        assert lines[line - 1] == name
-        lines[line - 1] = "W9"
-        with pytest.raises(ValueError, match=f"^expected {name} at line {line}$"):
-            model_from_text("\n".join(lines) + "\n")
-
-    @pytest.mark.parametrize(
-        "arch,kind",
-        [(Arch("linear"), "mlp"), (Arch.mlp(3), "linear"), (Arch.mlp(3, 2), "banana")],
-        ids=["linear-as-mlp", "mlp-as-linear", "unknown"],
-    )
-    def test_kind_that_contradicts_the_layers_rejected(self, arch, kind):
-        m = init_model(arch, 2, 2, rng=RngStream(6))
-        text = model_to_text(m)
-        assert text.splitlines()[1] == f"kind {arch.kind}" == f"kind {m.kind}"
-        bad = text.replace(f"kind {m.kind}\n", f"kind {kind}\n")
-        with pytest.raises(ValueError, match=f"^kind '{kind}' at line 2 contradicts"):
-            model_from_text(bad)
+        history = data.draw(st.none() | st.lists(finite, max_size=3))
+        m = Model(task, weights, biases, loss_history=history)
+        for clone in (lambda m: pickle.loads(pickle.dumps(m)), copy.copy, copy.deepcopy):
+            back = clone(m)
+            assert back is not m and back.task == m.task
+            assert [w.shape for w in back.weights] == [w.shape for w in m.weights]
+            assert back.params.tobytes() == m.params.tobytes()  # -0.0 included
+            assert not np.shares_memory(back.params, m.params)
+            assert back.loss_history == m.loss_history
+            assert history is None or back.loss_history is not m.loss_history
+            for view in [*back.weights, *back.biases, back.w_flat]:
+                assert np.shares_memory(view, back.params)
 
 
 class TestModelEquality:
