@@ -6,17 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import logsumexp
 
 from distillery.core import (
     RngStream,
     check_count,
     check_real,
+    check_rows,
     check_simplex,
+    check_simplex_rows,
     cross_entropy,
     finite_rows,
     log_softmax,
     one_hot,
     parse_number,
+    simplex_rows,
     softmax,
 )
 
@@ -142,11 +146,104 @@ class TestCheckSimplex:
         with pytest.raises(ValueError):
             check_simplex(np.array([0.5, 0.51]))
 
+    @pytest.mark.parametrize(
+        "p", [[1.0], [0.25] * 4, np.float32([0.5, 0.5]), (0.0, 1.0, 0.0)],
+        ids=["one-class", "uniform", "float32", "tuple"],
+    )
+    def test_a_probability_vector_comes_back_as_float64(self, p):
+        out = check_simplex(p)
+        assert out.dtype == np.float64 and out.tolist() == list(np.asarray(p, np.float64))
+
+    @pytest.mark.parametrize(
+        "p,message",
+        [
+            ([], "must be 1-d and non-empty"),
+            ([[0.5, 0.5]], "must be 1-d and non-empty"),
+            (1.0, "must be 1-d and non-empty"),
+            ([-0.1, 1.1], "entries must be finite and >= 0"),
+            ([math.nan, 1.0], "entries must be finite and >= 0"),
+            ([math.inf, 0.0], "entries must be finite and >= 0"),
+            ([0.4, 0.5], "sums to 0.9, not 1"),
+            ([1e308, 1e308], "sums to inf, not 1"),
+        ],
+        ids=["empty", "2-d", "scalar", "negative", "nan", "inf", "short", "overflow"],
+    )
+    def test_what_is_not_a_probability_vector_is_named(self, p, message):
+        with pytest.raises(ValueError, match=f"^probability vector {message}$"):
+            check_simplex(p)
+
+
+class TestSimplexRows:
+    @given(arrays(np.float64, st.tuples(st.integers(0, 5), st.integers(1, 4)),
+                  elements=st.sampled_from([0.0, 0.25, 0.5, 1.0, -0.5, 1e308, math.nan, math.inf])))
+    @settings(max_examples=200, deadline=None)
+    def test_a_row_passes_exactly_when_check_simplex_takes_it(self, P):
+        def takes(p):
+            try:
+                check_simplex(p)
+            except ValueError:
+                return False
+            return True
+
+        with np.errstate(all="raise"):  # simplex_rows warns of nothing
+            ok = simplex_rows(P)
+        assert ok.tolist() == [takes(p) for p in P]
+
+    def test_the_first_failing_present_row_is_named_with_its_reason(self):
+        P = np.array([[1.0, 0.0], [0.7, 0.7], [0.2, 0.8], [-1.0, 2.0], [0.9, 0.9]])
+        present = np.array([True, False, True, True, True])
+        with pytest.raises(ValueError, match="^example d: soft: probability vector entries must"):
+            check_simplex_rows(P, present, "abcde", "soft: ")
+        check_simplex_rows(P[:3], present[:3], "abc")  # row 1 is absent: not checked
+
+    def test_check_rows_names_the_first_false_row(self):
+        with pytest.raises(ValueError, match="^example 7: bad$"):
+            check_rows(np.array([True, True, False, False]), [5, 6, 7, 8], "bad")
+        check_rows(np.ones(3, bool), [0, 1, 2], "bad")
+        check_rows(np.ones(0, bool), [], "bad")
+
 
 class TestLogSoftmax:
     def test_agrees_with_softmax(self):
         z = np.array([0.3, -2.0, 5.5])
         np.testing.assert_allclose(np.exp(log_softmax(z, 2.0)), softmax(z, 2.0), rtol=1e-12)
+
+    @pytest.mark.parametrize("z", [0.0, 5.5, -700.0, 1e300])
+    def test_one_logit_has_log_probability_zero(self, z):
+        assert log_softmax([z]).tolist() == [0.0]
+
+    @pytest.mark.parametrize("shift", [0.0, 1000.0, -1000.0, 1e300])
+    def test_two_equal_logits_give_log_one_half_at_any_shift(self, shift):
+        # the max is subtracted before exp, so exp(1000) never overflows
+        with np.errstate(over="raise"):
+            out = log_softmax([shift, shift])
+        np.testing.assert_allclose(out, [-math.log(2)] * 2, rtol=0, atol=1e-15)
+
+    @given(finite_logits, st.sampled_from([0.5, 1.0, 3.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_is_the_logits_minus_their_log_sum_exp(self, z, T):
+        np.testing.assert_allclose(log_softmax(z, T), z / T - logsumexp(z / T), rtol=0, atol=1e-12)
+
+    def test_each_row_of_a_batch_is_its_own_vector(self):
+        Z = np.array([[0.3, -2.0, 5.5], [1000.0, 1000.0, 999.0], [0.0, 0.0, 0.0]])
+        out = log_softmax(Z, 1.5)
+        for z, row in zip(Z, out):
+            assert np.array_equal(row, log_softmax(z, 1.5))
+
+    @pytest.mark.parametrize("z", [[], np.zeros((2, 0))], ids=["empty", "rows-of-width-0"])
+    def test_no_logits_rejected(self, z):
+        with pytest.raises(ValueError, match="^empty logit vector$"):
+            log_softmax(z)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_logits_rejected(self, bad):
+        with pytest.raises(ValueError, match="^logits must be finite$"):
+            log_softmax([0.0, bad])
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf, True])
+    def test_bad_temperature_rejected(self, T):
+        with pytest.raises(ValueError, match="^temperature must be a finite real number > 0, got "):
+            log_softmax([1.0, 2.0], T)
 
 
 class TestRngStream:
@@ -198,6 +295,34 @@ class TestRngStream:
         with pytest.raises(ValueError, match=message):
             RngStream(0, stream)
 
+    @pytest.mark.parametrize("key", [None, b"x", (1,), [1], np.int64(1)],
+                             ids=["none", "bytes", "tuple", "list", "numpy-int"])
+    def test_unsupported_fork_key_rejected(self, key):
+        with pytest.raises(TypeError, match="^unsupported fork key component: "):
+            RngStream(1).fork("x", key)
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [((1,), (1.0,)), ((1,), ("1",)), ((True,), (1,)), (("ab",), ("a", "b")),
+         ((0.0,), (-0.0,)), ((1, 2), (2, 1))],
+        ids=["int-float", "int-str", "bool-int", "str-split", "signed-zero", "order"],
+    )
+    def test_keys_that_differ_in_type_sign_split_or_order_give_other_streams(self, a, b):
+        s = RngStream(3)
+        assert s.fork(*a) != s.fork(*b)
+        assert s.fork(*a) == s.fork(*a) and s.fork(*a).seed == 3
+
+    def test_a_fork_depends_on_the_parent_stream(self):
+        assert RngStream(1, 0).fork("x") != RngStream(1, 1).fork("x")
+        assert RngStream(1, 0).fork("x").stream == RngStream(2, 0).fork("x").stream
+
+    @pytest.mark.parametrize("stream", [1, 2**63 - 1, 2**63])
+    def test_a_stream_and_the_one_below_it_give_other_draws(self, stream):
+        # Philox takes the key as int64 below 2**63 and as float64 from there
+        draws = RngStream(2**53, stream).generator().random(4)
+        assert np.array_equal(draws, RngStream(2**53, stream).generator().random(4))
+        assert not np.array_equal(draws, RngStream(2**53, stream - 1).generator().random(4))
+
     def test_numpy_integers_become_python_ints(self):
         s = RngStream(np.int64(5), np.int64(2))
         assert type(s.seed) is int and type(s.stream) is int
@@ -225,6 +350,11 @@ class TestCheckCount:
     def test_non_integers_and_values_below_one_rejected(self, value):
         with pytest.raises(ValueError, match="^k must be an integer >= 1, got "):
             check_count("k", value)
+
+    @pytest.mark.parametrize("value", [np.bool_(True), 1 + 0j, [1], np.array([1, 2]), 4, 2**70])
+    def test_arrays_numpy_bools_and_values_above_the_bound_rejected(self, value):
+        with pytest.raises(ValueError, match=r"^k must be an integer in \[1, 3\], got "):
+            check_count("k", value, 1, 3)
 
 
 class TestCheckReal:
@@ -273,6 +403,26 @@ class TestParseNumber:
             with pytest.raises(ValueError) as e:
                 parse_number(text, parse)
             assert str(e.value) == f"{text!r} is not a number"
+
+    @pytest.mark.parametrize(
+        "text", ["1_5", " ", "\t2", "2\r", "\u00a02", "\uff12", "1.5\x00"],
+        ids=["separator", "blank", "tab", "carriage-return", "no-break-space", "fullwidth", "nul"],
+    )
+    def test_separators_whitespace_and_non_ascii_digits_rejected_for_floats(self, text):
+        with pytest.raises(ValueError, match=r"is not a number$|could not convert string to float"):
+            parse_number(text)
+
+    @pytest.mark.parametrize(
+        "text", ["0", "-0.0", ".5", "1e-3", "+2", "inf", "-Infinity", "1.7976931348623157e308"],
+    )
+    def test_ascii_floats_parse_as_float_does(self, text):
+        x = parse_number(text)
+        assert type(x) is float and np.float64(x).tobytes() == np.float64(float(text)).tobytes()
+
+    @pytest.mark.parametrize("text", ["1.0", "1e3", "0x10", "nan"])
+    def test_what_int_does_not_take_is_rejected_for_ints(self, text):
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            parse_number(text, int)
 
     def test_ascii_numbers_parse(self):
         assert parse_number("-1.5e3") == -1500.0 and math.isnan(parse_number("nan"))

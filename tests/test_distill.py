@@ -488,6 +488,40 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             Triplet()
 
+    @pytest.mark.parametrize("field", ["x", "x_star", "y"])
+    def test_a_triplet_of_one_field_is_accepted(self, field):
+        t = Triplet(**{field: np.ones(2)})
+        assert [getattr(t, f) is None for f in ("x", "x_star", "y")].count(True) == 2
+
+    @pytest.mark.parametrize("task", ["banana", None, "Regression"])
+    def test_header_task_checked(self, task):
+        with pytest.raises(ValueError, match="^unknown task "):
+            DatasetHeader(2, 1, 2, task)
+
+    @pytest.mark.parametrize("shape", [(1,), (4,), (1, 3), ()],
+                             ids=["short", "long", "2-d", "scalar"])
+    @pytest.mark.parametrize("view,width", [("x", 3), ("x_star", 2), ("y", 2)])
+    def test_a_row_off_the_header_width_names_its_example(self, view, width, shape):
+        rows = [Triplet(np.zeros(3), np.zeros(2), np.ones(2)) for _ in range(4)]
+        setattr(rows[2], view, np.ones(shape))
+        shape_text = re.escape(str(shape))
+        message = rf"^example 2: {view} has shape {shape_text}, header says \({width},\)$"
+        with pytest.raises(ValueError, match=message):
+            Dataset(DatasetHeader(3, 2, 2, "regression"), rows)
+
+    def test_a_width_0_field_is_present_or_missing_per_row(self):
+        rows = [Triplet(np.ones(2), np.zeros(0), None), Triplet(np.ones(2), None, None)]
+        ds = Dataset(DatasetHeader(2, 0, 2), rows)
+        assert ds.examples[0].x_star.shape == (0,) and ds.examples[1].x_star is None
+        with pytest.raises(ValueError, match="^example 1 has no x_star$"):
+            ds.column("x_star")
+        assert Dataset(ds.header, rows[:1]).column("x_star").shape == (1, 0)
+
+    @pytest.mark.parametrize("view", ["X", "y_star", "", "examples"])
+    def test_unknown_view_rejected(self, view):
+        with pytest.raises(ValueError, match=f"^unknown view {re.escape(repr(view))}$"):
+            toy_dataset(n=3).column(view)
+
 
 @st.composite
 def datasets(draw):

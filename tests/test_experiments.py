@@ -39,7 +39,7 @@ from distillery.experiments import (
     run_multitask,
     run_synthetic,
 )
-from distillery.models import Arch, TrainConfig, TrainingDivergence, forward, init_model
+from distillery.models import Arch, Model, TrainConfig, TrainingDivergence, forward, init_model
 from distillery.synthetic import SyntheticSpec
 
 TINY_TRAIN = TrainConfig(learning_rate=0.05, epochs=3, batch_size=10, l2=1e-4)
@@ -591,6 +591,54 @@ class TestSyntheticRun:
         assert report.status == "incomplete"
         for r, c in zip(report.results, clean.results):
             assert r.values == c.values[1:] and r.status == "incomplete"
+
+
+def bias_model(biases, d=1, task="classification"):
+    """A linear model of zero weights: its outputs are `biases` for every input."""
+    return Model(task, [np.zeros((d, len(biases)))], [np.array(biases, dtype=float)])
+
+
+class TestScores:
+    @pytest.mark.parametrize(
+        "biases,label,expected",
+        [
+            ([0.1, 0.9, 0.3], [0.0, 1.0, 0.0], 1.0),
+            ([0.1, 0.9, 0.3], [0.0, 0.0, 1.0], 0.0),
+            ([0.5, 0.5], [1.0, 0.0], 1.0),  # a tied prediction goes to class 0
+            ([0.5, 0.5], [0.0, 1.0], 0.0),
+            ([0.2, 0.1], [0.5, 0.5], 1.0),  # a tied label goes to class 0 too
+            ([0.1, 0.2], [0.5, 0.5], 0.0),
+        ],
+        ids=["argmax", "argmax-wrong", "tied-prediction", "tied-prediction-wrong",
+             "tied-label", "tied-label-wrong"],
+    )
+    def test_accuracy_compares_argmaxes_with_ties_going_low(self, biases, label, expected):
+        ds = Dataset.from_arrays(DatasetHeader(1, 1, len(biases)), x=np.zeros((3, 1)),
+                                 y=np.tile(label, (3, 1)))
+        assert experiments.accuracy(bias_model(biases), ds, "x") == expected
+
+    def test_accuracy_is_the_fraction_of_rows_right(self):
+        # the identity map predicts the class of the hot coordinate
+        m = Model("classification", [np.eye(3)], [np.zeros(3)])
+        X, labels = np.eye(3)[[0, 1, 2, 2]], [0, 1, 2, 1]
+        ds = Dataset.from_arrays(DatasetHeader(3, 3, 3), x=X, x_star=X[:, ::-1],
+                                 y=np.eye(3)[labels])
+        assert experiments.accuracy(m, ds, "x") == 0.75
+        assert experiments.accuracy(m, ds, "x_star") == 0.25  # reversed, only row 1 is right
+
+    def test_mse_averages_over_rows_and_outputs(self):
+        ds = Dataset.from_arrays(DatasetHeader(1, 0, 2, "regression"), x=np.zeros((2, 1)),
+                                 y=np.array([[1.0, 2.0], [3.0, -1.0]]))
+        # outputs (1, 0): squared errors 0, 4, 4, 1
+        assert experiments.mse(bias_model([1.0, 0.0], task="regression"), ds, "x") == 2.25
+
+    @pytest.mark.parametrize("score", ["accuracy", "mse"])
+    def test_a_missing_view_names_the_example(self, score):
+        present = {"x_star": np.array([True, True, False])}
+        ds = Dataset.from_arrays(DatasetHeader(1, 1, 2), x=np.zeros((3, 1)),
+                                 x_star=np.zeros((3, 1)), y=np.eye(2)[[0, 1, 0]], present=present)
+        with pytest.raises(ValueError, match="^example 2 has no x_star$"):
+            getattr(experiments, score)(bias_model([0.0, 1.0]), ds, "x_star")
 
 
 class WholeFile:

@@ -722,6 +722,88 @@ class TestCopies:
                 assert np.shares_memory(view, back.params)
 
 
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_every_pickle_protocol_keeps_every_bit(self, protocol):
+        m = init_model(Arch.mlp(5, 4), 7, 3, rng=RngStream(77))
+        m.weights[0][0, 0] = math.pi
+        m.loss_history = [0.5, 0.25]
+        back = pickle.loads(pickle.dumps(m, protocol=protocol))
+        assert back == m and back.params.tobytes() == m.params.tobytes()
+        assert back.loss_history == [0.5, 0.25] and back.kind == "mlp"
+
+    @pytest.mark.parametrize(
+        "value", [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, math.pi],
+        ids=["negative-zero", "least-subnormal", "negative-subnormal", "least-normal", "largest",
+             "pi"],
+    )
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_an_extreme_value_survives_every_copy(self, task, value):
+        m = Model(task, [np.full((2, 3), value), np.ones((3, 1))], [np.zeros(3), np.full(1, value)])
+        for back in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+            assert back.task == task
+            assert back.weights[0].tobytes() == np.full((2, 3), value).tobytes()
+            assert back.biases[1].tobytes() == np.full(1, value).tobytes()
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda m: pickle.loads(pickle.dumps(m))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_a_copy_trains_like_the_original(self, clone):
+        data = pack(hard_rows(np.random.default_rng(8), 12, 3))
+        m0 = init_model(Arch.mlp(4), 3, 2, rng=RngStream(9))
+        cfg = TrainConfig(epochs=5, batch_size=4, rng=RngStream(10))
+        a, b = train(m0, data, cfg), train(clone(m0), data, cfg)
+        assert a == b and a.loss_history == b.loss_history
+
+
+class TestModelValidation:
+    @pytest.mark.parametrize("task", ["banana", "Classification", None])
+    def test_unknown_task_rejected(self, task):
+        with pytest.raises(ValueError, match="^unknown task "):
+            Model(task, [np.zeros((2, 2))], [np.zeros(2)])
+
+    @pytest.mark.parametrize("layers,bias_layers", [(0, 0), (2, 1), (1, 2)])
+    def test_layer_counts_must_match_and_be_non_empty(self, layers, bias_layers):
+        weights, biases = [np.zeros((2, 2))] * layers, [np.zeros(2)] * bias_layers
+        with pytest.raises(ValueError, match="^weights/biases layer counts must match"):
+            Model("classification", weights, biases)
+
+    @pytest.mark.parametrize(
+        "w,b", [((3,), (3,)), ((2, 3), (2,)), ((2, 3), (1, 3)), ((1, 2, 3), (3,))],
+        ids=["1-d-weights", "bias-of-fan-in", "2-d-bias", "3-d-weights"],
+    )
+    @pytest.mark.parametrize("layer", [0, 1])
+    def test_inconsistent_layer_shapes_are_named(self, layer, w, b):
+        weights, biases = [np.zeros((2, 2)), np.zeros((2, 2))], [np.zeros(2), np.zeros(2)]
+        weights[layer], biases[layer] = np.zeros(w), np.zeros(b)
+        with pytest.raises(ValueError, match=f"^layer {layer} has inconsistent shapes "):
+            Model("classification", weights, biases)
+
+    def test_layers_that_do_not_chain_rejected(self):
+        with pytest.raises(ValueError, match="^layer 1 -> 2 dimension mismatch$"):
+            Model("regression", [np.zeros((2, 3)), np.zeros((3, 4)), np.zeros((5, 1))],
+                  [np.zeros(3), np.zeros(4), np.zeros(1)])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["weights", "biases"])
+    @pytest.mark.parametrize("layer", [0, 1])
+    def test_a_non_finite_parameter_names_its_layer(self, layer, where, value):
+        m = init_model(Arch.mlp(3), 2, 2, rng=RngStream(4))
+        arrays = {"weights": [w.copy() for w in m.weights], "biases": [b.copy() for b in m.biases]}
+        arrays[where][layer].flat[-1] = value
+        with pytest.raises(ValueError, match=f"^layer {layer} has non-finite parameters$"):
+            Model(m.task, arrays["weights"], arrays["biases"])
+
+    @pytest.mark.parametrize(
+        "sizes,kind",
+        [((3, 2), "linear"), ((3, 4, 2), "mlp"), ((3, 4, 5, 2), "mlp"), ((1, 1), "linear")],
+    )
+    def test_kind_and_dimensions_follow_the_layers(self, sizes, kind):
+        weights = [np.zeros(shape) for shape in zip(sizes, sizes[1:])]
+        m = Model("classification", weights, [np.zeros(c) for c in sizes[1:]])
+        assert (m.kind, m.input_dim, m.output_dim) == (kind, sizes[0], sizes[-1])
+        assert m.params.size == sum(a * b + b for a, b in zip(sizes, sizes[1:]))
+
+
 class TestModelEquality:
     def test_copy_is_equal(self):
         m = init_model(Arch.mlp(3), 4, 2, rng=RngStream(3))

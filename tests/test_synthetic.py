@@ -156,6 +156,41 @@ class TestDeterminism:
             assert np.array_equal(ta.x_star, tb.x_star)
             assert np.array_equal(ta.y, tb.y)
 
+    @pytest.mark.parametrize("exp,gen",
+                             [(1, gen_exp1), (2, gen_exp2), (3, gen_exp3), (4, gen_exp4)])
+    def test_generate_dispatches_to_the_setup_of_the_spec(self, exp, gen):
+        spec = spec_for(exp, d=6, n_train=9)
+        hp = draw_hyperplane(spec, RngStream(30, exp))
+        a, b = generate(spec, hp, rng=RngStream(31)), gen(spec, hp, rng=RngStream(31))
+        for view in ("x", "x_star", "y"):
+            assert a.column(view).tobytes() == b.column(view).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7])
+    @pytest.mark.parametrize("exp", [1, 2, 3, 4])
+    def test_n_overrides_the_spec_size_and_the_labels_replay(self, exp, n):
+        spec = spec_for(exp, d=5, n_train=40)
+        ds = generate(spec, draw_hyperplane(spec, RngStream(32, exp)), n=n, rng=RngStream(33))
+        assert len(ds) == n and ds.column("x").shape == (n, 5)
+        assert replay_labels(ds).tolist() == stored_classes(ds).tolist()
+
+    @pytest.mark.parametrize("exp,d_star", [(1, 1), (2, 6), (3, 3), (4, 3)])
+    def test_header_meta_and_one_hot_labels(self, exp, d_star):
+        spec = spec_for(exp, d=6, n_train=20)
+        hp = draw_hyperplane(spec, RngStream(34, exp))
+        ds = generate(spec, hp, rng=RngStream(35))
+        h = ds.header
+        assert (h.d, h.d_star, h.c, h.task) == (6, d_star, 2, "classification")
+        assert ds.meta["experiment"] == exp and ds.meta["alpha"] is hp.alpha
+        y = ds.column("y")
+        assert set(y.ravel().tolist()) <= {0.0, 1.0} and np.all(y.sum(axis=1) == 1.0)
+
+    def test_replay_of_an_unknown_experiment_rejected(self):
+        spec = spec_for(2, d=3, n_train=4)
+        ds = generate(spec, draw_hyperplane(spec, RngStream(36)), rng=RngStream(37))
+        ds.meta["experiment"] = 5
+        with pytest.raises(ValueError, match="^unknown experiment 5$"):
+            replay_labels(ds)
+
     def test_train_test_share_problem_instance(self):
         spec = spec_for(3, n_train=50, n_test=70)
         hp = draw_hyperplane(spec, RngStream(22))
@@ -176,6 +211,13 @@ class TestSpecValidation:
     def test_relevant_size_bounds(self):
         with pytest.raises(ValueError):
             SyntheticSpec(experiment=3, d=2, relevant_size=3)
+
+    @pytest.mark.parametrize("experiment", [3, 4])
+    def test_a_subset_may_be_every_coordinate(self, experiment):
+        spec = SyntheticSpec(experiment, d=3, n_train=6, relevant_size=3)
+        ds = generate(spec, draw_hyperplane(spec, RngStream(3)), rng=RngStream(4))
+        assert ds.column("x_star").shape == (6, 3)
+        assert replay_labels(ds).tolist() == stored_classes(ds).tolist()
 
     @pytest.mark.parametrize("experiment", [1, 2])
     def test_relevant_size_unbounded_where_no_subset_is_drawn(self, experiment):
